@@ -420,7 +420,8 @@ def _random_mseries(rng, gens: Generators, lambda_base: Exponent, max_deg_for=No
     for _ in range(rng.randint(1, 4)):
         m = tuple(rng.randint(0, 3) for _ in range(kappa))
         if not any(m):
-            m = tuple(1 if i == rng.randrange(kappa) else v for i, v in enumerate(m))
+            one = rng.randrange(kappa)
+            m = tuple(1 if i == one else v for i, v in enumerate(m))
         cap = max_deg_for(m) if max_deg_for is not None else 2
         terms.append((m, _random_poly(rng, cap)))
     return MSeries(gens, lambda_base, tuple(terms), INF)

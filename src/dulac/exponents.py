@@ -18,6 +18,13 @@ Basis entries come in two flavors, distinguished by their literal form:
 Ordering convention: exponents are compared by real part first and ties are
 broken by imaginary part, ascending.  The imaginary tie-break is a library
 convention chosen to make the order total; any fixed tie rule would do.
+
+Every exponent carries one sort key, computed once.  Over an exact basis it
+is the pair (Re, Im) of exact Fractions, so ordering is plain rational
+comparison and no enclosure is ever built.  Over a basis with an approximate
+entry it is a comparator that certifies each comparison from the interval
+enclosures, doubling the working precision until the signs separate or
+raising UndecidableComparison.
 """
 
 from __future__ import annotations
@@ -25,7 +32,9 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from math import isinf
+from typing import Callable, Optional, Sequence
 
 from .errors import BasisMismatch, ExactValueRequired, UndecidableComparison
 from .scalars import ExactScalar
@@ -105,6 +114,7 @@ class ExponentBasis:
             raise ValueError(f"ExponentBasis: precision {precision} is too small")
         self.entries = parsed
         self.precision = min(precision, MAX_PRECISION)
+        self.exact = all(e.exact for e in parsed)
         self._one_index = next(
             (i for i, e in enumerate(parsed) if e.exact and e.re == 1 and e.im == 0), None
         )
@@ -194,14 +204,14 @@ class Exponent:
 
     def _mid(self, part: str) -> Fraction:
         vals = [getattr(e, part) for e in self.basis.entries]
-        return sum((c * v for c, v in zip(self.coords, vals)), Fraction(0))
+        return sum((c * v for c, v in zip(self.coords, vals) if c and v), Fraction(0))
 
-    @property
+    @cached_property
     def re_mid(self) -> Fraction:
         """Midpoint of the real-part enclosure (exact for exact bases)."""
         return self._mid("re")
 
-    @property
+    @cached_property
     def im_mid(self) -> Fraction:
         return self._mid("im")
 
@@ -233,41 +243,37 @@ class Exponent:
 
     # -- ordering -------------------------------------------------------
 
-    def _part_sign(self, part: str) -> int:
-        """Certified sign of Re or Im of this exponent; 0 only when exact."""
-        mid = self._mid(part)
-        prec = self.basis.precision
-        while True:
-            rad = self.radius(part, prec)
-            if mid - rad > 0:
-                return 1
-            if mid + rad < 0:
-                return -1
-            if rad == 0:
-                return 0
-            nxt = min(prec * 2, MAX_PRECISION)
-            if nxt == prec or self.radius(part, nxt) == rad:
-                raise UndecidableComparison(
-                    f"sign of {part}{self} undecidable at precision "
-                    f"{prec}: enclosure radius {float(rad):.3e} does not shrink"
-                )
-            prec = nxt
+    @cached_property
+    def key(self):
+        """Sort key of the (Re, Im) order, computed once.
+
+        Over an exact basis it is the pair (Re, Im) of Fractions; otherwise a
+        comparator that certifies each comparison through exp_compare.
+        """
+        if self.basis.exact:
+            return (self.re_mid, self.im_mid)
+        return _CertifiedKey(self)
+
+    def _sign(self, part: str, shift: Fraction = Fraction(0)) -> int:
+        """Certified sign of Re or Im of this exponent minus a rational shift;
+        0 only when exactly equal."""
+        mid = (self.re_mid if part == "re" else self.im_mid) - shift
+        if self.basis.exact:
+            return (mid > 0) - (mid < 0)
+        what = f"{part}{self}" + (f" - {shift}" if shift else "")
+        return _certified_sign(mid, lambda p: self.radius(part, p), self.basis.precision, what)
 
     def re_sign(self) -> int:
-        return self._part_sign("re")
+        return self._sign("re")
 
     def im_sign(self) -> int:
-        return self._part_sign("im")
+        return self._sign("im")
 
     def re_below(self, bound) -> bool:
-        """Certified test Re(self) < bound for a rational (or +inf) bound."""
-        if bound == float("inf"):
-            return True
-        if bound == float("-inf"):
-            return False
-        shifted = _ShiftedRe(self, Fraction(bound))
-        s = shifted.sign()
-        return s < 0
+        """Certified test Re(self) < bound for a rational (or +-inf) bound."""
+        if isinstance(bound, float) and isinf(bound):
+            return bound > 0
+        return self._sign("re", bound if isinstance(bound, Fraction) else Fraction(bound)) < 0
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -289,52 +295,71 @@ class Exponent:
         return exp_compare(self, other) >= 0
 
 
-class _ShiftedRe:
-    """Helper: certified sign of Re(exponent) - bound with escalation."""
+def _certified_sign(
+    mid: Fraction, radius_at: Callable[[int], Fraction], precision: int, what: str
+) -> int:
+    """Sign of a real number enclosed by mid +- radius_at(p) at precision p.
 
-    def __init__(self, exp: Exponent, bound: Fraction):
+    The precision doubles up to MAX_PRECISION until the enclosure excludes
+    zero; 0 is returned only for a zero midpoint with zero radius.  An
+    enclosure that straddles zero and stops shrinking raises
+    UndecidableComparison.
+    """
+    prec = precision
+    while True:
+        rad = radius_at(prec)
+        if mid - rad > 0:
+            return 1
+        if mid + rad < 0:
+            return -1
+        if rad == 0:
+            return 0
+        nxt = min(prec * 2, MAX_PRECISION)
+        if nxt == prec or radius_at(nxt) == rad:
+            raise UndecidableComparison(
+                f"sign of {what} undecidable at precision {prec}: "
+                f"enclosure radius {float(rad):.3e} does not shrink"
+            )
+        prec = nxt
+
+
+class _CertifiedKey:
+    """Sort key over an approximate basis: every comparison is certified."""
+
+    __slots__ = ("exp",)
+
+    def __init__(self, exp: Exponent):
         self.exp = exp
-        self.bound = bound
 
-    def sign(self) -> int:
-        mid = self.exp.re_mid - self.bound
-        prec = self.exp.basis.precision
-        while True:
-            rad = self.exp.radius("re", prec)
-            if mid - rad > 0:
-                return 1
-            if mid + rad < 0:
-                return -1
-            if rad == 0:
-                return -1 if mid < 0 else (1 if mid > 0 else 0)
-            nxt = min(prec * 2, MAX_PRECISION)
-            if nxt == prec or self.exp.radius("re", nxt) == rad:
-                raise UndecidableComparison(
-                    f"comparison of Re{self.exp} against {self.bound} undecidable "
-                    f"at precision {prec}"
-                )
-            prec = nxt
+    def __lt__(self, other: "_CertifiedKey") -> bool:
+        return exp_compare(self.exp, other.exp) < 0
+
+    def __eq__(self, other) -> bool:
+        return exp_compare(self.exp, other.exp) == 0
 
 
 def exp_compare(a: Exponent, b: Exponent) -> int:
     """Total order: -1, 0, +1 with real parts first, imaginary tie-break.
 
-    Returns 0 exactly when the coordinate vectors agree.  When enclosures
-    overlap without coordinate equality the working precision is doubled up
-    to the configured maximum; persistent overlap raises
-    UndecidableComparison, which signals basis entries too close to separate
-    or a broken independence promise.
+    Returns 0 exactly when the coordinate vectors agree.  Over an exact basis
+    the exact keys decide.  Otherwise, when enclosures overlap without
+    coordinate equality the working precision is doubled up to the
+    configured maximum; persistent overlap raises UndecidableComparison,
+    which signals basis entries too close to separate.  Distinct coordinates
+    with provably equal values raise it too: the basis independence promise
+    is broken.
     """
     if a.basis != b.basis:
         raise BasisMismatch("exp_compare: operands use different bases")
     if a.coords == b.coords:
         return 0
-    d = a - b
-    s = d.re_sign()
-    if s != 0:
-        return s
-    s = d.im_sign()
-    if s != 0:
+    if a.basis.exact:
+        ka, kb = a.key, b.key
+        s = (ka > kb) - (ka < kb)
+    else:
+        d = a - b
+        s = d.re_sign() or d.im_sign()
+    if s:
         return s
     raise UndecidableComparison(
         f"exp_compare: coordinates {a} and {b} differ but the "
@@ -348,4 +373,7 @@ def re_compare(a: Exponent, b: Exponent) -> int:
         raise BasisMismatch("re_compare: operands use different bases")
     if a.coords == b.coords:
         return 0
+    if a.basis.exact:
+        ra, rb = a.re_mid, b.re_mid
+        return (ra > rb) - (ra < rb)
     return (a - b).re_sign()

@@ -175,7 +175,8 @@ def classify(state, s, R, tol: float = 1e-12) -> GevreyReport:
 
     Finite s: rho_k = ||c_k||_R / |Gamma(lambda_k/s)| is fitted against
     C * A^k.  Infinite s (convergent candidate): the plain norms are fitted
-    against C * A^{Re lambda_k}, giving 1/A as a lower estimate of the
+    against C * A^{Re lambda_k}, with growth ratios taken between consecutive
+    terms of distinct real part, giving 1/A as a lower estimate of the
     radius.  Fewer than three terms is Inconclusive unless the residual is
     identically zero below the cutoff (a terminating solution).
     """
@@ -190,6 +191,8 @@ def classify(state, s, R, tol: float = 1e-12) -> GevreyReport:
             ]
             A = mpmath.mpf(1)
             for r1, r2 in zip(rows, rows[1:]):
+                if r2.re_lambda == r1.re_lambda:
+                    continue  # an imaginary tie-break pair has no gap to grow over
                 gap = to_mpf(r2.re_lambda - r1.re_lambda)
                 ratio = (r2.norm_R / r1.norm_R) ** (1 / gap)
                 if ratio > A:

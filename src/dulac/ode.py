@@ -105,22 +105,6 @@ class ODESpec:
             out.append(out[-1].delta())
         return out
 
-    def _power(self, j: int, e: int, deltas, pow_cache) -> DulacSeries:
-        """Cached e-th power of delta^j phi."""
-        key = (j, e)
-        if key not in pow_cache:
-            pow_cache[key] = (
-                deltas[j] if e == 1 else self._power(j, e - 1, deltas, pow_cache) * deltas[j]
-            )
-        return pow_cache[key]
-
-    def _monomial_value(self, coeff, p, q, deltas, pow_cache, basis) -> DulacSeries:
-        acc = DulacSeries.monomial(basis.rational(p), TPoly.const(coeff))
-        for j, e in enumerate(q):
-            if e:
-                acc = acc * self._power(j, e, deltas, pow_cache)
-        return acc
-
     def _validate_phi(self, phi: DulacSeries) -> None:
         if phi.terms and phi.terms[0][0].re_sign() <= 0:
             raise NonpositiveValuation(
@@ -128,17 +112,31 @@ class ODESpec:
                 f"{phi.terms[0][0]} does not"
             )
 
-    def substitute(self, phi: DulacSeries) -> DulacSeries:
-        """Evaluate F(x, phi, delta phi, ..., delta^n phi).
+    def substitute(self, phi: DulacSeries, bound=INF) -> DulacSeries:
+        """Evaluate F(x, phi, delta phi, ..., delta^n phi), truncated at bound.
 
         Monomials are grouped by total degree in (x, y) and the groups summed
         in ascending degree; for truncated data the result cutoff is capped at
-        (declared_degree + 1) * min(1, val phi).
+        (declared_degree + 1) * min(1, val phi).  The result equals the full
+        substitution truncated at the bound, and when phi is known up to the
+        bound every product is truncated there too, so no term pair beyond it
+        is built.
         """
         self._validate_phi(phi)
         basis = phi.basis
+        # Truncating each product at the bound is exact only when phi is known
+        # up to the bound: otherwise a factor emptied by the bound would make
+        # the zero-product rule take phi's lower cutoff.
+        limit = bound if phi.cutoff >= bound else INF
         deltas = self._delta_powers(phi)
-        pow_cache: dict = {}
+        powers: dict = {}
+
+        def power(j: int, e: int) -> DulacSeries:
+            """Cached e-th power of delta^j phi, truncated at limit."""
+            if (j, e) not in powers:
+                powers[j, e] = deltas[j] if e == 1 else power(j, e - 1).mul_below(deltas[j], limit)
+            return powers[j, e]
+
         groups: dict = {}
         for coeff, p, q in self.terms:
             groups.setdefault(p + sum(q), []).append((coeff, p, q))
@@ -146,28 +144,16 @@ class ODESpec:
         for d in sorted(groups):
             part = DulacSeries.zero(basis)
             for coeff, p, q in groups[d]:
-                part = part + self._monomial_value(coeff, p, q, deltas, pow_cache, basis)
+                value = DulacSeries.monomial(basis.rational(p), TPoly.const(coeff))
+                for j, e in enumerate(q):
+                    if e:
+                        value = value.mul_below(power(j, e), limit)
+                part = part + value
             total = total + part
+        cap = INF
         if self.declared_degree is not None:
             cap = (self.declared_degree + 1) * min(Fraction(1), phi.val())
-            total = total.truncate(min(total.cutoff, cap))
-        return total
-
-    def substitute_direct(self, phi: DulacSeries) -> DulacSeries:
-        """Ungrouped monomial-by-monomial evaluation; must agree exactly with
-        substitute() for polynomial data.  Kept as an independent code path
-        for cross-checking."""
-        self._validate_phi(phi)
-        basis = phi.basis
-        deltas = self._delta_powers(phi)
-        pow_cache: dict = {}
-        total = DulacSeries.zero(basis)
-        for coeff, p, q in self.terms:
-            total = total + self._monomial_value(coeff, p, q, deltas, pow_cache, basis)
-        if self.declared_degree is not None:
-            cap = (self.declared_degree + 1) * min(Fraction(1), phi.val())
-            total = total.truncate(min(total.cutoff, cap))
-        return total
+        return total.truncate(min(total.cutoff, bound, cap))
 
     # -- serialization ---------------------------------------------------------
 

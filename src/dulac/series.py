@@ -14,16 +14,22 @@ unknown tail data:
 
 Terms at or beyond the cutoff are dropped on construction; truncation can
 only lower a cutoff, never raise it.
+
+Terms are ordered by the exponents' sort keys (see exponents): exact
+rational (Re, Im) pairs over an exact basis, certified interval comparisons
+with precision escalation over an approximate one.  Over an exact basis a
+product never builds a term pair whose exponent is at or above the product
+cutoff, since canonicalization would drop it; mul_below lowers that cutoff
+to a caller's bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
-from .errors import BasisMismatch, CutoffIncrease
-from .exponents import Exponent, ExponentBasis, exp_compare
+from .errors import BasisMismatch, CutoffIncrease, UndecidableComparison
+from .exponents import Exponent, ExponentBasis
 from .scalars import ExactScalar
 from .tpoly import TPoly
 
@@ -31,30 +37,32 @@ INF = float("inf")
 
 
 def _as_cutoff(c):
-    if c == INF:
-        return INF
     if isinstance(c, float):
-        return Fraction(repr(c))
-    return Fraction(c)
+        return INF if c == INF else Fraction(repr(c))
+    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 def _canonical(terms, cutoff):
-    """Sort, merge duplicate exponents, drop zeros and out-of-cutoff terms."""
-    items = sorted(terms, key=cmp_to_key(lambda a, b: exp_compare(a[0], b[0])))
+    """Sort, merge duplicate exponents, drop zeros and out-of-cutoff terms.
+
+    Distinct exponents with equal keys are provably equal values, which
+    breaks the basis independence promise and raises UndecidableComparison.
+    """
+    items = sorted(terms, key=lambda t: t[0].key)
     out = []
     for e, c in items:
         if out and out[-1][0].coords == e.coords:
             out[-1] = (e, out[-1][1] + c)
+        elif out and out[-1][0].key == e.key:
+            raise UndecidableComparison(
+                f"DulacSeries: exponents {out[-1][0]} and {e} differ but their "
+                "values are provably equal; the basis independence promise is broken"
+            )
         else:
             out.append((e, c))
-    kept = []
-    for e, c in out:
-        if c.is_zero():
-            continue
-        if cutoff != INF and not e.re_below(cutoff):
-            continue
-        kept.append((e, c))
-    return tuple(kept)
+    return tuple(
+        (e, c) for e, c in out if not c.is_zero() and e.re_below(cutoff)
+    )
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,15 @@ class DulacSeries:
     def __post_init__(self):
         object.__setattr__(self, "cutoff", _as_cutoff(self.cutoff))
         object.__setattr__(self, "terms", _canonical(self.terms, self.cutoff))
+
+    @classmethod
+    def _from_canonical(cls, basis: ExponentBasis, terms: tuple, cutoff) -> "DulacSeries":
+        """Wrap terms that are already sorted, merged, nonzero and below cutoff."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "basis", basis)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "cutoff", cutoff)
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -127,17 +144,30 @@ class DulacSeries:
                 other if isinstance(other, ExactScalar) else ExactScalar.of(other)
             )
             return DulacSeries(self.basis, tuple((e, c * k) for e, c in self.terms), self.cutoff)
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return DulacSeries(self.basis, (), min(self.cutoff, other.cutoff))
-        cutoff = min(self.cutoff + other.val(), other.cutoff + self.val())
-        prods = []
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                prods.append((e1 + e2, c1 * c2))
-        return DulacSeries(self.basis, tuple(prods), cutoff)
+        return self.mul_below(other, INF)
 
     __rmul__ = __mul__
+
+    def mul_below(self, other: "DulacSeries", bound) -> "DulacSeries":
+        """The product self * other truncated at bound.
+
+        Over an exact basis no term pair at or above the result cutoff is
+        built: terms are sorted by Re, so the inner loop stops at the first.
+        """
+        self._check(other)
+        bound = _as_cutoff(bound)
+        if self.is_zero() or other.is_zero():
+            return DulacSeries(self.basis, (), min(self.cutoff, other.cutoff, bound))
+        cutoff = min(self.cutoff + other.val(), other.cutoff + self.val(), bound)
+        prune = self.basis.exact and not isinstance(cutoff, float)  # float: +inf
+        prods = []
+        for e1, c1 in self.terms:
+            room = cutoff - e1.re_mid if prune else INF
+            for e2, c2 in other.terms:
+                if prune and e2.re_mid >= room:
+                    break
+                prods.append((e1 + e2, c1 * c2))
+        return DulacSeries(self.basis, tuple(prods), cutoff)
 
     def delta(self) -> "DulacSeries":
         """Euler derivation x d/dx, acting termwise as (lambda + d/dt)."""
@@ -155,12 +185,15 @@ class DulacSeries:
 
     def truncate(self, new_cutoff) -> "DulacSeries":
         new_cutoff = _as_cutoff(new_cutoff)
+        if new_cutoff is self.cutoff:
+            return self
         if new_cutoff > self.cutoff:
             raise CutoffIncrease(
                 f"truncate: cannot raise cutoff from {self.cutoff} to {new_cutoff}; "
                 "terms beyond the original cutoff were never computed"
             )
-        return DulacSeries(self.basis, self.terms, new_cutoff)
+        kept = tuple(t for t in self.terms if t[0].re_below(new_cutoff))
+        return DulacSeries._from_canonical(self.basis, kept, new_cutoff)
 
     # -- serialization ---------------------------------------------------------
 

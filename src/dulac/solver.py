@@ -101,7 +101,7 @@ def extract_linearization(F: ODESpec, phi: DulacSeries) -> LinearData:
         raise AllDerivativesVanish(
             "extract_linearization: every derivative of F vanishes along the prefix"
         )
-    nu = min((g.terms[0][0] for g in nonzero), key=_cmp_key)
+    nu = min((g.terms[0][0] for g in nonzero), key=lambda e: e.key)
     A, nu_sec, B = [], [], []
     for j, g in enumerate(G):
         if not g.terms:
@@ -144,18 +144,6 @@ def extract_linearization(F: ODESpec, phi: DulacSeries) -> LinearData:
     ell = max(j for j, a in enumerate(A) if not a.is_zero())
     L = TPoly(tuple(A[: ell + 1]))
     return LinearData(nu=nu, A=tuple(A), nu_sec=tuple(nu_sec), B=tuple(B), ell=ell, L=L, n=F.n)
-
-
-class _cmp_key:
-    """functools-style key wrapper around exp_compare for min/sort."""
-
-    __slots__ = ("e",)
-
-    def __init__(self, e):
-        self.e = e
-
-    def __lt__(self, other):
-        return exp_compare(self.e, other.e) < 0
 
 
 def roots_of_L(L: TPoly, prec: int = FLOAT_PRECISION) -> list:
@@ -333,9 +321,12 @@ def extend(F: ODESpec, prefix: DulacSeries, target_cutoff) -> SolutionState:
     is allowed: the first residual term seeds lambda_1 unless it is resonant.
     Each step takes the lowest residual term beta(t) x^sigma, forms
     lambda_new = sigma - nu, requires it to strictly increase, and solves
-    L(lambda_new + d/dt) c = -beta.  After the loop the linearization is
-    re-extracted from the full solution; if (nu, A, ell) changed, the run is
-    restarted once with the stabilized data before giving up.
+    L(lambda_new + d/dt) c = -beta.  A step only uses residual terms below
+    target_cutoff + Re nu, so each step's residual is computed below that
+    bound alone; the full residual is substituted once, after the loop.
+    After the loop the linearization is re-extracted from the full solution;
+    if (nu, A, ell) changed, the run is restarted once with the stabilized
+    data before giving up.
     """
     target = Fraction(target_cutoff) if target_cutoff != INF else INF
     return _extend(F, prefix, target, pinned=None, allow_restart=True)
@@ -345,13 +336,13 @@ def _extend(F, prefix, target, pinned, allow_restart) -> SolutionState:
     sol = DulacSeries(prefix.basis, prefix.terms, INF)
     lin = pinned if pinned is not None else extract_linearization(F, sol)
     nu_re = lin.nu.re_mid
+    bound = target + nu_re
     history = []
     steps = 0
     while True:
-        residual = F.substitute(sol)
-        limit = min(target + nu_re, residual.cutoff)
-        head = residual.leading()
-        if head is None or not head[0].re_below(limit):
+        # every term of the bounded residual lies below min(bound, cutoff)
+        head = F.substitute(sol, bound).leading()
+        if head is None:
             break
         sigma, beta = head
         lam_new = sigma - lin.nu
@@ -386,6 +377,7 @@ def _extend(F, prefix, target, pinned, allow_restart) -> SolutionState:
                     "adaptive restart; the prefix does not stabilize the data"
                 )
             return _extend(F, prefix, target, pinned=lin_final, allow_restart=False)
+    residual = F.substitute(sol)
     achieved = min(target, residual.cutoff - nu_re)
     solution = DulacSeries(sol.basis, sol.terms, achieved)
     return SolutionState(F=F, solution=solution, residual=residual, lin=lin_final, history=tuple(history))

@@ -215,6 +215,13 @@ def test_check_norms_passes(tmp_path):
     assert data["seed"] == 3
 
 
+def test_check_norms_two_generators(tmp_path):
+    # kappa = 2: a zero multi-index is fixed up by setting exactly one coordinate
+    code, out = run(tmp_path, "check-norms", str(DATA / "semigroup_2d.json"), "--seed", "6484")
+    assert code == 0
+    assert payload(out, "normcheck.json")["all_pass"] is True
+
+
 def test_check_norms_regression_exits_1(tmp_path, monkeypatch):
     def broken(g1, g2, p):
         return Lemma6Report(lhs=1, rhs=0, C_used=1, passed=False, splits=1)

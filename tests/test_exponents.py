@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dulac.errors import BasisMismatch, ExactValueRequired, UndecidableComparison
 from dulac.exponents import BasisEntry, Exponent, ExponentBasis, exp_compare, re_compare
 from dulac.scalars import ExactScalar
+from dulac.series import DulacSeries
+from dulac.tpoly import TPoly
 
 
 def test_entry_parse():
@@ -86,8 +90,12 @@ def test_decidable_despite_approximation():
 
 def test_broken_independence_promise():
     b = ExponentBasis(["1", "2/1"])  # dependent entries, carefully not equal
+    e, f = b.exponent([2, 0]), b.exponent([0, 1])
     with pytest.raises(UndecidableComparison):
-        exp_compare(b.exponent([2, 0]), b.exponent([0, 1]))
+        exp_compare(e, f)
+    # equal sort keys with distinct coordinates are caught when a series holds both
+    with pytest.raises(UndecidableComparison):
+        DulacSeries(b, ((e, TPoly.ONE), (f, TPoly.ONE)), float("inf"))
 
 
 def test_re_below():
@@ -134,3 +142,38 @@ def test_compare_matches_complex_order_mixed_basis():
         c = b.exponent([Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))])
         want = ((a.re_mid, a.im_mid) > (c.re_mid, c.im_mid)) - ((a.re_mid, a.im_mid) < (c.re_mid, c.im_mid))
         assert exp_compare(a, c) == want
+
+
+def _interval_sign(lo, hi) -> int:
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    assert lo == hi == 0
+    return 0
+
+
+_COORDS = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+
+
+@pytest.mark.parametrize("entries", [["1"], ["1", "1+1i"]])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_key_order_matches_certified_interval_signs(entries, data):
+    # oracle: the signs of the enclosures of the difference, Re first, then Im
+    b = ExponentBasis(entries)
+    exps = [
+        b.exponent(data.draw(st.lists(_COORDS, min_size=b.dim, max_size=b.dim)))
+        for _ in range(4)
+    ]
+    for a in exps:
+        for c in exps:
+            d = a - c
+            re_s = _interval_sign(*d.re_interval())
+            want = re_s or _interval_sign(*d.im_interval())
+            assert (a.key > c.key) - (a.key < c.key) == want
+            assert exp_compare(a, c) == want
+            assert re_compare(a, c) == re_s
+            assert a.re_below(c.re_mid) == (re_s < 0)
+    ordered = sorted(exps, key=lambda e: e.key)
+    assert all(exp_compare(x, y) <= 0 for x, y in zip(ordered, ordered[1:]))

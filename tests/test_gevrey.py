@@ -1,6 +1,7 @@
 """Growth order, normalized norm tables, envelope fitting, verdicts."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -12,7 +13,7 @@ from dulac.series import DulacSeries
 from dulac.solver import LinearData, extend, extract_linearization
 from dulac.tpoly import TPoly
 
-from .util import basis_one, convergent_ode, euler_ode
+from .util import basis_mixed, basis_one, convergent_ode, euler_ode
 
 
 def _lin(basis, A, nu_sec_res):
@@ -125,6 +126,21 @@ def test_classify_convergent():
     assert abs(rep.A_fit - 1) < 1e-12
     assert abs(rep.radius_estimate - 1) < 1e-12
     assert all(r.gamma == 1 for r in rep.rows)
+
+
+def test_classify_convergent_skips_tied_real_parts():
+    # Re lambda = 1, 2, 2, 3 (the two 2s differ in Im): growth ratios come
+    # from the pairs with a gap, 4/1 and 8/1, so A = 8 and C = max |c| / A^Re
+    basis = basis_mixed()
+    coeffs = {(1, 0): 1, (2, 0): 4, (1, 1): 1, (3, 0): 8}
+    terms = tuple((basis.exponent(e), TPoly.of(c)) for e, c in coeffs.items())
+    solution = DulacSeries(basis, terms, 4)
+    state = SimpleNamespace(solution=solution, residual=DulacSeries.zero(basis))
+    rep = classify(state, INF, 2)
+    assert [r.re_lambda for r in rep.rows] == [1, 2, 2, 3]
+    assert rep.A_fit == 8
+    assert rep.C_fit == mpmath.mpf(1) / 8
+    assert all(r.rho <= rep.envelope_at(r) for r in rep.rows)
 
 
 def test_classify_short_run_inconclusive():

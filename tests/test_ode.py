@@ -11,7 +11,15 @@ from dulac.scalars import ExactScalar
 from dulac.series import INF, DulacSeries
 from dulac.tpoly import TPoly
 
-from .util import basis_one, euler_ode, nonlinear_ode, random_series, x_prefix
+from .util import (
+    basis_mixed,
+    basis_one,
+    euler_ode,
+    nonlinear_ode,
+    random_series,
+    substitute_direct,
+    x_prefix,
+)
 
 
 def test_from_json_euler():
@@ -98,7 +106,7 @@ def test_substitute_requires_positive_valuation():
         euler_ode().substitute(bad)
     neg = DulacSeries.monomial(basis.rational(-1), TPoly.ONE)
     with pytest.raises(NonpositiveValuation):
-        euler_ode().substitute_direct(neg)
+        euler_ode().substitute(neg, Fraction(5))
 
 
 def test_substitute_zero_phi_allowed():
@@ -116,7 +124,38 @@ def test_substitute_paths_agree_random():
         phi = random_series(rng, basis, max_terms=3)
         if phi.terms and phi.terms[0][0].re_sign() <= 0:
             continue
-        assert ode.substitute(phi) == ode.substitute_direct(phi)
+        assert ode.substitute(phi) == substitute_direct(ode, phi)
+
+
+# x dy + y^2 dy + x = 0 has no monomial y_j alone, so only the bound can
+# set the result cutoff, and its cubic monomial multiplies products again
+_NO_LINEAR_Y = ODESpec.from_json({"n": 1, "terms": [
+    {"coeff": "1/1", "x": 1, "y": [0, 1]},
+    {"coeff": "1/1", "x": 0, "y": [2, 1]},
+    {"coeff": "1/1", "x": 1, "y": [0, 0]},
+]})
+
+
+@pytest.mark.parametrize(
+    "basis, ode",
+    [
+        (basis_one(), nonlinear_ode()),
+        (basis_mixed(), nonlinear_ode()),
+        (basis_one(), ODESpec.from_json({**nonlinear_ode().to_json(), "degree": 2})),
+        (basis_mixed(), _NO_LINEAR_Y),
+    ],
+    ids=["basis_one", "basis_mixed", "declared_degree", "no_linear_y"],
+)
+def test_substitute_bound_equals_truncated_oracle(basis, ode):
+    # pruning at a bound must reproduce the unpruned result truncated there,
+    # terms and cutoff, including bounds that remove every term of phi
+    rng = random.Random(61)
+    for _ in range(30):
+        cutoff = rng.choice([INF, Fraction(rng.randint(2, 12), rng.randint(1, 2))])
+        phi = random_series(rng, basis, max_terms=4, cutoff=cutoff)
+        full = substitute_direct(ode, phi)
+        for bound in (Fraction(rng.randint(0, 16), rng.randint(1, 3)), phi.val(), INF):
+            assert ode.substitute(phi, bound) == full.truncate(min(full.cutoff, bound))
 
 
 def test_declared_degree_caps_cutoff():

@@ -103,3 +103,34 @@ def random_series(rng, basis: ExponentBasis, max_terms: int = 4, cutoff=INF) -> 
         for _ in range(rng.randint(0, max_terms))
     ]
     return DulacSeries(basis, tuple(terms), cutoff)
+
+
+def full_product(f: DulacSeries, g: DulacSeries) -> DulacSeries:
+    """Unpruned oracle for DulacSeries.__mul__: builds every term pair and
+    leaves the out-of-cutoff ones to canonicalization."""
+    if f.is_zero() or g.is_zero():
+        return DulacSeries(f.basis, (), min(f.cutoff, g.cutoff))
+    cutoff = min(f.cutoff + g.val(), g.cutoff + f.val())
+    pairs = tuple((e1 + e2, c1 * c2) for e1, c1 in f.terms for e2, c2 in g.terms)
+    return DulacSeries(f.basis, pairs, cutoff)
+
+
+def substitute_direct(ode: ODESpec, phi: DulacSeries) -> DulacSeries:
+    """Unpruned oracle for ODESpec.substitute: each monomial is evaluated on
+    its own by repeated full products, with no bound, power cache or
+    grouping by degree."""
+    basis = phi.basis
+    deltas = [phi]
+    for _ in range(ode.n):
+        deltas.append(deltas[-1].delta())
+    total = DulacSeries.zero(basis)
+    for coeff, p, q in ode.terms:
+        acc = DulacSeries.monomial(basis.rational(p), TPoly.const(coeff))
+        for j, e in enumerate(q):
+            for _ in range(e):
+                acc = full_product(acc, deltas[j])
+        total = total + acc
+    if ode.declared_degree is not None:
+        cap = (ode.declared_degree + 1) * min(Fraction(1), phi.val())
+        total = total.truncate(min(total.cutoff, cap))
+    return total
