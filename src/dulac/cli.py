@@ -545,8 +545,16 @@ def _number_flag(text: str):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 5 (malformed flag), not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dulac",
         description="Dulac series solver and growth-order analysis toolkit.",
     )
@@ -570,8 +578,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DerivativeYnZeroWarning)
             problem = _load_problem(args.problem, args)

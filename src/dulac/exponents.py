@@ -215,6 +215,12 @@ class Exponent:
     def im_mid(self) -> Fraction:
         return self._mid("im")
 
+    @cached_property
+    def re_low(self) -> Fraction:
+        """Lower endpoint of the real-part enclosure at the basis precision,
+        a certified lower bound on Re (re_mid over an exact basis)."""
+        return self.re_mid if self.basis.exact else self.re_interval()[0]
+
     def radius(self, part: str, precision: int) -> Fraction:
         return sum(
             (abs(c) * e.radius(part, precision) for c, e in zip(self.coords, self.basis.entries)),

@@ -84,28 +84,34 @@ def normalized_coeffs(terms, s, R, tol: float = 1e-12) -> list:
     return rows
 
 
-def fit_growth(rhos) -> tuple:
-    """Smallest same-k-grid geometric envelope over the observed sequence.
+def fit_growth(rhos, abscissae=None) -> tuple:
+    """Smallest geometric envelope C * A^x over the observed sequence.
 
-    A_fit is the largest consecutive ratio rho_{k+1}/rho_k clamped below at 1,
-    C_fit = max_k rho_k / A_fit^k.  Returns (C_fit, A_fit, k_C, k_A) with the
-    indices achieving each maximum (1-based positions, k_A of the ratio's
-    left endpoint; None when fewer than two entries).
+    The abscissae x default to the positions k = 1, 2, ...  A_fit is the
+    largest growth ratio (rho_b / rho_a)^(1 / (x_b - x_a)) between
+    consecutive nonzero entries, clamped below at 1; entries of equal
+    abscissa have no gap to grow over and give no ratio.  C_fit = max rho /
+    A_fit^x.  Returns (C_fit, A_fit, k_C, k_A) with the positions achieving
+    each maximum (1-based, k_A of the ratio's left endpoint; None when there
+    is no ratio above 1).
     """
-    vals = [(k, r) for k, r in enumerate(rhos, start=1) if r != 0]
+    xs = range(1, len(rhos) + 1) if abscissae is None else abscissae
+    vals = [(k, x, r) for k, (x, r) in enumerate(zip(xs, rhos), start=1) if r != 0]
     if not vals:
         return mpmath.mpf(0), mpmath.mpf(1), None, None
     with mpmath.workprec(FLOAT_PRECISION):
         A = mpmath.mpf(1)
         k_A = None
-        for (k1, r1), (k2, r2) in zip(vals, vals[1:]):
-            ratio = (r2 / r1) ** (mpmath.mpf(1) / (k2 - k1))
+        for (k1, x1, r1), (_, x2, r2) in zip(vals, vals[1:]):
+            if x2 == x1:
+                continue
+            ratio = (r2 / r1) ** (1 / to_mpf(x2 - x1))
             if ratio > A:
                 A, k_A = ratio, k1
         C = mpmath.mpf(0)
         k_C = None
-        for k, r in vals:
-            c = r / A**k
+        for k, x, r in vals:
+            c = r / A ** to_mpf(x)
             if c > C:
                 C, k_C = c, k
         return C, A, k_C, k_A
@@ -184,24 +190,11 @@ def classify(state, s, R, tol: float = 1e-12) -> GevreyReport:
     terminating = state.residual.is_zero()
     R_q = Fraction(R)
     if s == INF:
-        with mpmath.workprec(FLOAT_PRECISION):
-            rows = [
-                RhoRow(k, lam.re_mid, lam.im_mid, c.degree, poly_norm(c, R_q), mpmath.mpf(1), poly_norm(c, R_q))
-                for k, (lam, c) in enumerate(terms, start=1)
-            ]
-            A = mpmath.mpf(1)
-            for r1, r2 in zip(rows, rows[1:]):
-                if r2.re_lambda == r1.re_lambda:
-                    continue  # an imaginary tie-break pair has no gap to grow over
-                gap = to_mpf(r2.re_lambda - r1.re_lambda)
-                ratio = (r2.norm_R / r1.norm_R) ** (1 / gap)
-                if ratio > A:
-                    A = ratio
-            C = mpmath.mpf(0)
-            for r in rows:
-                c = r.norm_R / A ** to_mpf(r.re_lambda)
-                if c > C:
-                    C = c
+        rows = []
+        for k, (lam, c) in enumerate(terms, start=1):
+            norm = poly_norm(c, R_q)
+            rows.append(RhoRow(k, lam.re_mid, lam.im_mid, c.degree, norm, mpmath.mpf(1), norm))
+        C, A, _, _ = fit_growth([r.rho for r in rows], [r.re_lambda for r in rows])
         verdict = "ConvergentCandidate" if (terminating or len(rows) >= 3) else "Inconclusive"
         radius = None
         if rows:

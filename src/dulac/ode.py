@@ -6,15 +6,24 @@ is set, the monomial data is a truncated Taylor expansion that is only trusted
 up to that total degree; substitution then caps the result cutoff at
 (declared_degree + 1) * min(1, val phi), the largest exponent range the
 truncated data can certify.
+
+Substitution has one code path, Evaluation: it keeps F(x, phi, ...) together
+with the products of the delta^j phi it needs, and updates them when phi
+gains a term.  ODESpec.substitute feeds it phi's terms; extend feeds it each
+solved term, so no step substitutes from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from itertools import product
+from math import comb, prod
+from operator import mul
 
 from .errors import NonpositiveValuation, SchemaError
+from .exponents import Exponent
 from .scalars import ExactScalar
 from .series import INF, DulacSeries
 from .tpoly import TPoly
@@ -99,61 +108,13 @@ class ODESpec:
 
     # -- substitution -------------------------------------------------------
 
-    def _delta_powers(self, phi: DulacSeries) -> list:
-        out = [phi]
-        for _ in range(self.n):
-            out.append(out[-1].delta())
-        return out
-
-    def _validate_phi(self, phi: DulacSeries) -> None:
-        if phi.terms and phi.terms[0][0].re_sign() <= 0:
-            raise NonpositiveValuation(
-                f"substitute: phi must have positive valuation, leading exponent "
-                f"{phi.terms[0][0]} does not"
-            )
-
     def substitute(self, phi: DulacSeries, bound=INF) -> DulacSeries:
         """Evaluate F(x, phi, delta phi, ..., delta^n phi), truncated at bound.
 
-        Monomials are grouped by total degree in (x, y) and the groups summed
-        in ascending degree; for truncated data the result cutoff is capped at
-        (declared_degree + 1) * min(1, val phi).  The result equals the full
-        substitution truncated at the bound, and when phi is known up to the
-        bound every product is truncated there too, so no term pair beyond it
-        is built.
+        phi's terms are fed to an Evaluation, whose value() takes the cutoff
+        that phi's own cutoff allows (see there).
         """
-        self._validate_phi(phi)
-        basis = phi.basis
-        # Truncating each product at the bound is exact only when phi is known
-        # up to the bound: otherwise a factor emptied by the bound would make
-        # the zero-product rule take phi's lower cutoff.
-        limit = bound if phi.cutoff >= bound else INF
-        deltas = self._delta_powers(phi)
-        powers: dict = {}
-
-        def power(j: int, e: int) -> DulacSeries:
-            """Cached e-th power of delta^j phi, truncated at limit."""
-            if (j, e) not in powers:
-                powers[j, e] = deltas[j] if e == 1 else power(j, e - 1).mul_below(deltas[j], limit)
-            return powers[j, e]
-
-        groups: dict = {}
-        for coeff, p, q in self.terms:
-            groups.setdefault(p + sum(q), []).append((coeff, p, q))
-        total = DulacSeries.zero(basis)
-        for d in sorted(groups):
-            part = DulacSeries.zero(basis)
-            for coeff, p, q in groups[d]:
-                value = DulacSeries.monomial(basis.rational(p), TPoly.const(coeff))
-                for j, e in enumerate(q):
-                    if e:
-                        value = value.mul_below(power(j, e), limit)
-                part = part + value
-            total = total + part
-        cap = INF
-        if self.declared_degree is not None:
-            cap = (self.declared_degree + 1) * min(Fraction(1), phi.val())
-        return total.truncate(min(total.cutoff, bound, cap))
+        return Evaluation(self, phi).value(phi.cutoff, bound)
 
     # -- serialization ---------------------------------------------------------
 
@@ -189,3 +150,124 @@ class ODESpec:
             for j, e in enumerate(q):
                 bounds[j] = max(bounds[j], e)
         return tuple(bounds)
+
+
+def multi_indices(bounds: tuple):
+    """Every q with 0 <= q_j <= bounds_j, in lexicographic order."""
+    return product(*(range(b + 1) for b in bounds))
+
+
+def _accumulate(acc: dict, e: Exponent, c: TPoly) -> None:
+    """acc[e] += c over terms keyed by exponent coordinates; zeros are dropped."""
+    old = acc.get(e.coords)
+    if old is None:
+        acc[e.coords] = (e, c)
+        return
+    total = old[1] + c
+    if total.is_zero():
+        del acc[e.coords]
+    else:
+        acc[e.coords] = (old[0], total)
+
+
+class Evaluation:
+    """F(x, phi, delta phi, ..., delta^n phi) for a phi that grows term by term.
+
+    For every q in the down-closure of F's y-exponent vectors it keeps the
+    product Y[q] = prod_j (delta^j phi)^{q_j}, and with them the value
+    residual = sum of coeff x^p Y[q] over the monomials of F.  Adding a term
+    m = c x^lambda to phi updates them by the binomial rule
+
+        Y[q] += sum over 0 != r <= q of C(q, r) Y[q - r] prod_j (delta^j m)^{r_j}
+
+    with the old Y on the right, where delta^j m = ((lambda + d/dt)^j c) x^lambda
+    is a monomial.  A step thus costs one product per term of each Y, not a
+    new substitution: online multiplication in its plain quadratic form (van
+    der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002).
+    Exact arithmetic makes the result independent of the order of the terms.
+    """
+
+    def __init__(self, F: ODESpec, phi: DulacSeries):
+        if phi.terms and phi.terms[0][0].re_sign() <= 0:
+            raise NonpositiveValuation(
+                f"substitute: phi must have positive valuation, leading exponent "
+                f"{phi.terms[0][0]} does not"
+            )
+        basis = phi.basis
+        self.F = F
+        self.phi = DulacSeries.zero(basis)
+        self._x = {p: basis.rational(p) for _, p, _ in F.terms}
+        self._degrees = F.y_degree_bounds()
+        closure = {r for _, _, q in F.terms for r in multi_indices(q)}
+        zero = (0,) * (F.n + 1)
+        one = basis.zero()
+        self._Y = {q: {} for q in closure}
+        self._Y[zero] = {one.coords: (one, TPoly.ONE)}
+        # highest total degree first, so that Y[q - r] still holds the old
+        # value when Y[q] is updated
+        self._updates = [
+            (q, [(r, tuple(a - b for a, b in zip(q, r)), prod(map(comb, q, r)))
+                 for r in multi_indices(q) if any(r)])
+            for q in sorted(closure - {zero}, key=sum, reverse=True)
+        ]
+        pure = tuple((self._x[p], TPoly.const(coeff)) for coeff, p, q in F.terms if not any(q))
+        self.residual = DulacSeries(basis, pure, INF)
+        for e, c in phi.terms:
+            self.add(e, c)
+
+    def add(self, lam: Exponent, c: TPoly) -> None:
+        """Add the term c x^lam to phi and update every product and the value."""
+        lam_v = lam.value()
+        powers = []  # powers[j][k] = ((lam + d/dt)^j c)^k
+        for j, top in enumerate(self._degrees):
+            d = d.shift_apply(lam_v) if j else c
+            row = [TPoly.ONE, d]
+            while len(row) <= top:
+                row.append(row[-1] * d)
+            powers.append(row)
+        monomials = {}  # r -> prod_j (delta^j m)^{r_j}, as (exponent, coefficient)
+        changes = {}
+        for q, steps in self._updates:
+            acc = {}
+            for r, rest, weight in steps:
+                if r not in monomials:
+                    coeff = reduce(mul, (powers[j][k] for j, k in enumerate(r) if k))
+                    monomials[r] = (lam * sum(r), coeff)
+                e_r, c_r = monomials[r]
+                if weight != 1:
+                    c_r = c_r * weight
+                for e, y in self._Y[rest].values():
+                    _accumulate(acc, e + e_r, y * c_r)
+            target = self._Y[q]
+            for e, y in acc.values():
+                _accumulate(target, e, y)
+            changes[q] = acc
+        new = []
+        for coeff, p, q in self.F.terms:
+            if any(q):
+                x_p = self._x[p]
+                new.extend((e + x_p if p else e, y * coeff) for e, y in changes[q].values())
+        self.residual = DulacSeries(self.residual.basis, self.residual.terms + tuple(new), INF)
+        self.phi = self.phi + DulacSeries.monomial(lam, c)
+
+    def value(self, phi_cutoff=INF, bound=INF) -> DulacSeries:
+        """The value for a phi known only below phi_cutoff, truncated at bound.
+
+        A finite phi_cutoff caps the result at the least of
+        phi_cutoff + (|q| - 1) val phi + p over the monomials x^p y^q with
+        q != 0 (phi_cutoff itself when phi = 0), the cutoff that multiplying
+        out the truncated factors would claim; truncated data cap it at
+        (declared_degree + 1) * min(1, val phi).  val phi is the lower
+        endpoint of the leading real part, so the caps hold over an
+        approximate basis too.
+        """
+        low = self.phi.terms[0][0].re_low if self.phi.terms else INF
+        cutoff = bound
+        if phi_cutoff != INF:
+            for _, p, q in self.F.terms:
+                if any(q):
+                    claim = phi_cutoff + (sum(q) - 1) * low + p if self.phi.terms else phi_cutoff
+                    cutoff = min(cutoff, claim)
+        if self.F.declared_degree is not None:
+            cutoff = min(cutoff, (self.F.declared_degree + 1) * min(Fraction(1), low))
+        return self.residual.truncate(cutoff)

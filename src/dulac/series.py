@@ -8,7 +8,10 @@ operations propagate cutoffs so that no claimed term is ever contaminated by
 unknown tail data:
 
 * sum: cutoff = min of the operand cutoffs;
-* product of nonzero f, g: cutoff = min(cutoff_f + val g, cutoff_g + val f);
+* product of nonzero f, g: cutoff = min(cutoff_f + val g, cutoff_g + val f),
+  and shift by x^e moves the cutoff by Re e; over an approximate basis each
+  val and Re e is the certified lower endpoint of its enclosure, so a cutoff
+  never over-claims;
 * the Euler derivation delta = x d/dx maps c(t) x^l to (l c + c') x^l and
   keeps the cutoff.
 
@@ -19,8 +22,7 @@ Terms are ordered by the exponents' sort keys (see exponents): exact
 rational (Re, Im) pairs over an exact basis, certified interval comparisons
 with precision escalation over an approximate one.  Over an exact basis a
 product never builds a term pair whose exponent is at or above the product
-cutoff, since canonicalization would drop it; mul_below lowers that cutoff
-to a caller's bound.
+cutoff, since canonicalization would drop it.
 """
 
 from __future__ import annotations
@@ -139,26 +141,18 @@ class DulacSeries:
         return DulacSeries(self.basis, tuple((e, -c) for e, c in self.terms), self.cutoff)
 
     def __mul__(self, other) -> "DulacSeries":
+        """Product.  Over an exact basis no term pair at or above the cutoff
+        is built: terms are sorted by Re, so the inner loop stops at the first.
+        """
         if isinstance(other, (TPoly, ExactScalar, int, Fraction)):
             k = other if isinstance(other, TPoly) else TPoly.const(
                 other if isinstance(other, ExactScalar) else ExactScalar.of(other)
             )
             return DulacSeries(self.basis, tuple((e, c * k) for e, c in self.terms), self.cutoff)
-        return self.mul_below(other, INF)
-
-    __rmul__ = __mul__
-
-    def mul_below(self, other: "DulacSeries", bound) -> "DulacSeries":
-        """The product self * other truncated at bound.
-
-        Over an exact basis no term pair at or above the result cutoff is
-        built: terms are sorted by Re, so the inner loop stops at the first.
-        """
         self._check(other)
-        bound = _as_cutoff(bound)
         if self.is_zero() or other.is_zero():
-            return DulacSeries(self.basis, (), min(self.cutoff, other.cutoff, bound))
-        cutoff = min(self.cutoff + other.val(), other.cutoff + self.val(), bound)
+            return DulacSeries(self.basis, (), min(self.cutoff, other.cutoff))
+        cutoff = min(self.cutoff + other.terms[0][0].re_low, other.cutoff + self.terms[0][0].re_low)
         prune = self.basis.exact and not isinstance(cutoff, float)  # float: +inf
         prods = []
         for e1, c1 in self.terms:
@@ -169,6 +163,8 @@ class DulacSeries:
                 prods.append((e1 + e2, c1 * c2))
         return DulacSeries(self.basis, tuple(prods), cutoff)
 
+    __rmul__ = __mul__
+
     def delta(self) -> "DulacSeries":
         """Euler derivation x d/dx, acting termwise as (lambda + d/dt)."""
         out = []
@@ -178,7 +174,7 @@ class DulacSeries:
 
     def shift(self, exponent: Exponent) -> "DulacSeries":
         """Multiply by x^exponent: shifts every term and the cutoff."""
-        cutoff = self.cutoff if self.cutoff == INF else self.cutoff + exponent.re_mid
+        cutoff = self.cutoff if self.cutoff == INF else self.cutoff + exponent.re_low
         return DulacSeries(
             self.basis, tuple((e + exponent, c) for e, c in self.terms), cutoff
         )

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .exponents import Exponent, exp_compare, re_compare
 from .numeric import FLOAT_PRECISION, float_str, to_mpf
-from .ode import ODESpec
+from .ode import Evaluation, ODESpec, multi_indices
 from .scalars import ExactScalar, ZERO
 from .series import INF, DulacSeries
 from .tpoly import TPoly
@@ -319,14 +319,14 @@ def extend(F: ODESpec, prefix: DulacSeries, target_cutoff) -> SolutionState:
     The prefix is interpreted as exact leading data (terms are trusted as the
     actual first terms of a formal solution).  Starting from an empty prefix
     is allowed: the first residual term seeds lambda_1 unless it is resonant.
-    Each step takes the lowest residual term beta(t) x^sigma, forms
-    lambda_new = sigma - nu, requires it to strictly increase, and solves
-    L(lambda_new + d/dt) c = -beta.  A step only uses residual terms below
-    target_cutoff + Re nu, so each step's residual is computed below that
-    bound alone; the full residual is substituted once, after the loop.
-    After the loop the linearization is re-extracted from the full solution;
-    if (nu, A, ell) changed, the run is restarted once with the stabilized
-    data before giving up.
+    Each step takes the lowest residual term beta(t) x^sigma below
+    target_cutoff + Re nu, forms lambda_new = sigma - nu, requires it to
+    strictly increase, and solves L(lambda_new + d/dt) c = -beta.  The
+    residual F(sol) is kept by one Evaluation, fed the prefix and then each
+    solved term, so a step updates it instead of substituting again, and its
+    final value is the returned residual.  After the loop the linearization
+    is re-extracted from the full solution; if (nu, A, ell) changed, the run
+    is restarted once with the stabilized data before giving up.
     """
     target = Fraction(target_cutoff) if target_cutoff != INF else INF
     return _extend(F, prefix, target, pinned=None, allow_restart=True)
@@ -336,16 +336,15 @@ def _extend(F, prefix, target, pinned, allow_restart) -> SolutionState:
     sol = DulacSeries(prefix.basis, prefix.terms, INF)
     lin = pinned if pinned is not None else extract_linearization(F, sol)
     nu_re = lin.nu.re_mid
-    bound = target + nu_re
+    evaluation = Evaluation(F, sol)
     history = []
-    steps = 0
     while True:
-        # every term of the bounded residual lies below min(bound, cutoff)
-        head = F.substitute(sol, bound).leading()
+        head = evaluation.value(bound=target + nu_re).leading()
         if head is None:
             break
         sigma, beta = head
         lam_new = sigma - lin.nu
+        sol = evaluation.phi
         if sol.terms:
             if exp_compare(lam_new, sol.terms[-1][0]) <= 0:
                 raise NonProgressingResidual(
@@ -359,14 +358,14 @@ def _extend(F, prefix, target, pinned, allow_restart) -> SolutionState:
                 "part; no admissible series solution starts there"
             )
         c_new = solve_coefficient(lin.L, lam_new, -beta)
-        sol = sol + DulacSeries.monomial(lam_new, c_new)
+        evaluation.add(lam_new, c_new)
         history.append((lam_new, c_new, -beta))
-        steps += 1
-        if steps > MAX_EXTENSION_STEPS:
+        if len(history) > MAX_EXTENSION_STEPS:
             raise NonProgressingResidual(
                 f"extend: more than {MAX_EXTENSION_STEPS} terms below cutoff "
                 f"{target}; the exponents accumulate without reaching it"
             )
+    sol = evaluation.phi
     lin_final = lin
     if sol.terms:
         lin_final = extract_linearization(F, sol)
@@ -377,7 +376,7 @@ def _extend(F, prefix, target, pinned, allow_restart) -> SolutionState:
                     "adaptive restart; the prefix does not stabilize the data"
                 )
             return _extend(F, prefix, target, pinned=lin_final, allow_restart=False)
-    residual = F.substitute(sol)
+    residual = evaluation.value()
     achieved = min(target, residual.cutoff - nu_re)
     solution = DulacSeries(sol.basis, sol.terms, achieved)
     return SolutionState(F=F, solution=solution, residual=residual, lin=lin_final, history=tuple(history))
@@ -432,8 +431,8 @@ def reduce_equation(F: ODESpec, prefix: DulacSeries, m: int, s=None) -> ReducedE
     violations = []
     ltilde = []
     nterms = []
-    bounds = F.y_degree_bounds()
-    for q in _multi_indices(bounds):
+    # q = 0 is the residual term
+    for q in multi_indices(F.y_degree_bounds()):
         Fq = F.partial_multi(q)
         if not Fq.terms:
             continue
@@ -492,14 +491,6 @@ def reduce_equation(F: ODESpec, prefix: DulacSeries, m: int, s=None) -> ReducedE
         tau=tau,
         violations=tuple(violations),
     )
-
-
-def _multi_indices(bounds):
-    """All q with 0 <= q_j <= bounds_j, including q = 0 (the residual term)."""
-    out = [()]
-    for b in bounds:
-        out = [q + (i,) for q in out for i in range(b + 1)]
-    return out
 
 
 def reduced_residual(red: ReducedEquation, psi: DulacSeries) -> DulacSeries:

@@ -102,6 +102,30 @@ def test_bad_R_flag_exits_5(tmp_path):
     assert run(tmp_path, "verify", str(DATA / "euler.json"), "--R", "1")[0] == 5
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--cutoff", "abc"], "not a number: 'abc'"),
+        (["--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["non_numeric_cutoff", "unknown_flag"],
+)
+def test_malformed_flag_exits_5(tmp_path, capsys, argv, message):
+    code, out = run(tmp_path, "solve", str(DATA / "euler.json"), *argv)
+    assert code == 5
+    err = capsys.readouterr().err
+    assert message in err and err.startswith("usage: dulac")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--cutoff" in capsys.readouterr().out
+
+
 # -- analyze ------------------------------------------------------------------
 
 

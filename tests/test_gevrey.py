@@ -106,6 +106,16 @@ def test_fit_growth_skips_zeros():
     assert C0 == 0 and A0 == 1 and k_C0 is None and k_A0 is None
 
 
+def test_fit_growth_abscissae_skip_ties():
+    # ratios over the gaps in x: 4/1 over 1 and 8/1 over 1; the tie at x = 2
+    # gives none
+    C, A, k_C, k_A = fit_growth([1, 4, 1, 8], [1, 2, 2, 3])
+    assert A == 8 and k_A == 3
+    assert C == mpmath.mpf(1) / 8 and k_C == 1
+    C2, A2, _, _ = fit_growth([1, 4], [Fraction(1, 2), Fraction(5, 2)])
+    assert abs(A2 - 2) < 1e-30 and abs(C2 - 2 ** -0.5) < 1e-15
+
+
 def test_classify_euler():
     basis = basis_one()
     state = extend(euler_ode(), DulacSeries.zero(basis), 8)

@@ -136,6 +136,16 @@ _NO_LINEAR_Y = ODESpec.from_json({"n": 1, "terms": [
 ]})
 
 
+# n = 2 with mixed monomials y0 y1 and y1^2 y2, so that adding a term to phi
+# updates products across two variables at once
+_MIXED = ODESpec.from_json({"n": 2, "terms": [
+    {"coeff": "1/1", "x": 1, "y": [0, 0, 1]},
+    {"coeff": "-2/1", "x": 0, "y": [1, 1, 0]},
+    {"coeff": "1/3", "x": 0, "y": [0, 2, 1]},
+    {"coeff": "1/1+1/1i", "x": 2, "y": [0, 0, 0]},
+]})
+
+
 @pytest.mark.parametrize(
     "basis, ode",
     [
@@ -143,8 +153,10 @@ _NO_LINEAR_Y = ODESpec.from_json({"n": 1, "terms": [
         (basis_mixed(), nonlinear_ode()),
         (basis_one(), ODESpec.from_json({**nonlinear_ode().to_json(), "degree": 2})),
         (basis_mixed(), _NO_LINEAR_Y),
+        (basis_mixed(), _MIXED),
+        (basis_mixed(), ODESpec.from_json({**_MIXED.to_json(), "degree": 3})),
     ],
-    ids=["basis_one", "basis_mixed", "declared_degree", "no_linear_y"],
+    ids=["basis_one", "basis_mixed", "declared_degree", "no_linear_y", "mixed", "mixed_declared_degree"],
 )
 def test_substitute_bound_equals_truncated_oracle(basis, ode):
     # pruning at a bound must reproduce the unpruned result truncated there,

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dulac.errors import BasisMismatch, CutoffIncrease
+from dulac.exponents import ExponentBasis
 from dulac.scalars import ExactScalar
 from dulac.series import INF, DulacSeries
 from dulac.tpoly import TPoly
@@ -109,6 +110,21 @@ def test_shift_moves_cutoff():
     h = _mono(basis, 1).shift(basis.rational(Fraction(-1)))
     assert h.val() == Fraction(0)
     assert h.cutoff == INF
+
+
+def test_approximate_basis_cutoffs_use_certified_lower_endpoint():
+    # "0.5" is 0.5 +- 1/20: f = x^(1,0) known below 2 may hide x^(2,0), so
+    # f * x^(0,1) may hide x^(2,1), whose real part can be as low as 49/20;
+    # the enclosure midpoint would claim exactness below 5/2
+    basis = ExponentBasis(["1", "0.5"])
+    f = DulacSeries.monomial(basis.exponent([1, 0]), TPoly.ONE, 2)
+    g = DulacSeries.monomial(basis.exponent([0, 1]), TPoly.ONE)
+    hidden = basis.exponent([2, 1]).re_interval()[0]
+    assert hidden == Fraction(49, 20)
+    for out in (f * g, g * f, f.shift(basis.exponent([0, 1]))):
+        assert out.cutoff == hidden
+        assert out.terms[0][0].coords == (1, 1)
+    assert g.val() == Fraction(1, 2)  # val() stays the midpoint
 
 
 def test_truncate_never_raises_cutoff():

@@ -1,5 +1,6 @@
 """Linearization extraction, the coefficient recursion, extension, reduction."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from dulac.errors import (
     NonProgressingResidual,
     Resonance,
 )
+from dulac.exponents import ExponentBasis
 from dulac.ode import ODESpec
 from dulac.scalars import ZERO, ExactScalar
 from dulac.series import INF, DulacSeries
@@ -28,12 +30,14 @@ from dulac.solver import (
 from dulac.tpoly import TPoly
 
 from .util import (
+    DATA,
     basis_one,
     euler_ode,
     random_poly,
     random_scalar,
     resonant_double_ode,
     resonant_ode,
+    substitute_direct,
     x_prefix,
 )
 
@@ -242,6 +246,33 @@ def test_extend_nonpositive_first_exponent():
     )
     with pytest.raises(NonpositiveValuation):
         extend(F, DulacSeries.zero(basis), 3)
+
+
+@pytest.mark.parametrize("name", ["nonlinear.json", "semigroup_2d.json", "resonant_logprefix.json"])
+def test_extend_steps_match_unpruned_oracle(name):
+    # every step's residual head, and the final residual, against the
+    # unpruned oracle substituting the partial solution from scratch
+    data = json.loads((DATA / name).read_text())
+    basis = ExponentBasis(data["basis"])
+    F = ODESpec.from_json(data["ode"])
+    sol = DulacSeries.from_json({"terms": data["prefix"]}, basis)
+    target = Fraction(data["cutoff"])
+    state = extend(F, sol, target)
+    nu = state.lin.nu
+    bound = target + nu.re_mid
+
+    def head(phi):
+        full = substitute_direct(F, phi)
+        return full.truncate(min(full.cutoff, bound)).leading()
+
+    for lam, c, b in state.history:
+        sigma, beta = head(sol)
+        assert lam == sigma - nu
+        assert b == -beta
+        sol = sol + DulacSeries.monomial(lam, c)
+    assert head(sol) is None
+    assert sol.terms == state.solution.terms
+    assert state.residual == substitute_direct(F, sol)
 
 
 # -- splitting conditions ------------------------------------------------------

@@ -117,8 +117,8 @@ def full_product(f: DulacSeries, g: DulacSeries) -> DulacSeries:
 
 def substitute_direct(ode: ODESpec, phi: DulacSeries) -> DulacSeries:
     """Unpruned oracle for ODESpec.substitute: each monomial is evaluated on
-    its own by repeated full products, with no bound, power cache or
-    grouping by degree."""
+    its own by repeated full products of the truncated factors, with no
+    bound and no incremental update."""
     basis = phi.basis
     deltas = [phi]
     for _ in range(ode.n):
