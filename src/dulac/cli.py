@@ -39,23 +39,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import (
-    AllDerivativesVanish,
-    DependentGenerators,
     DerivativeYnZeroWarning,
     DulacError,
-    ExactValueRequired,
     ExponentOutsideSemigroup,
-    HypothesisViolation,
-    IndeterminateRoot,
-    LinearDataDrift,
-    NonpositiveRealPart,
-    NonpositiveValuation,
-    NonProgressingResidual,
     PreconditionViolated,
-    Resonance,
     SchemaError,
-    SlopeUndetermined,
-    UndecidableComparison,
 )
 from .exponents import DEFAULT_PRECISION, MAX_PRECISION, Exponent, ExponentBasis
 from .gevrey import classify, slope
@@ -67,26 +55,9 @@ from .series import DulacSeries, INF
 from .solver import check_conditions, extend, extract_linearization, reduce_equation
 from .tpoly import TPoly
 
+# Codes 2-5 are the exit_code of the error raised (see dulac.errors).
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_HYPOTHESIS = 2
-EXIT_RESONANCE = 3
-EXIT_UNDECIDABLE = 4
-EXIT_SCHEMA = 5
-
-_HYPOTHESIS_ERRORS = (
-    HypothesisViolation,
-    AllDerivativesVanish,
-    SlopeUndetermined,
-    NonProgressingResidual,
-    LinearDataDrift,
-    NonpositiveValuation,
-    DependentGenerators,
-    NonpositiveRealPart,
-    ExponentOutsideSemigroup,
-    PreconditionViolated,
-)
-_UNDECIDABLE_ERRORS = (UndecidableComparison, IndeterminateRoot, ExactValueRequired)
 
 _PROBLEM_KEYS = {
     "ode", "basis", "prefix", "generators", "cutoff", "R", "s_override",
@@ -177,9 +148,12 @@ class Problem:
                 raise SchemaError(f"problem file: prefix[{i}] must have exactly the keys exp and poly")
             try:
                 e = self.basis.parse_exponent(item["exp"])
+            except (ValueError, TypeError) as exc:
+                raise SchemaError(f"problem file: prefix[{i}].exp ({exc})") from exc
+            try:
                 c = TPoly.parse(item["poly"])
             except (ValueError, TypeError) as exc:
-                raise SchemaError(f"problem file: prefix[{i}] ({exc})") from exc
+                raise SchemaError(f"problem file: prefix[{i}].poly ({exc})") from exc
             terms.append((e, c))
         return DulacSeries(self.basis, tuple(terms), INF)
 
@@ -584,24 +558,9 @@ def main(argv=None) -> int:
             warnings.simplefilter("error", DerivativeYnZeroWarning)
             problem = _load_problem(args.problem, args)
             return _COMMANDS[args.command](problem, args)
-    except SchemaError as exc:
+    except (DulacError, DerivativeYnZeroWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except Resonance as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESONANCE
-    except _UNDECIDABLE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDABLE
-    except _HYPOTHESIS_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except DerivativeYnZeroWarning as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except DulacError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -2,15 +2,23 @@
 
 Every exception message should name the operation that failed and the
 offending datum, so that CLI users can act on it without a traceback.
+
+Each class carries the CLI exit code it maps to in exit_code: 2 (structural
+hypothesis violated) unless a class below says otherwise, 3 for a resonance,
+4 for an undecidable comparison and 5 for malformed input.
 """
 
 
 class DulacError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 2
+
 
 class SchemaError(DulacError):
     """A JSON document does not match the expected layout."""
+
+    exit_code = 5
 
 
 class UndecidableComparison(DulacError):
@@ -19,6 +27,8 @@ class UndecidableComparison(DulacError):
     Either two basis entries are too close to separate with the digits
     supplied, or the declared rational independence of the basis is broken.
     """
+
+    exit_code = 4
 
 
 class BasisMismatch(DulacError):
@@ -55,10 +65,14 @@ class DerivativeYnZeroWarning(UserWarning):
     the cutoff.  The truncated data cannot distinguish this from a genuinely
     degenerate equation, so it is reported as a warning."""
 
+    exit_code = 2
+
 
 class Resonance(DulacError):
     """The characteristic polynomial vanishes at a required exponent, so the
     coefficient recursion has no unique polynomial solution there."""
+
+    exit_code = 3
 
     def __init__(self, message: str, exponent=None):
         super().__init__(message)
@@ -79,6 +93,8 @@ class IndeterminateRoot(DulacError):
     """A root of the characteristic polynomial sits within the indeterminacy
     band around the boundary; more precision is needed or the configuration
     is genuinely resonant."""
+
+    exit_code = 4
 
 
 class SlopeUndetermined(DulacError):
@@ -109,3 +125,5 @@ class PreconditionViolated(DulacError):
 class ExactValueRequired(DulacError):
     """The operation needs the exact complex value of an exponent, but the
     basis entries involved are only known approximately."""
+
+    exit_code = 4

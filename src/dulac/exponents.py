@@ -37,7 +37,7 @@ from math import isinf
 from typing import Callable, Optional, Sequence
 
 from .errors import BasisMismatch, ExactValueRequired, UndecidableComparison
-from .scalars import ExactScalar
+from .scalars import ExactScalar, parse_rational
 
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
@@ -52,7 +52,7 @@ def _parse_part(text: str) -> tuple[Fraction, Fraction]:
     if "." in text:
         digits = len(text.split(".", 1)[1])
         return Fraction(text), Fraction(1, 2 * 10**digits)
-    return Fraction(text), Fraction(0)
+    return parse_rational(text), Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ class ExponentBasis:
         return Exponent(self, tuple(coords))
 
     def parse_exponent(self, coords: Sequence[str]) -> "Exponent":
-        return self.exponent([Fraction(c) for c in coords])
+        return self.exponent([parse_rational(c) for c in coords])
 
 
 @dataclass(frozen=True)

@@ -130,16 +130,23 @@ class ODESpec:
     @staticmethod
     def from_json(data: dict) -> "ODESpec":
         try:
-            n = data["n"]
-            terms = tuple(
-                (ExactScalar.parse(item["coeff"]), int(item["x"]), tuple(int(v) for v in item["y"]))
-                for item in data["terms"]
-            )
+            n = _json_int(data["n"], "n")
             degree = data.get("degree")
-        except (KeyError, TypeError, ValueError) as exc:
+            if degree is not None:
+                _json_int(degree, "degree")
+            terms = []
+            for i, item in enumerate(data["terms"]):
+                try:
+                    coeff = ExactScalar.parse(item["coeff"])
+                except ValueError as exc:
+                    raise SchemaError(f"ode: terms[{i}].coeff ({exc})") from exc
+                p = _json_int(item["x"], f"terms[{i}].x")
+                q = tuple(_json_int(v, f"terms[{i}].y[{j}]") for j, v in enumerate(item["y"]))
+                terms.append((coeff, p, q))
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"ode: malformed equation data ({exc})") from exc
         try:
-            return ODESpec(n, terms, degree)
+            return ODESpec(n, tuple(terms), degree)
         except ValueError as exc:
             raise SchemaError(f"ode: {exc}") from exc
 
@@ -150,6 +157,14 @@ class ODESpec:
             for j, e in enumerate(q):
                 bounds[j] = max(bounds[j], e)
         return tuple(bounds)
+
+
+def _json_int(value, field: str) -> int:
+    """An integer field of the JSON equation data; bool, float and str are
+    rejected, never rounded or converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"ode: {field} must be an integer, got {value!r}")
+    return value
 
 
 def multi_indices(bounds: tuple):

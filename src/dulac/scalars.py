@@ -13,6 +13,17 @@ RationalLike = Union[int, Fraction, str]
 _PART = r"[+-]?\d+(?:/\d+)?"
 _SCALAR_RE = _re.compile(rf"^(?P<re>{_PART})?(?:(?P<im>{_PART})i)?$")
 
+_ZERO_Q = Fraction(0)
+
+
+def parse_rational(text) -> Fraction:
+    """Fraction(text) for a literal read from input.  A zero denominator is a
+    malformed literal like any other: ValueError, not ZeroDivisionError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
 
 def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
@@ -51,35 +62,45 @@ class ExactScalar:
         """Parse the canonical forms "a/b", "a", "a/b+c/di", "a/b-c/di", "c/di".
 
         No whitespace, lowercase i, decimal points rejected: scalars are exact.
+        A malformed literal, a zero denominator included, raises ValueError.
         """
         if not isinstance(text, str):
             raise ValueError(f"scalar parse: expected string, got {text!r}")
         m = _SCALAR_RE.match(text.strip())
         if m is None or (m.group("re") is None and m.group("im") is None):
             raise ValueError(f"scalar parse: malformed scalar literal {text!r}")
-        re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-        im_part = Fraction(m.group("im")) if m.group("im") else Fraction(0)
+        re_part = parse_rational(m.group("re")) if m.group("re") else Fraction(0)
+        im_part = parse_rational(m.group("im")) if m.group("im") else Fraction(0)
         return ExactScalar(re_part, im_part)
 
     # -- arithmetic --------------------------------------------------
 
+    # Real operands take one Fraction operation: most scalars in a run are
+    # real, and the complex formulas would spend their gcds on zeros.
+
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        return ExactScalar(self.re + other.re, self.im + other.im)
+        if self.im or other.im:
+            return ExactScalar(self.re + other.re, self.im + other.im)
+        return ExactScalar(self.re + other.re, _ZERO_Q)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        return ExactScalar(self.re - other.re, self.im - other.im)
+        if self.im or other.im:
+            return ExactScalar(self.re - other.re, self.im - other.im)
+        return ExactScalar(self.re - other.re, _ZERO_Q)
 
     def __neg__(self) -> "ExactScalar":
         return ExactScalar(-self.re, -self.im)
 
     def __mul__(self, other) -> "ExactScalar":
         if isinstance(other, ExactScalar):
-            return ExactScalar(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+            if self.im or other.im:
+                return ExactScalar(
+                    self.re * other.re - self.im * other.im,
+                    self.re * other.im + self.im * other.re,
+                )
+            return ExactScalar(self.re * other.re, _ZERO_Q)
         if isinstance(other, (int, Fraction)):
-            return ExactScalar(self.re * other, self.im * other)
+            return ExactScalar(self.re * other, self.im * other if self.im else _ZERO_Q)
         return NotImplemented
 
     __rmul__ = __mul__

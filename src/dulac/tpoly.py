@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import mpmath
 
 from .numeric import FLOAT_PRECISION, abs_scalar, to_mpf
-from .scalars import ExactScalar, ZERO
+from .scalars import _ZERO_Q, ExactScalar, ZERO
 
 NEG_INF = float("-inf")
 
@@ -24,6 +24,50 @@ def _strip(coeffs) -> tuple:
     while cs and cs[-1].is_zero():
         cs.pop()
     return tuple(cs)
+
+
+def _integer_parts(coeffs) -> tuple:
+    """(d, re, im): every coefficient is (re[k] + im[k] i) / d with integers
+    re[k], im[k] and d the lcm of all the part denominators; im is None when
+    every imaginary part is zero."""
+    d = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
+    re = [c.re.numerator * (d // c.re.denominator) for c in coeffs]
+    im = [c.im.numerator * (d // c.im.denominator) for c in coeffs]
+    return d, re, im if any(im) else None
+
+
+def _convolve(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
+
+
+def _product(a: tuple, b: tuple) -> "TPoly":
+    """Product of two nonzero coefficient tuples over a common denominator.
+
+    The numerators are convolved as Gaussian integers, skipping the
+    imaginary convolutions of a real factor, and each output coefficient is
+    reduced once, so a product costs one gcd per output part instead of a
+    dozen per coefficient pair (the content/primitive-part idea of von zur
+    Gathen & Gerhard, Modern Computer Algebra, ch. 6).
+    """
+    da, a_re, a_im = _integer_parts(a)
+    db, b_re, b_im = _integer_parts(b)
+    re = _convolve(a_re, b_re)
+    im = [0] * len(re)
+    if a_im is not None and b_im is not None:
+        re = [x - y for x, y in zip(re, _convolve(a_im, b_im))]
+    if b_im is not None:
+        im = _convolve(a_re, b_im)
+    if a_im is not None:
+        im = [x + y for x, y in zip(im, _convolve(a_im, b_re))]
+    d = da * db
+    return TPoly(tuple(
+        ExactScalar(Fraction(x, d), Fraction(y, d) if y else _ZERO_Q) for x, y in zip(re, im)
+    ))
 
 
 @dataclass(frozen=True)
@@ -91,11 +135,7 @@ class TPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return TPoly(())
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return TPoly(tuple(out))
+        return _product(self.coeffs, other.coeffs)
 
     __rmul__ = __mul__
 

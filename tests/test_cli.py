@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dulac import cli
+from dulac import cli, errors
 from dulac.mseries import Lemma6Report
 
 from .util import DATA
@@ -124,6 +124,64 @@ def test_help_exits_0(capsys):
         cli.main(["solve", "--help"])
     assert exc.value.code == 0
     assert "--cutoff" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: d["ode"]["terms"][0].update(coeff="1/0"), "ode: terms[0].coeff"),
+        (lambda d: d["prefix"][0].update(exp=["1/0"]), "prefix[0].exp"),
+        (lambda d: d["prefix"][0].update(poly=["1/1+1/0i"]), "prefix[0].poly"),
+        (lambda d: d.update(generators=[["1/0"]]), "generators[0]"),
+        (lambda d: d.update(basis=["1/0"]), "basis"),
+        (lambda d: d["ode"].update(n="1"), "ode: n must be an integer"),
+        (lambda d: d["ode"].update(degree="3"), "ode: degree must be an integer"),
+        (lambda d: d["ode"]["terms"][0].update(x=1.5), "ode: terms[0].x must be an integer"),
+        (lambda d: d["ode"]["terms"][0].update(y=[1.5, 0]), "ode: terms[0].y[0] must be an integer"),
+    ],
+    ids=[
+        "zero_denominator_coeff", "zero_denominator_prefix_exp", "zero_denominator_prefix_poly",
+        "zero_denominator_generator", "zero_denominator_basis",
+        "string_n", "string_degree", "float_x", "float_y",
+    ],
+)
+def test_malformed_problem_file_exits_5(tmp_path, capsys, edit, field):
+    data = json.loads((DATA / "euler.json").read_text(encoding="utf-8"))
+    edit(data)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for command in cli._COMMANDS:
+        code, out = run(tmp_path, command, str(path))
+        err = capsys.readouterr().err
+        assert code == 5, command
+        assert field in err and "Traceback" not in err
+        assert not out.exists()
+
+
+_EXIT_CODES = {
+    "DulacError": 2, "SchemaError": 5, "UndecidableComparison": 4, "BasisMismatch": 2,
+    "CutoffIncrease": 2, "NonpositiveValuation": 2, "DomainError": 2,
+    "HypothesisViolation": 2, "AllDerivativesVanish": 2, "DerivativeYnZeroWarning": 2,
+    "Resonance": 3, "NonProgressingResidual": 2, "LinearDataDrift": 2,
+    "IndeterminateRoot": 4, "SlopeUndetermined": 2, "DependentGenerators": 2,
+    "NonpositiveRealPart": 2, "ExponentOutsideSemigroup": 2, "PreconditionViolated": 2,
+    "ExactValueRequired": 4,
+}
+
+
+def test_every_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch):
+    classes = {
+        name: cls for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, (errors.DulacError, errors.DerivativeYnZeroWarning))
+    }
+    assert {name: cls.exit_code for name, cls in classes.items()} == _EXIT_CODES
+    for name, cls in classes.items():
+        def fail(problem, args, cls=cls):
+            raise cls(f"raised {cls.__name__}")
+
+        monkeypatch.setitem(cli._COMMANDS, "solve", fail)
+        assert run(tmp_path, "solve", str(DATA / "euler.json"))[0] == _EXIT_CODES[name]
+        assert capsys.readouterr().err == f"error: raised {name}\n"
 
 
 # -- analyze ------------------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dulac.scalars import I, ONE, ZERO, ExactScalar
 
@@ -18,7 +20,7 @@ def test_parse_forms():
 
 @pytest.mark.parametrize("bad", ["1.5", "2+3j", "1/0", "", "i", "1 + 2i"])
 def test_parse_rejects(bad):
-    with pytest.raises((ValueError, ZeroDivisionError)):
+    with pytest.raises(ValueError):
         ExactScalar.parse(bad)
 
 
@@ -65,3 +67,27 @@ def test_constants_and_zero():
     assert I * I == ExactScalar.of(-1)
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
+
+
+_PARTS = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=30))
+# real scalars take the fast path; imaginary and complex ones must not
+_SCALARS = st.one_of(
+    st.builds(ExactScalar, _PARTS, st.just(Fraction(0))),
+    st.builds(ExactScalar, st.just(Fraction(0)), _PARTS),
+    st.builds(ExactScalar, _PARTS, _PARTS),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SCALARS, _SCALARS, st.one_of(st.integers(-9, 9), st.fractions(max_denominator=9)))
+def test_real_fast_path_matches_complex_formula(a, b, k):
+    cases = [
+        (a * b, a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re),
+        (a + b, a.re + b.re, a.im + b.im),
+        (a - b, a.re - b.re, a.im - b.im),
+        (a * k, a.re * k, a.im * k),
+        (k * a, a.re * k, a.im * k),
+    ]
+    for got, re, im in cases:
+        assert (got.re, got.im) == (re, im)
+        assert str(got) == str(ExactScalar(re, im))

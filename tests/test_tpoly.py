@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dulac.scalars import ExactScalar
 from dulac.tpoly import TPoly, poly_norm
-from .util import random_poly
+from .util import random_poly, schoolbook_product
 
 
 def test_construction_strips_trailing_zeros():
@@ -40,6 +42,34 @@ def test_ring_ops_against_manual_convolution():
         assert p + q == q + p
         assert p * q == q * p
         assert (p + q) * p == p * p + q * p
+
+
+# zero parts are drawn often, so zero inner coefficients and real or purely
+# imaginary coefficients inside a complex factor occur
+_PARTS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=40),
+)
+
+
+@st.composite
+def _tpolys(draw):
+    kind = draw(st.sampled_from(("real", "imaginary", "complex")))
+    coeffs = []
+    for _ in range(draw(st.integers(1, 7))):
+        re = Fraction(0) if kind == "imaginary" else draw(_PARTS)
+        im = Fraction(0) if kind == "real" else draw(_PARTS)
+        coeffs.append(ExactScalar(re, im))
+    return TPoly(tuple(coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tpolys(), _tpolys())
+def test_product_matches_schoolbook_oracle(p, q):
+    prod = p * q
+    want = schoolbook_product(p, q)
+    assert prod == want
+    assert prod.serialize() == want.serialize()
 
 
 def test_deriv_and_shift_apply():

@@ -105,6 +105,20 @@ def random_series(rng, basis: ExponentBasis, max_terms: int = 4, cutoff=INF) -> 
     return DulacSeries(basis, tuple(terms), cutoff)
 
 
+def schoolbook_product(p: TPoly, q: TPoly) -> TPoly:
+    """Oracle for TPoly products: the schoolbook double loop over coefficient
+    pairs, with the complex product formula spelled out in Fractions."""
+    if p.is_zero() or q.is_zero():
+        return TPoly(())
+    n = len(p.coeffs) + len(q.coeffs) - 1
+    re, im = [Fraction(0)] * n, [Fraction(0)] * n
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            re[i + j] += a.re * b.re - a.im * b.im
+            im[i + j] += a.re * b.im + a.im * b.re
+    return TPoly(tuple(ExactScalar(x, y) for x, y in zip(re, im)))
+
+
 def full_product(f: DulacSeries, g: DulacSeries) -> DulacSeries:
     """Unpruned oracle for DulacSeries.__mul__: builds every term pair and
     leaves the out-of-cutoff ones to canonicalization."""
