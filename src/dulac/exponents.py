@@ -161,8 +161,23 @@ class ExponentBasis:
         coords[self._one_index] = Fraction(value)
         return Exponent(self, tuple(coords))
 
-    def parse_exponent(self, coords: Sequence[str]) -> "Exponent":
-        return self.exponent([parse_rational(c) for c in coords])
+    def parse_exponent(self, coords: Sequence) -> "Exponent":
+        """Exponent from JSON coordinates, each a rational string or an
+        integer; a bool, a float or anything else is a ValueError, never
+        rounded or converted."""
+        if not isinstance(coords, (list, tuple)):
+            raise ValueError(f"exponent: coordinates must be a list, got {coords!r}")
+        return self.exponent([_parse_coordinate(c) for c in coords])
+
+
+def _parse_coordinate(value) -> Fraction:
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(
+        f"exponent: coordinate must be a rational string or an integer, got {value!r}"
+    )
 
 
 @dataclass(frozen=True)

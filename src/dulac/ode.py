@@ -8,9 +8,11 @@ up to that total degree; substitution then caps the result cutoff at
 truncated data can certify.
 
 Substitution has one code path, Evaluation: it keeps F(x, phi, ...) together
-with the products of the delta^j phi it needs, and updates them when phi
-gains a term.  ODESpec.substitute feeds it phi's terms; extend feeds it each
-solved term, so no step substitutes from scratch.
+with the products of the delta^j phi it needs, all as term maps, and updates
+them when phi gains a term.  ODESpec.substitute feeds it phi's terms; extend
+feeds it each solved term, reads each step's lowest residual term off it and
+takes the derivatives of F along phi from its products, so no step
+substitutes from scratch or builds a series.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from heapq import heappop, heappush
 from itertools import product
 from math import comb, prod
 from operator import mul
 
-from .errors import NonpositiveValuation, SchemaError
+from .errors import NonpositiveValuation, SchemaError, UndecidableComparison
 from .exponents import Exponent
 from .scalars import ExactScalar
 from .series import INF, DulacSeries
@@ -112,7 +115,7 @@ class ODESpec:
         """Evaluate F(x, phi, delta phi, ..., delta^n phi), truncated at bound.
 
         phi's terms are fed to an Evaluation, whose value() takes the cutoff
-        that phi's own cutoff allows (see there).
+        that phi's own cutoff allows (see Evaluation._cutoff).
         """
         return Evaluation(self, phi).value(phi.cutoff, bound)
 
@@ -190,7 +193,7 @@ class Evaluation:
 
     For every q in the down-closure of F's y-exponent vectors it keeps the
     product Y[q] = prod_j (delta^j phi)^{q_j}, and with them the value
-    residual = sum of coeff x^p Y[q] over the monomials of F.  Adding a term
+    F(phi) = sum of coeff x^p Y[q] over the monomials of F.  Adding a term
     m = c x^lambda to phi updates them by the binomial rule
 
         Y[q] += sum over 0 != r <= q of C(q, r) Y[q - r] prod_j (delta^j m)^{r_j}
@@ -200,6 +203,14 @@ class Evaluation:
     new substitution: online multiplication in its plain quadratic form (van
     der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002).
     Exact arithmetic makes the result independent of the order of the terms.
+
+    Each Y[q] and the value are term maps from exponent coordinates to
+    (exponent, coefficient), so a step builds no series.  A heap of
+    (key, coordinates), pushed when a coordinate first enters the value,
+    gives leading() the value's lowest term; phi is the list of terms fed so
+    far, in increasing order.  The derivatives dF/dy_j along phi are read off
+    the kept products, as are the mixed ones (derivative()); value() and
+    derivative() build one DulacSeries when asked.
     """
 
     def __init__(self, F: ODESpec, phi: DulacSeries):
@@ -210,7 +221,8 @@ class Evaluation:
             )
         basis = phi.basis
         self.F = F
-        self.phi = DulacSeries.zero(basis)
+        self.basis = basis
+        self.terms = []  # phi's terms (exponent, coefficient) in the order fed
         self._x = {p: basis.rational(p) for _, p, _ in F.terms}
         self._degrees = F.y_degree_bounds()
         closure = {r for _, _, q in F.terms for r in multi_indices(q)}
@@ -225,13 +237,22 @@ class Evaluation:
                  for r in multi_indices(q) if any(r)])
             for q in sorted(closure - {zero}, key=sum, reverse=True)
         ]
-        pure = tuple((self._x[p], TPoly.const(coeff)) for coeff, p, q in F.terms if not any(q))
-        self.residual = DulacSeries(basis, pure, INF)
+        self._value = {}
+        self._heap = []
+        for coeff, p, q in F.terms:
+            if not any(q):
+                self._add_value(self._x[p], TPoly.const(coeff))
         for e, c in phi.terms:
             self.add(e, c)
 
+    def _add_value(self, e: Exponent, c: TPoly) -> None:
+        if e.coords not in self._value:
+            heappush(self._heap, (e.key, e.coords))
+        _accumulate(self._value, e, c)
+
     def add(self, lam: Exponent, c: TPoly) -> None:
-        """Add the term c x^lam to phi and update every product and the value."""
+        """Add the term c x^lam to phi and update every product and the value;
+        lam must exceed every exponent added before."""
         lam_v = lam.value()
         powers = []  # powers[j][k] = ((lam + d/dt)^j c)^k
         for j, top in enumerate(self._degrees):
@@ -257,32 +278,86 @@ class Evaluation:
             for e, y in acc.values():
                 _accumulate(target, e, y)
             changes[q] = acc
-        new = []
         for coeff, p, q in self.F.terms:
             if any(q):
                 x_p = self._x[p]
-                new.extend((e + x_p if p else e, y * coeff) for e, y in changes[q].values())
-        self.residual = DulacSeries(self.residual.basis, self.residual.terms + tuple(new), INF)
-        self.phi = self.phi + DulacSeries.monomial(lam, c)
+                for e, y in changes[q].values():
+                    self._add_value(e + x_p if p else e, y * coeff)
+        self.terms.append((lam, c))
 
-    def value(self, phi_cutoff=INF, bound=INF) -> DulacSeries:
-        """The value for a phi known only below phi_cutoff, truncated at bound.
+    @property
+    def phi(self) -> DulacSeries:
+        return DulacSeries(self.basis, tuple(self.terms), INF)
 
-        A finite phi_cutoff caps the result at the least of
-        phi_cutoff + (|q| - 1) val phi + p over the monomials x^p y^q with
+    def _cutoff(self, G: ODESpec, phi_cutoff, bound):
+        """Cutoff of G(x, phi, ...) for G = F or a derivative of it, truncated
+        at bound, for a phi known only below phi_cutoff.
+
+        A finite phi_cutoff caps it at the least of
+        phi_cutoff + (|q| - 1) val phi + p over G's monomials x^p y^q with
         q != 0 (phi_cutoff itself when phi = 0), the cutoff that multiplying
         out the truncated factors would claim; truncated data cap it at
         (declared_degree + 1) * min(1, val phi).  val phi is the lower
         endpoint of the leading real part, so the caps hold over an
         approximate basis too.
         """
-        low = self.phi.terms[0][0].re_low if self.phi.terms else INF
+        low = self.terms[0][0].re_low if self.terms else INF
         cutoff = bound
         if phi_cutoff != INF:
-            for _, p, q in self.F.terms:
+            for _, p, q in G.terms:
                 if any(q):
-                    claim = phi_cutoff + (sum(q) - 1) * low + p if self.phi.terms else phi_cutoff
+                    claim = phi_cutoff + (sum(q) - 1) * low + p if self.terms else phi_cutoff
                     cutoff = min(cutoff, claim)
-        if self.F.declared_degree is not None:
-            cutoff = min(cutoff, (self.F.declared_degree + 1) * min(Fraction(1), low))
-        return self.residual.truncate(cutoff)
+        if G.declared_degree is not None:
+            cutoff = min(cutoff, (G.declared_degree + 1) * min(Fraction(1), low))
+        return cutoff
+
+    def leading(self, bound=INF, phi_cutoff=INF):
+        """The lowest term (exponent, coefficient) of value(phi_cutoff, bound),
+        or None when that value is zero; no series is built.
+
+        Like a series, it raises UndecidableComparison when another term has
+        the head's key but other coordinates: the basis is dependent.
+        """
+        heap, value = self._heap, self._value
+        while heap and heap[0][1] not in value:
+            heappop(heap)
+        if not heap:
+            return None
+        key, coords = heap[0]
+        # every entry with the head's key hangs below it on a path of such keys
+        ties = [1, 2]
+        while ties:
+            i = ties.pop()
+            if i < len(heap) and heap[i][0] == key:
+                if heap[i][1] != coords and heap[i][1] in value:
+                    raise UndecidableComparison(
+                        f"Evaluation: exponents {value[coords][0]} and "
+                        f"{value[heap[i][1]][0]} differ but their values are provably "
+                        "equal; the basis independence promise is broken"
+                    )
+                ties += (2 * i + 1, 2 * i + 2)
+        head = value[coords]
+        return head if head[0].re_below(self._cutoff(self.F, phi_cutoff, bound)) else None
+
+    def value(self, phi_cutoff=INF, bound=INF) -> DulacSeries:
+        """The value for a phi known only below phi_cutoff, truncated at bound
+        and at the caps of _cutoff."""
+        return DulacSeries(
+            self.basis, tuple(self._value.values()), self._cutoff(self.F, phi_cutoff, bound)
+        )
+
+    def derivative(self, order: tuple, phi_cutoff=INF) -> DulacSeries:
+        """The scaled derivative (1/order!) d^|order| F / dy^order along a phi
+        known only below phi_cutoff, read off the kept products as
+        sum C(q, order) coeff x^p Y[q - order] over the monomials of F, with
+        the cutoff _cutoff gives its monomials: the value of
+        F.partial_multi(order).substitute(phi) without a second evaluation.
+        For order = e_j it is dF/dy_j = sum q_j coeff x^p Y[q - e_j]."""
+        G = self.F.partial_multi(order)
+        terms = tuple(
+            (e + self._x[p] if p else e, y * coeff)
+            for coeff, p, q in G.terms
+            for e, y in self._Y[q].values()
+        )
+        return DulacSeries(self.basis, terms, self._cutoff(G, phi_cutoff, INF))

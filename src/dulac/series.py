@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BasisMismatch, CutoffIncrease, UndecidableComparison
+from .errors import BasisMismatch, CutoffIncrease, SchemaError, UndecidableComparison
 from .exponents import Exponent, ExponentBasis
 from .scalars import ExactScalar
 from .tpoly import TPoly
@@ -205,9 +205,15 @@ class DulacSeries:
     def from_json(data: dict, basis: ExponentBasis) -> "DulacSeries":
         cutoff = INF if data.get("cutoff") is None else _as_cutoff(data["cutoff"])
         terms = []
-        for item in data.get("terms", []):
-            e = basis.parse_exponent(item["exp"])
-            c = TPoly.parse(item["poly"])
+        for i, item in enumerate(data.get("terms", [])):
+            try:
+                e = basis.parse_exponent(item["exp"])
+            except (ValueError, TypeError) as exc:
+                raise SchemaError(f"series: terms[{i}].exp ({exc})") from exc
+            try:
+                c = TPoly.parse(item["poly"])
+            except (ValueError, TypeError) as exc:
+                raise SchemaError(f"series: terms[{i}].poly ({exc})") from exc
             terms.append((e, c))
         return DulacSeries(basis, tuple(terms), cutoff)
 

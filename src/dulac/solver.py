@@ -89,13 +89,20 @@ class LinearData:
         }
 
 
-def extract_linearization(F: ODESpec, phi: DulacSeries) -> LinearData:
+def extract_linearization(F: ODESpec, phi: DulacSeries | Evaluation) -> LinearData:
     """Decompose the derivatives of F along phi into leading and secondary data.
 
-    phi may be the zero series (seeding an empty prefix): only the monomials
-    of each derivative that are free of y survive in that case.
+    phi is a DulacSeries or an Evaluation of F holding the exact terms fed so
+    far; either way the derivatives are read off an Evaluation's products.
+    phi may be zero (seeding an empty prefix): only the monomials of each
+    derivative that are free of y survive in that case.
     """
-    G = [F.partial(j).substitute(phi) for j in range(F.n + 1)]
+    if isinstance(phi, Evaluation):
+        evaluation, phi_cutoff = phi, INF
+    else:
+        evaluation, phi_cutoff = Evaluation(F, phi), phi.cutoff
+    units = [tuple(int(i == j) for i in range(F.n + 1)) for j in range(F.n + 1)]
+    G = [evaluation.derivative(e_j, phi_cutoff) for e_j in units]
     nonzero = [g for g in G if g.terms]
     if not nonzero:
         raise AllDerivativesVanish(
@@ -323,33 +330,34 @@ def extend(F: ODESpec, prefix: DulacSeries, target_cutoff) -> SolutionState:
     target_cutoff + Re nu, forms lambda_new = sigma - nu, requires it to
     strictly increase, and solves L(lambda_new + d/dt) c = -beta.  The
     residual F(sol) is kept by one Evaluation, fed the prefix and then each
-    solved term, so a step updates it instead of substituting again, and its
-    final value is the returned residual.  After the loop the linearization
-    is re-extracted from the full solution; if (nu, A, ell) changed, the run
-    is restarted once with the stabilized data before giving up.
+    solved term: a step reads its head and the last solved exponent off the
+    evaluator and updates its products, so no step substitutes again or
+    builds a series.  After the loop the linearization is re-extracted from
+    the same evaluator's products, and its value is the returned residual;
+    if (nu, A, ell) changed, the run is restarted once with the stabilized
+    data before giving up.
     """
     target = Fraction(target_cutoff) if target_cutoff != INF else INF
     return _extend(F, prefix, target, pinned=None, allow_restart=True)
 
 
 def _extend(F, prefix, target, pinned, allow_restart) -> SolutionState:
-    sol = DulacSeries(prefix.basis, prefix.terms, INF)
-    lin = pinned if pinned is not None else extract_linearization(F, sol)
+    evaluation = Evaluation(F, prefix)
+    lin = pinned if pinned is not None else extract_linearization(F, evaluation)
     nu_re = lin.nu.re_mid
-    evaluation = Evaluation(F, sol)
     history = []
     while True:
-        head = evaluation.value(bound=target + nu_re).leading()
+        head = evaluation.leading(target + nu_re)
         if head is None:
             break
         sigma, beta = head
         lam_new = sigma - lin.nu
-        sol = evaluation.phi
-        if sol.terms:
-            if exp_compare(lam_new, sol.terms[-1][0]) <= 0:
+        if evaluation.terms:
+            last = evaluation.terms[-1][0]
+            if exp_compare(lam_new, last) <= 0:
                 raise NonProgressingResidual(
                     f"extend: next exponent {lam_new} does not exceed the last "
-                    f"solved exponent {sol.terms[-1][0]}; the prefix is not a "
+                    f"solved exponent {last}; the prefix is not a "
                     "consistent germ of a solution"
                 )
         elif lam_new.re_sign() <= 0:
@@ -365,10 +373,9 @@ def _extend(F, prefix, target, pinned, allow_restart) -> SolutionState:
                 f"extend: more than {MAX_EXTENSION_STEPS} terms below cutoff "
                 f"{target}; the exponents accumulate without reaching it"
             )
-    sol = evaluation.phi
     lin_final = lin
-    if sol.terms:
-        lin_final = extract_linearization(F, sol)
+    if evaluation.terms:
+        lin_final = extract_linearization(F, evaluation)
         if lin_final.stability_key() != lin.stability_key():
             if not allow_restart:
                 raise LinearDataDrift(
@@ -378,7 +385,7 @@ def _extend(F, prefix, target, pinned, allow_restart) -> SolutionState:
             return _extend(F, prefix, target, pinned=lin_final, allow_restart=False)
     residual = evaluation.value()
     achieved = min(target, residual.cutoff - nu_re)
-    solution = DulacSeries(sol.basis, sol.terms, achieved)
+    solution = DulacSeries(prefix.basis, tuple(evaluation.terms), achieved)
     return SolutionState(F=F, solution=solution, residual=residual, lin=lin_final, history=tuple(history))
 
 
@@ -422,7 +429,8 @@ def reduce_equation(F: ODESpec, prefix: DulacSeries, m: int, s=None) -> ReducedE
         )
     basis = prefix.basis
     phi = DulacSeries(basis, prefix.terms[:m], INF)
-    lin = extract_linearization(F, phi)
+    evaluation = Evaluation(F, phi)
+    lin = extract_linearization(F, evaluation)
     lam_m = phi.terms[-1][0]
     s_val = lin.slope() if s is None else s
     tau = lin.tau_exponent(s_val)
@@ -433,10 +441,7 @@ def reduce_equation(F: ODESpec, prefix: DulacSeries, m: int, s=None) -> ReducedE
     nterms = []
     # q = 0 is the residual term
     for q in multi_indices(F.y_degree_bounds()):
-        Fq = F.partial_multi(q)
-        if not Fq.terms:
-            continue
-        fq = Fq.substitute(phi)
+        fq = evaluation.derivative(q)
         if fq.is_zero():
             continue
         k = sum(q)

@@ -138,11 +138,16 @@ def test_help_exits_0(capsys):
         (lambda d: d["ode"].update(degree="3"), "ode: degree must be an integer"),
         (lambda d: d["ode"]["terms"][0].update(x=1.5), "ode: terms[0].x must be an integer"),
         (lambda d: d["ode"]["terms"][0].update(y=[1.5, 0]), "ode: terms[0].y[0] must be an integer"),
+        (lambda d: d["prefix"][0].update(exp=[0.1]), "prefix[0].exp"),
+        (lambda d: d["prefix"][0].update(exp=[True]), "prefix[0].exp"),
+        (lambda d: d.update(generators=[[0.5]]), "generators[0]"),
+        (lambda d: d.update(generators=[[True]]), "generators[0]"),
     ],
     ids=[
         "zero_denominator_coeff", "zero_denominator_prefix_exp", "zero_denominator_prefix_poly",
         "zero_denominator_generator", "zero_denominator_basis",
         "string_n", "string_degree", "float_x", "float_y",
+        "float_prefix_exp", "bool_prefix_exp", "float_generator", "bool_generator",
     ],
 )
 def test_malformed_problem_file_exits_5(tmp_path, capsys, edit, field):

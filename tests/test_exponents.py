@@ -119,6 +119,14 @@ def test_serialize_roundtrip():
     assert b.parse_exponent(e.serialize()) == e
 
 
+def test_parse_exponent_accepts_only_strings_and_integers():
+    b = ExponentBasis(["1", "1+1i"])
+    assert b.parse_exponent([2, "1/3"]) == b.exponent([Fraction(2), Fraction(1, 3)])
+    for coords in ([0.5, 0], [True, 0], [None, 0], [[1], 0], "12"):
+        with pytest.raises(ValueError):
+            b.parse_exponent(coords)
+
+
 def test_mismatched_bases():
     with pytest.raises(BasisMismatch):
         exp_compare(ExponentBasis(["1"]).rational(1), ExponentBasis(["2"]).exponent([1]))

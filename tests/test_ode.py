@@ -1,14 +1,23 @@
-"""ODESpec: validation, partial derivatives, substitution paths."""
+"""ODESpec: validation, partial derivatives, substitution paths, the evaluator."""
 
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from dulac.errors import NonpositiveValuation, SchemaError
-from dulac.ode import ODESpec
+from dulac.errors import (
+    DerivativeYnZeroWarning,
+    DulacError,
+    NonpositiveValuation,
+    SchemaError,
+    UndecidableComparison,
+)
+from dulac.exponents import ExponentBasis
+from dulac.ode import Evaluation, ODESpec, multi_indices
 from dulac.scalars import ExactScalar
 from dulac.series import INF, DulacSeries
+from dulac.solver import extend, extract_linearization
 from dulac.tpoly import TPoly
 
 from .util import (
@@ -146,7 +155,7 @@ _MIXED = ODESpec.from_json({"n": 2, "terms": [
 ]})
 
 
-@pytest.mark.parametrize(
+_ORACLE_CASES = pytest.mark.parametrize(
     "basis, ode",
     [
         (basis_one(), nonlinear_ode()),
@@ -158,6 +167,9 @@ _MIXED = ODESpec.from_json({"n": 2, "terms": [
     ],
     ids=["basis_one", "basis_mixed", "declared_degree", "no_linear_y", "mixed", "mixed_declared_degree"],
 )
+
+
+@_ORACLE_CASES
 def test_substitute_bound_equals_truncated_oracle(basis, ode):
     # pruning at a bound must reproduce the unpruned result truncated there,
     # terms and cutoff, including bounds that remove every term of phi
@@ -168,6 +180,89 @@ def test_substitute_bound_equals_truncated_oracle(basis, ode):
         full = substitute_direct(ode, phi)
         for bound in (Fraction(rng.randint(0, 16), rng.randint(1, 3)), phi.val(), INF):
             assert ode.substitute(phi, bound) == full.truncate(min(full.cutoff, bound))
+
+
+@_ORACLE_CASES
+def test_evaluation_reads_match_oracle(basis, ode):
+    # the evaluator's head and derivatives, dF/dy_j and the scaled mixed
+    # ones, against the unpruned oracle for phi known to a cutoff or exactly
+    rng = random.Random(67)
+    for _ in range(30):
+        cutoff = rng.choice([INF, Fraction(rng.randint(2, 12), rng.randint(1, 2))])
+        phi = random_series(rng, basis, max_terms=4, cutoff=cutoff)
+        ev = Evaluation(ode, phi)
+        full = substitute_direct(ode, phi)
+        for bound in (Fraction(rng.randint(0, 16), rng.randint(1, 3)), phi.val(), INF):
+            assert ev.leading(bound, phi.cutoff) == full.truncate(min(full.cutoff, bound)).leading()
+        for j in range(ode.n + 1):
+            e_j = tuple(int(i == j) for i in range(ode.n + 1))
+            assert ev.derivative(e_j, phi.cutoff) == substitute_direct(ode.partial(j), phi)
+        for q in multi_indices(ode.y_degree_bounds()):
+            assert ev.derivative(q, phi.cutoff) == substitute_direct(ode.partial_multi(q), phi)
+
+
+def _linearization_or_error(ode, phi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DerivativeYnZeroWarning)
+        try:
+            return extract_linearization(ode, phi)
+        except DulacError as exc:
+            return type(exc), str(exc)
+
+
+@_ORACLE_CASES
+def test_linearization_from_grown_evaluation_matches_series(basis, ode):
+    # an evaluator fed term by term, as extend feeds it, gives the
+    # linearization of the series holding the same terms
+    rng = random.Random(71)
+    for _ in range(30):
+        phi = random_series(rng, basis, max_terms=4)
+        ev = Evaluation(ode, DulacSeries.zero(basis))
+        for e, c in phi.terms:
+            ev.add(e, c)
+        assert ev.phi == phi
+        assert _linearization_or_error(ode, ev) == _linearization_or_error(ode, phi)
+
+
+def test_dependent_basis_substitution_raises():
+    # over the dependent basis 1, 2 the exponents (2, 0) and (0, 1) have
+    # equal keys but other coordinates; producing both must raise, whether
+    # as the value's head or above it
+    basis = ExponentBasis(["1", "2/1"])
+    x, x2 = basis.exponent([1, 0]), basis.exponent([0, 1])
+    head_tie = ODESpec.from_json({"n": 1, "terms": [
+        {"coeff": "1/1", "x": 0, "y": [1, 0]},
+        {"coeff": "1/1", "x": 0, "y": [0, 1]},
+        {"coeff": "1/1", "x": 2, "y": [0, 0]},
+    ]})
+    phi = DulacSeries.monomial(x2, TPoly.ONE)
+    with pytest.raises(UndecidableComparison):
+        head_tie.substitute(phi)
+    with pytest.raises(UndecidableComparison):
+        Evaluation(head_tie, phi).leading(INF)
+    # at x + x^(0,1) both lie above the head 2x
+    phi = DulacSeries(basis, ((x, TPoly.ONE), (x2, TPoly.ONE)), INF)
+    with pytest.raises(UndecidableComparison):
+        Evaluation(head_tie, phi).value()
+    # in extend, -y and y^2 at x + 2 x^(0,1) give x^(0,1) and x^(2,0)
+    phi = DulacSeries(basis, ((x, TPoly.ONE), (x2, TPoly.of(2))), INF)
+    with pytest.raises(UndecidableComparison):
+        extend(nonlinear_ode(), phi, 5)
+
+
+def test_leading_finds_a_tie_below_cancelled_entries():
+    # over the dependent basis 1, 2, 3, 6 four coordinate vectors have the
+    # value 6; F = y makes the value phi itself, so terms can be cancelled
+    # one by one and leave live ties below dead heap entries
+    basis = ExponentBasis(["1", "2/1", "3/1", "6/1"])
+    ev = Evaluation(ODESpec(1, ((ExactScalar.of(1), 0, (1, 0)),)), DulacSeries.zero(basis))
+    ties = [basis.exponent(c) for c in ([0, 0, 0, 1], [0, 0, 2, 0], [0, 3, 0, 0], [6, 0, 0, 0])]
+    for e in ties:
+        ev.add(e, TPoly.ONE)
+    for e in ties[1:3]:
+        ev.add(e, -TPoly.ONE)
+    with pytest.raises(UndecidableComparison):
+        ev.leading()
 
 
 def test_declared_degree_caps_cutoff():

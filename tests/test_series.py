@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dulac.errors import BasisMismatch, CutoffIncrease
+from dulac.errors import BasisMismatch, CutoffIncrease, SchemaError
 from dulac.exponents import ExponentBasis
 from dulac.scalars import ExactScalar
 from dulac.series import INF, DulacSeries
@@ -171,6 +171,18 @@ def test_json_roundtrip_finite_cutoff():
     g = DulacSeries.from_json(data, basis)
     assert g == f
     assert g.cutoff == Fraction(7, 2)
+
+
+@pytest.mark.parametrize(
+    "item, field",
+    [({"exp": [0.5], "poly": ["1/1"]}, "terms[0].exp"), ({"exp": [True], "poly": ["1/1"]}, "terms[0].exp"),
+     ({"exp": ["1/1"], "poly": [1.5]}, "terms[0].poly")],
+    ids=["float_exp", "bool_exp", "float_poly"],
+)
+def test_from_json_rejects_non_string_fields(item, field):
+    with pytest.raises(SchemaError) as exc:
+        DulacSeries.from_json({"terms": [item]}, basis_one())
+    assert field in str(exc.value)
 
 
 def test_ring_laws_random():

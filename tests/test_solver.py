@@ -99,6 +99,9 @@ def test_extract_top_derivative_zero_warns():
     with pytest.warns(DerivativeYnZeroWarning):
         lin = extract_linearization(F, DulacSeries.zero(basis))
     assert lin.ell == 0
+    # a phi known only below 3 leaves dF/dy_1 = 2 dy known only below 3
+    with pytest.warns(DerivativeYnZeroWarning, match="below cutoff 3;"):
+        extract_linearization(F, DulacSeries.zero(basis, Fraction(3)))
 
 
 def test_extract_nonconstant_leading_coefficient():
@@ -208,6 +211,11 @@ def test_extend_rejects_wrong_prefix():
     bad = x_prefix(basis) * 2  # c_1 = 2 is not a germ of a solution
     with pytest.raises(NonProgressingResidual):
         extend(euler_ode(), bad, 6)
+    # x + x^3 skips x^2: the residual's head gives lambda = 2, above the
+    # first prefix exponent but not above the last
+    gap = x_prefix(basis) + DulacSeries.monomial(basis.rational(3), TPoly.ONE)
+    with pytest.raises(NonProgressingResidual):
+        extend(euler_ode(), gap, 6)
 
 
 def test_extend_resonance_surfaces():
@@ -273,6 +281,35 @@ def test_extend_steps_match_unpruned_oracle(name):
     assert head(sol) is None
     assert sol.terms == state.solution.terms
     assert state.residual == substitute_direct(F, sol)
+
+
+def test_extend_builds_no_series_per_step(monkeypatch):
+    # every way of building a DulacSeries is counted: a per-step rebuild of
+    # the residual or of the solution would make the count grow with cutoff
+    data = json.loads((DATA / "nonlinear.json").read_text())
+    basis = ExponentBasis(data["basis"])
+    F = ODESpec.from_json(data["ode"])
+    prefix = DulacSeries.from_json({"terms": data["prefix"]}, basis)
+    built = []
+    init, from_canonical = DulacSeries.__init__, DulacSeries._from_canonical
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_from_canonical(cls, *args):
+        built.append(cls)
+        return from_canonical(*args)
+
+    monkeypatch.setattr(DulacSeries, "__init__", counted_init)
+    monkeypatch.setattr(DulacSeries, "_from_canonical", classmethod(counted_from_canonical))
+    counts = {}
+    for cutoff in (10, 30):
+        built.clear()
+        steps = len(extend(F, prefix, cutoff).history)
+        counts[cutoff] = len(built), steps
+    assert counts[10][1] < counts[30][1]
+    assert counts[10][0] == counts[30][0]
 
 
 # -- splitting conditions ------------------------------------------------------
