@@ -1,111 +1,44 @@
 """Exact arithmetic for Dulac series (polynomial-in-log coefficients, complex
 exponents), an Euler-derivation ODE solver with resonance detection, growth
 order classification in the Gevrey scale, and the semigroup/multivariate
-machinery with weighted-norm estimate checks."""
+machinery with weighted-norm estimate checks.
 
-from .errors import (
-    AllDerivativesVanish,
-    BasisMismatch,
-    CutoffIncrease,
-    DependentGenerators,
-    DerivativeYnZeroWarning,
-    DomainError,
-    DulacError,
-    ExactValueRequired,
-    ExponentOutsideSemigroup,
-    HypothesisViolation,
-    IndeterminateRoot,
-    LinearDataDrift,
-    NonpositiveRealPart,
-    NonpositiveValuation,
-    NonProgressingResidual,
-    PreconditionViolated,
-    Resonance,
-    SchemaError,
-    SlopeUndetermined,
-    UndecidableComparison,
-)
-from .scalars import ExactScalar
-from .exponents import (
-    DEFAULT_PRECISION,
-    MAX_PRECISION,
-    BasisEntry,
-    Exponent,
-    ExponentBasis,
-    exp_compare,
-    re_compare,
-)
-from .tpoly import TPoly, poly_norm
-from .gammafn import gamma_abs
-from .series import INF, DulacSeries
-from .ode import ODESpec
-from .solver import (
-    ConditionReport,
-    LinearData,
-    ReducedEquation,
-    SolutionState,
-    check_conditions,
-    extend,
-    extract_linearization,
-    reduce_equation,
-    reduced_residual,
-    roots_of_L,
-    solve_coefficient,
-)
-from .gevrey import (
-    CSV_COLUMNS,
-    GevreyReport,
-    RhoRow,
-    classify,
-    fit_growth,
-    normalized_coeffs,
-    slope,
-)
-from .semigroup import (
-    Generators,
-    choose_R,
-    compute_kcal,
-    decompose,
-    exponent_gaps,
-    minimal_shell,
-    suggest_generators,
-    validate_generators,
-)
-from .mseries import (
-    MSeries,
-    NormParams,
-    check_lemma5,
-    check_lemma6,
-    fit_degree_K,
-    h_norm,
-    iota,
-    iota_inv,
-    majorant_bound,
-)
+The public names below are imported from their submodule on first use (PEP
+562), so `import dulac` loads no submodule and no mpmath.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllDerivativesVanish", "BasisMismatch", "CutoffIncrease",
-    "DependentGenerators", "DerivativeYnZeroWarning", "DomainError",
-    "DulacError", "ExactValueRequired", "ExponentOutsideSemigroup",
-    "HypothesisViolation", "IndeterminateRoot", "LinearDataDrift",
-    "NonpositiveRealPart", "NonpositiveValuation", "NonProgressingResidual",
-    "PreconditionViolated", "Resonance", "SchemaError", "SlopeUndetermined",
-    "UndecidableComparison",
-    "ExactScalar",
-    "DEFAULT_PRECISION", "MAX_PRECISION", "BasisEntry", "Exponent",
-    "ExponentBasis", "exp_compare", "re_compare",
-    "TPoly", "poly_norm", "gamma_abs",
-    "INF", "DulacSeries", "ODESpec",
-    "ConditionReport", "LinearData", "ReducedEquation", "SolutionState",
-    "check_conditions", "extend", "extract_linearization", "reduce_equation",
-    "reduced_residual", "roots_of_L", "solve_coefficient",
-    "CSV_COLUMNS", "GevreyReport", "RhoRow", "classify", "fit_growth",
-    "normalized_coeffs", "slope",
-    "Generators", "choose_R", "compute_kcal", "decompose", "exponent_gaps",
-    "minimal_shell", "suggest_generators", "validate_generators",
-    "MSeries", "NormParams", "check_lemma5", "check_lemma6", "fit_degree_K",
-    "h_norm", "iota", "iota_inv", "majorant_bound",
-    "__version__",
-]
+_EXPORTS = {
+    "errors": """AllDerivativesVanish BasisMismatch CutoffIncrease DependentGenerators
+        DerivativeYnZeroWarning DomainError DulacError ExactValueRequired
+        ExponentOutsideSemigroup HypothesisViolation IndeterminateRoot LinearDataDrift
+        NonpositiveRealPart NonpositiveValuation NonProgressingResidual
+        PreconditionViolated Resonance SchemaError SlopeUndetermined UndecidableComparison""",
+    "scalars": "ExactScalar",
+    "exponents": """DEFAULT_PRECISION MAX_PRECISION BasisEntry Exponent ExponentBasis
+        exp_compare re_compare""",
+    "tpoly": "TPoly poly_norm",
+    "gammafn": "gamma_abs",
+    "series": "INF DulacSeries",
+    "ode": "ODESpec",
+    "solver": """ConditionReport LinearData ReducedEquation SolutionState check_conditions
+        extend extract_linearization reduce_equation reduced_residual roots_of_L
+        solve_coefficient""",
+    "gevrey": "CSV_COLUMNS GevreyReport RhoRow classify fit_growth normalized_coeffs",
+    "semigroup": """Generators choose_R compute_kcal decompose exponent_gaps minimal_shell
+        suggest_generators validate_generators""",
+    "mseries": """MSeries NormParams check_lemma5 check_lemma6 fit_degree_K h_norm iota
+        iota_inv majorant_bound""",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)

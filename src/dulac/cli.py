@@ -46,7 +46,7 @@ from .errors import (
     SchemaError,
 )
 from .exponents import DEFAULT_PRECISION, MAX_PRECISION, Exponent, ExponentBasis
-from .gevrey import classify, slope
+from .gevrey import classify
 from .mseries import MSeries, NormParams, check_lemma5, check_lemma6, fit_degree_K, iota as iota_map, iota_inv, majorant_bound
 from .ode import ODESpec
 from .scalars import ExactScalar
@@ -258,7 +258,7 @@ def _cmd_solve(problem: Problem, args) -> int:
 
 def _cmd_analyze(problem: Problem, args) -> int:
     lin = extract_linearization(problem.ode, problem.prefix)
-    s = problem.s_override if problem.s_override is not None else slope(lin)
+    s = problem.s_override if problem.s_override is not None else lin.slope()
     conditions = None
     if problem.prefix.terms:
         report = check_conditions(lin, [e for e, _ in problem.prefix.terms], s=s)

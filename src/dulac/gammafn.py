@@ -11,7 +11,6 @@ scope and raise DomainError; no reflection formula is attempted.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import mpmath
 
@@ -68,34 +67,19 @@ def _gamma_abs_mpc(z: mpmath.mpc, tol: float, prec: int) -> mpmath.mpf:
 def gamma_abs(z, tol: float = 1e-12) -> mpmath.mpf:
     """|Gamma(z)| with relative error at most tol, for Re z > 0.
 
-    Accepts ExactScalar, Fraction, int, float, complex, or mpmath numbers.
-    Exact rational arguments are cached, since norm tables evaluate the same
-    points repeatedly.
+    Accepts ExactScalar, Fraction or int.  Values are cached, since norm
+    tables evaluate the same points repeatedly.
     """
     if tol <= 0 or tol >= 1:
         raise ValueError(f"gamma_abs: tolerance must lie in (0, 1), got {tol}")
-    key = None
-    if isinstance(z, ExactScalar):
-        key = (z.re, z.im, tol)
-        re_q, im_q = z.re, z.im
-    elif isinstance(z, (int, Fraction)):
-        key = (Fraction(z), Fraction(0), tol)
-        re_q, im_q = Fraction(z), Fraction(0)
-    if key is not None:
-        if key in _value_cache:
-            return _value_cache[key]
-        if re_q <= 0:
-            raise DomainError(f"gamma_abs: Re z must be positive, got z = {re_q}+{im_q}i")
+    if not isinstance(z, ExactScalar):
+        z = ExactScalar.of(z)
+    key = (z.re, z.im, tol)
+    if key not in _value_cache:
+        if z.re <= 0:
+            raise DomainError(f"gamma_abs: Re z must be positive, got z = {z.re}+{z.im}i")
         prec = _working_prec(tol)
         with mpmath.workprec(prec):
-            zc = mpmath.mpc(mpmath.mpmathify(re_q), mpmath.mpmathify(im_q))
-        out = _gamma_abs_mpc(zc, tol, prec)
-        _value_cache[key] = out
-        return out
-
-    prec = _working_prec(tol)
-    with mpmath.workprec(prec):
-        zc = mpmath.mpc(z)
-    if mpmath.re(zc) <= 0:
-        raise DomainError(f"gamma_abs: Re z must be positive, got z = {zc}")
-    return _gamma_abs_mpc(zc, tol, prec)
+            zc = mpmath.mpc(mpmath.mpmathify(z.re), mpmath.mpmathify(z.im))
+        _value_cache[key] = _gamma_abs_mpc(zc, tol, prec)
+    return _value_cache[key]

@@ -2,9 +2,9 @@
 
 The coefficient polynomials of a solved series are expected to grow no
 faster than C * A^k * |Gamma(lambda_k / s)| in the weighted norm, where the
-order parameter s comes from the linearization: s = +inf when the top
-derivative participates in the leading data (A_n != 0, the convergent case),
-and otherwise
+order parameter s comes from the linearization (LinearData.slope): s = +inf
+when the top derivative participates in the leading data (A_n != 0, the
+convergent case), and otherwise
 
     s = min over j > ell of (Re nu_j - Re nu) / (j - ell).
 
@@ -23,7 +23,6 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import SlopeUndetermined
 from .gammafn import gamma_abs
 from .numeric import FLOAT_PRECISION, float_str, to_mpf
 from .scalars import ExactScalar
@@ -32,24 +31,6 @@ from .tpoly import poly_norm
 INF = float("inf")
 
 CSV_COLUMNS = ["k", "re_lambda", "im_lambda", "deg_c", "norm_R", "gamma_abs", "rho", "envelope_Ck"]
-
-
-def slope(lin) -> object:
-    """Growth order parameter from the linearization; +inf when A_n != 0."""
-    if not lin.A[lin.n].is_zero():
-        return INF
-    cands = []
-    for j in range(lin.ell + 1, lin.n + 1):
-        if lin.nu_sec[j] is not None:
-            cands.append(
-                (lin.nu_sec[j].re_mid - lin.nu.re_mid) / Fraction(j - lin.ell)
-            )
-    if not cands:
-        raise SlopeUndetermined(
-            "slope: A_n = 0 and no derivative shows a secondary term below the "
-            "cutoff; the growth order cannot be determined from the data"
-        )
-    return min(cands)
 
 
 @dataclass(frozen=True)

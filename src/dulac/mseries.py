@@ -238,9 +238,17 @@ def _weight(g: MSeries, m, p: NormParams) -> mpmath.mpf:
     return abs_scalar(lam) + to_mpf(p.Kcal) * sum(m)
 
 
-def _gamma_of_m(g: MSeries, m, p: NormParams) -> mpmath.mpf:
-    z = ExactScalar(g.gens.m_re(m) / p.s, g.gens.m_im(m) / p.s)
-    return gamma_abs(z, p.tol)
+def _gamma_at(gens: Generators, m, p: NormParams) -> mpmath.mpf:
+    """|Gamma(<m,r>/s)| at the norm's tolerance."""
+    return gamma_abs(ExactScalar(gens.m_re(m) / p.s, gens.m_im(m) / p.s), p.tol)
+
+
+def _gamma_ratios(gens: Generators, pairs, p: NormParams):
+    """|Gamma(<a,r>/s) Gamma(<b,r>/s) / Gamma(<a+b,r>/s)| for each pair (a, b),
+    at the caller's working precision."""
+    for a, b in pairs:
+        msum = tuple(x + y for x, y in zip(a, b))
+        yield _gamma_at(gens, a, p) * _gamma_at(gens, b, p) / _gamma_at(gens, msum, p)
 
 
 def h_norm(g: MSeries, p: NormParams, level: int | None = None) -> mpmath.mpf:
@@ -249,7 +257,7 @@ def h_norm(g: MSeries, p: NormParams, level: int | None = None) -> mpmath.mpf:
     with mpmath.workprec(FLOAT_PRECISION):
         acc = mpmath.mpf(0)
         for m, c in g.terms:
-            acc += _weight(g, m, p) ** j / _gamma_of_m(g, m, p) * poly_norm(c, p.R)
+            acc += _weight(g, m, p) ** j / _gamma_at(g.gens, m, p) * poly_norm(c, p.R)
         return acc
 
 
@@ -266,26 +274,16 @@ def check_lemma6(g1: MSeries, g2: MSeries, p: NormParams) -> Lemma6Report:
     """Product estimate ||g1 g2||_0 <= C ||g1||_0 ||g2||_0 on concrete data.
 
     C is the largest Gamma ratio |Gamma(<i,r>/s) Gamma(<m-i,r>/s) / Gamma(<m,r>/s)|
-    over the splits realized by the stored terms.
+    over the splits realized by the stored terms (1 when there are none); it
+    may lie below 1.
     """
+    pairs = [(m1, m2) for m1, _ in g1.terms for m2, _ in g2.terms]
     with mpmath.workprec(FLOAT_PRECISION):
-        C_used = mpmath.mpf(1)
-        splits = 0
-        for m1, _ in g1.terms:
-            for m2, _ in g2.terms:
-                msum = tuple(a + b for a, b in zip(m1, m2))
-                ratio = (
-                    _gamma_of_m(g1, m1, p)
-                    * _gamma_of_m(g2, m2, p)
-                    / _gamma_of_m(g1, msum, p)
-                )
-                splits += 1
-                if splits == 1 or ratio > C_used:
-                    C_used = ratio
+        C_used = max(_gamma_ratios(g1.gens, pairs, p), default=mpmath.mpf(1))
         lhs = h_norm(g1 * g2, p, level=0)
         rhs = C_used * h_norm(g1, p, level=0) * h_norm(g2, p, level=0)
         passed = bool(lhs <= rhs * (1 + mpmath.mpf(_ROUNDING_SLACK)))
-    return Lemma6Report(lhs=lhs, rhs=rhs, C_used=C_used, passed=passed, splits=splits)
+    return Lemma6Report(lhs=lhs, rhs=rhs, C_used=C_used, passed=passed, splits=len(pairs))
 
 
 @dataclass(frozen=True)
@@ -335,7 +333,7 @@ def check_lemma5(a: TPoly, l, j: int, g: MSeries, p: NormParams) -> Lemma5Report
         for m, _ in g.terms:
             msum = tuple(x + y for x, y in zip(m, l))
             w = _weight(g, m, p)
-            cand = na * _gamma_of_m(g, m, p) / _gamma_of_m(g, msum, p) * w ** (j - p.j)
+            cand = na * _gamma_at(g.gens, m, p) / _gamma_at(g.gens, msum, p) * w ** (j - p.j)
             if cand > A_tilde:
                 A_tilde = cand
         bound = A_tilde * h_norm(g, p, level=p.j)
@@ -349,31 +347,22 @@ def majorant_bound(coeffs: dict, rho, tail_norms, gens: Generators, p: NormParam
 
     Each term contributes ||a||_R / |Gamma(<pm,r>/s)| * rho^|pm| * C^|qm| *
     prod tail_norms^qm, where C is the largest realized Gamma product ratio
-    (as in check_lemma6) and the Gamma factor is omitted for pm = 0, which
-    only enlarges the bound.
+    (as in check_lemma6, but at least 1) and the Gamma factor is omitted for
+    pm = 0, which only enlarges the bound.
     """
+    pms = [pm for pm, _ in coeffs if any(pm)]
     with mpmath.workprec(FLOAT_PRECISION):
         rho = mpmath.mpf(rho) if not isinstance(rho, Fraction) else to_mpf(rho)
         tails = [to_mpf(v) if isinstance(v, Fraction) else mpmath.mpf(v) for v in tail_norms]
-        pms = [pm for pm, _ in coeffs if any(pm)]
-        C = mpmath.mpf(1)
-        for i, pm1 in enumerate(pms):
-            for pm2 in pms[i:]:
-                msum = tuple(a + b for a, b in zip(pm1, pm2))
-                z1 = ExactScalar(gens.m_re(pm1) / p.s, gens.m_im(pm1) / p.s)
-                z2 = ExactScalar(gens.m_re(pm2) / p.s, gens.m_im(pm2) / p.s)
-                zs = ExactScalar(gens.m_re(msum) / p.s, gens.m_im(msum) / p.s)
-                ratio = gamma_abs(z1, p.tol) * gamma_abs(z2, p.tol) / gamma_abs(zs, p.tol)
-                if ratio > C:
-                    C = ratio
+        pairs = [(a, b) for i, a in enumerate(pms) for b in pms[i:]]
+        C = max([mpmath.mpf(1), *_gamma_ratios(gens, pairs, p)])
         acc = mpmath.mpf(0)
         for (pm, qm), a in sorted(coeffs.items()):
             if not any(pm) and not any(qm):
                 raise ValueError("majorant_bound: term with p = q = 0 is not allowed")
             na = poly_norm(a, p.R)
             if any(pm):
-                z = ExactScalar(gens.m_re(pm) / p.s, gens.m_im(pm) / p.s)
-                na = na / gamma_abs(z, p.tol)
+                na = na / _gamma_at(gens, pm, p)
             term = na * rho ** sum(pm) * C ** sum(qm)
             for ni, qi in zip(tails, qm):
                 term *= ni**qi

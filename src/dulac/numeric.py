@@ -8,8 +8,6 @@ precision they were created with.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import mpmath
 
 FLOAT_PRECISION = 128

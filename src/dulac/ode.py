@@ -9,10 +9,9 @@ truncated data can certify.
 
 Substitution has one code path, Evaluation: it keeps F(x, phi, ...) together
 with the products of the delta^j phi it needs, all as term maps, and updates
-them when phi gains a term.  ODESpec.substitute feeds it phi's terms; extend
-feeds it each solved term, reads each step's lowest residual term off it and
-takes the derivatives of F along phi from its products, so no step
-substitutes from scratch or builds a series.
+them when phi gains a term.  extend feeds it each solved term, reads each
+step's lowest residual term off it and takes the derivatives of F along phi
+from its products, so no step substitutes from scratch or builds a series.
 """
 
 from __future__ import annotations
@@ -66,58 +65,23 @@ class ODESpec:
 
     # -- calculus on the monomial data ------------------------------------
 
-    def partial(self, j: int) -> "ODESpec":
-        """Derivative with respect to y_j; declared degree drops by one."""
-        if not 0 <= j <= self.n:
-            raise ValueError(f"partial: variable index {j} outside 0..{self.n}")
-        out = []
-        for coeff, p, q in self.terms:
-            if q[j] == 0:
-                continue
-            q2 = q[:j] + (q[j] - 1,) + q[j + 1 :]
-            out.append((coeff * q[j], p, q2))
-        deg = None if self.declared_degree is None else max(self.declared_degree - 1, 0)
-        return ODESpec.__new_unchecked(self.n, tuple(out), deg)
-
     def partial_multi(self, q_order: tuple) -> "ODESpec":
         """Scaled mixed derivative (1/q!) d^|q| F / dy^q via binomial weights."""
         if len(q_order) != self.n + 1:
             raise ValueError(f"partial_multi: order vector {q_order} has wrong length")
-        out = []
-        for coeff, p, q in self.terms:
-            if any(qi < oi for qi, oi in zip(q, q_order)):
-                continue
-            w = 1
-            for qi, oi in zip(q, q_order):
-                w *= comb(qi, oi)
-            q2 = tuple(qi - oi for qi, oi in zip(q, q_order))
-            out.append((coeff * w, p, q2))
-        deg = (
-            None
-            if self.declared_degree is None
-            else max(self.declared_degree - sum(q_order), 0)
+        terms = tuple(
+            (coeff * prod(map(comb, q, q_order)), p, tuple(qi - oi for qi, oi in zip(q, q_order)))
+            for coeff, p, q in self.terms
+            if all(qi >= oi for qi, oi in zip(q, q_order))
         )
+        deg = None if self.declared_degree is None else max(self.declared_degree - sum(q_order), 0)
         # derivatives may legitimately contain a constant monomial, so the
         # constructor validation is skipped here
-        return ODESpec.__new_unchecked(self.n, tuple(out), deg)
-
-    @staticmethod
-    def __new_unchecked(n, terms, declared_degree):
-        obj = object.__new__(ODESpec)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "terms", terms)
-        object.__setattr__(obj, "declared_degree", declared_degree)
-        return obj
-
-    # -- substitution -------------------------------------------------------
-
-    def substitute(self, phi: DulacSeries, bound=INF) -> DulacSeries:
-        """Evaluate F(x, phi, delta phi, ..., delta^n phi), truncated at bound.
-
-        phi's terms are fed to an Evaluation, whose value() takes the cutoff
-        that phi's own cutoff allows (see Evaluation._cutoff).
-        """
-        return Evaluation(self, phi).value(phi.cutoff, bound)
+        out = object.__new__(ODESpec)
+        object.__setattr__(out, "n", self.n)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "declared_degree", deg)
+        return out
 
     # -- serialization ---------------------------------------------------------
 
@@ -216,7 +180,7 @@ class Evaluation:
     def __init__(self, F: ODESpec, phi: DulacSeries):
         if phi.terms and phi.terms[0][0].re_sign() <= 0:
             raise NonpositiveValuation(
-                f"substitute: phi must have positive valuation, leading exponent "
+                f"Evaluation: phi must have positive valuation, leading exponent "
                 f"{phi.terms[0][0]} does not"
             )
         basis = phi.basis
@@ -352,7 +316,7 @@ class Evaluation:
         known only below phi_cutoff, read off the kept products as
         sum C(q, order) coeff x^p Y[q - order] over the monomials of F, with
         the cutoff _cutoff gives its monomials: the value of
-        F.partial_multi(order).substitute(phi) without a second evaluation.
+        F.partial_multi(order) along phi without a second evaluation.
         For order = e_j it is dF/dy_j = sum q_j coeff x^p Y[q - e_j]."""
         G = self.F.partial_multi(order)
         terms = tuple(

@@ -118,9 +118,6 @@ class ExactScalar:
             (self.im * other.re - self.re * other.im) / d,
         )
 
-    def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.re, -self.im)
-
     def abs_squared(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from itertools import product
+from math import gcd, lcm
 
-from .errors import DependentGenerators, NonpositiveRealPart
+from .errors import BasisMismatch, DependentGenerators, NonpositiveRealPart, UndecidableComparison
 from .exponents import Exponent, ExponentBasis
 
 
@@ -85,8 +85,6 @@ def nullspace_vector(columns: list):
 
 
 def _to_integer_vector(x: list) -> list:
-    from math import lcm
-
     denom = lcm(*(v.denominator for v in x)) if x else 1
     ints = [int(v * denom) for v in x]
     g = 0
@@ -214,11 +212,11 @@ def compute_kcal(K_fit: Fraction, gens: Generators, tau_re) -> Fraction:
     return 2 * Fraction(K_fit) * max(sum(m) for m in shell)
 
 
-def choose_R(Kcal, gens: Generators, lambda_base=None) -> tuple:
+def choose_R(Kcal, gens: Generators) -> tuple:
     """Norm weight rule: theta_bound = 1/min Re r_j; R = max(2, 2 Kcal theta).
 
-    lambda_base is accepted for interface parity; the bound 1/min Re r_j is
-    already uniform in it (|lambda + <m,r>| >= Re lambda + |m| min Re r_j).
+    The bound 1/min Re r_j is uniform in the base exponent lambda, since
+    |lambda + <m,r>| >= Re lambda + |m| min Re r_j.
 
     The returned R keeps the derivative-term contraction below 1 whenever
     the coefficient degrees grow at most like Kcal * |m|.
@@ -291,8 +289,6 @@ def suggest_generators(F, prefix, basis: ExponentBasis) -> dict:
     the candidate lattice points with integer coefficients of either sign,
     which need not cover every future exponent gap.
     """
-    from math import lcm
-
     cand: list = []
     seen = set()
 
@@ -307,7 +303,7 @@ def suggest_generators(F, prefix, basis: ExponentBasis) -> dict:
             if p > 0:
                 try:
                     push(basis.rational(p))
-                except Exception:
+                except BasisMismatch:  # no entry 1 in the basis
                     pass
     if prefix is not None and prefix.terms:
         exps = [e for e, _ in prefix.terms]
@@ -327,7 +323,7 @@ def suggest_generators(F, prefix, basis: ExponentBasis) -> dict:
         e = basis.exponent([Fraction(v, denom) for v in row])
         try:
             sgn = e.re_sign()
-        except Exception:
+        except UndecidableComparison:
             continue
         if sgn < 0:
             e = -e

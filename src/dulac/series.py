@@ -77,15 +77,6 @@ class DulacSeries:
         object.__setattr__(self, "cutoff", _as_cutoff(self.cutoff))
         object.__setattr__(self, "terms", _canonical(self.terms, self.cutoff))
 
-    @classmethod
-    def _from_canonical(cls, basis: ExponentBasis, terms: tuple, cutoff) -> "DulacSeries":
-        """Wrap terms that are already sorted, merged, nonzero and below cutoff."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "basis", basis)
-        object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "cutoff", cutoff)
-        return out
-
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -95,11 +86,6 @@ class DulacSeries:
     @staticmethod
     def monomial(exponent: Exponent, coeff: TPoly, cutoff=INF) -> "DulacSeries":
         return DulacSeries(exponent.basis, ((exponent, coeff),), cutoff)
-
-    @staticmethod
-    def x_power(basis: ExponentBasis, p, cutoff=INF) -> "DulacSeries":
-        """The monomial x^p for rational p; requires 1 among the basis entries."""
-        return DulacSeries.monomial(basis.rational(p), TPoly.ONE, cutoff)
 
     # -- queries ----------------------------------------------------------
 
@@ -189,7 +175,7 @@ class DulacSeries:
                 "terms beyond the original cutoff were never computed"
             )
         kept = tuple(t for t in self.terms if t[0].re_below(new_cutoff))
-        return DulacSeries._from_canonical(self.basis, kept, new_cutoff)
+        return DulacSeries(self.basis, kept, new_cutoff)
 
     # -- serialization ---------------------------------------------------------
 

@@ -18,7 +18,7 @@ the user to supply the logarithmic part by hand in the prefix.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -33,11 +33,12 @@ from .errors import (
     NonpositiveValuation,
     NonProgressingResidual,
     Resonance,
+    SlopeUndetermined,
 )
 from .exponents import Exponent, exp_compare, re_compare
-from .numeric import FLOAT_PRECISION, float_str, to_mpf
+from .numeric import FLOAT_PRECISION, to_mpf
 from .ode import Evaluation, ODESpec, multi_indices
-from .scalars import ExactScalar, ZERO
+from .scalars import ZERO
 from .series import INF, DulacSeries
 from .tpoly import TPoly
 
@@ -61,9 +62,21 @@ class LinearData:
         return (self.nu.coords, self.A, self.ell)
 
     def slope(self):
-        from .gevrey import slope
-
-        return slope(self)
+        """Growth order parameter s = min over j > ell of
+        (Re nu_j - Re nu) / (j - ell); +inf when A_n != 0."""
+        if not self.A[self.n].is_zero():
+            return INF
+        cands = [
+            (self.nu_sec[j].re_mid - self.nu.re_mid) / Fraction(j - self.ell)
+            for j in range(self.ell + 1, self.n + 1)
+            if self.nu_sec[j] is not None
+        ]
+        if not cands:
+            raise SlopeUndetermined(
+                "slope: A_n = 0 and no derivative shows a secondary term below the "
+                "cutoff; the growth order cannot be determined from the data"
+            )
+        return min(cands)
 
     def tau_re(self, s=None) -> Fraction:
         """Real value tau = (n - ell) * s; zero when ell = n."""
@@ -157,7 +170,9 @@ def roots_of_L(L: TPoly, prec: int = FLOAT_PRECISION) -> list:
     """Roots of the characteristic polynomial as mpc values.
 
     Degrees 1 and 2 use closed forms, higher degrees a numeric companion
-    solve at the working precision.
+    solve at the working precision.  The closed forms stay because they fix
+    the order of the roots, which analysis.json records: mpmath.polyroots
+    returns many degree-2 roots in the other order.
     """
     d = L.degree
     if d in (float("-inf"), 0):
@@ -338,10 +353,10 @@ def extend(F: ODESpec, prefix: DulacSeries, target_cutoff) -> SolutionState:
     data before giving up.
     """
     target = Fraction(target_cutoff) if target_cutoff != INF else INF
-    return _extend(F, prefix, target, pinned=None, allow_restart=True)
+    return _extend(F, prefix, target, pinned=None)
 
 
-def _extend(F, prefix, target, pinned, allow_restart) -> SolutionState:
+def _extend(F, prefix, target, pinned) -> SolutionState:
     evaluation = Evaluation(F, prefix)
     lin = pinned if pinned is not None else extract_linearization(F, evaluation)
     nu_re = lin.nu.re_mid
@@ -377,12 +392,12 @@ def _extend(F, prefix, target, pinned, allow_restart) -> SolutionState:
     if evaluation.terms:
         lin_final = extract_linearization(F, evaluation)
         if lin_final.stability_key() != lin.stability_key():
-            if not allow_restart:
+            if pinned is not None:
                 raise LinearDataDrift(
                     "extend: linearization (nu, A, ell) changed again after the "
                     "adaptive restart; the prefix does not stabilize the data"
                 )
-            return _extend(F, prefix, target, pinned=lin_final, allow_restart=False)
+            return _extend(F, prefix, target, pinned=lin_final)
     residual = evaluation.value()
     achieved = min(target, residual.cutoff - nu_re)
     solution = DulacSeries(prefix.basis, tuple(evaluation.terms), achieved)

@@ -172,6 +172,9 @@ class TPoly:
 
     @staticmethod
     def parse(values) -> "TPoly":
+        """Polynomial from a JSON list of scalar literals, lowest degree first."""
+        if not isinstance(values, list):
+            raise ValueError(f"poly: coefficients must be a list, got {values!r}")
         return TPoly(tuple(ExactScalar.parse(v) for v in values))
 
     def __str__(self) -> str:

@@ -142,12 +142,16 @@ def test_help_exits_0(capsys):
         (lambda d: d["prefix"][0].update(exp=[True]), "prefix[0].exp"),
         (lambda d: d.update(generators=[[0.5]]), "generators[0]"),
         (lambda d: d.update(generators=[[True]]), "generators[0]"),
+        (lambda d: d["prefix"][0].update(poly="1"), "prefix[0].poly"),
+        (lambda d: d["prefix"][0].update(poly="12"), "prefix[0].poly"),
+        (lambda d: d["prefix"][0].update(poly={"1": 0}), "prefix[0].poly"),
     ],
     ids=[
         "zero_denominator_coeff", "zero_denominator_prefix_exp", "zero_denominator_prefix_poly",
         "zero_denominator_generator", "zero_denominator_basis",
         "string_n", "string_degree", "float_x", "float_y",
         "float_prefix_exp", "bool_prefix_exp", "float_generator", "bool_generator",
+        "string_prefix_poly", "digit_string_prefix_poly", "object_prefix_poly",
     ],
 )
 def test_malformed_problem_file_exits_5(tmp_path, capsys, edit, field):

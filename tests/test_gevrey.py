@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from dulac.errors import SlopeUndetermined
-from dulac.gevrey import INF, classify, fit_growth, normalized_coeffs, slope
+from dulac.gevrey import INF, classify, fit_growth, normalized_coeffs
 from dulac.scalars import ZERO, ExactScalar
 from dulac.series import DulacSeries
 from dulac.solver import LinearData, extend, extract_linearization
@@ -32,27 +32,27 @@ def _lin(basis, A, nu_sec_res):
 def test_slope_euler_is_one():
     basis = basis_one()
     lin = extract_linearization(euler_ode(), DulacSeries.zero(basis))
-    assert slope(lin) == Fraction(1)
+    assert lin.slope() == Fraction(1)
 
 
 def test_slope_convergent_is_inf():
     basis = basis_one()
     lin = extract_linearization(convergent_ode(), DulacSeries.zero(basis))
-    assert slope(lin) == INF
+    assert lin.slope() == INF
 
 
 def test_slope_minimum_over_candidates():
     basis = basis_one()
     # A_2 = 0; secondaries at Re 3 (j=1) and Re 4 (j=2): min(3/1, 4/2) = 2
     lin = _lin(basis, (1, 0, 0), (None, 3, 4))
-    assert slope(lin) == Fraction(2)
+    assert lin.slope() == Fraction(2)
 
 
 def test_slope_undetermined():
     basis = basis_one()
     lin = _lin(basis, (1, 0), (None, None))
     with pytest.raises(SlopeUndetermined):
-        slope(lin)
+        lin.slope()
 
 
 def test_normalized_coeffs_euler():

@@ -167,8 +167,6 @@ def test_choose_R():
     theta2, R2 = choose_R(Fraction(1), _gens_half_mixed())
     assert theta2 == 2 and R2 == Fraction(4)
     assert choose_R(Fraction(3), _gens_half_mixed())[1] == Fraction(12)
-    # lambda_base is accepted and does not change the bound
-    assert choose_R(Fraction(3), _gens_half_mixed(), lambda_base=g.basis.rational(5))[1] == Fraction(12)
 
 
 # -- gaps against a solved series ----------------------------------------------

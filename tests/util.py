@@ -130,7 +130,7 @@ def full_product(f: DulacSeries, g: DulacSeries) -> DulacSeries:
 
 
 def substitute_direct(ode: ODESpec, phi: DulacSeries) -> DulacSeries:
-    """Unpruned oracle for ODESpec.substitute: each monomial is evaluated on
+    """Unpruned oracle for ode.Evaluation's value: each monomial is evaluated on
     its own by repeated full products of the truncated factors, with no
     bound and no incremental update."""
     basis = phi.basis
