@@ -182,10 +182,30 @@ def _parse_coordinate(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Exponent:
-    """Exact rational coordinate vector over an ExponentBasis."""
+    """Exact rational coordinate vector over an ExponentBasis.
+
+    Equality and hashing go through the coordinates as int pairs, built once
+    per exponent, so a map keyed by exponents hashes and compares ints in C
+    instead of calling Fraction.__hash__ (pure Python, a modular inverse per
+    call) on every lookup.
+    """
 
     basis: ExponentBasis
     coords: tuple
+
+    @cached_property
+    def _ints(self) -> tuple:
+        return tuple(x for c in self.coords for x in (c.numerator, c.denominator))
+
+    def __hash__(self) -> int:
+        return hash(self._ints)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Exponent):
+            return NotImplemented
+        return self._ints == other._ints and (self.basis is other.basis or self.basis == other.basis)
 
     # -- linear arithmetic --------------------------------------------
 

@@ -35,7 +35,7 @@ from .gammafn import gamma_abs
 from .numeric import FLOAT_PRECISION, abs_scalar, to_mpf
 from .scalars import ExactScalar
 from .semigroup import Generators, decompose
-from .series import INF, DulacSeries
+from .series import INF, DulacSeries, cutoff_from_json, cutoff_to_json
 from .tpoly import TPoly, poly_norm
 
 # slack absorbing directed rounding in 128-bit float sums; far below any
@@ -180,13 +180,13 @@ class MSeries:
         return {
             "gens": self.gens.serialize(),
             "lambda_base": self.lambda_base.serialize(),
-            "cutoff": None if self.cutoff == INF else float(self.cutoff),
+            "cutoff": cutoff_to_json(self.cutoff),
             "terms": [{"m": list(m), "poly": c.serialize()} for m, c in self.terms],
         }
 
     @staticmethod
     def from_json(data: dict, gens: Generators, lambda_base: Exponent) -> "MSeries":
-        cutoff = INF if data.get("cutoff") is None else Fraction(repr(float(data["cutoff"])))
+        cutoff = cutoff_from_json(data.get("cutoff"), "mseries")
         terms = tuple((tuple(item["m"]), TPoly.parse(item["poly"])) for item in data.get("terms", []))
         return MSeries(gens, lambda_base, terms, cutoff)
 

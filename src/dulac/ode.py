@@ -140,16 +140,16 @@ def multi_indices(bounds: tuple):
 
 
 def _accumulate(acc: dict, e: Exponent, c: TPoly) -> None:
-    """acc[e] += c over terms keyed by exponent coordinates; zeros are dropped."""
-    old = acc.get(e.coords)
+    """acc[e] += c over terms (e, c) keyed by exponent; zeros are dropped."""
+    old = acc.get(e)
     if old is None:
-        acc[e.coords] = (e, c)
+        acc[e] = (e, c)
         return
     total = old[1] + c
     if total.is_zero():
-        del acc[e.coords]
+        del acc[e]
     else:
-        acc[e.coords] = (old[0], total)
+        acc[e] = (old[0], total)
 
 
 class Evaluation:
@@ -168,10 +168,10 @@ class Evaluation:
     der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002).
     Exact arithmetic makes the result independent of the order of the terms.
 
-    Each Y[q] and the value are term maps from exponent coordinates to
-    (exponent, coefficient), so a step builds no series.  A heap of
-    (key, coordinates), pushed when a coordinate first enters the value,
-    gives leading() the value's lowest term; phi is the list of terms fed so
+    Each Y[q] and the value are term maps from exponents to (exponent,
+    coefficient), so a step builds no series.  A heap of (key, coordinates,
+    exponent), pushed when an exponent first enters the value, gives
+    leading() the value's lowest term; phi is the list of terms fed so
     far, in increasing order.  The derivatives dF/dy_j along phi are read off
     the kept products, as are the mixed ones (derivative()); value() and
     derivative() build one DulacSeries when asked.
@@ -193,7 +193,7 @@ class Evaluation:
         zero = (0,) * (F.n + 1)
         one = basis.zero()
         self._Y = {q: {} for q in closure}
-        self._Y[zero] = {one.coords: (one, TPoly.ONE)}
+        self._Y[zero] = {one: (one, TPoly.ONE)}
         # highest total degree first, so that Y[q - r] still holds the old
         # value when Y[q] is updated
         self._updates = [
@@ -210,8 +210,8 @@ class Evaluation:
             self.add(e, c)
 
     def _add_value(self, e: Exponent, c: TPoly) -> None:
-        if e.coords not in self._value:
-            heappush(self._heap, (e.key, e.coords))
+        if e not in self._value:
+            heappush(self._heap, (e.key, e.coords, e))
         _accumulate(self._value, e, c)
 
     def add(self, lam: Exponent, c: TPoly) -> None:
@@ -284,24 +284,24 @@ class Evaluation:
         the head's key but other coordinates: the basis is dependent.
         """
         heap, value = self._heap, self._value
-        while heap and heap[0][1] not in value:
+        while heap and heap[0][2] not in value:
             heappop(heap)
         if not heap:
             return None
-        key, coords = heap[0]
+        key, _, e = heap[0]
         # every entry with the head's key hangs below it on a path of such keys
         ties = [1, 2]
         while ties:
             i = ties.pop()
             if i < len(heap) and heap[i][0] == key:
-                if heap[i][1] != coords and heap[i][1] in value:
+                if heap[i][2] != e and heap[i][2] in value:
                     raise UndecidableComparison(
-                        f"Evaluation: exponents {value[coords][0]} and "
-                        f"{value[heap[i][1]][0]} differ but their values are provably "
-                        "equal; the basis independence promise is broken"
+                        f"Evaluation: exponents {e} and {heap[i][2]} differ but their "
+                        "values are provably equal; the basis independence promise "
+                        "is broken"
                     )
                 ties += (2 * i + 1, 2 * i + 2)
-        head = value[coords]
+        head = value[e]
         return head if head[0].re_below(self._cutoff(self.F, phi_cutoff, bound)) else None
 
     def value(self, phi_cutoff=INF, bound=INF) -> DulacSeries:

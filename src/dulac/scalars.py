@@ -75,32 +75,23 @@ class ExactScalar:
 
     # -- arithmetic --------------------------------------------------
 
-    # Real operands take one Fraction operation: most scalars in a run are
-    # real, and the complex formulas would spend their gcds on zeros.
-
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        if self.im or other.im:
-            return ExactScalar(self.re + other.re, self.im + other.im)
-        return ExactScalar(self.re + other.re, _ZERO_Q)
+        return ExactScalar(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        if self.im or other.im:
-            return ExactScalar(self.re - other.re, self.im - other.im)
-        return ExactScalar(self.re - other.re, _ZERO_Q)
+        return ExactScalar(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "ExactScalar":
         return ExactScalar(-self.re, -self.im)
 
     def __mul__(self, other) -> "ExactScalar":
         if isinstance(other, ExactScalar):
-            if self.im or other.im:
-                return ExactScalar(
-                    self.re * other.re - self.im * other.im,
-                    self.re * other.im + self.im * other.re,
-                )
-            return ExactScalar(self.re * other.re, _ZERO_Q)
+            return ExactScalar(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
         if isinstance(other, (int, Fraction)):
-            return ExactScalar(self.re * other, self.im * other if self.im else _ZERO_Q)
+            return ExactScalar(self.re * other, self.im * other)
         return NotImplemented
 
     __rmul__ = __mul__

@@ -27,8 +27,10 @@ cutoff, since canonicalization would drop it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 
 from .errors import BasisMismatch, CutoffIncrease, SchemaError, UndecidableComparison
 from .exponents import Exponent, ExponentBasis
@@ -42,6 +44,36 @@ def _as_cutoff(c):
     if isinstance(c, float):
         return INF if c == INF else Fraction(repr(c))
     return c if isinstance(c, Fraction) else Fraction(c)
+
+
+_CUTOFF_TEXT = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
+def cutoff_to_json(c):
+    """JSON form of a cutoff: null for +inf; a float when it is exactly c and
+    reads back as c (integers, halves, ...); else the exact string "p/q", so
+    that no round trip claims a larger cutoff than holds."""
+    if c == INF:
+        return None
+    f = float(c)
+    if Fraction(f) == c == Fraction(repr(f)):
+        return f
+    return f"{c.numerator}/{c.denominator}"
+
+
+def cutoff_from_json(value, what: str):
+    """Inverse of cutoff_to_json; a number is read as its decimal literal.
+    SchemaError for anything else, a malformed "p/q" string included."""
+    if value is None:
+        return INF
+    if isinstance(value, str) and _CUTOFF_TEXT.fullmatch(value):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            pass
+    elif isinstance(value, (int, float)) and not isinstance(value, bool) and isfinite(value):
+        return _as_cutoff(value)
+    raise SchemaError(f"{what}: cutoff must be null, a number or a \"p/q\" string, got {value!r}")
 
 
 def _canonical(terms, cutoff):
@@ -131,10 +163,7 @@ class DulacSeries:
         is built: terms are sorted by Re, so the inner loop stops at the first.
         """
         if isinstance(other, (TPoly, ExactScalar, int, Fraction)):
-            k = other if isinstance(other, TPoly) else TPoly.const(
-                other if isinstance(other, ExactScalar) else ExactScalar.of(other)
-            )
-            return DulacSeries(self.basis, tuple((e, c * k) for e, c in self.terms), self.cutoff)
+            return DulacSeries(self.basis, tuple((e, c * other) for e, c in self.terms), self.cutoff)
         self._check(other)
         if self.is_zero() or other.is_zero():
             return DulacSeries(self.basis, (), min(self.cutoff, other.cutoff))
@@ -181,7 +210,7 @@ class DulacSeries:
 
     def to_json(self) -> dict:
         return {
-            "cutoff": None if self.cutoff == INF else float(self.cutoff),
+            "cutoff": cutoff_to_json(self.cutoff),
             "terms": [
                 {"exp": e.serialize(), "poly": c.serialize()} for e, c in self.terms
             ],
@@ -189,7 +218,7 @@ class DulacSeries:
 
     @staticmethod
     def from_json(data: dict, basis: ExponentBasis) -> "DulacSeries":
-        cutoff = INF if data.get("cutoff") is None else _as_cutoff(data["cutoff"])
+        cutoff = cutoff_from_json(data.get("cutoff"), "series")
         terms = []
         for i, item in enumerate(data.get("terms", [])):
             try:

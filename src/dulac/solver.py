@@ -20,7 +20,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 import mpmath
 
@@ -285,29 +284,19 @@ def solve_coefficient(L: TPoly, lam, b: TPoly) -> TPoly:
 
     The operator acts triangularly in the degree: expanding L(lam + d/dt) =
     sum_i L^(i)(lam)/i! (d/dt)^i, the top coefficient of v is fixed by
-    L(lam) alone and lower ones follow by back-substitution.  All arithmetic
-    is exact; L(lam) = 0 raises Resonance.
+    L(lam) alone and lower ones follow by back-substitution (on integers,
+    TPoly.solve_shifted).  All arithmetic is exact; L(lam) = 0 raises
+    Resonance.
     """
     lam_v = lam.value() if isinstance(lam, Exponent) else lam
-    M = L.taylor_at(lam_v)
-    if M[0].is_zero():
+    try:
+        return L.solve_shifted(lam_v, b)
+    except ZeroDivisionError:
         raise Resonance(
             f"solve_coefficient: characteristic polynomial vanishes at lambda = {lam}; "
             "the recursion has no unique polynomial solution there",
             exponent=lam,
-        )
-    if b.is_zero():
-        return TPoly.ZERO
-    D = b.degree
-    v = [ZERO] * (D + 1)
-    for d in range(D, -1, -1):
-        acc = b[d]
-        for i in range(1, len(M)):
-            if d + i <= D:
-                ff = prod(range(d + 1, d + i + 1))  # (d+i)! / d!
-                acc = acc - M[i] * (v[d + i] * Fraction(ff))
-        v[d] = acc / M[0]
-    return TPoly(tuple(v))
+        ) from None
 
 
 @dataclass(frozen=True)

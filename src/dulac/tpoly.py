@@ -1,42 +1,87 @@
-"""Dense polynomials in the logarithm variable t, over ExactScalar.
+"""Dense polynomials in the logarithm variable t, with exact complex
+rational coefficients.
 
-Coefficients are stored lowest degree first with trailing zeros stripped, so
-two equal polynomials always have equal tuples.  The degree of the zero
-polynomial is -inf.
+A polynomial is stored content-free over the integers, the layout of
+FLINT's fmpq_poly (Hart, ICMS 2010) and the content/primitive-part form of
+von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6: one positive int
+denominator den and int numerator tuples re and im, lowest degree first, so
+that coefficient k is (re[k] + im[k] i) / den.  im is None when every
+imaginary part is zero.  Trailing zero coefficients are stripped and
+gcd(den, re..., im...) = 1, so equal polynomials have equal fields and equal
+hashes.  The degree of the zero polynomial is -inf.
+
+Sums, differences, products by scalars and polynomials, deriv, shift_apply,
+Taylor expansion, the back-substitution of solve_shifted and poly_norm all
+run on Python ints, with one gcd per result to restore the content-free
+form.  ExactScalar coefficients are built only at the API edge (coeffs,
+indexing, serialize, str, __call__, taylor_at) and are reduced like any
+other Fraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import gcd, lcm, prod
 
 import mpmath
+from mpmath.libmp import from_rational
 
-from .numeric import FLOAT_PRECISION, abs_scalar, to_mpf
+from .numeric import FLOAT_PRECISION, to_mpf
 from .scalars import _ZERO_Q, ExactScalar, ZERO
 
 NEG_INF = float("-inf")
 
 
-def _strip(coeffs) -> tuple:
-    cs = list(coeffs)
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return tuple(cs)
+def _normal(den: int, re, im) -> "TPoly":
+    """The TPoly with coefficients (re[k] + im[k] i) / den for a nonzero int
+    den and int sequences re and im (im None or as long as re): trailing
+    zeros stripped, content divided out, den made positive."""
+    n = len(re)
+    if im is None:
+        while n and not re[n - 1]:
+            n -= 1
+    else:
+        while n and not re[n - 1] and not im[n - 1]:
+            n -= 1
+        im = im[:n] if any(im) else None
+    if not n:
+        return TPoly.ZERO
+    re = re[:n]
+    g = gcd(den, *re, *im) if im else gcd(den, *re)
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        re = [x // g for x in re]
+        if im:
+            im = [x // g for x in im]
+    return TPoly._raw(den, tuple(re), None if im is None else tuple(im))
 
 
-def _integer_parts(coeffs) -> tuple:
-    """(d, re, im): every coefficient is (re[k] + im[k] i) / d with integers
-    re[k], im[k] and d the lcm of all the part denominators; im is None when
-    every imaginary part is zero."""
-    d = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
-    re = [c.re.numerator * (d // c.re.denominator) for c in coeffs]
-    im = [c.im.numerator * (d // c.im.denominator) for c in coeffs]
-    return d, re, im if any(im) else None
+def _scalar_parts(k) -> tuple:
+    """(d, a, b) with k = (a + b i) / d for ints d > 0, a, b, for an
+    ExactScalar, int or Fraction k."""
+    if not isinstance(k, ExactScalar):
+        k = Fraction(k)
+        return k.denominator, k.numerator, 0
+    re, im = k.re, k.im
+    if not im:
+        return re.denominator, re.numerator, 0
+    d = lcm(re.denominator, im.denominator)
+    return d, re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
 
 
-def _convolve(a: list, b: list) -> list:
+def _combine(x, mx: int, y, my: int) -> list:
+    """mx * x + my * y elementwise, the shorter sequence padded with zeros."""
+    if len(x) < len(y):
+        x, mx, y, my = y, my, x, mx
+    out = [mx * a for a in x] if mx != 1 else list(x)
+    for k, b in enumerate(y):
+        out[k] += my * b
+    return out
+
+
+def _convolve(a, b) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -45,39 +90,43 @@ def _convolve(a: list, b: list) -> list:
     return out
 
 
-def _product(a: tuple, b: tuple) -> "TPoly":
-    """Product of two nonzero coefficient tuples over a common denominator.
-
-    The numerators are convolved as Gaussian integers, skipping the
-    imaginary convolutions of a real factor, and each output coefficient is
-    reduced once, so a product costs one gcd per output part instead of a
-    dozen per coefficient pair (the content/primitive-part idea of von zur
-    Gathen & Gerhard, Modern Computer Algebra, ch. 6).
-    """
-    da, a_re, a_im = _integer_parts(a)
-    db, b_re, b_im = _integer_parts(b)
-    re = _convolve(a_re, b_re)
-    im = [0] * len(re)
-    if a_im is not None and b_im is not None:
-        re = [x - y for x, y in zip(re, _convolve(a_im, b_im))]
-    if b_im is not None:
-        im = _convolve(a_re, b_im)
-    if a_im is not None:
-        im = [x + y for x, y in zip(im, _convolve(a_im, b_re))]
-    d = da * db
-    return TPoly(tuple(
-        ExactScalar(Fraction(x, d), Fraction(y, d) if y else _ZERO_Q) for x, y in zip(re, im)
-    ))
-
-
-@dataclass(frozen=True)
 class TPoly:
-    """Polynomial in t with exact complex coefficients."""
+    """Polynomial in t with exact complex coefficients; immutable."""
 
-    coeffs: tuple
+    __slots__ = ("den", "re", "im", "_coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _strip(self.coeffs))
+    def __init__(self, coeffs=()):
+        """The polynomial sum coeffs[k] t^k for a sequence of ExactScalars."""
+        coeffs = tuple(coeffs)
+        while coeffs and coeffs[-1].is_zero():
+            coeffs = coeffs[:-1]
+        d = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
+        re = tuple(c.re.numerator * (d // c.re.denominator) for c in coeffs)
+        im = tuple(c.im.numerator * (d // c.im.denominator) for c in coeffs)
+        _set = object.__setattr__
+        _set(self, "den", d)
+        _set(self, "re", re)
+        _set(self, "im", im if any(im) else None)
+        _set(self, "_coeffs", coeffs)
+
+    @staticmethod
+    def _raw(den: int, re: tuple, im) -> "TPoly":
+        """A TPoly from fields already in content-free form."""
+        p = object.__new__(TPoly)
+        _set = object.__setattr__
+        _set(p, "den", den)
+        _set(p, "re", re)
+        _set(p, "im", im)
+        _set(p, "_coeffs", None)
+        return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TPoly is immutable; cannot set {name}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return TPoly._raw, (self.den, self.re, self.im)
 
     # -- construction ---------------------------------------------------
 
@@ -102,68 +151,216 @@ class TPoly:
     # -- queries ----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as ExactScalars, lowest degree first; built once."""
+        cs = self._coeffs
+        if cs is None:
+            d = self.den
+            im = self.im or (0,) * len(self.re)
+            cs = tuple(
+                ExactScalar(Fraction(x, d), Fraction(y, d) if y else _ZERO_Q)
+                for x, y in zip(self.re, im)
+            )
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.re) - 1 if self.re else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.re)
 
     def __getitem__(self, j: int) -> ExactScalar:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else ZERO
+        return self.coeffs[j] if 0 <= j < len(self.re) else ZERO
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TPoly):
+            return NotImplemented
+        return self.den == other.den and self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.den, self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"TPoly({self})"
 
     # -- arithmetic --------------------------------------------------------
 
+    def _linear(self, other: "TPoly", sign: int) -> "TPoly":
+        """self + sign * other over the least common denominator."""
+        da, db = self.den, other.den
+        if da == db:
+            ma, mb = 1, sign
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, sign * (da // g)
+        re = _combine(self.re, ma, other.re, mb)
+        if self.im is None and other.im is None:
+            im = None
+        else:
+            im = _combine(self.im or (), ma, other.im or (), mb)
+            im += [0] * (len(re) - len(im))
+        return _normal(da * ma, re, im)
+
     def __add__(self, other: "TPoly") -> "TPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPoly(tuple(self[j] + other[j] for j in range(n)))
+        if not other.re:
+            return self
+        if not self.re:
+            return other
+        return self._linear(other, 1)
 
     def __sub__(self, other: "TPoly") -> "TPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPoly(tuple(self[j] - other[j] for j in range(n)))
+        if not other.re:
+            return self
+        return self._linear(other, -1)
 
     def __neg__(self) -> "TPoly":
-        return TPoly(tuple(-c for c in self.coeffs))
+        return TPoly._raw(
+            self.den,
+            tuple(-x for x in self.re),
+            None if self.im is None else tuple(-y for y in self.im),
+        )
+
+    def _scale(self, d: int, a: int, b: int) -> "TPoly":
+        """self * (a + b i) / d."""
+        re, im = self.re, self.im
+        if im is None:
+            return _normal(self.den * d, [a * x for x in re], [b * x for x in re] if b else None)
+        return _normal(
+            self.den * d,
+            [a * x - b * y for x, y in zip(re, im)],
+            [a * y + b * x for x, y in zip(re, im)],
+        )
 
     def __mul__(self, other) -> "TPoly":
-        if isinstance(other, (ExactScalar, int, Fraction)):
-            k = other if isinstance(other, ExactScalar) else ExactScalar.of(other)
-            return TPoly(tuple(c * k for c in self.coeffs))
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return TPoly(())
-        return _product(self.coeffs, other.coeffs)
+        if isinstance(other, TPoly):
+            if not self.re or not other.re:
+                return TPoly.ZERO
+            a_re, a_im, b_re, b_im = self.re, self.im, other.re, other.im
+            re = _convolve(a_re, b_re)
+            if a_im is None and b_im is None:
+                return _normal(self.den * other.den, re, None)
+            # Gaussian-integer convolution, skipping the products of a real factor
+            im = [0] * len(re)
+            if a_im is not None and b_im is not None:
+                re = [x - y for x, y in zip(re, _convolve(a_im, b_im))]
+            if b_im is not None:
+                im = _convolve(a_re, b_im)
+            if a_im is not None:
+                im = [x + y for x, y in zip(im, _convolve(a_im, b_re))]
+            return _normal(self.den * other.den, re, im)
+        if isinstance(other, ExactScalar):
+            return self._scale(*_scalar_parts(other))
+        if isinstance(other, int):
+            return self._scale(1, other, 0)
+        if isinstance(other, Fraction):
+            return self._scale(other.denominator, other.numerator, 0)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def deriv(self) -> "TPoly":
-        return TPoly(tuple(c * j for j, c in enumerate(self.coeffs) if j > 0))
+        re, im = self.re, self.im
+        return _normal(
+            self.den,
+            [k * re[k] for k in range(1, len(re))],
+            None if im is None else [k * im[k] for k in range(1, len(im))],
+        )
 
     def shift_apply(self, lam: ExactScalar) -> "TPoly":
         """Apply the operator (lam + d/dt) to this polynomial."""
-        return self * lam + self.deriv()
+        if not self.re:
+            return self
+        d, a, b = _scalar_parts(lam)
+        re, n = self.re, len(self.re)
+        dre = [d * k * re[k] for k in range(1, n)] + [0]  # d * (d/dt)
+        if self.im is None:
+            out_re = [a * x + y for x, y in zip(re, dre)]
+            out_im = [b * x for x in re] if b else None
+        else:
+            im = self.im
+            dim = [d * k * im[k] for k in range(1, n)] + [0]
+            out_re = [a * x - b * y + z for x, y, z in zip(re, im, dre)]
+            out_im = [a * y + b * x + z for x, y, z in zip(re, im, dim)]
+        return _normal(self.den * d, out_re, out_im)
+
+    def _taylor_numerators(self, z) -> tuple:
+        """(D, m_re, m_im) with p^(i)(z) / i! = (m_re[i] + m_im[i] i) / D for
+        i = 0..degree (one entry for the zero polynomial), m_im None when
+        every entry is real.
+
+        An integer Taylor shift: with z = w / e, the numerators of
+        e^n p(t) = sum c_k e^(n-k) (e t)^k are shifted by the Gaussian
+        integer w with Horner's scheme (von zur Gathen & Gerhard, ch. 4).
+        """
+        e, wr, wi = _scalar_parts(z)
+        re = self.re or (0,)
+        im = self.im or (0,) * len(re)
+        n = len(re) - 1
+        scale = [e**k for k in range(n + 1)]
+        br = [x * scale[n - k] for k, x in enumerate(re)]
+        bi = [y * scale[n - k] for k, y in enumerate(im)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                xr, xi = br[j + 1], bi[j + 1]
+                br[j] += wr * xr - wi * xi
+                bi[j] += wr * xi + wi * xr
+        m_im = [y * scale[i] for i, y in enumerate(bi)]
+        return self.den * scale[n], [x * scale[i] for i, x in enumerate(br)], m_im if any(m_im) else None
 
     def __call__(self, z: ExactScalar) -> ExactScalar:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return self.taylor_at(z)[0]
 
     def taylor_at(self, z: ExactScalar) -> list:
         """Coefficients [p(z), p'(z)/1!, p''(z)/2!, ...] up to the degree."""
-        if self.is_zero():
-            return [ZERO]
-        out = []
-        p = self
-        i = 0
-        while not p.is_zero():
-            out.append(p(z) * Fraction(1, factorial(i)))
-            p = p.deriv()
-            i += 1
-        return out
+        D, m_re, m_im = self._taylor_numerators(z)
+        return [
+            ExactScalar(Fraction(x, D), Fraction(y, D) if y else _ZERO_Q)
+            for x, y in zip(m_re, m_im or (0,) * len(m_re))
+        ]
+
+    def solve_shifted(self, lam, b: "TPoly") -> "TPoly":
+        """The unique v with L(lam + d/dt) v = b for this polynomial L;
+        ZeroDivisionError when L(lam) = 0.
+
+        Back-substitution on Gaussian integers, from the top degree D of b
+        down.  With L^(i)(lam)/i! = m_i / mD, b_d = B_d / bD and
+        1/m_0 = c / N (c = 1, N = m_0 for a real m_0; c = conj(m_0),
+        N = |m_0|^2 otherwise), v_d = W_d / (bD N^(D-d+1)) with
+        W_d = c (mD B_d N^(D-d) - sum_i m_i (d+i)!/d! W_(d+i) N^(i-1)).
+        """
+        mD, m_re, m_im = self._taylor_numerators(lam)
+        m_im = m_im or [0] * len(m_re)
+        if not m_re[0] and not m_im[0]:
+            raise ZeroDivisionError("solve_shifted: L(lam) = 0")
+        if not b.re:
+            return TPoly.ZERO
+        D = len(b.re) - 1
+        if m_im[0]:
+            N, c_re, c_im = m_re[0] ** 2 + m_im[0] ** 2, m_re[0], -m_im[0]
+        else:
+            N, c_re, c_im = m_re[0], 1, 0
+        Np = [N**k for k in range(D + 2)]
+        B_re, B_im = b.re, b.im or (0,) * (D + 1)
+        W_re, W_im = [0] * (D + 1), [0] * (D + 1)
+        for d in range(D, -1, -1):
+            s_re, s_im = mD * B_re[d] * Np[D - d], mD * B_im[d] * Np[D - d]
+            for i in range(1, min(len(m_re), D - d + 1)):
+                f = prod(range(d + 1, d + i + 1)) * Np[i - 1]  # (d+i)!/d! N^(i-1)
+                x_re, x_im = W_re[d + i] * f, W_im[d + i] * f
+                s_re -= m_re[i] * x_re - m_im[i] * x_im
+                s_im -= m_re[i] * x_im + m_im[i] * x_re
+            W_re[d], W_im[d] = c_re * s_re - c_im * s_im, c_re * s_im + c_im * s_re
+        # over the common denominator bD N^(D+1), v_d has numerator W_d N^d
+        return _normal(
+            b.den * Np[D + 1],
+            [w * Np[d] for d, w in enumerate(W_re)],
+            [w * Np[d] for d, w in enumerate(W_im)],
+        )
 
     # -- formatting ---------------------------------------------------------
 
@@ -178,7 +375,7 @@ class TPoly:
         return TPoly(tuple(ExactScalar.parse(v) for v in values))
 
     def __str__(self) -> str:
-        if self.is_zero():
+        if not self.re:
             return "0"
         parts = []
         for j, c in enumerate(self.coeffs):
@@ -197,17 +394,22 @@ def poly_norm(p: TPoly, R, prec: int = FLOAT_PRECISION) -> mpmath.mpf:
     """Weighted coefficient norm: sum of |a_j| R^j over the coefficients.
 
     R must exceed 1 so that the norm is monotone in the degree direction and
-    submultiplicative.  The result is an mpf at prec bits.
+    submultiplicative.  The result is an mpf at prec bits.  Each |a_j| is the
+    square root of the exact (re_j^2 + im_j^2) / den^2, rounded once to prec
+    bits, as numeric.abs_scalar rounds the same rational.
     """
     Rq = Fraction(R) if not isinstance(R, float) else Fraction(repr(R))
     if Rq <= 1:
         raise ValueError(f"poly_norm: weight R must exceed 1, got {R}")
+    den2 = p.den * p.den
+    im = p.im or (0,) * len(p.re)
     with mpmath.workprec(prec):
         Rm = to_mpf(Rq, prec)
         acc = mpmath.mpf(0)
         power = mpmath.mpf(1)
-        for c in p.coeffs:
-            if not c.is_zero():
-                acc += abs_scalar(c, prec) * power
+        for x, y in zip(p.re, im):
+            sq = x * x + y * y
+            if sq:
+                acc += mpmath.sqrt(mpmath.mp.make_mpf(from_rational(sq, den2, prec))) * power
             power *= Rm
         return acc

@@ -185,3 +185,14 @@ def test_key_order_matches_certified_interval_signs(entries, data):
             assert a.re_below(c.re_mid) == (re_s < 0)
     ordered = sorted(exps, key=lambda e: e.key)
     assert all(exp_compare(x, y) <= 0 for x, y in zip(ordered, ordered[1:]))
+
+
+def test_equal_exponents_are_one_map_key():
+    basis = ExponentBasis(["1", "1+1i"])
+    e = basis.exponent([Fraction(1, 2), 3])
+    f = basis.exponent([Fraction(1, 4), 1]) + basis.exponent([Fraction(1, 4), 2])
+    assert e == f and hash(e) == hash(f) and e is not f
+    assert {e: "x"}[f] == "x"
+    assert e != basis.exponent([Fraction(1, 2), 2])
+    assert e != ExponentBasis(["1", "1+2i"]).exponent(e.coords)
+    assert e != e.coords

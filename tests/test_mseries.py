@@ -1,5 +1,6 @@
 """Multivariate tail image: transport, derivation, graded norms, estimates."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from dulac.errors import (
     CutoffIncrease,
     ExponentOutsideSemigroup,
     PreconditionViolated,
+    SchemaError,
 )
 from dulac.mseries import (
     MSeries,
@@ -158,6 +160,29 @@ def test_json_roundtrip():
     clipped = ms.truncate(2) if ms.cutoff == INF else ms
     back2 = MSeries.from_json(clipped.to_json(), g, ms.lambda_base)
     assert back2 == clipped
+
+
+@pytest.mark.parametrize(
+    "cutoff, written",
+    [(Fraction(5, 7), "5/7"), (Fraction(4, 3), "4/3"), (Fraction(4), 4.0), (Fraction(7, 2), 3.5)],
+    ids=["5/7", "4/3", "integer", "7/2"],
+)
+def test_json_roundtrip_keeps_exact_cutoff(cutoff, written):
+    g = _gens_one()
+    ms = _ms(g, (((1,), TPoly.ONE), ((2,), TPoly.T)), cutoff=cutoff)
+    data = json.loads(json.dumps(ms.to_json()))
+    assert data["cutoff"] == written
+    back = MSeries.from_json(data, g, ms.lambda_base)
+    assert back.cutoff == cutoff
+    assert back == ms
+
+
+@pytest.mark.parametrize("cutoff", ["5/0", "five", "1.5", False])
+def test_from_json_rejects_malformed_cutoff(cutoff):
+    g = _gens_one()
+    ms = _ms(g, (((1,), TPoly.ONE),), cutoff=3)
+    with pytest.raises(SchemaError, match="cutoff"):
+        MSeries.from_json({"cutoff": cutoff, "terms": []}, g, ms.lambda_base)
 
 
 # -- transport ----------------------------------------------------------------

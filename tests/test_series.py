@@ -1,5 +1,6 @@
 """DulacSeries: canonical form, ring laws, derivation, cutoff propagation."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -171,6 +172,35 @@ def test_json_roundtrip_finite_cutoff():
     g = DulacSeries.from_json(data, basis)
     assert g == f
     assert g.cutoff == Fraction(7, 2)
+
+
+@pytest.mark.parametrize(
+    "cutoff, written",
+    [(Fraction(5, 7), "5/7"), (Fraction(1, 3), "1/3"), (Fraction(-2, 3), "-2/3"), (Fraction(4), 4.0),
+     (Fraction(1, 10), "1/10"), (Fraction(1, 2**70), f"1/{2**70}")],
+    ids=["5/7", "1/3", "-2/3", "integer", "1/10", "tiny_dyadic"],
+)
+def test_json_roundtrip_keeps_exact_cutoff(cutoff, written):
+    # a cutoff is written as a float only when that float reads back as it
+    basis = basis_one()
+    f = DulacSeries(basis, ((basis.rational(cutoff - 1), TPoly.ONE),), cutoff)
+    data = json.loads(json.dumps(f.to_json()))
+    assert data["cutoff"] == written
+    g = DulacSeries.from_json(data, basis)
+    assert g.cutoff == cutoff
+    assert g == f
+
+
+@pytest.mark.parametrize("cutoff", ["5/0", "5/7.0", "1 /3", "abc", "", True, [5], {}])
+def test_from_json_rejects_malformed_cutoff(cutoff):
+    with pytest.raises(SchemaError, match="cutoff"):
+        DulacSeries.from_json({"cutoff": cutoff, "terms": []}, basis_one())
+
+
+def test_from_json_reads_number_cutoffs_as_decimals():
+    assert DulacSeries.from_json({"cutoff": 3, "terms": []}, basis_one()).cutoff == 3
+    assert DulacSeries.from_json({"cutoff": 0.1, "terms": []}, basis_one()).cutoff == Fraction(1, 10)
+    assert DulacSeries.from_json({"cutoff": "7/2", "terms": []}, basis_one()).cutoff == Fraction(7, 2)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 """Polynomial coefficients in t and the weighted norm."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
@@ -9,8 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dulac.scalars import ExactScalar
-from dulac.tpoly import TPoly, poly_norm
-from .util import random_poly, schoolbook_product
+from dulac.tpoly import TPoly, _normal, poly_norm
+from .util import (
+    poly_deriv_oracle,
+    poly_linear_oracle,
+    poly_norm_oracle,
+    poly_scale_oracle,
+    poly_shift_apply_oracle,
+    poly_taylor_oracle,
+    poly_value_oracle,
+    random_poly,
+    schoolbook_product,
+)
 
 
 def test_construction_strips_trailing_zeros():
@@ -63,13 +76,130 @@ def _tpolys(draw):
     return TPoly(tuple(coeffs))
 
 
+@st.composite
+def _scalars(draw):
+    """A complex, real or purely imaginary ExactScalar."""
+    kind = draw(st.sampled_from(("real", "imaginary", "complex")))
+    re = Fraction(0) if kind == "imaginary" else draw(_PARTS)
+    im = Fraction(0) if kind == "real" else draw(_PARTS)
+    return ExactScalar(re, im)
+
+
+# every multiplier TPoly accepts: ExactScalar, int and Fraction
+_MULTIPLIERS = st.one_of(_scalars(), st.integers(-30, 30), _PARTS)
+
+
+def assert_canonical(p: TPoly):
+    """The content-free form: positive denominator, content 1, no trailing
+    zero coefficient, im None exactly when every imaginary part is zero."""
+    assert isinstance(p.den, int) and p.den > 0
+    assert isinstance(p.re, tuple) and all(isinstance(x, int) for x in p.re)
+    if p.is_zero():
+        assert (p.den, p.re, p.im) == (1, (), None)
+        return
+    assert p.im is None or (isinstance(p.im, tuple) and len(p.im) == len(p.re))
+    im = p.im or (0,) * len(p.re)
+    assert gcd(p.den, *p.re, *im) == 1
+    assert p.re[-1] or im[-1]
+    assert (p.im is None) == all(c.im == 0 for c in p.coeffs)
+    assert p.coeffs == tuple(
+        ExactScalar(Fraction(x, p.den), Fraction(y, p.den)) for x, y in zip(p.re, im)
+    )
+
+
+def assert_same(got: TPoly, want: TPoly):
+    assert_canonical(got)
+    assert got == want
+    assert hash(got) == hash(want)
+    assert got.serialize() == want.serialize()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_tpolys(), _tpolys())
 def test_product_matches_schoolbook_oracle(p, q):
-    prod = p * q
-    want = schoolbook_product(p, q)
-    assert prod == want
-    assert prod.serialize() == want.serialize()
+    assert_same(p * q, schoolbook_product(p, q))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_tpolys(), _tpolys())
+def test_sum_difference_negation_match_oracle(p, q):
+    assert_same(p + q, poly_linear_oracle(p, q, 1))
+    assert_same(p - q, poly_linear_oracle(p, q, -1))
+    assert_same(-p, poly_scale_oracle(p, -1))
+    assert_same(p - p, TPoly.ZERO)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_tpolys(), _MULTIPLIERS)
+def test_scalar_product_matches_oracle(p, k):
+    want = poly_scale_oracle(p, k)
+    assert_same(p * k, want)
+    assert_same(k * p, want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_tpolys(), _scalars())
+def test_deriv_and_shift_apply_match_oracle(p, lam):
+    assert_same(p.deriv(), poly_deriv_oracle(p))
+    assert_same(p.shift_apply(lam), poly_shift_apply_oracle(p, lam))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_tpolys(), _scalars())
+def test_value_and_taylor_match_oracle(p, z):
+    assert p(z) == poly_value_oracle(p, z)
+    assert p.taylor_at(z) == poly_taylor_oracle(p, z)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_tpolys(), _tpolys())
+def test_canonical_form_is_unique(p, q):
+    assert_canonical(p)
+    # equal values reached by different routes are equal objects
+    assert_same((p + q) - q, p)
+    assert_same(TPoly(p.coeffs), p)
+    assert_same(TPoly(p.coeffs + (ExactScalar.of(0),)), p)
+    assert_same(TPoly.parse(p.serialize()), p)
+    im = None if p.im is None else [3 * y for y in p.im]
+    assert_same(_normal(3 * p.den, [3 * x for x in p.re], im), p)
+    assert_same(_normal(-3 * p.den, [-3 * x for x in p.re], im and [-y for y in im]), p)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_tpolys(), st.fractions(min_value=Fraction(11, 10), max_value=20, max_denominator=12))
+def test_norm_equals_abs_scalar_sum_exactly(p, R):
+    for prec in (53, 128):
+        got, want = poly_norm(p, R, prec), poly_norm_oracle(p, R, prec)
+        assert got == want
+        assert got.man_exp == want.man_exp  # same mantissa and exponent, bit for bit
+
+
+def test_arithmetic_builds_no_scalar(monkeypatch):
+    """Sums, products, deriv and shift_apply run on ints: no ExactScalar is
+    built until a coefficient is read."""
+    rng = random.Random(11)
+    polys = [random_poly(rng, 5) for _ in range(12)]
+    polys = [-(-p) for p in polys]  # equal polynomials without cached coefficients
+    lam = ExactScalar(Fraction(3, 4), Fraction(-2, 5))
+    real = ExactScalar.of(Fraction(5, 6))
+    built = []
+    monkeypatch.setattr(ExactScalar, "__post_init__", lambda self: built.append(self))
+    for p, q in zip(polys, polys[1:]):
+        r = p * q + p - q
+        r = -(r * lam) + r * real + r * 3 + r * Fraction(2, 7)
+        r.deriv().shift_apply(lam).shift_apply(real).degree
+        assert r == r and hash(r) == hash(r) and r.is_zero() in (True, False)
+    assert built == []
+    assert polys[0].coeffs
+    assert built
+
+
+def test_immutable_and_picklable():
+    p = TPoly.of("1/2", "3/4+1/3i")
+    with pytest.raises(AttributeError):
+        p.den = 3
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert copy.deepcopy(p) == p
 
 
 def test_deriv_and_shift_apply():

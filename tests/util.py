@@ -3,7 +3,10 @@
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
+
 from dulac.exponents import ExponentBasis
+from dulac.numeric import abs_scalar, to_mpf
 from dulac.ode import ODESpec
 from dulac.scalars import ExactScalar
 from dulac.series import INF, DulacSeries
@@ -148,3 +151,62 @@ def substitute_direct(ode: ODESpec, phi: DulacSeries) -> DulacSeries:
         cap = (ode.declared_degree + 1) * min(Fraction(1), phi.val())
         total = total.truncate(min(total.cutoff, cap))
     return total
+
+
+# -- ExactScalar-formula oracles for TPoly ----------------------------------
+# Each works coefficient by coefficient on ExactScalars, with the formulas a
+# TPoly of ExactScalar coefficients would use, and builds its result through
+# the public TPoly(tuple_of_ExactScalar) constructor.
+
+
+def poly_linear_oracle(p: TPoly, q: TPoly, sign: int) -> TPoly:
+    """p + sign * q for sign = +1 or -1."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    return TPoly(tuple(p[j] + q[j] * sign for j in range(n)))
+
+
+def poly_scale_oracle(p: TPoly, k) -> TPoly:
+    """p * k for an ExactScalar, int or Fraction k."""
+    k = k if isinstance(k, ExactScalar) else ExactScalar.of(k)
+    return TPoly(tuple(c * k for c in p.coeffs))
+
+
+def poly_deriv_oracle(p: TPoly) -> TPoly:
+    return TPoly(tuple(c * j for j, c in enumerate(p.coeffs) if j > 0))
+
+
+def poly_shift_apply_oracle(p: TPoly, lam: ExactScalar) -> TPoly:
+    """(lam + d/dt) p."""
+    return poly_linear_oracle(poly_scale_oracle(p, lam), poly_deriv_oracle(p), 1)
+
+
+def poly_value_oracle(p: TPoly, z: ExactScalar) -> ExactScalar:
+    """p(z) by Horner's rule over ExactScalars."""
+    acc = ExactScalar.of(0)
+    for c in reversed(p.coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def poly_taylor_oracle(p: TPoly, z: ExactScalar) -> list:
+    """[p(z), p'(z)/1!, p''(z)/2!, ...] up to the degree; [0] for p = 0."""
+    out, i, fact = [], 0, 1
+    while True:
+        out.append(poly_value_oracle(p, z) * Fraction(1, fact))
+        p = poly_deriv_oracle(p)
+        if p.is_zero():
+            return out
+        i += 1
+        fact *= i
+
+
+def poly_norm_oracle(p: TPoly, R, prec: int = 128):
+    """Weighted norm sum |a_j| R^j, each |a_j| from numeric.abs_scalar."""
+    with mpmath.workprec(prec):
+        Rm = to_mpf(Fraction(R), prec)
+        acc, power = mpmath.mpf(0), mpmath.mpf(1)
+        for c in p.coeffs:
+            if not c.is_zero():
+                acc += abs_scalar(c, prec) * power
+            power *= Rm
+        return acc
