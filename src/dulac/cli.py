@@ -49,7 +49,6 @@ from .exponents import DEFAULT_PRECISION, MAX_PRECISION, Exponent, ExponentBasis
 from .gevrey import classify
 from .mseries import MSeries, NormParams, check_lemma5, check_lemma6, fit_degree_K, iota as iota_map, iota_inv, majorant_bound
 from .ode import ODESpec
-from .scalars import ExactScalar
 from .semigroup import Generators, choose_R, exponent_gaps, suggest_generators, validate_generators
 from .series import DulacSeries, INF
 from .solver import check_conditions, extend, extract_linearization, reduce_equation
@@ -374,18 +373,20 @@ def _cmd_iota(problem: Problem, args) -> int:
     return EXIT_OK
 
 
-def _random_scalar(rng) -> ExactScalar:
-    re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    im = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-    return ExactScalar(re, im)
-
-
 def _random_poly(rng, max_deg: int) -> TPoly:
+    """Coefficients a/b + (c/d) i with a in [-4, 4], c in [-2, 2] and b, d in
+    [1, 3], drawn in that order; a zero leading coefficient becomes 1.  Every
+    denominator divides 6, so the numerators are built over 6."""
     deg = rng.randint(0, max_deg)
-    coeffs = [_random_scalar(rng) for _ in range(deg + 1)]
-    if coeffs[-1].is_zero():
-        coeffs[-1] = ExactScalar.of(1)
-    return TPoly(tuple(coeffs))
+    re, im = [], []
+    for _ in range(deg + 1):
+        a, b = rng.randint(-4, 4), rng.randint(1, 3)
+        c, d = rng.randint(-2, 2), rng.randint(1, 3)
+        re.append(a * (6 // b))
+        im.append(c * (6 // d))
+    if not re[-1] and not im[-1]:
+        re[-1] = 6
+    return TPoly.from_ints(6, re, im)
 
 
 def _random_mseries(rng, gens: Generators, lambda_base: Exponent, max_deg_for=None) -> MSeries:
@@ -422,11 +423,16 @@ def _cmd_check_norms(problem: Problem, args) -> int:
 
     trials5, rejects5 = 25, 8
     lemma5_fail = 0
+    # l is drawn from {0,1,2}^kappa; when no such l meets the slope gate of
+    # j = level + 1 (s above Re<(2,...,2),r>), the trial checks j = level
+    box_re = gens.m_re((2,) * gens.kappa)
     for _ in range(trials5):
         level = rng.randint(0, 1)
         j = level + rng.randint(0, 1)
         p5 = NormParams(R=R, s=s, Kcal=Kcal, j=level, tol=problem.tolerance)
         gate = Fraction(j - level) * s
+        if gate > box_re:
+            j, gate = level, Fraction(0)
         while True:
             l = tuple(rng.randint(0, 2) for _ in range(gens.kappa))
             if any(l) and gens.m_re(l) >= gate:

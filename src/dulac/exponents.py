@@ -114,6 +114,7 @@ class ExponentBasis:
             raise ValueError(f"ExponentBasis: precision {precision} is too small")
         self.entries = parsed
         self.precision = min(precision, MAX_PRECISION)
+        self._hash = hash((parsed, self.precision))
         self.exact = all(e.exact for e in parsed)
         self._one_index = next(
             (i for i, e in enumerate(parsed) if e.exact and e.re == 1 and e.im == 0), None
@@ -131,7 +132,7 @@ class ExponentBasis:
         )
 
     def __hash__(self) -> int:
-        return hash((self.entries, self.precision))
+        return self._hash
 
     def __repr__(self) -> str:
         lits = ", ".join(e.literal for e in self.entries)

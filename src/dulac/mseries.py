@@ -11,6 +11,10 @@ and the graded norms
     ||g||_j = sum_m (|lambda_base + <m,r>| + Kcal |m|)^j / |Gamma(<m,r>/s)| * ||C_m||_R
 
 measure tails in the scale of spaces used to run the contraction argument.
+The per-m constants |Gamma(<m,r>/s)| and the weight are computed once per
+multi-index m for each generator set, base exponent and NormParams, and the
+weight only when a norm or estimate raises it to a nonzero power (level
+j > 0), so the level-0 norms never compute it.
 check_lemma5/check_lemma6/majorant_bound evaluate both sides of the
 corresponding operator estimates on concrete data; they are finite-data
 consequences of the triangle inequality and norm submultiplicativity, so a
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -41,6 +46,7 @@ from .tpoly import TPoly, poly_norm
 # slack absorbing directed rounding in 128-bit float sums; far below any
 # genuine estimate violation, far above accumulated arithmetic error
 _ROUNDING_SLACK = 1e-25
+_ONE = mpmath.mpf(1)
 
 
 @dataclass(frozen=True)
@@ -230,34 +236,62 @@ def fit_degree_K(g: MSeries) -> Fraction:
 # -- graded norms and estimate checks ------------------------------------------
 
 
-def _weight(g: MSeries, m, p: NormParams) -> mpmath.mpf:
-    """|lambda_base + <m,r>| + Kcal |m| at the working precision."""
-    lam = ExactScalar(
-        g.lambda_base.re_mid + g.gens.m_re(m), g.lambda_base.im_mid + g.gens.m_im(m)
-    )
-    return abs_scalar(lam) + to_mpf(p.Kcal) * sum(m)
+class _NormTable:
+    """The per-multi-index constants of one graded norm: |Gamma(<m,r>/s)|
+    and the weight |lambda_base + <m,r>| + Kcal |m|, each computed once per m
+    on first use.  The weight is computed only when a nonzero power of it is
+    asked for.  Both are rounded at FLOAT_PRECISION, as every caller works at
+    that precision."""
+
+    def __init__(self, gens: Generators, lambda_base: Exponent | None, p: NormParams):
+        self.gens, self.lambda_base, self.p = gens, lambda_base, p
+        self._gamma, self._weight = {}, {}
+
+    def gamma(self, m) -> mpmath.mpf:
+        """|Gamma(<m,r>/s)| at the norm's tolerance."""
+        value = self._gamma.get(m)
+        if value is None:
+            re, im = self.gens.m_parts(m)
+            s = self.p.s
+            value = self._gamma[m] = gamma_abs(ExactScalar(re / s, im / s), self.p.tol)
+        return value
+
+    def weight_pow(self, m, e: int) -> mpmath.mpf:
+        """The weight of m to the power e, at the caller's working precision."""
+        if not e:
+            return _ONE
+        w = self._weight.get(m)
+        if w is None:
+            re, im = self.gens.m_parts(m)
+            lam = ExactScalar(self.lambda_base.re_mid + re, self.lambda_base.im_mid + im)
+            with mpmath.workprec(FLOAT_PRECISION):
+                w = self._weight[m] = abs_scalar(lam) + to_mpf(self.p.Kcal) * sum(m)
+        return w**e
 
 
-def _gamma_at(gens: Generators, m, p: NormParams) -> mpmath.mpf:
-    """|Gamma(<m,r>/s)| at the norm's tolerance."""
-    return gamma_abs(ExactScalar(gens.m_re(m) / p.s, gens.m_im(m) / p.s), p.tol)
+@lru_cache(maxsize=64)
+def _table(gens: Generators, lambda_base: Exponent | None, p: NormParams) -> _NormTable:
+    """The table shared by every norm over these generators, base exponent
+    and parameters; lambda_base is None for a caller that reads no weight."""
+    return _NormTable(gens, lambda_base, p)
 
 
-def _gamma_ratios(gens: Generators, pairs, p: NormParams):
+def _gamma_ratios(table: _NormTable, pairs):
     """|Gamma(<a,r>/s) Gamma(<b,r>/s) / Gamma(<a+b,r>/s)| for each pair (a, b),
     at the caller's working precision."""
+    gamma = table.gamma
     for a, b in pairs:
-        msum = tuple(x + y for x, y in zip(a, b))
-        yield _gamma_at(gens, a, p) * _gamma_at(gens, b, p) / _gamma_at(gens, msum, p)
+        yield gamma(a) * gamma(b) / gamma(tuple(x + y for x, y in zip(a, b)))
 
 
 def h_norm(g: MSeries, p: NormParams, level: int | None = None) -> mpmath.mpf:
     """Graded norm at the given level (defaults to p.j)."""
     j = p.j if level is None else level
+    table = _table(g.gens, g.lambda_base, p)
     with mpmath.workprec(FLOAT_PRECISION):
         acc = mpmath.mpf(0)
         for m, c in g.terms:
-            acc += _weight(g, m, p) ** j / _gamma_at(g.gens, m, p) * poly_norm(c, p.R)
+            acc += table.weight_pow(m, j) / table.gamma(m) * poly_norm(c, p.R)
         return acc
 
 
@@ -278,8 +312,9 @@ def check_lemma6(g1: MSeries, g2: MSeries, p: NormParams) -> Lemma6Report:
     may lie below 1.
     """
     pairs = [(m1, m2) for m1, _ in g1.terms for m2, _ in g2.terms]
+    table = _table(g1.gens, g1.lambda_base, p)
     with mpmath.workprec(FLOAT_PRECISION):
-        C_used = max(_gamma_ratios(g1.gens, pairs, p), default=mpmath.mpf(1))
+        C_used = max(_gamma_ratios(table, pairs), default=mpmath.mpf(1))
         lhs = h_norm(g1 * g2, p, level=0)
         rhs = C_used * h_norm(g1, p, level=0) * h_norm(g2, p, level=0)
         passed = bool(lhs <= rhs * (1 + mpmath.mpf(_ROUNDING_SLACK)))
@@ -326,14 +361,14 @@ def check_lemma5(a: TPoly, l, j: int, g: MSeries, p: NormParams) -> Lemma5Report
     for _ in range(j):
         h = h.base_delta()
     h = h.mul_poly(a).shift_m(l)
+    table = _table(g.gens, g.lambda_base, p)
     with mpmath.workprec(FLOAT_PRECISION):
         lhs = h_norm(h, p, level=0)
         na = poly_norm(a, p.R) if not a.is_zero() else mpmath.mpf(0)
         A_tilde = mpmath.mpf(0)
         for m, _ in g.terms:
             msum = tuple(x + y for x, y in zip(m, l))
-            w = _weight(g, m, p)
-            cand = na * _gamma_at(g.gens, m, p) / _gamma_at(g.gens, msum, p) * w ** (j - p.j)
+            cand = na * table.gamma(m) / table.gamma(msum) * table.weight_pow(m, j - p.j)
             if cand > A_tilde:
                 A_tilde = cand
         bound = A_tilde * h_norm(g, p, level=p.j)
@@ -351,18 +386,19 @@ def majorant_bound(coeffs: dict, rho, tail_norms, gens: Generators, p: NormParam
     pm = 0, which only enlarges the bound.
     """
     pms = [pm for pm, _ in coeffs if any(pm)]
+    table = _table(gens, None, p)
     with mpmath.workprec(FLOAT_PRECISION):
         rho = mpmath.mpf(rho) if not isinstance(rho, Fraction) else to_mpf(rho)
         tails = [to_mpf(v) if isinstance(v, Fraction) else mpmath.mpf(v) for v in tail_norms]
         pairs = [(a, b) for i, a in enumerate(pms) for b in pms[i:]]
-        C = max([mpmath.mpf(1), *_gamma_ratios(gens, pairs, p)])
+        C = max([mpmath.mpf(1), *_gamma_ratios(table, pairs)])
         acc = mpmath.mpf(0)
         for (pm, qm), a in sorted(coeffs.items()):
             if not any(pm) and not any(qm):
                 raise ValueError("majorant_bound: term with p = q = 0 is not allowed")
             na = poly_norm(a, p.R)
             if any(pm):
-                na = na / _gamma_at(gens, pm, p)
+                na = na / table.gamma(pm)
             term = na * rho ** sum(pm) * C ** sum(qm)
             for ni, qi in zip(tails, qm):
                 term *= ni**qi

@@ -10,7 +10,7 @@ exact rational linear algebra over the declared basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -98,10 +98,15 @@ def _to_integer_vector(x: list) -> list:
 
 @dataclass(frozen=True)
 class Generators:
-    """Validated semigroup generators over a shared exponent basis."""
+    """Validated semigroup generators over a shared exponent basis.
+
+    Re <m, r> and Im <m, r> are computed once per multi-index m and kept,
+    since norm tables and series sorts ask for the same m many times.
+    """
 
     basis: ExponentBasis
     r: tuple  # of Exponent
+    _m_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def kappa(self) -> int:
@@ -118,11 +123,23 @@ class Generators:
                 acc = acc + ri * mi
         return acc
 
+    def m_parts(self, m) -> tuple:
+        """(Re <m, r>, Im <m, r>) as Fractions (the midpoints over an
+        approximate basis)."""
+        m = tuple(m)
+        parts = self._m_parts.get(m)
+        if parts is None:
+            parts = self._m_parts[m] = (
+                sum((mi * ri.re_mid for mi, ri in zip(m, self.r)), Fraction(0)),
+                sum((mi * ri.im_mid for mi, ri in zip(m, self.r)), Fraction(0)),
+            )
+        return parts
+
     def m_re(self, m) -> Fraction:
-        return sum((Fraction(mi) * ri.re_mid for mi, ri in zip(m, self.r)), Fraction(0))
+        return self.m_parts(m)[0]
 
     def m_im(self, m) -> Fraction:
-        return sum((Fraction(mi) * ri.im_mid for mi, ri in zip(m, self.r)), Fraction(0))
+        return self.m_parts(m)[1]
 
     def serialize(self) -> list:
         return [g.serialize() for g in self.r]

@@ -21,12 +21,13 @@ other Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 
 import mpmath
-from mpmath.libmp import from_rational
+from mpmath.libmp import fone, from_rational, fzero, mpf_add, mpf_mul, mpf_sqrt, round_nearest
 
-from .numeric import FLOAT_PRECISION, to_mpf
+from .numeric import FLOAT_PRECISION
 from .scalars import _ZERO_Q, ExactScalar, ZERO
 
 NEG_INF = float("-inf")
@@ -129,6 +130,12 @@ class TPoly:
         return TPoly._raw, (self.den, self.re, self.im)
 
     # -- construction ---------------------------------------------------
+
+    @staticmethod
+    def from_ints(den: int, re, im=None) -> "TPoly":
+        """The polynomial sum (re[k] + im[k] i) / den t^k for a nonzero int
+        den and int sequences re and im (im None or as long as re)."""
+        return _normal(den, list(re), None if im is None else list(im))
 
     @staticmethod
     def const(value) -> "TPoly":
@@ -390,26 +397,34 @@ TPoly.ONE = TPoly((ExactScalar.of(1),))
 TPoly.T = TPoly((ZERO, ExactScalar.of(1)))
 
 
+@lru_cache(maxsize=16, typed=True)
+def _norm_radix(R, prec: int) -> tuple:
+    """The norm weight R as an mpf tuple at prec bits, rounded as to_mpf
+    rounds it (a float R is read at its repr)."""
+    Rq = Fraction(R) if not isinstance(R, float) else Fraction(repr(R))
+    if Rq <= 1:
+        raise ValueError(f"poly_norm: weight R must exceed 1, got {R}")
+    return from_rational(Rq.numerator, Rq.denominator, prec)
+
+
 def poly_norm(p: TPoly, R, prec: int = FLOAT_PRECISION) -> mpmath.mpf:
     """Weighted coefficient norm: sum of |a_j| R^j over the coefficients.
 
     R must exceed 1 so that the norm is monotone in the degree direction and
     submultiplicative.  The result is an mpf at prec bits.  Each |a_j| is the
     square root of the exact (re_j^2 + im_j^2) / den^2, rounded once to prec
-    bits, as numeric.abs_scalar rounds the same rational.
+    bits, as numeric.abs_scalar rounds the same rational.  The sum runs on
+    raw mpmath.libmp values at prec bits, rounding to nearest, which is what
+    mpf arithmetic inside mpmath.workprec(prec) does.
     """
-    Rq = Fraction(R) if not isinstance(R, float) else Fraction(repr(R))
-    if Rq <= 1:
-        raise ValueError(f"poly_norm: weight R must exceed 1, got {R}")
+    Rm = _norm_radix(R, prec)
     den2 = p.den * p.den
     im = p.im or (0,) * len(p.re)
-    with mpmath.workprec(prec):
-        Rm = to_mpf(Rq, prec)
-        acc = mpmath.mpf(0)
-        power = mpmath.mpf(1)
-        for x, y in zip(p.re, im):
-            sq = x * x + y * y
-            if sq:
-                acc += mpmath.sqrt(mpmath.mp.make_mpf(from_rational(sq, den2, prec))) * power
-            power *= Rm
-        return acc
+    acc, power = fzero, fone
+    for x, y in zip(p.re, im):
+        sq = x * x + y * y
+        if sq:
+            root = mpf_sqrt(from_rational(sq, den2, prec), prec, round_nearest)
+            acc = mpf_add(acc, mpf_mul(root, power, prec, round_nearest), prec, round_nearest)
+        power = mpf_mul(power, Rm, prec, round_nearest)
+    return mpmath.mp.make_mpf(acc)

@@ -1,10 +1,14 @@
 """End-to-end command line runs over the problem corpus, in process."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dulac
 from dulac import cli, errors
 from dulac.mseries import Lemma6Report
 
@@ -311,6 +315,25 @@ def test_check_norms_two_generators(tmp_path):
     code, out = run(tmp_path, "check-norms", str(DATA / "semigroup_2d.json"), "--seed", "6484")
     assert code == 0
     assert payload(out, "normcheck.json")["all_pass"] is True
+
+
+@pytest.mark.parametrize("problem, s", [("euler_gens.json", 3), ("semigroup_2d.json", 5)])
+def test_check_norms_terminates_for_unreachable_slope_gate(tmp_path, problem, s):
+    """s_override above Re<(2,...,2),r>: no drawn l meets the slope gate of
+    j = level + 1, so those trials check j = level and the run ends."""
+    data = json.loads((DATA / problem).read_text(encoding="utf-8"))
+    data["s_override"] = s
+    path = tmp_path / problem
+    path.write_text(json.dumps(data), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(dulac.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-m", "dulac", "check-norms", str(path), "--seed", "0",
+         "--output-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr
+    assert payload(tmp_path / "out", "normcheck.json")["all_pass"] is True
 
 
 def test_check_norms_regression_exits_1(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from dulac import mseries
 from dulac.errors import (
     BasisMismatch,
     CutoffIncrease,
@@ -30,7 +31,16 @@ from dulac.series import INF, DulacSeries
 from dulac.solver import extend
 from dulac.tpoly import TPoly
 
-from .util import basis_mixed, basis_one, euler_ode, random_poly
+from .util import (
+    basis_mixed,
+    basis_one,
+    euler_ode,
+    h_norm_oracle,
+    lemma5_oracle,
+    lemma6_oracle,
+    majorant_oracle,
+    random_poly,
+)
 
 P0 = dict(R=2, s=1, Kcal=1)
 
@@ -471,3 +481,64 @@ def test_majorant_monotone():
     lo = majorant_bound(coeffs, Fraction(1, 4), [Fraction(1, 2)], g, p)
     hi = majorant_bound(coeffs, Fraction(1, 2), [Fraction(3, 4)], g, p)
     assert lo < hi
+
+
+# -- per-multi-index norm constants ----------------------------------------------
+
+
+def test_norm_constants_match_memo_free_oracle():
+    """Interleaved calls over the same m with different generators, base
+    exponents and norm parameters each equal an oracle that recomputes every
+    Gamma value and weight, so no cached constant leaks between settings."""
+    basis = basis_one()
+    gens_list = [
+        validate_generators([basis.rational(1)]),
+        validate_generators([basis.rational(Fraction(3, 2))]),
+    ]
+    bases = [basis.zero(), basis.rational(Fraction(1, 2))]
+    first = dict(R=Fraction(2), s=Fraction(1), Kcal=Fraction(1), j=1, tol=1e-12)
+    params = [
+        NormParams(**first),
+        NormParams(**{**first, "s": Fraction(2)}),
+        NormParams(**{**first, "tol": 1e-10}),
+        NormParams(**{**first, "Kcal": Fraction(3)}),
+        NormParams(**{**first, "R": Fraction(3)}),
+    ]
+    rng = random.Random(8)
+    terms = (((1,), random_poly(rng, 1)), ((2,), random_poly(rng, 2)), ((3,), random_poly(rng, 2)))
+    a, l = TPoly.parse(["1/2", "-1/3"]), (2,)
+    coeffs = {((1,), (0,)): TPoly.ONE, ((0,), (1,)): TPoly.ONE, ((2,), (2,)): TPoly.parse(["1/1", "1/1"])}
+    cases = [(gens, base, p) for gens in gens_list for base in bases for p in params]
+    for gens, base, p in cases + cases[::-1]:
+        g = _ms(gens, terms, base=base)
+        g2 = _ms(gens, terms[:2], base=base)
+        for level in (0, 1, 2):
+            assert h_norm(g, p, level=level) == h_norm_oracle(g, p, level)
+        r6 = check_lemma6(g, g2, p)
+        assert (r6.lhs, r6.rhs, r6.C_used) == lemma6_oracle(g, g2, p)
+        for j in (p.j, p.j + 1):
+            r5 = check_lemma5(a, l, j, g, p)
+            assert (r5.lhs, r5.bound, r5.A_tilde) == lemma5_oracle(a, l, j, g, p)
+        rho, tails = Fraction(1, 2), [Fraction(2, 3)]
+        assert majorant_bound(coeffs, rho, tails, gens, p) == majorant_oracle(coeffs, rho, tails, gens, p)
+
+
+def test_lemma6_computes_each_constant_once(monkeypatch):
+    """At level 0 no weight is computed, and each |Gamma(<m,r>/s)| is
+    evaluated once per distinct m."""
+    gens = _gens_mixed()
+    rng = random.Random(4)
+    g1 = _ms(gens, (((1, 0), random_poly(rng, 2)), ((0, 1), random_poly(rng, 2)), ((2, 1), TPoly.ONE)))
+    g2 = _ms(gens, (((1, 0), TPoly.T), ((1, 2), random_poly(rng, 2))))
+    p = NormParams(R=3, s=Fraction(5, 3), Kcal=2, j=0)
+    weights, gammas = [], []
+    real_gamma = mseries.gamma_abs
+    monkeypatch.setattr(mseries, "abs_scalar", lambda *args: weights.append(args))
+    monkeypatch.setattr(mseries, "gamma_abs", lambda z, tol: gammas.append(z) or real_gamma(z, tol))
+    mseries._table.cache_clear()
+    report = check_lemma6(g1, g2, p)
+    assert report.passed and report.splits == 6
+    assert weights == []
+    singles = {m for m, _ in g1.terms + g2.terms}
+    sums = {tuple(x + y for x, y in zip(a, b)) for a, _ in g1.terms for b, _ in g2.terms}
+    assert len(gammas) == len(set(gammas)) == len(singles | sums)

@@ -162,16 +162,24 @@ def test_canonical_form_is_unique(p, q):
     assert_same(TPoly.parse(p.serialize()), p)
     im = None if p.im is None else [3 * y for y in p.im]
     assert_same(_normal(3 * p.den, [3 * x for x in p.re], im), p)
+    assert_same(TPoly.from_ints(3 * p.den, [3 * x for x in p.re], im), p)
     assert_same(_normal(-3 * p.den, [-3 * x for x in p.re], im and [-y for y in im]), p)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_tpolys(), st.fractions(min_value=Fraction(11, 10), max_value=20, max_denominator=12))
 def test_norm_equals_abs_scalar_sum_exactly(p, R):
+    # the same coefficients with numerators and denominator past 300 bits
+    wide = TPoly.from_ints(
+        p.den * 3**200, [x << 310 for x in p.re], p.im and [y << 310 for y in p.im]
+    )
+    if not p.is_zero():
+        assert wide.den.bit_length() > 300 and max(map(abs, wide.re + (wide.im or ()))) >> 300
     for prec in (53, 128):
-        got, want = poly_norm(p, R, prec), poly_norm_oracle(p, R, prec)
-        assert got == want
-        assert got.man_exp == want.man_exp  # same mantissa and exponent, bit for bit
+        for poly, weight in ((p, R), (p, float(R)), (wide, R)):
+            got, want = poly_norm(poly, weight, prec), poly_norm_oracle(poly, weight, prec)
+            assert got == want
+            assert got.man_exp == want.man_exp  # same mantissa and exponent, bit for bit
 
 
 def test_arithmetic_builds_no_scalar(monkeypatch):
@@ -226,6 +234,13 @@ def test_serialize_roundtrip():
     for _ in range(100):
         p = random_poly(rng)
         assert TPoly.parse(p.serialize()) == p
+
+
+def test_norm_reads_float_R_at_its_repr():
+    p = TPoly.parse(["1/3", "2/7+1/5i", "-5/4"])
+    binary = Fraction(2.1)  # equal to the float 2.1, unlike its repr 21/10
+    assert poly_norm(p, binary) == poly_norm_oracle(p, binary)
+    assert poly_norm(p, 2.1) == poly_norm_oracle(p, Fraction(21, 10)) != poly_norm(p, binary)
 
 
 def test_norm_examples():

@@ -6,6 +6,7 @@ from pathlib import Path
 import mpmath
 
 from dulac.exponents import ExponentBasis
+from dulac.gammafn import gamma_abs
 from dulac.numeric import abs_scalar, to_mpf
 from dulac.ode import ODESpec
 from dulac.scalars import ExactScalar
@@ -201,12 +202,99 @@ def poly_taylor_oracle(p: TPoly, z: ExactScalar) -> list:
 
 
 def poly_norm_oracle(p: TPoly, R, prec: int = 128):
-    """Weighted norm sum |a_j| R^j, each |a_j| from numeric.abs_scalar."""
+    """Weighted norm sum |a_j| R^j, each |a_j| from numeric.abs_scalar; a
+    float R is read at its repr."""
+    Rq = Fraction(repr(R)) if isinstance(R, float) else Fraction(R)
     with mpmath.workprec(prec):
-        Rm = to_mpf(Fraction(R), prec)
+        Rm = to_mpf(Rq, prec)
         acc, power = mpmath.mpf(0), mpmath.mpf(1)
         for c in p.coeffs:
             if not c.is_zero():
                 acc += abs_scalar(c, prec) * power
             power *= Rm
+        return acc
+
+
+# -- memo-free graded-norm oracles: every constant recomputed on each use ------
+
+
+def _m_parts_oracle(gens, m) -> tuple:
+    re = sum((Fraction(mi) * ri.re_mid for mi, ri in zip(m, gens.r)), Fraction(0))
+    im = sum((Fraction(mi) * ri.im_mid for mi, ri in zip(m, gens.r)), Fraction(0))
+    return re, im
+
+
+def gamma_oracle(gens, m, p):
+    """|Gamma(<m,r>/s)| at the norm's tolerance."""
+    re, im = _m_parts_oracle(gens, m)
+    return gamma_abs(ExactScalar(re / p.s, im / p.s), p.tol)
+
+
+def weight_oracle(gens, lambda_base, m, p):
+    """|lambda_base + <m,r>| + Kcal |m| at 128 bits."""
+    re, im = _m_parts_oracle(gens, m)
+    lam = ExactScalar(lambda_base.re_mid + re, lambda_base.im_mid + im)
+    with mpmath.workprec(128):
+        return abs_scalar(lam) + to_mpf(p.Kcal) * sum(m)
+
+
+def h_norm_oracle(g, p, level=None):
+    j = p.j if level is None else level
+    with mpmath.workprec(128):
+        acc = mpmath.mpf(0)
+        for m, c in g.terms:
+            w = weight_oracle(g.gens, g.lambda_base, m, p)
+            acc += w**j / gamma_oracle(g.gens, m, p) * poly_norm_oracle(c, p.R)
+        return acc
+
+
+def _gamma_ratio_oracle(gens, a, b, p):
+    msum = tuple(x + y for x, y in zip(a, b))
+    return gamma_oracle(gens, a, p) * gamma_oracle(gens, b, p) / gamma_oracle(gens, msum, p)
+
+
+def lemma6_oracle(g1, g2, p) -> tuple:
+    """(lhs, rhs, C_used) of check_lemma6."""
+    with mpmath.workprec(128):
+        ratios = [_gamma_ratio_oracle(g1.gens, a, b, p) for a, _ in g1.terms for b, _ in g2.terms]
+        C = max(ratios, default=mpmath.mpf(1))
+        lhs = h_norm_oracle(g1 * g2, p, 0)
+        rhs = C * h_norm_oracle(g1, p, 0) * h_norm_oracle(g2, p, 0)
+    return lhs, rhs, C
+
+
+def lemma5_oracle(a: TPoly, l, j: int, g, p) -> tuple:
+    """(lhs, bound, A_tilde) of check_lemma5 (preconditions assumed)."""
+    h = g
+    for _ in range(j):
+        h = h.base_delta()
+    h = h.mul_poly(a).shift_m(l)
+    with mpmath.workprec(128):
+        lhs = h_norm_oracle(h, p, 0)
+        na = poly_norm_oracle(a, p.R)
+        A = mpmath.mpf(0)
+        for m, _ in g.terms:
+            msum = tuple(x + y for x, y in zip(m, l))
+            w = weight_oracle(g.gens, g.lambda_base, m, p)
+            cand = na * gamma_oracle(g.gens, m, p) / gamma_oracle(g.gens, msum, p) * w ** (j - p.j)
+            A = max(A, cand)
+        bound = A * h_norm_oracle(g, p, p.j)
+    return lhs, bound, A
+
+
+def majorant_oracle(coeffs: dict, rho: Fraction, tail_norms, gens, p):
+    """majorant_bound for a Fraction rho and Fraction tail norms."""
+    pms = [pm for pm, _ in coeffs if any(pm)]
+    with mpmath.workprec(128):
+        pairs = [(a, b) for i, a in enumerate(pms) for b in pms[i:]]
+        C = max([mpmath.mpf(1), *(_gamma_ratio_oracle(gens, a, b, p) for a, b in pairs)])
+        acc = mpmath.mpf(0)
+        for (pm, qm), a in sorted(coeffs.items()):
+            na = poly_norm_oracle(a, p.R)
+            if any(pm):
+                na = na / gamma_oracle(gens, pm, p)
+            term = na * to_mpf(rho) ** sum(pm) * C ** sum(qm)
+            for ni, qi in zip(tail_norms, qm):
+                term *= to_mpf(ni) ** qi
+            acc += term
         return acc
