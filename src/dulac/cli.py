@@ -46,11 +46,11 @@ from .errors import (
     SchemaError,
 )
 from .exponents import DEFAULT_PRECISION, MAX_PRECISION, Exponent, ExponentBasis
-from .gevrey import classify
+from .gevrey import classify, serialize_s
 from .mseries import MSeries, NormParams, check_lemma5, check_lemma6, fit_degree_K, iota as iota_map, iota_inv, majorant_bound
 from .ode import ODESpec
 from .semigroup import Generators, choose_R, exponent_gaps, suggest_generators, validate_generators
-from .series import DulacSeries, INF
+from .series import INF, DulacSeries, terms_from_json
 from .solver import check_conditions, extend, extract_linearization, reduce_equation
 from .tpoly import TPoly
 
@@ -139,22 +139,7 @@ class Problem:
     def _parse_prefix(self, raw) -> DulacSeries:
         if raw is None:
             return DulacSeries.zero(self.basis)
-        if not isinstance(raw, list):
-            raise SchemaError("problem file: prefix must be a list of {exp, poly} objects")
-        terms = []
-        for i, item in enumerate(raw):
-            if not isinstance(item, dict) or set(item) != {"exp", "poly"}:
-                raise SchemaError(f"problem file: prefix[{i}] must have exactly the keys exp and poly")
-            try:
-                e = self.basis.parse_exponent(item["exp"])
-            except (ValueError, TypeError) as exc:
-                raise SchemaError(f"problem file: prefix[{i}].exp ({exc})") from exc
-            try:
-                c = TPoly.parse(item["poly"])
-            except (ValueError, TypeError) as exc:
-                raise SchemaError(f"problem file: prefix[{i}].poly ({exc})") from exc
-            terms.append((e, c))
-        return DulacSeries(self.basis, tuple(terms), INF)
+        return DulacSeries(self.basis, terms_from_json(raw, self.basis, "problem file: prefix"), INF)
 
     def _parse_generators(self, raw):
         if raw is None:
@@ -193,10 +178,6 @@ def _load_problem(path: str, args) -> Problem:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"problem file: invalid JSON in {path} ({exc})") from exc
     return Problem(data, args)
-
-
-def _serialize_s(s) -> str:
-    return "inf" if s == INF else str(Fraction(s))
 
 
 def _write_text(directory: Path, name: str, content: str) -> Path:
@@ -265,14 +246,14 @@ def _cmd_analyze(problem: Problem, args) -> int:
     payload = {
         "command": "analyze",
         "linearization": lin.to_json(),
-        "s": _serialize_s(s),
+        "s": serialize_s(s),
         "conditions": conditions,
     }
     text = [
         f"nu: {';'.join(lin.nu.serialize())} (Re = {float(lin.nu.re_mid)})",
         f"A: [{', '.join(str(a) for a in lin.A)}]",
         f"ell: {lin.ell}",
-        f"s: {_serialize_s(s)}",
+        f"s: {serialize_s(s)}",
     ]
     if conditions is not None:
         text.append(
@@ -290,7 +271,7 @@ def _cmd_verify(problem: Problem, args) -> int:
     report = classify(state, s, R, problem.tolerance)
     payload = {"command": "verify", **report.to_json()}
     text = [
-        f"s: {_serialize_s(s)}",
+        f"s: {serialize_s(s)}",
         f"verdict: {report.verdict}",
         f"rows: {len(report.rows)}",
         f"C_fit: {report.C_fit}",
@@ -473,7 +454,7 @@ def _cmd_check_norms(problem: Problem, args) -> int:
         "command": "check-norms",
         "seed": args.seed,
         "R": str(R),
-        "s": _serialize_s(s),
+        "s": serialize_s(s),
         "Kcal": str(Kcal),
         "lemma6": {"trials": trials6, "failures": lemma6_fail},
         "lemma5": {"trials": trials5, "failures": lemma5_fail},

@@ -22,9 +22,9 @@ convention chosen to make the order total; any fixed tie rule would do.
 Every exponent carries one sort key, computed once.  Over an exact basis it
 is the pair (Re, Im) of exact Fractions, so ordering is plain rational
 comparison and no enclosure is ever built.  Over a basis with an approximate
-entry it is a comparator that certifies each comparison from the interval
-enclosures, doubling the working precision until the signs separate or
-raising UndecidableComparison.
+entry it is cmp_to_key(exp_compare), which certifies each comparison from the
+interval enclosures, doubling the working precision until the signs separate
+or raising UndecidableComparison.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from math import isinf
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import BasisMismatch, ExactValueRequired, UndecidableComparison
 from .scalars import ExactScalar, parse_rational
@@ -255,23 +255,13 @@ class Exponent:
     def re_low(self) -> Fraction:
         """Lower endpoint of the real-part enclosure at the basis precision,
         a certified lower bound on Re (re_mid over an exact basis)."""
-        return self.re_mid if self.basis.exact else self.re_interval()[0]
+        return self.re_mid if self.basis.exact else self.re_mid - self.radius("re", self.basis.precision)
 
     def radius(self, part: str, precision: int) -> Fraction:
         return sum(
             (abs(c) * e.radius(part, precision) for c, e in zip(self.coords, self.basis.entries)),
             Fraction(0),
         )
-
-    def re_interval(self, precision: Optional[int] = None) -> tuple[Fraction, Fraction]:
-        p = precision or self.basis.precision
-        m, r = self.re_mid, self.radius("re", p)
-        return (m - r, m + r)
-
-    def im_interval(self, precision: Optional[int] = None) -> tuple[Fraction, Fraction]:
-        p = precision or self.basis.precision
-        m, r = self.im_mid, self.radius("im", p)
-        return (m - r, m + r)
 
     def value(self) -> ExactScalar:
         """Exact complex value; requires every participating entry exact."""
@@ -289,12 +279,12 @@ class Exponent:
     def key(self):
         """Sort key of the (Re, Im) order, computed once.
 
-        Over an exact basis it is the pair (Re, Im) of Fractions; otherwise a
-        comparator that certifies each comparison through exp_compare.
+        Over an exact basis it is the pair (Re, Im) of Fractions; otherwise
+        cmp_to_key(exp_compare), which certifies each comparison.
         """
         if self.basis.exact:
             return (self.re_mid, self.im_mid)
-        return _CertifiedKey(self)
+        return cmp_to_key(exp_compare)(self)
 
     def _sign(self, part: str, shift: Fraction = Fraction(0)) -> int:
         """Certified sign of Re or Im of this exponent minus a rational shift;
@@ -323,19 +313,6 @@ class Exponent:
     def serialize(self) -> list[str]:
         return [f"{c.numerator}/{c.denominator}" for c in self.coords]
 
-    # rich comparisons delegate to exp_compare
-    def __lt__(self, other):
-        return exp_compare(self, other) < 0
-
-    def __le__(self, other):
-        return exp_compare(self, other) <= 0
-
-    def __gt__(self, other):
-        return exp_compare(self, other) > 0
-
-    def __ge__(self, other):
-        return exp_compare(self, other) >= 0
-
 
 def _certified_sign(
     mid: Fraction, radius_at: Callable[[int], Fraction], precision: int, what: str
@@ -363,21 +340,6 @@ def _certified_sign(
                 f"enclosure radius {float(rad):.3e} does not shrink"
             )
         prec = nxt
-
-
-class _CertifiedKey:
-    """Sort key over an approximate basis: every comparison is certified."""
-
-    __slots__ = ("exp",)
-
-    def __init__(self, exp: Exponent):
-        self.exp = exp
-
-    def __lt__(self, other: "_CertifiedKey") -> bool:
-        return exp_compare(self.exp, other.exp) < 0
-
-    def __eq__(self, other) -> bool:
-        return exp_compare(self.exp, other.exp) == 0
 
 
 def exp_compare(a: Exponent, b: Exponent) -> int:
@@ -413,9 +375,4 @@ def re_compare(a: Exponent, b: Exponent) -> int:
     """Certified sign of Re(a - b); 0 only when exactly equal."""
     if a.basis != b.basis:
         raise BasisMismatch("re_compare: operands use different bases")
-    if a.coords == b.coords:
-        return 0
-    if a.basis.exact:
-        ra, rb = a.re_mid, b.re_mid
-        return (ra > rb) - (ra < rb)
     return (a - b).re_sign()

@@ -26,11 +26,15 @@ import mpmath
 from .gammafn import gamma_abs
 from .numeric import FLOAT_PRECISION, float_str, to_mpf
 from .scalars import ExactScalar
+from .series import INF
 from .tpoly import poly_norm
 
-INF = float("inf")
-
 CSV_COLUMNS = ["k", "re_lambda", "im_lambda", "deg_c", "norm_R", "gamma_abs", "rho", "envelope_Ck"]
+
+
+def serialize_s(s) -> str:
+    """JSON form of a growth order: "inf" or the exact "p/q"."""
+    return "inf" if s == INF else str(Fraction(s))
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ class GevreyReport:
 
     def to_json(self) -> dict:
         return {
-            "s": "inf" if self.s == INF else str(Fraction(self.s)),
+            "s": serialize_s(self.s),
             "R": float(self.R_used),
             "C_fit": float(self.C_fit),
             "A_fit": float(self.A_fit),

@@ -34,13 +34,14 @@ from .errors import (
     CutoffIncrease,
     ExponentOutsideSemigroup,
     PreconditionViolated,
+    SchemaError,
 )
 from .exponents import Exponent
 from .gammafn import gamma_abs
 from .numeric import FLOAT_PRECISION, abs_scalar, to_mpf
 from .scalars import ExactScalar
 from .semigroup import Generators, decompose
-from .series import INF, DulacSeries, cutoff_from_json, cutoff_to_json
+from .series import INF, DulacSeries, _as_cutoff, cutoff_from_json, cutoff_to_json
 from .tpoly import TPoly, poly_norm
 
 # slack absorbing directed rounding in 128-bit float sums; far below any
@@ -104,9 +105,8 @@ class MSeries:
     cutoff: object
 
     def __post_init__(self):
-        cut = self.cutoff if self.cutoff == INF else Fraction(self.cutoff)
-        object.__setattr__(self, "cutoff", cut)
-        object.__setattr__(self, "terms", _canonical_terms(self.terms, self.gens, cut))
+        object.__setattr__(self, "cutoff", _as_cutoff(self.cutoff))
+        object.__setattr__(self, "terms", _canonical_terms(self.terms, self.gens, self.cutoff))
 
     # -- helpers -------------------------------------------------------------
 
@@ -173,7 +173,7 @@ class MSeries:
         return MSeries(self.gens, self.lambda_base, out, self.cutoff)
 
     def truncate(self, new_cutoff) -> "MSeries":
-        new_cutoff = Fraction(new_cutoff) if new_cutoff != INF else INF
+        new_cutoff = _as_cutoff(new_cutoff)
         if new_cutoff > self.cutoff:
             raise CutoffIncrease(
                 f"truncate: cannot raise cutoff from {self.cutoff} to {new_cutoff}"
@@ -192,9 +192,19 @@ class MSeries:
 
     @staticmethod
     def from_json(data: dict, gens: Generators, lambda_base: Exponent) -> "MSeries":
+        """Inverse of to_json; SchemaError for a malformed term, a
+        multi-index that is not kappa nonnegative JSON integers included."""
         cutoff = cutoff_from_json(data.get("cutoff"), "mseries")
-        terms = tuple((tuple(item["m"]), TPoly.parse(item["poly"])) for item in data.get("terms", []))
-        return MSeries(gens, lambda_base, terms, cutoff)
+        terms = []
+        for i, item in enumerate(data.get("terms", [])):
+            m = item.get("m") if isinstance(item, dict) else None
+            if not isinstance(m, list) or len(m) != gens.kappa or not all(type(v) is int and v >= 0 for v in m):
+                raise SchemaError(f"mseries: terms[{i}].m must be {gens.kappa} nonnegative integers, got {m!r}")
+            try:
+                terms.append((tuple(m), TPoly.parse(item.get("poly"))))
+            except (ValueError, TypeError) as exc:
+                raise SchemaError(f"mseries: terms[{i}].poly ({exc})") from exc
+        return MSeries(gens, lambda_base, tuple(terms), cutoff)
 
 
 # -- transport between the two pictures ---------------------------------------
@@ -341,7 +351,7 @@ def check_lemma5(a: TPoly, l, j: int, g: MSeries, p: NormParams) -> Lemma5Report
     l = tuple(int(v) for v in l)
     if any(v < 0 for v in l):
         raise PreconditionViolated(f"check_lemma5: negative shift index {l}")
-    if a.degree != float("-inf") and a.degree > p.Kcal * sum(l):
+    if a.degree > p.Kcal * sum(l):
         raise PreconditionViolated(
             f"check_lemma5: deg a = {a.degree} exceeds Kcal |l| = {p.Kcal * sum(l)}"
         )
@@ -352,7 +362,7 @@ def check_lemma5(a: TPoly, l, j: int, g: MSeries, p: NormParams) -> Lemma5Report
             "the operator does not map this level pair continuously"
         )
     for m, c in g.terms:
-        if c.degree != float("-inf") and c.degree > p.Kcal * sum(m):
+        if c.degree > p.Kcal * sum(m):
             raise PreconditionViolated(
                 f"check_lemma5: term at m = {m} has deg C_m = {c.degree} > Kcal |m| = "
                 f"{p.Kcal * sum(m)}; g does not lie in the declared level space"

@@ -205,7 +205,7 @@ class Evaluation:
         self._heap = []
         for coeff, p, q in F.terms:
             if not any(q):
-                self._add_value(self._x[p], TPoly.const(coeff))
+                self._add_value(self._x[p], TPoly.of(coeff))
         for e, c in phi.terms:
             self.add(e, c)
 

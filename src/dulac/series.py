@@ -20,9 +20,7 @@ only lower a cutoff, never raise it.
 
 Terms are ordered by the exponents' sort keys (see exponents): exact
 rational (Re, Im) pairs over an exact basis, certified interval comparisons
-with precision escalation over an approximate one.  Over an exact basis a
-product never builds a term pair whose exponent is at or above the product
-cutoff, since canonicalization would drop it.
+with precision escalation over an approximate one.
 """
 
 from __future__ import annotations
@@ -74,6 +72,25 @@ def cutoff_from_json(value, what: str):
     elif isinstance(value, (int, float)) and not isinstance(value, bool) and isfinite(value):
         return _as_cutoff(value)
     raise SchemaError(f"{what}: cutoff must be null, a number or a \"p/q\" string, got {value!r}")
+
+
+def terms_from_json(items, basis: ExponentBasis, where: str) -> tuple:
+    """(Exponent, TPoly) terms from a JSON list of {exp, poly} objects; any
+    other shape is a SchemaError naming where and the offending index."""
+    if not isinstance(items, list):
+        raise SchemaError(f"{where} must be a list of {{exp, poly}} objects")
+    terms = []
+    for i, item in enumerate(items):
+        if not isinstance(item, dict) or set(item) != {"exp", "poly"}:
+            raise SchemaError(f"{where}[{i}] must have exactly the keys exp and poly")
+        field = "exp"
+        try:
+            e = basis.parse_exponent(item["exp"])
+            field = "poly"
+            terms.append((e, TPoly.parse(item["poly"])))
+        except (ValueError, TypeError) as exc:
+            raise SchemaError(f"{where}[{i}].{field} ({exc})") from exc
+    return tuple(terms)
 
 
 def _canonical(terms, cutoff):
@@ -159,24 +176,14 @@ class DulacSeries:
         return DulacSeries(self.basis, tuple((e, -c) for e, c in self.terms), self.cutoff)
 
     def __mul__(self, other) -> "DulacSeries":
-        """Product.  Over an exact basis no term pair at or above the cutoff
-        is built: terms are sorted by Re, so the inner loop stops at the first.
-        """
         if isinstance(other, (TPoly, ExactScalar, int, Fraction)):
             return DulacSeries(self.basis, tuple((e, c * other) for e, c in self.terms), self.cutoff)
         self._check(other)
         if self.is_zero() or other.is_zero():
             return DulacSeries(self.basis, (), min(self.cutoff, other.cutoff))
         cutoff = min(self.cutoff + other.terms[0][0].re_low, other.cutoff + self.terms[0][0].re_low)
-        prune = self.basis.exact and not isinstance(cutoff, float)  # float: +inf
-        prods = []
-        for e1, c1 in self.terms:
-            room = cutoff - e1.re_mid if prune else INF
-            for e2, c2 in other.terms:
-                if prune and e2.re_mid >= room:
-                    break
-                prods.append((e1 + e2, c1 * c2))
-        return DulacSeries(self.basis, tuple(prods), cutoff)
+        prods = tuple((e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms)
+        return DulacSeries(self.basis, prods, cutoff)
 
     __rmul__ = __mul__
 
@@ -218,19 +225,10 @@ class DulacSeries:
 
     @staticmethod
     def from_json(data: dict, basis: ExponentBasis) -> "DulacSeries":
+        if not isinstance(data, dict):
+            raise SchemaError(f"series: expected a JSON object, got {data!r}")
         cutoff = cutoff_from_json(data.get("cutoff"), "series")
-        terms = []
-        for i, item in enumerate(data.get("terms", [])):
-            try:
-                e = basis.parse_exponent(item["exp"])
-            except (ValueError, TypeError) as exc:
-                raise SchemaError(f"series: terms[{i}].exp ({exc})") from exc
-            try:
-                c = TPoly.parse(item["poly"])
-            except (ValueError, TypeError) as exc:
-                raise SchemaError(f"series: terms[{i}].poly ({exc})") from exc
-            terms.append((e, c))
-        return DulacSeries(basis, tuple(terms), cutoff)
+        return DulacSeries(basis, terms_from_json(data.get("terms", []), basis, "series: terms"), cutoff)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -174,7 +174,7 @@ def roots_of_L(L: TPoly, prec: int = FLOAT_PRECISION) -> list:
     returns many degree-2 roots in the other order.
     """
     d = L.degree
-    if d in (float("-inf"), 0):
+    if d < 1:
         return []
     with mpmath.workprec(prec):
         cs = [
@@ -451,7 +451,7 @@ def reduce_equation(F: ODESpec, prefix: DulacSeries, m: int, s=None) -> ReducedE
         k = sum(q)
         if k == 1:
             j = q.index(1)
-            g = fq.shift(-lin.nu) - DulacSeries.monomial(basis.zero(), TPoly.const(lin.A[j]))
+            g = fq.shift(-lin.nu) - DulacSeries.monomial(basis.zero(), TPoly.of(lin.A[j]))
             if g.is_zero():
                 continue
             if not g.val() > 0:

@@ -138,12 +138,6 @@ class TPoly:
         return _normal(den, list(re), None if im is None else list(im))
 
     @staticmethod
-    def const(value) -> "TPoly":
-        if isinstance(value, ExactScalar):
-            return TPoly((value,))
-        return TPoly((ExactScalar.of(value),))
-
-    @staticmethod
     def of(*values) -> "TPoly":
         """TPoly.of(a0, a1, ...) with int/Fraction/str/ExactScalar entries."""
         out = []

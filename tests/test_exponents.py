@@ -13,6 +13,8 @@ from dulac.scalars import ExactScalar
 from dulac.series import DulacSeries
 from dulac.tpoly import TPoly
 
+from .util import interval
+
 
 def test_entry_parse():
     e = BasisEntry.parse("1+1i")
@@ -60,7 +62,6 @@ def test_compare_exact():
     assert exp_compare(one, two) == -1
     assert exp_compare(two, one) == 1
     assert exp_compare(one, b.rational(1)) == 0
-    assert one < two and two > one and one <= one
     assert re_compare(two, one) == 1
 
 
@@ -177,8 +178,8 @@ def test_key_order_matches_certified_interval_signs(entries, data):
     for a in exps:
         for c in exps:
             d = a - c
-            re_s = _interval_sign(*d.re_interval())
-            want = re_s or _interval_sign(*d.im_interval())
+            re_s = _interval_sign(*interval(d, "re"))
+            want = re_s or _interval_sign(*interval(d, "im"))
             assert (a.key > c.key) - (a.key < c.key) == want
             assert exp_compare(a, c) == want
             assert re_compare(a, c) == re_s

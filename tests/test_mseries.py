@@ -187,6 +187,30 @@ def test_json_roundtrip_keeps_exact_cutoff(cutoff, written):
     assert back == ms
 
 
+def test_float_cutoff_reads_as_its_decimal():
+    g = _gens_one()
+    ms = _ms(g, (((1,), TPoly.ONE),), cutoff=0.1)
+    assert ms.cutoff == Fraction(1, 10)
+    assert _ms(g, (((1,), TPoly.ONE),), cutoff=3).truncate(0.1).cutoff == Fraction(1, 10)
+
+
+@pytest.mark.parametrize(
+    "item, field",
+    [({"m": [1.5], "poly": ["1/1"]}, "terms[0].m"), ({"m": [True], "poly": ["1/1"]}, "terms[0].m"),
+     ({"m": ["1"], "poly": ["1/1"]}, "terms[0].m"), ({"m": 1, "poly": ["1/1"]}, "terms[0].m"),
+     ({"m": [1, 2], "poly": ["1/1"]}, "terms[0].m"), ({"m": [-1], "poly": ["1/1"]}, "terms[0].m"),
+     ({"poly": ["1/1"]}, "terms[0].m"), ({"m": [1]}, "terms[0].poly"),
+     ({"m": [1], "poly": [1.5]}, "terms[0].poly"), ([1], "terms[0].m")],
+    ids=["float_m", "bool_m", "string_m", "scalar_m", "long_m", "negative_m", "missing_m", "missing_poly",
+         "float_poly", "non_object"],
+)
+def test_from_json_rejects_malformed_terms(item, field):
+    g = _gens_one()
+    with pytest.raises(SchemaError) as exc:
+        MSeries.from_json({"terms": [item]}, g, g.basis.zero())
+    assert f"mseries: {field}" in str(exc.value)
+
+
 @pytest.mark.parametrize("cutoff", ["5/0", "five", "1.5", False])
 def test_from_json_rejects_malformed_cutoff(cutoff):
     g = _gens_one()

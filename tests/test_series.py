@@ -96,7 +96,7 @@ def test_scalar_and_poly_multiplication():
     basis = basis_one()
     f = _mono(basis, 2, cutoff=7)
     g = f * 3
-    assert g.terms[0][1] == TPoly.const(ExactScalar.of(3))
+    assert g.terms[0][1] == TPoly.of(ExactScalar.of(3))
     assert g.cutoff == Fraction(7)
     h = f * TPoly.of(0, 1)
     assert h.terms[0][1].degree == 1
@@ -120,7 +120,7 @@ def test_approximate_basis_cutoffs_use_certified_lower_endpoint():
     basis = ExponentBasis(["1", "0.5"])
     f = DulacSeries.monomial(basis.exponent([1, 0]), TPoly.ONE, 2)
     g = DulacSeries.monomial(basis.exponent([0, 1]), TPoly.ONE)
-    hidden = basis.exponent([2, 1]).re_interval()[0]
+    hidden = basis.exponent([2, 1]).re_low
     assert hidden == Fraction(49, 20)
     for out in (f * g, g * f, f.shift(basis.exponent([0, 1]))):
         assert out.cutoff == hidden
@@ -212,6 +212,20 @@ def test_from_json_reads_number_cutoffs_as_decimals():
 def test_from_json_rejects_non_string_fields(item, field):
     with pytest.raises(SchemaError) as exc:
         DulacSeries.from_json({"terms": [item]}, basis_one())
+    assert field in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [([], "series: expected a JSON object"), ({"terms": {}}, "series: terms must be a list"),
+     ({"terms": [{"poly": ["1/1"]}]}, "series: terms[0] must have exactly the keys"),
+     ({"terms": [{"exp": ["1/1"]}]}, "series: terms[0] must have exactly the keys"),
+     ({"terms": [{"exp": ["1/1"], "poly": ["1/1"], "t": 1}]}, "series: terms[0] must have exactly the keys")],
+    ids=["non_object", "non_list_terms", "missing_exp", "missing_poly", "extra_key"],
+)
+def test_from_json_rejects_malformed_shape(data, field):
+    with pytest.raises(SchemaError) as exc:
+        DulacSeries.from_json(data, basis_one())
     assert field in str(exc.value)
 
 

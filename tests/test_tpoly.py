@@ -29,7 +29,7 @@ from .util import (
 def test_construction_strips_trailing_zeros():
     p = TPoly((ExactScalar.of(1), ExactScalar.of(0), ExactScalar.of(0)))
     assert p.degree == 0
-    assert p == TPoly.const(1)
+    assert p == TPoly.of(1)
     assert TPoly(()).degree == float("-inf")
     assert TPoly.ZERO.is_zero()
 
@@ -217,7 +217,7 @@ def test_deriv_and_shift_apply():
     lam = ExactScalar.of(2)
     # (lam + d/dt) t^2 = 2 t^2 + 2 t
     assert p.shift_apply(lam) == TPoly.parse(["0/1", "2/1", "2/1"])
-    assert TPoly.ONE.shift_apply(lam) == TPoly.const(2)
+    assert TPoly.ONE.shift_apply(lam) == TPoly.of(2)
 
 
 def test_call_and_taylor():
@@ -245,7 +245,7 @@ def test_norm_reads_float_R_at_its_repr():
 
 def test_norm_examples():
     assert poly_norm(TPoly.T, 2) == 2
-    assert poly_norm(TPoly.const(ExactScalar(Fraction(3), Fraction(4))), 5) == 5
+    assert poly_norm(TPoly.of(ExactScalar(Fraction(3), Fraction(4))), 5) == 5
     assert poly_norm(TPoly.parse(["1/1", "1/1"]), 2) == 3
     assert poly_norm(TPoly.ZERO, 2) == 0
 

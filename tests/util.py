@@ -76,6 +76,14 @@ def x_prefix(basis: ExponentBasis) -> DulacSeries:
     return DulacSeries.monomial(basis.rational(Fraction(1)), TPoly.ONE)
 
 
+def interval(e, part: str) -> tuple:
+    """Enclosure (lo, hi) of Re or Im (part "re" or "im") of an exponent at
+    its basis precision."""
+    mid = e.re_mid if part == "re" else e.im_mid
+    r = e.radius(part, e.basis.precision)
+    return (mid - r, mid + r)
+
+
 def random_scalar(rng, zero_ok: bool = True) -> ExactScalar:
     s = ExactScalar(
         Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
@@ -123,16 +131,6 @@ def schoolbook_product(p: TPoly, q: TPoly) -> TPoly:
     return TPoly(tuple(ExactScalar(x, y) for x, y in zip(re, im)))
 
 
-def full_product(f: DulacSeries, g: DulacSeries) -> DulacSeries:
-    """Unpruned oracle for DulacSeries.__mul__: builds every term pair and
-    leaves the out-of-cutoff ones to canonicalization."""
-    if f.is_zero() or g.is_zero():
-        return DulacSeries(f.basis, (), min(f.cutoff, g.cutoff))
-    cutoff = min(f.cutoff + g.val(), g.cutoff + f.val())
-    pairs = tuple((e1 + e2, c1 * c2) for e1, c1 in f.terms for e2, c2 in g.terms)
-    return DulacSeries(f.basis, pairs, cutoff)
-
-
 def substitute_direct(ode: ODESpec, phi: DulacSeries) -> DulacSeries:
     """Unpruned oracle for ode.Evaluation's value: each monomial is evaluated on
     its own by repeated full products of the truncated factors, with no
@@ -143,10 +141,10 @@ def substitute_direct(ode: ODESpec, phi: DulacSeries) -> DulacSeries:
         deltas.append(deltas[-1].delta())
     total = DulacSeries.zero(basis)
     for coeff, p, q in ode.terms:
-        acc = DulacSeries.monomial(basis.rational(p), TPoly.const(coeff))
+        acc = DulacSeries.monomial(basis.rational(p), TPoly.of(coeff))
         for j, e in enumerate(q):
             for _ in range(e):
-                acc = full_product(acc, deltas[j])
+                acc = acc * deltas[j]
         total = total + acc
     if ode.declared_degree is not None:
         cap = (ode.declared_degree + 1) * min(Fraction(1), phi.val())
