@@ -216,7 +216,7 @@ def _terms_csv(series: DulacSeries) -> str:
             ";".join(e.serialize()),
             str(e.re_mid),
             str(e.im_mid),
-            0 if c.degree == float("-inf") else c.degree,
+            c.degree,
             ";".join(c.serialize()),
         ])
     return buf.getvalue()
@@ -323,11 +323,7 @@ def _cmd_iota(problem: Problem, args) -> int:
                 f"iota: gap lambda_{k} - lambda_{m} = {gap} does not decompose over the "
                 "declared generators; they do not generate the solution's exponent steps"
             )
-    tail_terms = tuple((e - lam_m, c) for e, c in state.solution.terms[m:])
-    cutoff = state.solution.cutoff
-    if cutoff != INF:
-        cutoff = cutoff - lam_m.re_mid
-    tail = DulacSeries(problem.basis, tail_terms, cutoff)
+    tail = DulacSeries(problem.basis, state.solution.terms[m:], state.solution.cutoff).shift(-lam_m)
     image = iota_map(tail, gens, lam_m)
     round_trip = iota_inv(image)
     exact = round_trip.terms == tail.terms and round_trip.cutoff == tail.cutoff

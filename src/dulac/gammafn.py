@@ -11,15 +11,13 @@ scope and raise DomainError; no reflection formula is attempted.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import mpmath
 
 from .errors import DomainError
 from .numeric import FLOAT_PRECISION
 from .scalars import ExactScalar
-
-_coeff_cache: dict = {}
-_value_cache: dict = {}
 
 
 def _spouge_a(tol: float) -> int:
@@ -29,10 +27,8 @@ def _spouge_a(tol: float) -> int:
     return a
 
 
+@lru_cache(maxsize=None)
 def _spouge_coeffs(a: int, prec: int) -> list:
-    key = (a, prec)
-    if key in _coeff_cache:
-        return _coeff_cache[key]
     with mpmath.workprec(prec):
         cs = [mpmath.sqrt(2 * mpmath.pi)]
         for k in range(1, a):
@@ -40,7 +36,6 @@ def _spouge_coeffs(a: int, prec: int) -> list:
             ck *= mpmath.power(a - k, k - mpmath.mpf(1) / 2)
             ck *= mpmath.exp(a - k)
             cs.append(ck)
-    _coeff_cache[key] = cs
     return cs
 
 
@@ -67,19 +62,16 @@ def _gamma_abs_mpc(z: mpmath.mpc, tol: float, prec: int) -> mpmath.mpf:
 def gamma_abs(z, tol: float = 1e-12) -> mpmath.mpf:
     """|Gamma(z)| with relative error at most tol, for Re z > 0.
 
-    Accepts ExactScalar, Fraction or int.  Values are cached, since norm
-    tables evaluate the same points repeatedly.
+    Accepts ExactScalar, Fraction or int.  Nothing is cached here: the norm
+    tables of mseries keep each value they need.
     """
     if tol <= 0 or tol >= 1:
         raise ValueError(f"gamma_abs: tolerance must lie in (0, 1), got {tol}")
     if not isinstance(z, ExactScalar):
         z = ExactScalar.of(z)
-    key = (z.re, z.im, tol)
-    if key not in _value_cache:
-        if z.re <= 0:
-            raise DomainError(f"gamma_abs: Re z must be positive, got z = {z.re}+{z.im}i")
-        prec = _working_prec(tol)
-        with mpmath.workprec(prec):
-            zc = mpmath.mpc(mpmath.mpmathify(z.re), mpmath.mpmathify(z.im))
-        _value_cache[key] = _gamma_abs_mpc(zc, tol, prec)
-    return _value_cache[key]
+    if z.re <= 0:
+        raise DomainError(f"gamma_abs: Re z must be positive, got z = {z.re}+{z.im}i")
+    prec = _working_prec(tol)
+    with mpmath.workprec(prec):
+        zc = mpmath.mpc(mpmath.mpmathify(z.re), mpmath.mpmathify(z.im))
+    return _gamma_abs_mpc(zc, tol, prec)

@@ -24,11 +24,12 @@ from fractions import Fraction
 import mpmath
 
 from .gammafn import gamma_abs
-from .numeric import FLOAT_PRECISION, float_str, to_mpf
+from .numeric import FLOAT_PRECISION, to_mpf
 from .scalars import ExactScalar
 from .series import INF
 from .tpoly import poly_norm
 
+_ONE = mpmath.mpf(1)
 CSV_COLUMNS = ["k", "re_lambda", "im_lambda", "deg_c", "norm_R", "gamma_abs", "rho", "envelope_Ck"]
 
 
@@ -42,10 +43,27 @@ class RhoRow:
     k: int
     re_lambda: Fraction
     im_lambda: Fraction
-    deg_c: object  # int or -inf
+    deg_c: int
     norm_R: object  # mpf
     gamma: object  # mpf (1 in the convergent case)
     rho: object  # mpf
+
+
+def _rows(terms, s, R, tol) -> list:
+    """rho_k = ||c_k||_R / |Gamma(lambda_k / s)| for the k-th of terms, with
+    |Gamma| = 1 when s = +inf."""
+    rows = []
+    for k, (lam, c) in enumerate(terms, start=1):
+        g = _ONE if s == INF else gamma_abs(ExactScalar(lam.re_mid / s, lam.im_mid / s), tol)
+        nr = poly_norm(c, R)
+        with mpmath.workprec(FLOAT_PRECISION):
+            rows.append(RhoRow(k, lam.re_mid, lam.im_mid, c.degree, nr, g, nr / g))
+    return rows
+
+
+def _abscissa(s, row: RhoRow):
+    """The x of the envelope C * A^x at a row: Re lambda_k when s = +inf, else k."""
+    return row.re_lambda if s == INF else row.k
 
 
 def normalized_coeffs(terms, s, R, tol: float = 1e-12) -> list:
@@ -59,14 +77,7 @@ def normalized_coeffs(terms, s, R, tol: float = 1e-12) -> list:
     s_q = Fraction(s)
     if s_q <= 0:
         raise ValueError(f"normalized_coeffs: s must be positive, got {s}")
-    rows = []
-    for k, (lam, c) in enumerate(terms, start=1):
-        z = ExactScalar(lam.re_mid / s_q, lam.im_mid / s_q)
-        g = gamma_abs(z, tol)
-        nr = poly_norm(c, R)
-        with mpmath.workprec(FLOAT_PRECISION):
-            rows.append(RhoRow(k, lam.re_mid, lam.im_mid, c.degree, nr, g, nr / g))
-    return rows
+    return _rows(terms, s_q, R, tol)
 
 
 def fit_growth(rhos, abscissae=None) -> tuple:
@@ -114,9 +125,7 @@ class GevreyReport:
 
     def envelope_at(self, row: RhoRow):
         with mpmath.workprec(FLOAT_PRECISION):
-            if self.s == INF:
-                return self.C_fit * self.A_fit ** to_mpf(row.re_lambda)
-            return self.C_fit * self.A_fit ** row.k
+            return self.C_fit * self.A_fit ** to_mpf(_abscissa(self.s, row))
 
     def to_json(self) -> dict:
         return {
@@ -131,7 +140,7 @@ class GevreyReport:
                     "k": r.k,
                     "re_lambda": float(r.re_lambda),
                     "im_lambda": float(r.im_lambda),
-                    "deg_c": None if r.deg_c == float("-inf") else r.deg_c,
+                    "deg_c": r.deg_c,
                     "norm_R": float(r.norm_R),
                     "gamma_abs": float(r.gamma),
                     "rho": float(r.rho),
@@ -142,22 +151,12 @@ class GevreyReport:
         }
 
     def to_csv(self) -> str:
+        """The rows of to_json, one CSV line each."""
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\r\n")
         w.writerow(CSV_COLUMNS)
-        for r in self.rows:
-            w.writerow(
-                [
-                    r.k,
-                    float_str(r.re_lambda),
-                    float_str(r.im_lambda),
-                    0 if r.deg_c == float("-inf") else r.deg_c,
-                    float_str(r.norm_R),
-                    float_str(r.gamma),
-                    float_str(r.rho),
-                    float_str(self.envelope_at(r)),
-                ]
-            )
+        for row in self.to_json()["rows"]:
+            w.writerow([row[c] for c in CSV_COLUMNS])
         return buf.getvalue()
 
 
@@ -171,23 +170,15 @@ def classify(state, s, R, tol: float = 1e-12) -> GevreyReport:
     radius.  Fewer than three terms is Inconclusive unless the residual is
     identically zero below the cutoff (a terminating solution).
     """
-    terms = state.solution.terms
-    terminating = state.residual.is_zero()
-    R_q = Fraction(R)
+    terms, R_q = state.solution.terms, Fraction(R)
     if s == INF:
-        rows = []
-        for k, (lam, c) in enumerate(terms, start=1):
-            norm = poly_norm(c, R_q)
-            rows.append(RhoRow(k, lam.re_mid, lam.im_mid, c.degree, norm, mpmath.mpf(1), norm))
-        C, A, _, _ = fit_growth([r.rho for r in rows], [r.re_lambda for r in rows])
-        verdict = "ConvergentCandidate" if (terminating or len(rows) >= 3) else "Inconclusive"
-        radius = None
-        if rows:
-            with mpmath.workprec(FLOAT_PRECISION):
-                radius = 1 / A
-        return GevreyReport(INF, tuple(rows), C, A, R_q, verdict, radius)
-
-    rows = normalized_coeffs(terms, s, R_q, tol)
-    C, A, _, _ = fit_growth([r.rho for r in rows])
-    verdict = "GevreyBounded" if (len(rows) >= 3 or terminating) else "Inconclusive"
-    return GevreyReport(Fraction(s), tuple(rows), C, A, R_q, verdict, None)
+        rows, verdict = _rows(terms, INF, R_q, tol), "ConvergentCandidate"
+    else:
+        s = Fraction(s)
+        rows, verdict = normalized_coeffs(terms, s, R_q, tol), "GevreyBounded"
+    C, A, _, _ = fit_growth([r.rho for r in rows], [_abscissa(s, r) for r in rows])
+    if len(rows) < 3 and not state.residual.is_zero():
+        verdict = "Inconclusive"
+    with mpmath.workprec(FLOAT_PRECISION):
+        radius = 1 / A if s == INF and rows else None
+    return GevreyReport(s, tuple(rows), C, A, R_q, verdict, radius)

@@ -12,9 +12,9 @@ and the graded norms
 
 measure tails in the scale of spaces used to run the contraction argument.
 The per-m constants |Gamma(<m,r>/s)| and the weight are computed once per
-multi-index m for each generator set, base exponent and NormParams, and the
-weight only when a norm or estimate raises it to a nonzero power (level
-j > 0), so the level-0 norms never compute it.
+m: the first for each generator set, s and tolerance, the second for each
+generator set, base exponent and NormParams and only at a nonzero power
+(level j > 0), so the level-0 norms never compute it.
 check_lemma5/check_lemma6/majorant_bound evaluate both sides of the
 corresponding operator estimates on concrete data; they are finite-data
 consequences of the triangle inequality and norm submultiplicativity, so a
@@ -79,8 +79,8 @@ def _canonical_terms(terms, gens: Generators, cutoff):
     items = {}
     for m, c in terms:
         m = tuple(int(v) for v in m)
-        if any(v < 0 for v in m):
-            raise ValueError(f"MSeries: negative multi-index {m}")
+        if len(m) != gens.kappa or any(v < 0 for v in m):
+            raise ValueError(f"MSeries: multi-index {m} is not kappa = {gens.kappa} nonnegative integers")
         if not any(m):
             raise ValueError("MSeries: the zero multi-index is not a semigroup member")
         items[m] = items[m] + c if m in items else c
@@ -153,12 +153,11 @@ class MSeries:
 
     def shift_m(self, l) -> "MSeries":
         l = tuple(int(v) for v in l)
-        cutoff = self.cutoff if self.cutoff == INF else self.cutoff + self.gens.m_re(l)
         return MSeries(
             self.gens,
             self.lambda_base,
             tuple((tuple(a + b for a, b in zip(m, l)), c) for m, c in self.terms),
-            cutoff,
+            self.cutoff + self.gens.m_re(l),
         )
 
     def hat_delta(self) -> "MSeries":
@@ -192,11 +191,16 @@ class MSeries:
 
     @staticmethod
     def from_json(data: dict, gens: Generators, lambda_base: Exponent) -> "MSeries":
-        """Inverse of to_json; SchemaError for a malformed term, a
+        """Inverse of to_json; SchemaError for a malformed document or term, a
         multi-index that is not kappa nonnegative JSON integers included."""
+        if not isinstance(data, dict):
+            raise SchemaError(f"mseries: expected a JSON object, got {data!r}")
         cutoff = cutoff_from_json(data.get("cutoff"), "mseries")
+        items = data.get("terms", [])
+        if not isinstance(items, list):
+            raise SchemaError("mseries: terms must be a list of {m, poly} objects")
         terms = []
-        for i, item in enumerate(data.get("terms", [])):
+        for i, item in enumerate(items):
             m = item.get("m") if isinstance(item, dict) else None
             if not isinstance(m, list) or len(m) != gens.kappa or not all(type(v) is int and v >= 0 for v in m):
                 raise SchemaError(f"mseries: terms[{i}].m must be {gens.kappa} nonnegative integers, got {m!r}")
@@ -246,16 +250,22 @@ def fit_degree_K(g: MSeries) -> Fraction:
 # -- graded norms and estimate checks ------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _gammas(gens: Generators, s: Fraction, tol: float) -> dict:
+    """|Gamma(<m,r>/s)| by m, shared by every _NormTable with these values."""
+    return {}
+
+
 class _NormTable:
-    """The per-multi-index constants of one graded norm: |Gamma(<m,r>/s)|
-    and the weight |lambda_base + <m,r>| + Kcal |m|, each computed once per m
-    on first use.  The weight is computed only when a nonzero power of it is
-    asked for.  Both are rounded at FLOAT_PRECISION, as every caller works at
-    that precision."""
+    """The per-multi-index constants of one graded norm: |Gamma(<m,r>/s)|,
+    shared by every table over the same generators, s and tolerance, and the
+    weight |lambda_base + <m,r>| + Kcal |m|, computed only when a nonzero
+    power of it is asked for.  Each is computed once per m on first use and
+    rounded at FLOAT_PRECISION, as every caller works at that precision."""
 
     def __init__(self, gens: Generators, lambda_base: Exponent | None, p: NormParams):
         self.gens, self.lambda_base, self.p = gens, lambda_base, p
-        self._gamma, self._weight = {}, {}
+        self._gamma, self._weight = _gammas(gens, p.s, p.tol), {}
 
     def gamma(self, m) -> mpmath.mpf:
         """|Gamma(<m,r>/s)| at the norm's tolerance."""

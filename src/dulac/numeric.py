@@ -26,8 +26,3 @@ def abs_scalar(s, prec: int = FLOAT_PRECISION) -> mpmath.mpf:
         return mpmath.mpf(0)
     with mpmath.workprec(prec):
         return mpmath.sqrt(mpmath.mpmathify(sq))
-
-
-def float_str(x) -> str:
-    """Deterministic decimal rendering used in CSV/JSON artifacts."""
-    return repr(float(x))

@@ -171,7 +171,7 @@ class Evaluation:
     Each Y[q] and the value are term maps from exponents to (exponent,
     coefficient), so a step builds no series.  A heap of (key, coordinates,
     exponent), pushed when an exponent first enters the value, gives
-    leading() the value's lowest term; phi is the list of terms fed so
+    leading() the value's lowest term; terms lists phi's terms fed so
     far, in increasing order.  The derivatives dF/dy_j along phi are read off
     the kept products, as are the mixed ones (derivative()); value() and
     derivative() build one DulacSeries when asked.
@@ -248,10 +248,6 @@ class Evaluation:
                 for e, y in changes[q].values():
                     self._add_value(e + x_p if p else e, y * coeff)
         self.terms.append((lam, c))
-
-    @property
-    def phi(self) -> DulacSeries:
-        return DulacSeries(self.basis, tuple(self.terms), INF)
 
     def _cutoff(self, G: ODESpec, phi_cutoff, bound):
         """Cutoff of G(x, phi, ...) for G = F or a derivative of it, truncated

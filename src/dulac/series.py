@@ -196,9 +196,8 @@ class DulacSeries:
 
     def shift(self, exponent: Exponent) -> "DulacSeries":
         """Multiply by x^exponent: shifts every term and the cutoff."""
-        cutoff = self.cutoff if self.cutoff == INF else self.cutoff + exponent.re_low
         return DulacSeries(
-            self.basis, tuple((e + exponent, c) for e, c in self.terms), cutoff
+            self.basis, tuple((e + exponent, c) for e, c in self.terms), self.cutoff + exponent.re_low
         )
 
     def truncate(self, new_cutoff) -> "DulacSeries":

@@ -309,9 +309,6 @@ class SolutionState:
     lin: LinearData
     history: tuple  # of (lambda_k, c_k, b_k)
 
-    def exponents(self) -> list:
-        return [e for e, _ in self.solution.terms]
-
     def to_json(self) -> dict:
         return {
             "solution": self.solution.to_json(),

@@ -223,6 +223,20 @@ def test_analyze_no_prefix_has_null_conditions(tmp_path):
 # -- verify ----------------------------------------------------------------------
 
 
+def _check_gevrey_csv(out, data, abscissa):
+    """gevrey.csv is the JSON rows, each cell the repr of the row's value,
+    and each envelope is C_fit * A_fit^x at the row's abscissa x."""
+    lines = read(out, "gevrey.csv").split("\r\n")
+    assert lines.pop() == ""
+    columns = lines[0].split(",")
+    assert columns == ["k", "re_lambda", "im_lambda", "deg_c", "norm_R", "gamma_abs", "rho", "envelope_Ck"]
+    assert len(lines) == len(data["rows"]) + 1 > 3
+    for line, row in zip(lines[1:], data["rows"]):
+        assert line.split(",") == [repr(row[c]) for c in columns]
+        want = data["C_fit"] * data["A_fit"] ** abscissa(row)
+        assert row["envelope_Ck"] == pytest.approx(want, rel=1e-12)
+
+
 def test_verify_euler(tmp_path):
     code, out = run(tmp_path, "verify", str(DATA / "euler.json"))
     assert code == 0
@@ -231,8 +245,7 @@ def test_verify_euler(tmp_path):
     assert data["s"] == "1"
     assert abs(data["A_fit"] - 1) < 1e-9
     assert all(abs(row["rho"] - 1) < 1e-9 for row in data["rows"])
-    text = read(out, "gevrey.csv")
-    assert text.startswith("k,re_lambda,im_lambda,deg_c,norm_R,gamma_abs,rho,envelope_Ck\r\n")
+    _check_gevrey_csv(out, data, lambda row: row["k"])
 
 
 def test_verify_convergent(tmp_path):
@@ -242,6 +255,8 @@ def test_verify_convergent(tmp_path):
     assert data["verdict"] == "ConvergentCandidate"
     assert data["s"] == "inf"
     assert abs(data["radius_estimate"] - 1.0) < 1e-9
+    assert all(row["gamma_abs"] == 1.0 for row in data["rows"])
+    _check_gevrey_csv(out, data, lambda row: row["re_lambda"])
 
 
 # -- reduce ------------------------------------------------------------------------

@@ -82,6 +82,16 @@ def test_zero_index_rejected():
         _ms(g, (((-1,), TPoly.ONE),))
 
 
+@pytest.mark.parametrize(
+    "gens, m", [(_gens_one, (1, 2)), (_gens_mixed, (1,)), (_gens_mixed, (1, 0, 0))], ids=["long", "short", "long2"]
+)
+def test_multi_index_of_wrong_length_rejected(gens, m):
+    # Generators.m_parts zips m against the generators, so (1, 2) over
+    # kappa = 1 would otherwise be kept with Re<m,r> = 1
+    with pytest.raises(ValueError, match="kappa"):
+        _ms(gens(), ((m, TPoly.ONE),))
+
+
 def test_canonical_merge_sort_drop():
     g = _gens_mixed()
     terms = (
@@ -195,19 +205,21 @@ def test_float_cutoff_reads_as_its_decimal():
 
 
 @pytest.mark.parametrize(
-    "item, field",
-    [({"m": [1.5], "poly": ["1/1"]}, "terms[0].m"), ({"m": [True], "poly": ["1/1"]}, "terms[0].m"),
-     ({"m": ["1"], "poly": ["1/1"]}, "terms[0].m"), ({"m": 1, "poly": ["1/1"]}, "terms[0].m"),
-     ({"m": [1, 2], "poly": ["1/1"]}, "terms[0].m"), ({"m": [-1], "poly": ["1/1"]}, "terms[0].m"),
-     ({"poly": ["1/1"]}, "terms[0].m"), ({"m": [1]}, "terms[0].poly"),
-     ({"m": [1], "poly": [1.5]}, "terms[0].poly"), ([1], "terms[0].m")],
+    "data, field",
+    [({"terms": [item]}, field) for item, field in [
+        ({"m": [1.5], "poly": ["1/1"]}, "terms[0].m"), ({"m": [True], "poly": ["1/1"]}, "terms[0].m"),
+        ({"m": ["1"], "poly": ["1/1"]}, "terms[0].m"), ({"m": 1, "poly": ["1/1"]}, "terms[0].m"),
+        ({"m": [1, 2], "poly": ["1/1"]}, "terms[0].m"), ({"m": [-1], "poly": ["1/1"]}, "terms[0].m"),
+        ({"poly": ["1/1"]}, "terms[0].m"), ({"m": [1]}, "terms[0].poly"),
+        ({"m": [1], "poly": [1.5]}, "terms[0].poly"), ([1], "terms[0].m")]]
+    + [([], "expected a JSON object"), ({"terms": {}}, "terms must be a list")],
     ids=["float_m", "bool_m", "string_m", "scalar_m", "long_m", "negative_m", "missing_m", "missing_poly",
-         "float_poly", "non_object"],
+         "float_poly", "non_object", "list_document", "object_terms"],
 )
-def test_from_json_rejects_malformed_terms(item, field):
+def test_from_json_rejects_malformed_terms(data, field):
     g = _gens_one()
     with pytest.raises(SchemaError) as exc:
-        MSeries.from_json({"terms": [item]}, g, g.basis.zero())
+        MSeries.from_json(data, g, g.basis.zero())
     assert f"mseries: {field}" in str(exc.value)
 
 
@@ -560,9 +572,31 @@ def test_lemma6_computes_each_constant_once(monkeypatch):
     monkeypatch.setattr(mseries, "abs_scalar", lambda *args: weights.append(args))
     monkeypatch.setattr(mseries, "gamma_abs", lambda z, tol: gammas.append(z) or real_gamma(z, tol))
     mseries._table.cache_clear()
+    mseries._gammas.cache_clear()
     report = check_lemma6(g1, g2, p)
     assert report.passed and report.splits == 6
     assert weights == []
     singles = {m for m, _ in g1.terms + g2.terms}
     sums = {tuple(x + y for x, y in zip(a, b)) for a, _ in g1.terms for b, _ in g2.terms}
     assert len(gammas) == len(set(gammas)) == len(singles | sums)
+
+
+def test_norms_share_gamma_values_across_params(monkeypatch):
+    """Norms over the same generators, s and tolerance evaluate each
+    |Gamma(<m,r>/s)| once between them, whatever their R, Kcal and level."""
+    gens = _gens_mixed()
+    rng = random.Random(9)
+    g = _ms(gens, (((1, 0), random_poly(rng, 2)), ((0, 1), random_poly(rng, 2)), ((1, 1), TPoly.ONE)))
+    h = _ms(gens, (((2, 0), TPoly.T), ((0, 1), TPoly.ONE)))
+    gammas = []
+    real_gamma = mseries.gamma_abs
+    monkeypatch.setattr(mseries, "gamma_abs", lambda z, tol: gammas.append(z) or real_gamma(z, tol))
+    mseries._table.cache_clear()
+    mseries._gammas.cache_clear()
+    p = NormParams(R=3, s=Fraction(5, 3), Kcal=2, j=0)
+    h_norm(g, p)
+    h_norm(g, NormParams(R=4, s=p.s, Kcal=1, j=1))
+    h_norm(h, NormParams(R=p.R, s=p.s, Kcal=0, j=2))
+    assert len(gammas) == len({m for m, _ in g.terms + h.terms}) == 4
+    h_norm(g, NormParams(R=p.R, s=Fraction(2), Kcal=p.Kcal))
+    assert len(gammas) == 4 + len(g.terms)

@@ -313,7 +313,7 @@ def test_extend_builds_no_series_per_step(monkeypatch):
 def test_check_conditions_euler():
     basis = basis_one()
     state = extend(euler_ode(), DulacSeries.zero(basis), 6)
-    exps = state.exponents()
+    exps = [e for e, _ in state.solution.terms]
     rep = check_conditions(state.lin, exps, next_exponent=basis.rational(6), s=1)
     assert rep.roots_ok  # L is constant, no roots at all
     assert rep.root_margin is None
