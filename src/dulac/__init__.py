@@ -20,7 +20,8 @@ _EXPORTS = {
     "scalars": "ExactScalar",
     "exponents": """DEFAULT_PRECISION MAX_PRECISION BasisEntry Exponent ExponentBasis
         exp_compare re_compare""",
-    "tpoly": "TPoly poly_norm",
+    "tpoly": "TPoly",
+    "numeric": "poly_norm",
     "gammafn": "gamma_abs",
     "series": "INF DulacSeries",
     "ode": "ODESpec",

@@ -36,6 +36,7 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from math import isfinite
 from pathlib import Path
 
 from .errors import (
@@ -45,14 +46,14 @@ from .errors import (
     PreconditionViolated,
     SchemaError,
 )
-from .exponents import DEFAULT_PRECISION, MAX_PRECISION, Exponent, ExponentBasis
+from .exponents import DEFAULT_PRECISION, MAX_PRECISION, ExponentBasis
 from .gevrey import classify, serialize_s
-from .mseries import MSeries, NormParams, check_lemma5, check_lemma6, fit_degree_K, iota as iota_map, iota_inv, majorant_bound
+from .mseries import fit_degree_K, iota as iota_map, iota_inv, norm_trials
 from .ode import ODESpec
+from .scalars import decimal_rational
 from .semigroup import Generators, choose_R, exponent_gaps, suggest_generators, validate_generators
 from .series import INF, DulacSeries, terms_from_json
 from .solver import check_conditions, extend, extract_linearization, reduce_equation
-from .tpoly import TPoly
 
 # Codes 2-5 are the exit_code of the error raised (see dulac.errors).
 EXIT_OK = 0
@@ -68,11 +69,9 @@ def _rational(value, what: str) -> Fraction:
     """Exact rational from a JSON number; decimal floats read at face value."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"problem file: {what} must be a number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if value != value or value in (float("inf"), float("-inf")):
+    if isinstance(value, float) and not isfinite(value):
         raise SchemaError(f"problem file: {what} must be finite, got {value!r}")
-    return Fraction(repr(value))
+    return decimal_rational(value)
 
 
 class Problem:
@@ -163,9 +162,7 @@ class Problem:
 
     def default_gens(self) -> Generators:
         """Declared generators, or {1} when none are declared."""
-        if self.generator_exponents is not None:
-            return validate_generators(self.generator_exponents)
-        return validate_generators([self.basis.rational(Fraction(1))])
+        return validate_generators(self.generator_exponents or [self.basis.rational(Fraction(1))])
 
 
 def _load_problem(path: str, args) -> Problem:
@@ -350,119 +347,30 @@ def _cmd_iota(problem: Problem, args) -> int:
     return EXIT_OK
 
 
-def _random_poly(rng, max_deg: int) -> TPoly:
-    """Coefficients a/b + (c/d) i with a in [-4, 4], c in [-2, 2] and b, d in
-    [1, 3], drawn in that order; a zero leading coefficient becomes 1.  Every
-    denominator divides 6, so the numerators are built over 6."""
-    deg = rng.randint(0, max_deg)
-    re, im = [], []
-    for _ in range(deg + 1):
-        a, b = rng.randint(-4, 4), rng.randint(1, 3)
-        c, d = rng.randint(-2, 2), rng.randint(1, 3)
-        re.append(a * (6 // b))
-        im.append(c * (6 // d))
-    if not re[-1] and not im[-1]:
-        re[-1] = 6
-    return TPoly.from_ints(6, re, im)
-
-
-def _random_mseries(rng, gens: Generators, lambda_base: Exponent, max_deg_for=None) -> MSeries:
-    kappa = gens.kappa
-    terms = []
-    for _ in range(rng.randint(1, 4)):
-        m = tuple(rng.randint(0, 3) for _ in range(kappa))
-        if not any(m):
-            one = rng.randrange(kappa)
-            m = tuple(1 if i == one else v for i, v in enumerate(m))
-        cap = max_deg_for(m) if max_deg_for is not None else 2
-        terms.append((m, _random_poly(rng, cap)))
-    return MSeries(gens, lambda_base, tuple(terms), INF)
-
-
 def _cmd_check_norms(problem: Problem, args) -> int:
     import random
 
-    rng = random.Random(args.seed)
     gens = problem.default_gens()
     s = problem.s_override if problem.s_override not in (None, INF) else Fraction(1)
     Kcal = Fraction(2)
     R = problem.R if problem.R is not None else choose_R(Kcal, gens)[1]
-    base = problem.basis.rational(Fraction(rng.randint(0, 3)))
-
-    p0 = NormParams(R=R, s=s, Kcal=Fraction(0), j=0, tol=problem.tolerance)
-    lemma6_fail = 0
-    trials6 = 40
-    for _ in range(trials6):
-        g1 = _random_mseries(rng, gens, base)
-        g2 = _random_mseries(rng, gens, base)
-        if not check_lemma6(g1, g2, p0).passed:
-            lemma6_fail += 1
-
-    trials5, rejects5 = 25, 8
-    lemma5_fail = 0
-    # l is drawn from {0,1,2}^kappa; when no such l meets the slope gate of
-    # j = level + 1 (s above Re<(2,...,2),r>), the trial checks j = level
-    box_re = gens.m_re((2,) * gens.kappa)
-    for _ in range(trials5):
-        level = rng.randint(0, 1)
-        j = level + rng.randint(0, 1)
-        p5 = NormParams(R=R, s=s, Kcal=Kcal, j=level, tol=problem.tolerance)
-        gate = Fraction(j - level) * s
-        if gate > box_re:
-            j, gate = level, Fraction(0)
-        while True:
-            l = tuple(rng.randint(0, 2) for _ in range(gens.kappa))
-            if any(l) and gens.m_re(l) >= gate:
-                break
-        a = _random_poly(rng, min(2, int(Kcal * sum(l))))
-        g = _random_mseries(rng, gens, base, max_deg_for=lambda m: min(2, int(Kcal * sum(m))))
-        if not check_lemma5(a, l, j, g, p5).passed:
-            lemma5_fail += 1
-
-    reject_fail = 0
-    for _ in range(rejects5):
-        level = rng.randint(0, 1)
-        p5 = NormParams(R=R, s=s, Kcal=Kcal, j=level, tol=problem.tolerance)
-        g = _random_mseries(rng, gens, base, max_deg_for=lambda m: 0)
-        try:
-            # l = 0 gives Re<l,r> = 0 < (j - level) s with j = level + 1
-            check_lemma5(TPoly.ONE, (0,) * gens.kappa, level + 1, g, p5)
-            reject_fail += 1
-        except PreconditionViolated:
-            pass
-
-    majorant_fail = 0
-    trials7 = 5
-    e1 = tuple(1 if i == 0 else 0 for i in range(gens.kappa))
-    zero_m = (0,) * gens.kappa
-    coeffs = {(e1, (0,)): TPoly.ONE, (zero_m, (1,)): TPoly.ONE, (e1, (2,)): TPoly.ONE}
-    for _ in range(trials7):
-        lo = Fraction(rng.randint(1, 8), 8)
-        hi = lo + Fraction(rng.randint(1, 8), 8)
-        rho = Fraction(rng.randint(1, 4), 4)
-        b_lo = majorant_bound(coeffs, rho, [lo], gens, p0)
-        b_hi = majorant_bound(coeffs, rho, [hi], gens, p0)
-        if not b_lo <= b_hi:
-            majorant_fail += 1
-
-    all_pass = lemma6_fail == lemma5_fail == reject_fail == majorant_fail == 0
+    counts = norm_trials(random.Random(args.seed), gens, R, s, Kcal, problem.tolerance)
+    all_pass = not any(failures for _, failures in counts.values())
     payload = {
         "command": "check-norms",
         "seed": args.seed,
         "R": str(R),
         "s": serialize_s(s),
         "Kcal": str(Kcal),
-        "lemma6": {"trials": trials6, "failures": lemma6_fail},
-        "lemma5": {"trials": trials5, "failures": lemma5_fail},
-        "lemma5_rejects": {"trials": rejects5, "failures": reject_fail},
-        "majorant_monotone": {"trials": trials7, "failures": majorant_fail},
+        **{kind: {"trials": t, "failures": f} for kind, (t, f) in counts.items()},
         "all_pass": all_pass,
     }
+    passed = {kind: f"{t - f}/{t}" for kind, (t, f) in counts.items()}
     text = [
-        f"lemma6 product estimate: {trials6 - lemma6_fail}/{trials6} pass",
-        f"lemma5 operator estimate: {trials5 - lemma5_fail}/{trials5} pass",
-        f"lemma5 precondition gate: {rejects5 - reject_fail}/{rejects5} rejected",
-        f"majorant monotonicity: {trials7 - majorant_fail}/{trials7} pass",
+        f"lemma6 product estimate: {passed['lemma6']} pass",
+        f"lemma5 operator estimate: {passed['lemma5']} pass",
+        f"lemma5 precondition gate: {passed['lemma5_rejects']} rejected",
+        f"majorant monotonicity: {passed['majorant_monotone']} pass",
         f"all_pass: {all_pass}",
     ]
     _emit(args, payload, "normcheck.json", None, None, text)

@@ -24,10 +24,9 @@ from fractions import Fraction
 import mpmath
 
 from .gammafn import gamma_abs
-from .numeric import FLOAT_PRECISION, to_mpf
+from .numeric import FLOAT_PRECISION, poly_norm, to_mpf
 from .scalars import ExactScalar
 from .series import INF
-from .tpoly import poly_norm
 
 _ONE = mpmath.mpf(1)
 CSV_COLUMNS = ["k", "re_lambda", "im_lambda", "deg_c", "norm_R", "gamma_abs", "rho", "envelope_Ck"]

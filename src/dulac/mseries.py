@@ -19,6 +19,7 @@ check_lemma5/check_lemma6/majorant_bound evaluate both sides of the
 corresponding operator estimates on concrete data; they are finite-data
 consequences of the triangle inequality and norm submultiplicativity, so a
 failed check indicates an implementation bug rather than bad input.
+norm_trials runs them on seeded random data (the check-norms command).
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from .errors import (
 )
 from .exponents import Exponent
 from .gammafn import gamma_abs
-from .numeric import FLOAT_PRECISION, abs_scalar, to_mpf
-from .scalars import ExactScalar
+from .numeric import FLOAT_PRECISION, abs_scalar, poly_norm, to_mpf
+from .scalars import ExactScalar, decimal_rational
 from .semigroup import Generators, decompose
 from .series import INF, DulacSeries, _as_cutoff, cutoff_from_json, cutoff_to_json
-from .tpoly import TPoly, poly_norm
+from .tpoly import TPoly
 
 # slack absorbing directed rounding in 128-bit float sums; far below any
 # genuine estimate violation, far above accumulated arithmetic error
@@ -53,7 +54,8 @@ _ONE = mpmath.mpf(1)
 @dataclass(frozen=True)
 class NormParams:
     """Parameters of the graded norm: weight R, order s, degree constant
-    Kcal, and the level j."""
+    Kcal, and the level j.  R, s and Kcal are read as decimal_rational reads
+    them, so a float 2.1 is 21/10, as poly_norm and series cutoffs read it."""
 
     R: Fraction
     s: Fraction
@@ -62,9 +64,8 @@ class NormParams:
     tol: float = 1e-12
 
     def __post_init__(self):
-        object.__setattr__(self, "R", Fraction(self.R))
-        object.__setattr__(self, "s", Fraction(self.s))
-        object.__setattr__(self, "Kcal", Fraction(self.Kcal))
+        for name in ("R", "s", "Kcal"):
+            object.__setattr__(self, name, decimal_rational(getattr(self, name)))
         if self.R <= 1:
             raise ValueError(f"NormParams: R must exceed 1, got {self.R}")
         if self.s <= 0:
@@ -73,6 +74,14 @@ class NormParams:
             raise ValueError(f"NormParams: Kcal must be nonnegative, got {self.Kcal}")
         if self.j < 0:
             raise ValueError(f"NormParams: level j must be nonnegative, got {self.j}")
+
+    def degree_cap(self, m) -> Fraction:
+        """Kcal |m|, the largest degree of C_m in the level spaces."""
+        return self.Kcal * sum(m)
+
+    def slope_gate(self, j: int) -> Fraction:
+        """(j - level) s, the least Re<l,r> of check_lemma5's shift at j."""
+        return Fraction(j - self.j) * self.s
 
 
 def _canonical_terms(terms, gens: Generators, cutoff):
@@ -361,21 +370,21 @@ def check_lemma5(a: TPoly, l, j: int, g: MSeries, p: NormParams) -> Lemma5Report
     l = tuple(int(v) for v in l)
     if any(v < 0 for v in l):
         raise PreconditionViolated(f"check_lemma5: negative shift index {l}")
-    if a.degree > p.Kcal * sum(l):
+    if a.degree > p.degree_cap(l):
         raise PreconditionViolated(
-            f"check_lemma5: deg a = {a.degree} exceeds Kcal |l| = {p.Kcal * sum(l)}"
+            f"check_lemma5: deg a = {a.degree} exceeds Kcal |l| = {p.degree_cap(l)}"
         )
-    gate = Fraction(j - p.j) * p.s
+    gate = p.slope_gate(j)
     if g.gens.m_re(l) < gate:
         raise PreconditionViolated(
             f"check_lemma5: Re<l,r> = {g.gens.m_re(l)} is below (j - level) s = {gate}; "
             "the operator does not map this level pair continuously"
         )
     for m, c in g.terms:
-        if c.degree > p.Kcal * sum(m):
+        if c.degree > p.degree_cap(m):
             raise PreconditionViolated(
                 f"check_lemma5: term at m = {m} has deg C_m = {c.degree} > Kcal |m| = "
-                f"{p.Kcal * sum(m)}; g does not lie in the declared level space"
+                f"{p.degree_cap(m)}; g does not lie in the declared level space"
             )
     h = g
     for _ in range(j):
@@ -424,3 +433,93 @@ def majorant_bound(coeffs: dict, rho, tail_norms, gens: Generators, p: NormParam
                 term *= ni**qi
             acc += term
         return acc
+
+
+# -- randomized trials of the estimates -----------------------------------------
+
+
+def _random_poly(rng, max_deg: int) -> TPoly:
+    """Coefficients a/b + (c/d) i with a in [-4, 4], c in [-2, 2] and b, d in
+    [1, 3], drawn in that order; a zero leading coefficient becomes 1.  Every
+    denominator divides 6, so the numerators are built over 6."""
+    deg = rng.randint(0, max_deg)
+    re, im = [], []
+    for _ in range(deg + 1):
+        a, b = rng.randint(-4, 4), rng.randint(1, 3)
+        c, d = rng.randint(-2, 2), rng.randint(1, 3)
+        re.append(a * (6 // b))
+        im.append(c * (6 // d))
+    if not re[-1] and not im[-1]:
+        re[-1] = 6
+    return TPoly.from_ints(6, re, im)
+
+
+def _random_mseries(rng, gens: Generators, lambda_base: Exponent, max_deg_for=None) -> MSeries:
+    kappa = gens.kappa
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        m = tuple(rng.randint(0, 3) for _ in range(kappa))
+        if not any(m):
+            one = rng.randrange(kappa)
+            m = tuple(1 if i == one else v for i, v in enumerate(m))
+        cap = max_deg_for(m) if max_deg_for is not None else 2
+        terms.append((m, _random_poly(rng, cap)))
+    return MSeries(gens, lambda_base, tuple(terms), INF)
+
+
+_TRIALS = {"lemma6": 40, "lemma5": 25, "lemma5_rejects": 8, "majorant_monotone": 5}
+
+
+def norm_trials(rng, gens: Generators, R, s, Kcal, tol: float) -> dict:
+    """{kind: (trials, failures)} of randomized trials of the estimates on
+    data drawn from rng over gens, with weight R, order s, degree constant
+    Kcal and tolerance tol; a failure is an implementation regression.
+
+    The kinds, in order: check_lemma6 on random pairs; check_lemma5 on a
+    shift l and data that meet its preconditions; check_lemma5 on l = 0 with
+    j = level + 1, which its slope gate must reject; majorant_bound rising
+    with the tail norm."""
+    base = gens.basis.rational(Fraction(rng.randint(0, 3)))
+    kappa = gens.kappa
+    fails = dict.fromkeys(_TRIALS, 0)
+    p0 = NormParams(R=R, s=s, Kcal=Fraction(0), j=0, tol=tol)
+    for _ in range(_TRIALS["lemma6"]):
+        g1, g2 = _random_mseries(rng, gens, base), _random_mseries(rng, gens, base)
+        fails["lemma6"] += not check_lemma6(g1, g2, p0).passed
+
+    # l is drawn from {0,1,2}^kappa; when no such l meets the slope gate of
+    # j = level + 1 (s above Re<(2,...,2),r>), the trial checks j = level
+    box_re = gens.m_re((2,) * kappa)
+    for _ in range(_TRIALS["lemma5"]):
+        level = rng.randint(0, 1)
+        j = level + rng.randint(0, 1)
+        p = NormParams(R=R, s=s, Kcal=Kcal, j=level, tol=tol)
+        if p.slope_gate(j) > box_re:
+            j = level
+        while True:
+            l = tuple(rng.randint(0, 2) for _ in range(kappa))
+            if any(l) and gens.m_re(l) >= p.slope_gate(j):
+                break
+        a = _random_poly(rng, min(2, int(p.degree_cap(l))))
+        g = _random_mseries(rng, gens, base, max_deg_for=lambda m: min(2, int(p.degree_cap(m))))
+        fails["lemma5"] += not check_lemma5(a, l, j, g, p).passed
+
+    for _ in range(_TRIALS["lemma5_rejects"]):
+        level = rng.randint(0, 1)
+        p = NormParams(R=R, s=s, Kcal=Kcal, j=level, tol=tol)
+        g = _random_mseries(rng, gens, base, max_deg_for=lambda m: 0)
+        try:
+            check_lemma5(TPoly.ONE, (0,) * kappa, level + 1, g, p)
+            fails["lemma5_rejects"] += 1
+        except PreconditionViolated:
+            pass
+
+    e1 = tuple(1 if i == 0 else 0 for i in range(kappa))
+    coeffs = {(e1, (0,)): TPoly.ONE, ((0,) * kappa, (1,)): TPoly.ONE, (e1, (2,)): TPoly.ONE}
+    for _ in range(_TRIALS["majorant_monotone"]):
+        lo = Fraction(rng.randint(1, 8), 8)
+        hi = lo + Fraction(rng.randint(1, 8), 8)
+        rho = Fraction(rng.randint(1, 4), 4)
+        b_lo = majorant_bound(coeffs, rho, [lo], gens, p0)
+        fails["majorant_monotone"] += not b_lo <= majorant_bound(coeffs, rho, [hi], gens, p0)
+    return {kind: (_TRIALS[kind], n) for kind, n in fails.items()}

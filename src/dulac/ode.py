@@ -140,16 +140,17 @@ def multi_indices(bounds: tuple):
 
 
 def _accumulate(acc: dict, e: Exponent, c: TPoly) -> None:
-    """acc[e] += c over terms (e, c) keyed by exponent; zeros are dropped."""
+    """acc[e] += c in a term map from exponents to coefficients; zeros are
+    dropped."""
     old = acc.get(e)
     if old is None:
-        acc[e] = (e, c)
+        acc[e] = c
         return
-    total = old[1] + c
+    total = old + c
     if total.is_zero():
         del acc[e]
     else:
-        acc[e] = (old[0], total)
+        acc[e] = total
 
 
 class Evaluation:
@@ -168,13 +169,13 @@ class Evaluation:
     der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002).
     Exact arithmetic makes the result independent of the order of the terms.
 
-    Each Y[q] and the value are term maps from exponents to (exponent,
-    coefficient), so a step builds no series.  A heap of (key, coordinates,
-    exponent), pushed when an exponent first enters the value, gives
-    leading() the value's lowest term; terms lists phi's terms fed so
-    far, in increasing order.  The derivatives dF/dy_j along phi are read off
-    the kept products, as are the mixed ones (derivative()); value() and
-    derivative() build one DulacSeries when asked.
+    Each Y[q] and the value are term maps from exponents to coefficients, so
+    a step builds no series.  A heap of (key, coordinates, exponent), pushed
+    when an exponent first enters the value, gives leading() the value's
+    lowest term; terms lists phi's terms fed so far, in increasing order.
+    The derivatives dF/dy_j along phi are read off the kept products, as are
+    the mixed ones (derivative()); value() and derivative() build one
+    DulacSeries when asked.
     """
 
     def __init__(self, F: ODESpec, phi: DulacSeries):
@@ -193,7 +194,7 @@ class Evaluation:
         zero = (0,) * (F.n + 1)
         one = basis.zero()
         self._Y = {q: {} for q in closure}
-        self._Y[zero] = {one: (one, TPoly.ONE)}
+        self._Y[zero] = {one: TPoly.ONE}
         # highest total degree first, so that Y[q - r] still holds the old
         # value when Y[q] is updated
         self._updates = [
@@ -236,16 +237,16 @@ class Evaluation:
                 e_r, c_r = monomials[r]
                 if weight != 1:
                     c_r = c_r * weight
-                for e, y in self._Y[rest].values():
+                for e, y in self._Y[rest].items():
                     _accumulate(acc, e + e_r, y * c_r)
             target = self._Y[q]
-            for e, y in acc.values():
+            for e, y in acc.items():
                 _accumulate(target, e, y)
             changes[q] = acc
         for coeff, p, q in self.F.terms:
             if any(q):
                 x_p = self._x[p]
-                for e, y in changes[q].values():
+                for e, y in changes[q].items():
                     self._add_value(e + x_p if p else e, y * coeff)
         self.terms.append((lam, c))
 
@@ -297,14 +298,13 @@ class Evaluation:
                         "is broken"
                     )
                 ties += (2 * i + 1, 2 * i + 2)
-        head = value[e]
-        return head if head[0].re_below(self._cutoff(self.F, phi_cutoff, bound)) else None
+        return (e, value[e]) if e.re_below(self._cutoff(self.F, phi_cutoff, bound)) else None
 
     def value(self, phi_cutoff=INF, bound=INF) -> DulacSeries:
         """The value for a phi known only below phi_cutoff, truncated at bound
         and at the caps of _cutoff."""
         return DulacSeries(
-            self.basis, tuple(self._value.values()), self._cutoff(self.F, phi_cutoff, bound)
+            self.basis, tuple(self._value.items()), self._cutoff(self.F, phi_cutoff, bound)
         )
 
     def derivative(self, order: tuple, phi_cutoff=INF) -> DulacSeries:
@@ -318,6 +318,6 @@ class Evaluation:
         terms = tuple(
             (e + self._x[p] if p else e, y * coeff)
             for coeff, p, q in G.terms
-            for e, y in self._Y[q].values()
+            for e, y in self._Y[q].items()
         )
         return DulacSeries(self.basis, terms, self._cutoff(G, phi_cutoff, INF))

@@ -25,6 +25,15 @@ def parse_rational(text) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def decimal_rational(x) -> Fraction:
+    """x as a Fraction, a float read at its repr, the shortest decimal that
+    reads back as it (2.1 is 21/10, not its binary value).  A non-finite
+    float raises ValueError."""
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
+
+
 def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x

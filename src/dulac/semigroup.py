@@ -87,10 +87,8 @@ def nullspace_vector(columns: list):
 def _to_integer_vector(x: list) -> list:
     denom = lcm(*(v.denominator for v in x)) if x else 1
     ints = [int(v * denom) for v in x]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return [v // max(g, 1) for v in ints]
+    g = gcd(*ints) or 1
+    return [v // g for v in ints]
 
 
 # -- generators -------------------------------------------------------------
@@ -186,14 +184,9 @@ def decompose(lam: Exponent, gens: Generators):
     x = solve_unique([list(g.coords) for g in gens.r], list(lam.coords))
     if x is None:
         return None
-    m = []
-    for v in x:
-        if v.denominator != 1 or v < 0:
-            return None
-        m.append(int(v))
-    if not any(m):
+    if not any(x) or any(v.denominator != 1 or v < 0 for v in x):
         return None
-    return tuple(m)
+    return tuple(int(v) for v in x)
 
 
 def minimal_shell(gens: Generators, tau_re: Fraction) -> list:
@@ -211,14 +204,10 @@ def minimal_shell(gens: Generators, tau_re: Fraction) -> list:
         for m in product(*(range(b + 1) for b in bounds))
         if any(m) and gens.m_re(m) > tau_re
     ]
-    minimal = []
-    for m in members:
-        dominated = any(
-            k != m and all(ki <= mi for ki, mi in zip(k, m)) for k in members
-        )
-        if not dominated:
-            minimal.append(m)
-    return minimal
+    return [
+        m for m in members
+        if not any(k != m and all(ki <= mi for ki, mi in zip(k, m)) for k in members)
+    ]
 
 
 def compute_kcal(K_fit: Fraction, gens: Generators, tau_re) -> Fraction:

@@ -32,16 +32,14 @@ from math import isfinite
 
 from .errors import BasisMismatch, CutoffIncrease, SchemaError, UndecidableComparison
 from .exponents import Exponent, ExponentBasis
-from .scalars import ExactScalar
+from .scalars import ExactScalar, decimal_rational
 from .tpoly import TPoly
 
 INF = float("inf")
 
 
 def _as_cutoff(c):
-    if isinstance(c, float):
-        return INF if c == INF else Fraction(repr(c))
-    return c if isinstance(c, Fraction) else Fraction(c)
+    return INF if isinstance(c, float) and c == INF else decimal_rational(c)
 
 
 _CUTOFF_TEXT = re.compile(r"[+-]?\d+(?:/\d+)?")

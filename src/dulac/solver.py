@@ -123,13 +123,9 @@ def extract_linearization(F: ODESpec, phi: DulacSeries | Evaluation) -> LinearDa
     nu = min((g.terms[0][0] for g in nonzero), key=lambda e: e.key)
     A, nu_sec, B = [], [], []
     for j, g in enumerate(G):
-        if not g.terms:
-            A.append(ZERO)
-            nu_sec.append(None)
-            B.append(None)
-            continue
-        lead_e, lead_c = g.terms[0]
-        if lead_e.coords == nu.coords:
+        rest = g.terms
+        if rest and rest[0][0].coords == nu.coords:
+            lead_c = rest[0][1]
             if lead_c.degree != 0:
                 raise HypothesisViolation(
                     f"extract_linearization: coefficient of x^{nu} in dF/dy_{j} is "
@@ -137,22 +133,17 @@ def extract_linearization(F: ODESpec, phi: DulacSeries | Evaluation) -> LinearDa
                     "must be constant"
                 )
             A.append(lead_c[0])
-            rest = g.terms[1:]
+            rest = rest[1:]
         else:
             A.append(ZERO)
-            rest = g.terms
-        if rest:
-            e2, c2 = rest[0]
-            if re_compare(e2, nu) <= 0:
-                raise HypothesisViolation(
-                    f"extract_linearization: secondary exponent {e2} of dF/dy_{j} does "
-                    f"not exceed nu = {nu} in real part"
-                )
-            nu_sec.append(e2)
-            B.append(c2)
-        else:
-            nu_sec.append(None)
-            B.append(None)
+        e2, c2 = rest[0] if rest else (None, None)
+        if rest and re_compare(e2, nu) <= 0:
+            raise HypothesisViolation(
+                f"extract_linearization: secondary exponent {e2} of dF/dy_{j} does "
+                f"not exceed nu = {nu} in real part"
+            )
+        nu_sec.append(e2)
+        B.append(c2)
     if not G[F.n].terms:
         warnings.warn(
             DerivativeYnZeroWarning(

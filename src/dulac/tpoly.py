@@ -11,9 +11,10 @@ gcd(den, re..., im...) = 1, so equal polynomials have equal fields and equal
 hashes.  The degree of the zero polynomial is -inf.
 
 Sums, differences, products by scalars and polynomials, deriv, shift_apply,
-Taylor expansion, the back-substitution of solve_shifted and poly_norm all
-run on Python ints, with one gcd per result to restore the content-free
-form.  ExactScalar coefficients are built only at the API edge (coeffs,
+Taylor expansion and the back-substitution of solve_shifted all run on
+Python ints, with one gcd per result to restore the content-free form.  The
+module imports no floating point; the weighted norm poly_norm lives in
+numeric.  ExactScalar coefficients are built only at the API edge (coeffs,
 indexing, serialize, str, __call__, taylor_at) and are reduced like any
 other Fraction.
 """
@@ -21,13 +22,8 @@ other Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm, prod
 
-import mpmath
-from mpmath.libmp import fone, from_rational, fzero, mpf_add, mpf_mul, mpf_sqrt, round_nearest
-
-from .numeric import FLOAT_PRECISION
 from .scalars import _ZERO_Q, ExactScalar, ZERO
 
 NEG_INF = float("-inf")
@@ -389,36 +385,3 @@ class TPoly:
 TPoly.ZERO = TPoly(())
 TPoly.ONE = TPoly((ExactScalar.of(1),))
 TPoly.T = TPoly((ZERO, ExactScalar.of(1)))
-
-
-@lru_cache(maxsize=16, typed=True)
-def _norm_radix(R, prec: int) -> tuple:
-    """The norm weight R as an mpf tuple at prec bits, rounded as to_mpf
-    rounds it (a float R is read at its repr)."""
-    Rq = Fraction(R) if not isinstance(R, float) else Fraction(repr(R))
-    if Rq <= 1:
-        raise ValueError(f"poly_norm: weight R must exceed 1, got {R}")
-    return from_rational(Rq.numerator, Rq.denominator, prec)
-
-
-def poly_norm(p: TPoly, R, prec: int = FLOAT_PRECISION) -> mpmath.mpf:
-    """Weighted coefficient norm: sum of |a_j| R^j over the coefficients.
-
-    R must exceed 1 so that the norm is monotone in the degree direction and
-    submultiplicative.  The result is an mpf at prec bits.  Each |a_j| is the
-    square root of the exact (re_j^2 + im_j^2) / den^2, rounded once to prec
-    bits, as numeric.abs_scalar rounds the same rational.  The sum runs on
-    raw mpmath.libmp values at prec bits, rounding to nearest, which is what
-    mpf arithmetic inside mpmath.workprec(prec) does.
-    """
-    Rm = _norm_radix(R, prec)
-    den2 = p.den * p.den
-    im = p.im or (0,) * len(p.re)
-    acc, power = fzero, fone
-    for x, y in zip(p.re, im):
-        sq = x * x + y * y
-        if sq:
-            root = mpf_sqrt(from_rational(sq, den2, prec), prec, round_nearest)
-            acc = mpf_add(acc, mpf_mul(root, power, prec, round_nearest), prec, round_nearest)
-        power = mpf_mul(power, Rm, prec, round_nearest)
-    return mpmath.mp.make_mpf(acc)

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import mpmath
 
-from dulac import cli
+from dulac import cli, mseries
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_digests.json"
@@ -116,16 +116,17 @@ def norm_values(argv: list) -> list:
             return out
         return wrapper
 
-    saved = {name: getattr(cli, name) for name in NORM_CHECKS}
+    # the checks are patched on mseries, whose norm_trials calls them
+    saved = {name: getattr(mseries, name) for name in NORM_CHECKS}
     try:
         for name, check in saved.items():
-            setattr(cli, name, recording(name, check))
+            setattr(mseries, name, recording(name, check))
         with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             cli.main([*argv, "--output-dir", tmp])
     finally:
         for name, check in saved.items():
-            setattr(cli, name, check)
+            setattr(mseries, name, check)
     return records
 
 

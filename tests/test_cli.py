@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dulac
-from dulac import cli, errors
+from dulac import cli, errors, mseries
 from dulac.mseries import Lemma6Report
 
 from .util import DATA
@@ -355,7 +355,7 @@ def test_check_norms_regression_exits_1(tmp_path, monkeypatch):
     def broken(g1, g2, p):
         return Lemma6Report(lhs=1, rhs=0, C_used=1, passed=False, splits=1)
 
-    monkeypatch.setattr(cli, "check_lemma6", broken)
+    monkeypatch.setattr(mseries, "check_lemma6", broken)
     code, out = run(tmp_path, "check-norms", str(DATA / "euler.json"))
     assert code == 1
     assert payload(out, "normcheck.json")["all_pass"] is False

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dulac import exponents
 from dulac.errors import BasisMismatch, ExactValueRequired, UndecidableComparison
-from dulac.exponents import BasisEntry, Exponent, ExponentBasis, exp_compare, re_compare
+from dulac.exponents import DEFAULT_PRECISION, BasisEntry, Exponent, ExponentBasis, exp_compare, re_compare
 from dulac.scalars import ExactScalar
 from dulac.series import DulacSeries
 from dulac.tpoly import TPoly
@@ -197,3 +198,31 @@ def test_equal_exponents_are_one_map_key():
     assert e != basis.exponent([Fraction(1, 2), 2])
     assert e != ExponentBasis(["1", "1+2i"]).exponent(e.coords)
     assert e != e.coords
+
+
+# sqrt(2) to 64 decimal places, and its first 40
+_SQRT2_64 = "1.4142135623730950488016887242096980785696718753769480731766797379"
+_SQRT2_40 = _SQRT2_64[:42]
+
+
+def _tiny_real_part(literal: str) -> Exponent:
+    """(10^-45 - L) * 1 + 1 * L over the basis [1, L]: real part 10^-45."""
+    basis = ExponentBasis(["1", literal])
+    return basis.exponent([Fraction(1, 10**45) - Fraction(literal), 1])
+
+
+def test_precision_escalation_decides_a_tiny_real_part(monkeypatch):
+    e = _tiny_real_part(_SQRT2_64)
+    # undecided at the starting precision, decided once it doubles
+    assert e.radius("re", DEFAULT_PRECISION) > e.re_mid > e.radius("re", 2 * DEFAULT_PRECISION)
+    assert e.re_sign() == 1
+    monkeypatch.setattr(exponents, "MAX_PRECISION", DEFAULT_PRECISION)
+    with pytest.raises(UndecidableComparison, match="at precision 128"):
+        e.re_sign()
+
+
+def test_precision_escalation_stops_at_the_literal_floor():
+    # the 40-digit literal fixes sqrt(2) only to 5e-41, far above 10^-45
+    e = _tiny_real_part(_SQRT2_40)
+    with pytest.raises(UndecidableComparison, match="at precision 256: enclosure radius 5.000e-41"):
+        e.re_sign()

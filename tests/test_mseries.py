@@ -26,6 +26,7 @@ from dulac.mseries import (
     iota_inv,
     majorant_bound,
 )
+from dulac.numeric import poly_norm
 from dulac.semigroup import validate_generators
 from dulac.series import INF, DulacSeries
 from dulac.solver import extend
@@ -115,6 +116,17 @@ def test_norm_params_validation():
         NormParams(R=2, s=1, Kcal=-1)
     with pytest.raises(ValueError):
         NormParams(R=2, s=1, Kcal=0, j=-1)
+
+
+def test_norm_params_read_floats_as_poly_norm_does():
+    p = NormParams(R=2.1, s=0.1, Kcal=0.5)
+    assert (p.R, p.s, p.Kcal) == (Fraction(21, 10), Fraction(1, 10), Fraction(1, 2))
+    assert p == NormParams(R=Fraction(21, 10), s=Fraction(1, 10), Kcal=Fraction(1, 2))
+    assert poly_norm(TPoly.T, 2.1) == poly_norm(TPoly.T, p.R)
+    for bad in (float("inf"), float("nan")):
+        for field in ("R", "s", "Kcal"):
+            with pytest.raises(ValueError):
+                NormParams(**{**P0, field: bad})
 
 
 # -- arithmetic --------------------------------------------------------------

@@ -19,7 +19,8 @@ PUBLIC = {
         PreconditionViolated Resonance SchemaError SlopeUndetermined UndecidableComparison""",
     "scalars": "ExactScalar",
     "exponents": "DEFAULT_PRECISION MAX_PRECISION BasisEntry Exponent ExponentBasis exp_compare re_compare",
-    "tpoly": "TPoly poly_norm",
+    "tpoly": "TPoly",
+    "numeric": "poly_norm",
     "gammafn": "gamma_abs",
     "series": "INF DulacSeries",
     "ode": "ODESpec",
@@ -37,6 +38,17 @@ def test_import_loads_no_submodule():
     code = (
         "import sys, dulac; "
         "print(sorted(m for m in sys.modules if m.startswith(('dulac.', 'mpmath'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dulac.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+def test_exact_core_loads_no_mpmath():
+    # floats enter through dulac.numeric; the exact layers never import it
+    code = (
+        "import sys, dulac.tpoly, dulac.series, dulac.ode; "
+        "print(sorted(m for m in sys.modules if m.startswith('mpmath')))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(dulac.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dulac.scalars import I, ONE, ZERO, ExactScalar
+from dulac.scalars import I, ONE, ZERO, ExactScalar, decimal_rational
 
 
 def test_parse_forms():
@@ -69,7 +69,7 @@ def test_constants_and_zero():
 
 
 _PARTS = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=30))
-# real scalars take the fast path; imaginary and complex ones must not
+# real, imaginary and complex scalars
 _SCALARS = st.one_of(
     st.builds(ExactScalar, _PARTS, st.just(Fraction(0))),
     st.builds(ExactScalar, st.just(Fraction(0)), _PARTS),
@@ -79,7 +79,7 @@ _SCALARS = st.one_of(
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_SCALARS, _SCALARS, st.one_of(st.integers(-9, 9), st.fractions(max_denominator=9)))
-def test_real_fast_path_matches_complex_formula(a, b, k):
+def test_arithmetic_matches_componentwise_formula(a, b, k):
     cases = [
         (a * b, a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re),
         (a + b, a.re + b.re, a.im + b.im),
@@ -90,3 +90,14 @@ def test_real_fast_path_matches_complex_formula(a, b, k):
     for got, re, im in cases:
         assert (got.re, got.im) == (re, im)
         assert str(got) == str(ExactScalar(re, im))
+
+
+def test_decimal_rational_reads_a_float_at_its_repr():
+    assert decimal_rational(2.1) == Fraction(21, 10) != Fraction(2.1)
+    assert decimal_rational(0.1) == Fraction(1, 10)
+    assert decimal_rational(5) == 5 and decimal_rational("3/4") == Fraction(3, 4)
+    x = Fraction(3, 7)
+    assert decimal_rational(x) is x
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            decimal_rational(bad)

@@ -391,3 +391,35 @@ def test_reduced_residual_of_exact_tail_vanishes():
         out = reduced_residual(red, tail)
         assert out.is_zero()
         assert out.cutoff == tail.cutoff
+
+
+def _solved(name: str, cutoff):
+    data = json.loads((DATA / name).read_text())
+    basis = ExponentBasis(data["basis"])
+    F = ODESpec.from_json(data["ode"])
+    return F, extend(F, DulacSeries.from_json({"terms": data["prefix"]}, basis), cutoff)
+
+
+@pytest.mark.parametrize("name, cutoff, m", [
+    ("nonlinear.json", 12, 1),
+    ("nonlinear.json", 12, 2),
+    ("nonlinear.json", 12, 4),
+    ("semigroup_2d.json", 5, 1),
+    ("semigroup_2d.json", 5, 2),
+])
+def test_reduced_residual_of_exact_tail_vanishes_on_nonlinear_equations(name, cutoff, m):
+    F, state = _solved(name, cutoff)
+    red = reduce_equation(F, state.solution, m)
+    assert any(sum(q) >= 2 for q, _ in red.N)  # the nonlinear terms a_q enter
+    lam_m = state.solution.terms[m - 1][0]
+    tail = DulacSeries(state.solution.basis, state.solution.terms[m:], state.solution.cutoff).shift(-lam_m)
+    out = reduced_residual(red, tail)
+    assert out.is_zero()
+    assert out.cutoff == tail.cutoff
+
+
+def test_reduce_equation_reports_secondary_gap_below_slope():
+    F, state = _solved("nonlinear.json", 12)
+    violations = reduce_equation(F, state.solution, 4, s=3).violations
+    assert "secondary gap Re mu_1 = 1 is below (j - ell) s = 3" in violations
+    assert reduce_equation(F, state.solution, 4).violations == ()

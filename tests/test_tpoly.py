@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dulac.numeric import abs_scalar, poly_norm
 from dulac.scalars import ExactScalar
-from dulac.tpoly import TPoly, _normal, poly_norm
+from dulac.tpoly import TPoly, _normal
 from .util import (
     poly_deriv_oracle,
     poly_linear_oracle,
@@ -22,6 +23,7 @@ from .util import (
     poly_taylor_oracle,
     poly_value_oracle,
     random_poly,
+    random_scalar,
     schoolbook_product,
 )
 
@@ -268,3 +270,11 @@ def test_norm_submultiplicative_and_monotone():
                 R += 1
             assert poly_norm(p * q, R) <= poly_norm(p, R) * poly_norm(q, R) * slack
             assert poly_norm(p, R) <= poly_norm(p, R + 1) * slack
+
+
+def test_poly_norm_of_a_constant_rounds_as_abs_scalar():
+    rng = random.Random(11)
+    for _ in range(200):
+        c = random_scalar(rng)
+        for prec in (53, 128, 300):
+            assert poly_norm(TPoly.of(c), 3, prec)._mpf_ == abs_scalar(c, prec)._mpf_
