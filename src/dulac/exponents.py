@@ -2,9 +2,12 @@
 
 A basis is a finite list of complex numbers that the user promises to be
 linearly independent over the rationals.  Exponents never store floating
-point: each one is a vector of exact rational coordinates, and real or
-imaginary parts are only ever produced as interval enclosures whose radius
-shrinks as the working precision grows.
+point: each one is a vector of exact rational coordinates, stored
+content-free over the integers like a TPoly (FLINT's fmpq_poly layout), and
+real or imaginary parts are only ever produced as interval enclosures whose
+radius shrinks as the working precision grows.  Linear arithmetic runs on
+ints, and each basis keeps the parts of its entries as int weights over one
+denominator, so Re and Im of an exponent cost one Fraction each.
 
 Basis entries come in two flavors, distinguished by their literal form:
 
@@ -19,12 +22,11 @@ Ordering convention: exponents are compared by real part first and ties are
 broken by imaginary part, ascending.  The imaginary tie-break is a library
 convention chosen to make the order total; any fixed tie rule would do.
 
-Every exponent carries one sort key, computed once.  Over an exact basis it
-is the pair (Re, Im) of exact Fractions, so ordering is plain rational
-comparison and no enclosure is ever built.  Over a basis with an approximate
-entry it is cmp_to_key(exp_compare), which certifies each comparison from the
-interval enclosures, doubling the working precision until the signs separate
-or raising UndecidableComparison.
+Every exponent carries one sort key, computed once: over an exact basis the
+pair (Re, Im) of exact Fractions, so no enclosure is ever built; otherwise
+cmp_to_key(exp_compare), which certifies each comparison from the interval
+enclosures, doubling the working precision until the signs separate or
+raising UndecidableComparison.
 """
 
 from __future__ import annotations
@@ -32,12 +34,13 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
-from math import isinf
+from functools import cmp_to_key
+from math import gcd, isinf, lcm
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .errors import BasisMismatch, ExactValueRequired, UndecidableComparison
-from .scalars import ExactScalar, parse_rational
+from .scalars import ExactScalar, decimal_rational, parse_rational
 
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
@@ -119,6 +122,10 @@ class ExponentBasis:
         self._one_index = next(
             (i for i, e in enumerate(parsed) if e.exact and e.re == 1 and e.im == 0), None
         )
+        # Re and Im of the entries (midpoints) as ints over one denominator
+        w = self._weight_den = lcm(*(q.denominator for e in parsed for q in (e.re, e.im)))
+        self._re_weights = tuple(e.re.numerator * (w // e.re.denominator) for e in parsed)
+        self._im_weights = tuple(e.im.numerator * (w // e.im.denominator) for e in parsed)
 
     @property
     def dim(self) -> int:
@@ -134,6 +141,11 @@ class ExponentBasis:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt from the entries: the kept hash of their literals holds only
+        # in the process that computed it
+        return ExponentBasis, (self.entries, self.precision)
+
     def __repr__(self) -> str:
         lits = ", ".join(e.literal for e in self.entries)
         return f"ExponentBasis([{lits}], precision={self.precision})"
@@ -141,26 +153,27 @@ class ExponentBasis:
     # -- construction of exponents ------------------------------------
 
     def exponent(self, coords: Sequence) -> "Exponent":
-        cs = tuple(Fraction(c) for c in coords)
-        if len(cs) != self.dim:
-            raise ValueError(
-                f"exponent: expected {self.dim} coordinates, got {len(cs)}"
-            )
-        return Exponent(self, cs)
+        """The exponent with the given rational coordinates; a float is read
+        at its repr (0.1 is 1/10)."""
+        e = Exponent(self, coords)
+        if len(e.nums) != self.dim:
+            raise ValueError(f"exponent: expected {self.dim} coordinates, got {len(e.nums)}")
+        return e
 
     def zero(self) -> "Exponent":
-        return Exponent(self, (Fraction(0),) * self.dim)
+        return Exponent._raw(self, 1, (0,) * self.dim)
 
     def rational(self, value) -> "Exponent":
-        """Embed a rational number, provided the basis contains the entry 1."""
+        """Embed a rational number, provided the basis contains the entry 1;
+        a float is read at its repr (0.1 is 1/10)."""
         if self._one_index is None:
             raise BasisMismatch(
                 "rational embedding: basis has no entry equal to 1, "
                 f"cannot represent {value} as an exponent"
             )
-        coords = [Fraction(0)] * self.dim
-        coords[self._one_index] = Fraction(value)
-        return Exponent(self, tuple(coords))
+        coords = [0] * self.dim
+        coords[self._one_index] = value
+        return Exponent(self, coords)
 
     def parse_exponent(self, coords: Sequence) -> "Exponent":
         """Exponent from JSON coordinates, each a rational string or an
@@ -181,110 +194,134 @@ def _parse_coordinate(value) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class Exponent:
-    """Exact rational coordinate vector over an ExponentBasis.
+def _normal(basis: ExponentBasis, den: int, nums) -> "Exponent":
+    """The Exponent with coordinates nums[i] / den for an int den > 0 and a
+    sequence of ints, with the content divided out."""
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [a // g for a in nums]
+    return Exponent._raw(basis, den, tuple(nums))
 
-    Equality and hashing go through the coordinates as int pairs, built once
-    per exponent, so a map keyed by exponents hashes and compares ints in C
-    instead of calling Fraction.__hash__ (pure Python, a modular inverse per
-    call) on every lookup.
+
+class Exponent:
+    """Exact rational coordinate vector over an ExponentBasis; immutable.
+
+    Coordinate i is nums[i] / den for an int den > 0 and ints nums with
+    gcd(den, *nums) = 1, so equal exponents have equal fields; the hash is
+    computed once.  Built on first read and kept: coords (the Fractions, for
+    the API edge), re_mid and im_mid (enclosure midpoints, exact over an
+    exact basis), re_low (a certified lower bound on Re) and key (the sort
+    key of the module docstring).
     """
 
-    basis: ExponentBasis
-    coords: tuple
+    __slots__ = ("basis", "den", "nums", "_hash", "coords", "re_mid", "im_mid", "re_low", "key")
 
-    @cached_property
-    def _ints(self) -> tuple:
-        return tuple(x for c in self.coords for x in (c.numerator, c.denominator))
+    def __new__(cls, basis: ExponentBasis, coords):
+        """The exponent with the given rational coordinates; a float is read
+        at its repr (0.1 is 1/10), as scalars.decimal_rational reads it."""
+        cs = [decimal_rational(c) for c in coords]
+        den = lcm(*(c.denominator for c in cs))
+        return Exponent._raw(basis, den, tuple(c.numerator * (den // c.denominator) for c in cs))
+
+    @staticmethod
+    def _raw(basis: ExponentBasis, den: int, nums: tuple) -> "Exponent":
+        """An Exponent from fields already in content-free form."""
+        e = object.__new__(Exponent)
+        _set = object.__setattr__
+        _set(e, "basis", basis)
+        _set(e, "den", den)
+        _set(e, "nums", nums)
+        _set(e, "_hash", hash((den, nums)))
+        return e
+
+    def __getattr__(self, name):
+        # called only for an empty slot: compute the lazy value and keep it
+        if name == "coords":
+            value = tuple(Fraction(a, self.den) for a in self.nums)
+        elif name == "re_mid" or name == "im_mid":
+            b = self.basis
+            weights = b._re_weights if name == "re_mid" else b._im_weights
+            value = Fraction(sum(map(mul, self.nums, weights)), self.den * b._weight_den)
+        elif name == "re_low":
+            value = self.re_mid if self.basis.exact else self.re_mid - self.radius("re", self.basis.precision)
+        elif name == "key":
+            value = (self.re_mid, self.im_mid) if self.basis.exact else cmp_to_key(exp_compare)(self)
+        else:
+            raise AttributeError(f"'Exponent' object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Exponent is immutable; cannot set {name}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Exponent._raw, (self.basis, self.den, self.nums)
 
     def __hash__(self) -> int:
-        return hash(self._ints)
+        return self._hash
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if not isinstance(other, Exponent):
             return NotImplemented
-        return self._ints == other._ints and (self.basis is other.basis or self.basis == other.basis)
+        return self.nums == other.nums and self.den == other.den and (
+            self.basis is other.basis or self.basis == other.basis)
+
+    def __repr__(self) -> str:
+        return f"Exponent({self.basis!r}, {self})"
 
     # -- linear arithmetic --------------------------------------------
 
-    def _check(self, other: "Exponent") -> None:
-        if self.basis != other.basis:
-            raise BasisMismatch(
-                f"exponent arithmetic: bases differ ({self.basis!r} vs {other.basis!r})"
-            )
+    def _combine(self, other: "Exponent", op) -> "Exponent":
+        """op(self, other) for op = operator.add or operator.sub."""
+        if self.basis is not other.basis and self.basis != other.basis:
+            raise BasisMismatch(f"exponent arithmetic: bases differ ({self.basis!r} vs {other.basis!r})")
+        d, e = self.den, other.den
+        if d == e:
+            nums = tuple(map(op, self.nums, other.nums))
+            return Exponent._raw(self.basis, 1, nums) if d == 1 else _normal(self.basis, d, nums)
+        return _normal(self.basis, d * e, [op(a * e, b * d) for a, b in zip(self.nums, other.nums)])
 
     def __add__(self, other: "Exponent") -> "Exponent":
-        self._check(other)
-        return Exponent(self.basis, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, add)
 
     def __sub__(self, other: "Exponent") -> "Exponent":
-        self._check(other)
-        return Exponent(self.basis, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, sub)
 
     def __neg__(self) -> "Exponent":
-        return Exponent(self.basis, tuple(-a for a in self.coords))
+        return Exponent._raw(self.basis, self.den, tuple(-a for a in self.nums))
 
     def __mul__(self, k) -> "Exponent":
-        q = Fraction(k)
-        return Exponent(self.basis, tuple(a * q for a in self.coords))
+        """Product by an int, a Fraction or a float read at its repr."""
+        q = k if isinstance(k, int) else decimal_rational(k)
+        return _normal(self.basis, self.den * q.denominator, [a * q.numerator for a in self.nums])
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     # -- enclosures ----------------------------------------------------
 
-    def _mid(self, part: str) -> Fraction:
-        vals = [getattr(e, part) for e in self.basis.entries]
-        return sum((c * v for c, v in zip(self.coords, vals) if c and v), Fraction(0))
-
-    @cached_property
-    def re_mid(self) -> Fraction:
-        """Midpoint of the real-part enclosure (exact for exact bases)."""
-        return self._mid("re")
-
-    @cached_property
-    def im_mid(self) -> Fraction:
-        return self._mid("im")
-
-    @cached_property
-    def re_low(self) -> Fraction:
-        """Lower endpoint of the real-part enclosure at the basis precision,
-        a certified lower bound on Re (re_mid over an exact basis)."""
-        return self.re_mid if self.basis.exact else self.re_mid - self.radius("re", self.basis.precision)
-
     def radius(self, part: str, precision: int) -> Fraction:
-        return sum(
-            (abs(c) * e.radius(part, precision) for c, e in zip(self.coords, self.basis.entries)),
-            Fraction(0),
-        )
+        return sum(abs(a) * e.radius(part, precision) for a, e in zip(self.nums, self.basis.entries)) / self.den
 
     def value(self) -> ExactScalar:
         """Exact complex value; requires every participating entry exact."""
-        for c, e in zip(self.coords, self.basis.entries):
-            if c != 0 and not e.exact:
-                raise ExactValueRequired(
-                    f"exponent value: basis entry {e.literal!r} is approximate; "
-                    "an exact complex value cannot be produced"
-                )
+        if not self.basis.exact:
+            for a, e in zip(self.nums, self.basis.entries):
+                if a and not e.exact:
+                    raise ExactValueRequired(
+                        f"exponent value: basis entry {e.literal!r} is approximate; "
+                        "an exact complex value cannot be produced"
+                    )
         return ExactScalar(self.re_mid, self.im_mid)
 
     # -- ordering -------------------------------------------------------
-
-    @cached_property
-    def key(self):
-        """Sort key of the (Re, Im) order, computed once.
-
-        Over an exact basis it is the pair (Re, Im) of Fractions; otherwise
-        cmp_to_key(exp_compare), which certifies each comparison.
-        """
-        if self.basis.exact:
-            return (self.re_mid, self.im_mid)
-        return cmp_to_key(exp_compare)(self)
 
     def _sign(self, part: str, shift: Fraction = Fraction(0)) -> int:
         """Certified sign of Re or Im of this exponent minus a rational shift;
@@ -302,10 +339,11 @@ class Exponent:
         return self._sign("im")
 
     def re_below(self, bound) -> bool:
-        """Certified test Re(self) < bound for a rational (or +-inf) bound."""
+        """Certified test Re(self) < bound for a rational (or +-inf) bound; a
+        finite float is read at its repr (2.1 is 21/10)."""
         if isinstance(bound, float) and isinf(bound):
             return bound > 0
-        return self._sign("re", bound if isinstance(bound, Fraction) else Fraction(bound)) < 0
+        return self._sign("re", decimal_rational(bound)) < 0
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -355,7 +393,7 @@ def exp_compare(a: Exponent, b: Exponent) -> int:
     """
     if a.basis != b.basis:
         raise BasisMismatch("exp_compare: operands use different bases")
-    if a.coords == b.coords:
+    if a.nums == b.nums and a.den == b.den:
         return 0
     if a.basis.exact:
         ka, kb = a.key, b.key

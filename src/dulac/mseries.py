@@ -41,7 +41,7 @@ from .exponents import Exponent
 from .gammafn import gamma_abs
 from .numeric import FLOAT_PRECISION, abs_scalar, poly_norm, to_mpf
 from .scalars import ExactScalar, decimal_rational
-from .semigroup import Generators, decompose
+from .semigroup import Generators
 from .series import INF, DulacSeries, _as_cutoff, cutoff_from_json, cutoff_to_json
 from .tpoly import TPoly
 
@@ -232,7 +232,7 @@ def iota(f: DulacSeries, gens: Generators, lambda_base: Exponent | None = None) 
     base = lambda_base if lambda_base is not None else gens.basis.zero()
     terms = []
     for lam, c in f.terms:
-        m = decompose(lam, gens)
+        m = gens.decomposition(lam)
         if m is None:
             raise ExponentOutsideSemigroup(
                 f"iota: exponent {lam} does not decompose over the declared generators"

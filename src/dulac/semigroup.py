@@ -99,12 +99,15 @@ class Generators:
     """Validated semigroup generators over a shared exponent basis.
 
     Re <m, r> and Im <m, r> are computed once per multi-index m and kept,
-    since norm tables and series sorts ask for the same m many times.
+    since norm tables and series sorts ask for the same m many times; so is
+    the decomposition of each exponent, which the gaps and the iota image of
+    a run both ask for.
     """
 
     basis: ExponentBasis
     r: tuple  # of Exponent
     _m_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _decomposed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def kappa(self) -> int:
@@ -132,6 +135,12 @@ class Generators:
                 sum((mi * ri.im_mid for mi, ri in zip(m, self.r)), Fraction(0)),
             )
         return parts
+
+    def decomposition(self, lam: Exponent):
+        """decompose(lam, self), solved once per exponent and kept."""
+        if lam not in self._decomposed:
+            self._decomposed[lam] = decompose(lam, self)
+        return self._decomposed[lam]
 
     def m_re(self, m) -> Fraction:
         return self.m_parts(m)[0]
@@ -248,7 +257,7 @@ def exponent_gaps(solution_terms, gens: Generators, m_index: int) -> list:
     out = []
     for k in range(m_index + 1, len(solution_terms) + 1):
         gap = solution_terms[k - 1][0] - lam_m
-        out.append((k, gap, decompose(gap, gens)))
+        out.append((k, gap, gens.decomposition(gap)))
     return out
 
 
@@ -299,9 +308,9 @@ def suggest_generators(F, prefix, basis: ExponentBasis) -> dict:
     seen = set()
 
     def push(e: Exponent):
-        if e.is_zero() or e.coords in seen:
+        if e.is_zero() or e in seen:
             return
-        seen.add(e.coords)
+        seen.add(e)
         cand.append(e)
 
     if F is not None:
@@ -321,8 +330,8 @@ def suggest_generators(F, prefix, basis: ExponentBasis) -> dict:
     if not cand:
         return {"candidates": [], "suggested": [], "note": note}
 
-    denom = lcm(*(c.denominator for e in cand for c in e.coords))
-    int_rows = [[int(c * denom) for c in e.coords] for e in cand]
+    denom = lcm(*(e.den for e in cand))
+    int_rows = [[a * (denom // e.den) for a in e.nums] for e in cand]
     rows = _hnf_rows(int_rows)
     suggested = []
     for row in rows:

@@ -100,7 +100,7 @@ def _canonical(terms, cutoff):
     items = sorted(terms, key=lambda t: t[0].key)
     out = []
     for e, c in items:
-        if out and out[-1][0].coords == e.coords:
+        if out and out[-1][0] == e:
             out[-1] = (e, out[-1][1] + c)
         elif out and out[-1][0].key == e.key:
             raise UndecidableComparison(

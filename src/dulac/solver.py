@@ -38,7 +38,7 @@ from .exponents import Exponent, exp_compare, re_compare
 from .numeric import FLOAT_PRECISION, to_mpf
 from .ode import Evaluation, ODESpec, multi_indices
 from .scalars import ZERO
-from .series import INF, DulacSeries
+from .series import INF, DulacSeries, _as_cutoff
 from .tpoly import TPoly
 
 MAX_EXTENSION_STEPS = 10000
@@ -58,7 +58,7 @@ class LinearData:
     n: int
 
     def stability_key(self):
-        return (self.nu.coords, self.A, self.ell)
+        return (self.nu, self.A, self.ell)
 
     def slope(self):
         """Growth order parameter s = min over j > ell of
@@ -124,7 +124,7 @@ def extract_linearization(F: ODESpec, phi: DulacSeries | Evaluation) -> LinearDa
     A, nu_sec, B = [], [], []
     for j, g in enumerate(G):
         rest = g.terms
-        if rest and rest[0][0].coords == nu.coords:
+        if rest and rest[0][0] == nu:
             lead_c = rest[0][1]
             if lead_c.degree != 0:
                 raise HypothesisViolation(
@@ -329,8 +329,7 @@ def extend(F: ODESpec, prefix: DulacSeries, target_cutoff) -> SolutionState:
     if (nu, A, ell) changed, the run is restarted once with the stabilized
     data before giving up.
     """
-    target = Fraction(target_cutoff) if target_cutoff != INF else INF
-    return _extend(F, prefix, target, pinned=None)
+    return _extend(F, prefix, _as_cutoff(target_cutoff), pinned=None)
 
 
 def _extend(F, prefix, target, pinned) -> SolutionState:

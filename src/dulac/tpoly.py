@@ -117,7 +117,7 @@ class TPoly:
         _set(p, "_coeffs", None)
         return p
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"TPoly is immutable; cannot set {name}")
 
     __delattr__ = __setattr__

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dulac
-from dulac import cli, errors, mseries
+from dulac import cli, errors, mseries, semigroup
 from dulac.mseries import Lemma6Report
 
 from .util import DATA
@@ -292,6 +292,17 @@ def test_iota_euler(tmp_path):
     assert data["K_fit"] == "0"
     assert data["gaps"][0] == {"k": 2, "gap": ["1/1"], "m": [1]}
     assert len(data["mseries"]["terms"]) == 8  # k = 2..9 below cutoff 10
+
+
+def test_iota_decomposes_each_gap_once(tmp_path, monkeypatch):
+    # every decomposition solves one linear system: count the systems
+    calls = []
+    solve = semigroup.solve_unique
+    monkeypatch.setattr(semigroup, "solve_unique", lambda cols, rhs: calls.append(rhs) or solve(cols, rhs))
+    code, out = run(tmp_path, "iota", str(DATA / "semigroup_2d.json"))
+    assert code == 0
+    gaps = payload(out, "mseries.json")["gaps"]
+    assert len(gaps) > 10 and len(calls) == len(gaps)
 
 
 def test_iota_requires_generators(tmp_path, capsys):

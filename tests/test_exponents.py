@@ -1,12 +1,20 @@
 """Exponent intervals, certified comparisons, and escalation behavior."""
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dulac
 from dulac import exponents
 from dulac.errors import BasisMismatch, ExactValueRequired, UndecidableComparison
 from dulac.exponents import DEFAULT_PRECISION, BasisEntry, Exponent, ExponentBasis, exp_compare, re_compare
@@ -226,3 +234,113 @@ def test_precision_escalation_stops_at_the_literal_floor():
     e = _tiny_real_part(_SQRT2_40)
     with pytest.raises(UndecidableComparison, match="at precision 256: enclosure radius 5.000e-41"):
         e.re_sign()
+
+
+def test_float_entry_points_read_floats_at_their_repr():
+    b = ExponentBasis(["1"])
+    tenth = b.exponent([Fraction(1, 10)])
+    assert b.rational(0.1) == tenth
+    assert b.exponent([0.1]) == tenth
+    assert b.rational(1) * 0.1 == tenth == 0.1 * b.rational(1)
+    # 21/10 lies below the binary value of the float 2.1, but not below 2.1
+    assert not b.rational(Fraction(21, 10)).re_below(2.1)
+    assert b.rational(Fraction(209, 100)).re_below(2.1)
+
+
+# -- the content-free integer layout against a Fraction-coordinate oracle -------
+
+_LAYOUT_BASES = [["1"], ["1", "1+1i"], ["1/2", "2/3+1/5i"], ["3/7i", "-5/4", "1+2/3i"]]
+_Q = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_SCALARS = st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=8))
+
+
+def _oracle_parts(b: ExponentBasis, coords) -> tuple:
+    """(Re, Im) of sum coords[i] * entry i, from the Fraction coordinates."""
+    return (
+        sum((c * e.re for c, e in zip(coords, b.entries)), Fraction(0)),
+        sum((c * e.im for c, e in zip(coords, b.entries)), Fraction(0)),
+    )
+
+
+def _draw(data, b: ExponentBasis) -> list:
+    return data.draw(st.lists(_Q, min_size=b.dim, max_size=b.dim))
+
+
+def _assert_canonical(e: Exponent, coords) -> None:
+    assert e.den > 0 and gcd(e.den, *e.nums) == 1
+    assert all(type(a) is int for a in e.nums)
+    assert e.coords == tuple(coords)
+    assert all(type(c) is Fraction for c in e.coords)
+
+
+@pytest.mark.parametrize("entries", _LAYOUT_BASES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_integer_layout_matches_fraction_oracle(entries, data):
+    b = ExponentBasis(entries)
+    x, y = _draw(data, b), _draw(data, b)
+    k = data.draw(_SCALARS)
+    e, f = b.exponent(x), b.exponent(y)
+    _assert_canonical(e, x)
+    for got, want in [
+        (e + f, [p + q for p, q in zip(x, y)]),
+        (e - f, [p - q for p, q in zip(x, y)]),
+        (-e, [-p for p in x]),
+        (e * k, [p * k for p in x]),
+        (k * e, [p * k for p in x]),
+        (e - e, [0] * b.dim),
+    ]:
+        _assert_canonical(got, want)
+    # equal values reached by different routes have equal fields and hashes
+    same = (e + f) - f
+    assert (same.den, same.nums) == (e.den, e.nums) and same == e and hash(same) == hash(e)
+    assert (e * 0).nums == b.zero().nums and e * 0 == b.zero()
+    # the coords round trip, through Fractions and through JSON strings
+    assert b.exponent(e.coords) == e == b.parse_exponent(e.serialize())
+    # Re, Im, value and is_zero from the int weights
+    re, im = _oracle_parts(b, x)
+    assert (e.re_mid, e.im_mid) == (re, im) and e.re_low == re
+    assert e.value() == ExactScalar(re, im)
+    assert e.is_zero() == (not any(x))
+    # the key order is the (Re, Im) order of the oracle
+    want = (_oracle_parts(b, x) > _oracle_parts(b, y)) - (_oracle_parts(b, x) < _oracle_parts(b, y))
+    assert (e.key > f.key) - (e.key < f.key) == want == exp_compare(e, f)
+
+
+@pytest.mark.parametrize("entries", [["1/2", "2/3+1/5i"], ["1", "1.41421356237"]])
+def test_exponent_is_immutable_and_pickles(entries):
+    b = ExponentBasis(entries)
+    e = b.exponent([Fraction(-7, 6), Fraction(3, 4)])
+    for name in ("basis", "den", "nums", "coords", "re_mid", "key"):
+        with pytest.raises(AttributeError):
+            setattr(e, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(e, name)
+    assert not hasattr(e, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+        assert copied == e and hash(copied) == hash(e)
+        assert (copied.den, copied.nums, copied.coords) == (e.den, e.nums, e.coords)
+        assert copied.re_mid == e.re_mid and copied.basis == b
+
+
+_CROSS_PROCESS = """
+import pickle, sys
+from dulac.exponents import ExponentBasis
+path, mode = sys.argv[1:]
+basis = ExponentBasis(["1", "1+1i"])
+if mode == "dump":
+    open(path, "wb").write(pickle.dumps(basis.exponent([1, 2])))
+else:
+    e = pickle.loads(open(path, "rb").read())
+    assert e.basis == basis and hash(e.basis) == hash(basis) and {basis: 1}[e.basis] == 1
+    assert e == basis.exponent([1, 2]) and {basis.exponent([1, 2]): 1}[e] == 1
+"""
+
+
+def test_exponent_unpickled_in_another_process_hashes_as_a_fresh_one(tmp_path):
+    # string hashes, and so the hash of a basis, differ between processes
+    # started with different PYTHONHASHSEED values
+    path = str(tmp_path / "e.pickle")
+    for seed, mode in (("1", "dump"), ("2", "load")):
+        env = dict(os.environ, PYTHONPATH=str(Path(dulac.__file__).parents[1]), PYTHONHASHSEED=seed)
+        subprocess.run([sys.executable, "-c", _CROSS_PROCESS, path, mode], check=True, env=env, timeout=60)

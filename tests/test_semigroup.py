@@ -172,6 +172,17 @@ def test_choose_R():
 # -- gaps against a solved series ----------------------------------------------
 
 
+def test_decomposition_is_kept_per_exponent():
+    basis = basis_mixed()
+    g = validate_generators([basis.exponent([1, 0]), basis.exponent([0, 1])])
+    lam = basis.exponent([2, 3])
+    assert g.decomposition(lam) == decompose(lam, g) == (2, 3)
+    # an equal exponent reached another way is the same map key
+    again = basis.exponent([Fraction(5, 2), 3]) - basis.exponent([Fraction(1, 2), 0])
+    assert g.decomposition(again) is g.decomposition(lam)
+    assert g.decomposition(basis.exponent([Fraction(1, 2), 0])) is None
+
+
 def test_exponent_gaps_euler():
     basis = basis_one()
     state = extend(euler_ode(), DulacSeries.zero(basis), 6)

@@ -198,6 +198,14 @@ def test_extend_euler_from_empty():
     assert state.residual.leading()[0].coords == (Fraction(6),)
 
 
+def test_extend_reads_a_float_cutoff_at_its_repr():
+    basis = basis_one()
+    state = extend(euler_ode(), DulacSeries.zero(basis), 2.1)
+    assert state.solution.cutoff == Fraction(21, 10) == DulacSeries(basis, (), 2.1).cutoff
+    assert state.solution.to_json()["cutoff"] == "21/10"
+    assert len(state.solution.terms) == 2
+
+
 def test_extend_euler_prefix_matches_empty():
     basis = basis_one()
     a = extend(euler_ode(), DulacSeries.zero(basis), 6)

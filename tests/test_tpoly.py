@@ -208,6 +208,8 @@ def test_immutable_and_picklable():
     p = TPoly.of("1/2", "3/4+1/3i")
     with pytest.raises(AttributeError):
         p.den = 3
+    with pytest.raises(AttributeError):
+        del p.den
     assert pickle.loads(pickle.dumps(p)) == p
     assert copy.deepcopy(p) == p
 
