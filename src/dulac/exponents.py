@@ -40,7 +40,7 @@ from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .errors import BasisMismatch, ExactValueRequired, UndecidableComparison
-from .scalars import ExactScalar, decimal_rational, parse_rational
+from .scalars import ExactScalar, _rational_literal, decimal_rational, parse_rational
 
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
@@ -349,7 +349,8 @@ class Exponent:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
     def serialize(self) -> list[str]:
-        return [f"{c.numerator}/{c.denominator}" for c in self.coords]
+        """The coordinates as "p/q" literals, formatted from the ints."""
+        return [_rational_literal(a, self.den) for a in self.nums]
 
 
 def _certified_sign(

@@ -20,6 +20,7 @@ from .numeric import FLOAT_PRECISION
 from .scalars import ExactScalar
 
 
+@lru_cache(maxsize=64)
 def _spouge_a(tol: float) -> int:
     a = 3
     while math.exp(-0.5 * math.log(a) - (a + 0.5) * math.log(2 * math.pi)) > tol / 8:
@@ -52,9 +53,10 @@ def _gamma_abs_mpc(z: mpmath.mpc, tol: float, prec: int) -> mpmath.mpf:
             shift *= abs(z)
             z = z + 1
         w = z + a - 1
+        zm1 = z - 1
         s = cs[0]
         for k in range(1, a):
-            s += cs[k] / (z - 1 + k)
+            s += cs[k] / (zm1 + k)
         val = abs(mpmath.power(w, z - mpmath.mpf(1) / 2)) * mpmath.exp(-mpmath.re(w)) * abs(s)
         return val / shift
 
@@ -62,10 +64,11 @@ def _gamma_abs_mpc(z: mpmath.mpc, tol: float, prec: int) -> mpmath.mpf:
 def gamma_abs(z, tol: float = 1e-12) -> mpmath.mpf:
     """|Gamma(z)| with relative error at most tol, for Re z > 0.
 
-    Accepts ExactScalar, Fraction or int.  Nothing is cached here: the norm
-    tables of mseries keep each value they need.
+    Accepts ExactScalar, Fraction or int.  No value is cached here, only the
+    series parameter per tolerance: the norm tables of mseries keep each
+    value they need.
     """
-    if tol <= 0 or tol >= 1:
+    if not 0 < tol < 1:
         raise ValueError(f"gamma_abs: tolerance must lie in (0, 1), got {tol}")
     if not isinstance(z, ExactScalar):
         z = ExactScalar.of(z)

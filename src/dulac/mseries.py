@@ -11,10 +11,9 @@ and the graded norms
     ||g||_j = sum_m (|lambda_base + <m,r>| + Kcal |m|)^j / |Gamma(<m,r>/s)| * ||C_m||_R
 
 measure tails in the scale of spaces used to run the contraction argument.
-The per-m constants |Gamma(<m,r>/s)| and the weight are computed once per
-m: the first for each generator set, s and tolerance, the second for each
-generator set, base exponent and NormParams and only at a nonzero power
-(level j > 0), so the level-0 norms never compute it.
+The norms run on raw mpmath.libmp values at FLOAT_PRECISION bits, whatever
+the caller's mpmath context, and compute each per-m constant once (the
+weight only at a level j > 0).
 check_lemma5/check_lemma6/majorant_bound evaluate both sides of the
 corresponding operator estimates on concrete data; they are finite-data
 consequences of the triangle inequality and norm submultiplicativity, so a
@@ -26,9 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
+from operator import add
 
 import mpmath
+from mpmath.libmp import fone, from_float, fzero
 
 from .errors import (
     BasisMismatch,
@@ -39,16 +40,16 @@ from .errors import (
 )
 from .exponents import Exponent
 from .gammafn import gamma_abs
-from .numeric import FLOAT_PRECISION, abs_scalar, poly_norm, to_mpf
+from .numeric import FLOAT_PRECISION, abs_scalar, by_value, poly_norm, raw_add, raw_div, raw_mul, raw_pow, to_mpf
 from .scalars import ExactScalar, decimal_rational
 from .semigroup import Generators
 from .series import INF, DulacSeries, _as_cutoff, cutoff_from_json, cutoff_to_json
 from .tpoly import TPoly
 
-# slack absorbing directed rounding in 128-bit float sums; far below any
-# genuine estimate violation, far above accumulated arithmetic error
-_ROUNDING_SLACK = 1e-25
-_ONE = mpmath.mpf(1)
+_mpf = mpmath.mp.make_mpf
+# 1 + the slack absorbing directed rounding in 128-bit float sums; far below
+# any genuine estimate violation, far above accumulated arithmetic error
+_SLACK = raw_add(fone, from_float(1e-25))
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,8 @@ class NormParams:
             raise ValueError(f"NormParams: Kcal must be nonnegative, got {self.Kcal}")
         if self.j < 0:
             raise ValueError(f"NormParams: level j must be nonnegative, got {self.j}")
+        if not 0 < self.tol < 1:
+            raise ValueError(f"NormParams: tolerance must lie in (0, 1), got {self.tol}")
 
     def degree_cap(self, m) -> Fraction:
         """Kcal |m|, the largest degree of C_m in the level spaces."""
@@ -84,24 +87,13 @@ class NormParams:
         return Fraction(j - self.j) * self.s
 
 
-def _canonical_terms(terms, gens: Generators, cutoff):
-    items = {}
-    for m, c in terms:
-        m = tuple(int(v) for v in m)
-        if len(m) != gens.kappa or any(v < 0 for v in m):
-            raise ValueError(f"MSeries: multi-index {m} is not kappa = {gens.kappa} nonnegative integers")
-        if not any(m):
-            raise ValueError("MSeries: the zero multi-index is not a semigroup member")
-        items[m] = items[m] + c if m in items else c
-    out = []
-    for m in sorted(items, key=lambda m: (gens.m_re(m), m)):
-        c = items[m]
-        if c.is_zero():
-            continue
-        if cutoff != INF and not gens.m_re(m) < cutoff:
-            continue
-        out.append((m, c))
-    return tuple(out)
+def _canonical_terms(items: dict, gens: Generators, cutoff) -> tuple:
+    """The nonzero terms of {m: C_m} below the cutoff, by (Re<m,r>, m)."""
+    m_re = gens.m_re
+    return tuple(
+        (m, items[m]) for m in sorted(items, key=lambda m: (m_re(m), m))
+        if not items[m].is_zero() and (cutoff == INF or m_re(m) < cutoff)
+    )
 
 
 @dataclass(frozen=True)
@@ -114,14 +106,29 @@ class MSeries:
     cutoff: object
 
     def __post_init__(self):
-        object.__setattr__(self, "cutoff", _as_cutoff(self.cutoff))
-        object.__setattr__(self, "terms", _canonical_terms(self.terms, self.gens, self.cutoff))
+        cutoff = _as_cutoff(self.cutoff)
+        items, kappa = {}, self.gens.kappa
+        for m, c in self.terms:
+            m = tuple(int(v) for v in m)
+            if len(m) != kappa or any(v < 0 for v in m):
+                raise ValueError(f"MSeries: multi-index {m} is not kappa = {kappa} nonnegative integers")
+            if not any(m):
+                raise ValueError("MSeries: the zero multi-index is not a semigroup member")
+            items[m] = items[m] + c if m in items else c
+        self.__dict__.update(cutoff=cutoff, terms=_canonical_terms(items, self.gens, cutoff))
+
+    def _trusted(self, terms: tuple, cutoff) -> "MSeries":
+        """This series' gens and lambda_base with canonical terms (valid,
+        nonzero, sorted, below the cutoff) and cutoff."""
+        out = object.__new__(MSeries)
+        out.__dict__.update(self.__dict__, terms=terms, cutoff=cutoff)
+        return out
 
     # -- helpers -------------------------------------------------------------
 
     def _check(self, other: "MSeries") -> None:
-        if self.gens != other.gens:
-            raise BasisMismatch("mseries arithmetic: operands use different generators")
+        if self.gens != other.gens or self.lambda_base != other.lambda_base:
+            raise BasisMismatch("mseries arithmetic: operands differ in generators or base exponent")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -141,7 +148,7 @@ class MSeries:
         )
 
     def __neg__(self) -> "MSeries":
-        return MSeries(self.gens, self.lambda_base, tuple((m, -c) for m, c in self.terms), self.cutoff)
+        return self._trusted(tuple((m, -c) for m, c in self.terms), self.cutoff)
 
     def __sub__(self, other: "MSeries") -> "MSeries":
         return self + (-other)
@@ -149,25 +156,27 @@ class MSeries:
     def __mul__(self, other: "MSeries") -> "MSeries":
         self._check(other)
         if self.is_zero() or other.is_zero():
-            return MSeries(self.gens, self.lambda_base, (), min(self.cutoff, other.cutoff))
+            return self._trusted((), min(self.cutoff, other.cutoff))
         cutoff = min(self.cutoff + other.val_re(), other.cutoff + self.val_re())
-        prods = []
+        items = {}  # sums of valid multi-indices are valid: no check
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                prods.append((tuple(a + b for a, b in zip(m1, m2)), c1 * c2))
-        return MSeries(self.gens, self.lambda_base, tuple(prods), cutoff)
+                m, c = tuple(map(add, m1, m2)), c1 * c2
+                items[m] = items[m] + c if m in items else c
+        return self._trusted(_canonical_terms(items, self.gens, cutoff), cutoff)
 
     def mul_poly(self, a: TPoly) -> "MSeries":
-        return MSeries(self.gens, self.lambda_base, tuple((m, c * a) for m, c in self.terms), self.cutoff)
+        # a nonzero product of nonzero polynomials keeps every term
+        return self._trusted(tuple((m, c * a) for m, c in self.terms) if a else (), self.cutoff)
 
     def shift_m(self, l) -> "MSeries":
         l = tuple(int(v) for v in l)
-        return MSeries(
-            self.gens,
-            self.lambda_base,
-            tuple((tuple(a + b for a, b in zip(m, l)), c) for m, c in self.terms),
-            self.cutoff + self.gens.m_re(l),
-        )
+        terms = tuple((tuple(map(add, m, l)), c) for m, c in self.terms)
+        cutoff = self.cutoff + self.gens.m_re(l)
+        if len(l) == self.gens.kappa and min(l) >= 0:
+            # adding <l,r> keeps each index valid, the order and the cutoff test
+            return self._trusted(terms, cutoff)
+        return MSeries(self.gens, self.lambda_base, terms, cutoff)
 
     def hat_delta(self) -> "MSeries":
         """Transported Euler derivation: C_m -> (<m,r> + d/dt) C_m."""
@@ -249,53 +258,41 @@ def iota_inv(g: MSeries) -> DulacSeries:
 
 def fit_degree_K(g: MSeries) -> Fraction:
     """Smallest K with deg C_m <= K |m| over the stored terms."""
-    K = Fraction(0)
-    for m, c in g.terms:
-        if c.degree > 0:
-            K = max(K, Fraction(int(c.degree), sum(m)))
-    return K
+    return max((Fraction(c.degree, sum(m)) for m, c in g.terms if c.degree > 0), default=Fraction(0))
 
 
 # -- graded norms and estimate checks ------------------------------------------
 
 
 @lru_cache(maxsize=64)
-def _gammas(gens: Generators, s: Fraction, tol: float) -> dict:
-    """|Gamma(<m,r>/s)| by m, shared by every _NormTable with these values."""
-    return {}
+def _gammas(gens: Generators, s: Fraction, tol: float) -> tuple:
+    """Memoized gamma(m) = |Gamma(<m,r>/s)| and the Gamma ratio ratio(a, b) =
+    gamma(a) gamma(b) / gamma(a + b), shared by every _NormTable with these values."""
+
+    @cache
+    def gamma(m):
+        re, im = gens.m_parts(m)
+        return gamma_abs(ExactScalar(re / s, im / s), tol)._mpf_
+
+    return gamma, cache(lambda a, b: raw_div(raw_mul(gamma(a), gamma(b)), gamma(tuple(map(add, a, b)))))
 
 
 class _NormTable:
-    """The per-multi-index constants of one graded norm: |Gamma(<m,r>/s)|,
-    shared by every table over the same generators, s and tolerance, and the
-    weight |lambda_base + <m,r>| + Kcal |m|, computed only when a nonzero
-    power of it is asked for.  Each is computed once per m on first use and
-    rounded at FLOAT_PRECISION, as every caller works at that precision."""
+    """The constants of one graded norm: gamma and ratio of _gammas, the
+    weight |lambda_base + <m,r>| + Kcal |m| to a power e, and factor(m, j) =
+    weight^j / gamma(m), the factor of ||C_m||_R in the level-j norm."""
 
     def __init__(self, gens: Generators, lambda_base: Exponent | None, p: NormParams):
-        self.gens, self.lambda_base, self.p = gens, lambda_base, p
-        self._gamma, self._weight = _gammas(gens, p.s, p.tol), {}
-
-    def gamma(self, m) -> mpmath.mpf:
-        """|Gamma(<m,r>/s)| at the norm's tolerance."""
-        value = self._gamma.get(m)
-        if value is None:
-            re, im = self.gens.m_parts(m)
-            s = self.p.s
-            value = self._gamma[m] = gamma_abs(ExactScalar(re / s, im / s), self.p.tol)
-        return value
-
-    def weight_pow(self, m, e: int) -> mpmath.mpf:
-        """The weight of m to the power e, at the caller's working precision."""
-        if not e:
-            return _ONE
-        w = self._weight.get(m)
-        if w is None:
-            re, im = self.gens.m_parts(m)
-            lam = ExactScalar(self.lambda_base.re_mid + re, self.lambda_base.im_mid + im)
+        @cache
+        def weight(m):
+            re, im = gens.m_parts(m)
+            lam = ExactScalar(lambda_base.re_mid + re, lambda_base.im_mid + im)
             with mpmath.workprec(FLOAT_PRECISION):
-                w = self._weight[m] = abs_scalar(lam) + to_mpf(self.p.Kcal) * sum(m)
-        return w**e
+                return (abs_scalar(lam) + to_mpf(p.Kcal) * sum(m))._mpf_
+
+        self.gamma, self.ratio = _gammas(gens, p.s, p.tol)
+        self.weight_pow = lambda m, e: raw_pow(weight(m), e) if e else fone
+        self.factor = cache(lambda m, j: raw_div(self.weight_pow(m, j), self.gamma(m)))
 
 
 @lru_cache(maxsize=64)
@@ -305,23 +302,14 @@ def _table(gens: Generators, lambda_base: Exponent | None, p: NormParams) -> _No
     return _NormTable(gens, lambda_base, p)
 
 
-def _gamma_ratios(table: _NormTable, pairs):
-    """|Gamma(<a,r>/s) Gamma(<b,r>/s) / Gamma(<a+b,r>/s)| for each pair (a, b),
-    at the caller's working precision."""
-    gamma = table.gamma
-    for a, b in pairs:
-        yield gamma(a) * gamma(b) / gamma(tuple(x + y for x, y in zip(a, b)))
-
-
 def h_norm(g: MSeries, p: NormParams, level: int | None = None) -> mpmath.mpf:
     """Graded norm at the given level (defaults to p.j)."""
     j = p.j if level is None else level
-    table = _table(g.gens, g.lambda_base, p)
-    with mpmath.workprec(FLOAT_PRECISION):
-        acc = mpmath.mpf(0)
-        for m, c in g.terms:
-            acc += table.weight_pow(m, j) / table.gamma(m) * poly_norm(c, p.R)
-        return acc
+    factor = _table(g.gens, g.lambda_base, p).factor
+    acc = fzero
+    for m, c in g.terms:
+        acc = raw_add(acc, raw_mul(factor(m, j), poly_norm(c, p.R)._mpf_))
+    return _mpf(acc)
 
 
 @dataclass(frozen=True)
@@ -341,13 +329,12 @@ def check_lemma6(g1: MSeries, g2: MSeries, p: NormParams) -> Lemma6Report:
     may lie below 1.
     """
     pairs = [(m1, m2) for m1, _ in g1.terms for m2, _ in g2.terms]
-    table = _table(g1.gens, g1.lambda_base, p)
-    with mpmath.workprec(FLOAT_PRECISION):
-        C_used = max(_gamma_ratios(table, pairs), default=mpmath.mpf(1))
-        lhs = h_norm(g1 * g2, p, level=0)
-        rhs = C_used * h_norm(g1, p, level=0) * h_norm(g2, p, level=0)
-        passed = bool(lhs <= rhs * (1 + mpmath.mpf(_ROUNDING_SLACK)))
-    return Lemma6Report(lhs=lhs, rhs=rhs, C_used=C_used, passed=passed, splits=len(pairs))
+    ratio = _table(g1.gens, g1.lambda_base, p).ratio
+    C_used = max((ratio(a, b) for a, b in pairs), key=by_value, default=fone)
+    lhs = h_norm(g1 * g2, p, level=0)
+    rhs = raw_mul(raw_mul(C_used, h_norm(g1, p, level=0)._mpf_), h_norm(g2, p, level=0)._mpf_)
+    passed = lhs <= _mpf(raw_mul(rhs, _SLACK))
+    return Lemma6Report(lhs, _mpf(rhs), _mpf(C_used), passed, len(pairs))
 
 
 @dataclass(frozen=True)
@@ -370,39 +357,34 @@ def check_lemma5(a: TPoly, l, j: int, g: MSeries, p: NormParams) -> Lemma5Report
     l = tuple(int(v) for v in l)
     if any(v < 0 for v in l):
         raise PreconditionViolated(f"check_lemma5: negative shift index {l}")
-    if a.degree > p.degree_cap(l):
+    cap, re_l, gate = p.degree_cap(l), g.gens.m_re(l), p.slope_gate(j)
+    if a.degree > cap:
+        raise PreconditionViolated(f"check_lemma5: deg a = {a.degree} exceeds Kcal |l| = {cap}")
+    if re_l < gate:
         raise PreconditionViolated(
-            f"check_lemma5: deg a = {a.degree} exceeds Kcal |l| = {p.degree_cap(l)}"
-        )
-    gate = p.slope_gate(j)
-    if g.gens.m_re(l) < gate:
-        raise PreconditionViolated(
-            f"check_lemma5: Re<l,r> = {g.gens.m_re(l)} is below (j - level) s = {gate}; "
+            f"check_lemma5: Re<l,r> = {re_l} is below (j - level) s = {gate}; "
             "the operator does not map this level pair continuously"
         )
     for m, c in g.terms:
-        if c.degree > p.degree_cap(m):
+        if c.degree > (cap_m := p.degree_cap(m)):
             raise PreconditionViolated(
                 f"check_lemma5: term at m = {m} has deg C_m = {c.degree} > Kcal |m| = "
-                f"{p.degree_cap(m)}; g does not lie in the declared level space"
+                f"{cap_m}; g does not lie in the declared level space"
             )
     h = g
     for _ in range(j):
         h = h.base_delta()
     h = h.mul_poly(a).shift_m(l)
     table = _table(g.gens, g.lambda_base, p)
-    with mpmath.workprec(FLOAT_PRECISION):
-        lhs = h_norm(h, p, level=0)
-        na = poly_norm(a, p.R) if not a.is_zero() else mpmath.mpf(0)
-        A_tilde = mpmath.mpf(0)
-        for m, _ in g.terms:
-            msum = tuple(x + y for x, y in zip(m, l))
-            cand = na * table.gamma(m) / table.gamma(msum) * table.weight_pow(m, j - p.j)
-            if cand > A_tilde:
-                A_tilde = cand
-        bound = A_tilde * h_norm(g, p, level=p.j)
-        passed = bool(lhs <= bound * (1 + mpmath.mpf(_ROUNDING_SLACK)))
-    return Lemma5Report(lhs=lhs, bound=bound, A_tilde=A_tilde, passed=passed)
+    lhs = h_norm(h, p, level=0)
+    na = poly_norm(a, p.R)._mpf_
+    gamma, weight_pow = table.gamma, table.weight_pow
+    cands = (raw_mul(raw_div(raw_mul(na, gamma(m)), gamma(tuple(map(add, m, l)))), weight_pow(m, j - p.j))
+             for m, _ in g.terms)  # each >= 0
+    A_tilde = max(cands, key=by_value, default=fzero)
+    bound = raw_mul(A_tilde, h_norm(g, p, level=p.j)._mpf_)
+    passed = lhs <= _mpf(raw_mul(bound, _SLACK))
+    return Lemma5Report(lhs, _mpf(bound), _mpf(A_tilde), passed)
 
 
 def majorant_bound(coeffs: dict, rho, tail_norms, gens: Generators, p: NormParams) -> mpmath.mpf:
@@ -412,27 +394,24 @@ def majorant_bound(coeffs: dict, rho, tail_norms, gens: Generators, p: NormParam
     Each term contributes ||a||_R / |Gamma(<pm,r>/s)| * rho^|pm| * C^|qm| *
     prod tail_norms^qm, where C is the largest realized Gamma product ratio
     (as in check_lemma6, but at least 1) and the Gamma factor is omitted for
-    pm = 0, which only enlarges the bound.
+    pm = 0, which only enlarges the bound.  rho and the tail norms are read
+    as decimal_rational reads them, so a float 0.1 is 1/10.
     """
     pms = [pm for pm, _ in coeffs if any(pm)]
     table = _table(gens, None, p)
-    with mpmath.workprec(FLOAT_PRECISION):
-        rho = mpmath.mpf(rho) if not isinstance(rho, Fraction) else to_mpf(rho)
-        tails = [to_mpf(v) if isinstance(v, Fraction) else mpmath.mpf(v) for v in tail_norms]
-        pairs = [(a, b) for i, a in enumerate(pms) for b in pms[i:]]
-        C = max([mpmath.mpf(1), *_gamma_ratios(table, pairs)])
-        acc = mpmath.mpf(0)
-        for (pm, qm), a in sorted(coeffs.items()):
-            if not any(pm) and not any(qm):
-                raise ValueError("majorant_bound: term with p = q = 0 is not allowed")
-            na = poly_norm(a, p.R)
-            if any(pm):
-                na = na / table.gamma(pm)
-            term = na * rho ** sum(pm) * C ** sum(qm)
-            for ni, qi in zip(tails, qm):
-                term *= ni**qi
-            acc += term
-        return acc
+    rho, *tails = (to_mpf(decimal_rational(v))._mpf_ for v in (rho, *tail_norms))
+    C = max([fone, *(table.ratio(a, b) for i, a in enumerate(pms) for b in pms[i:])], key=by_value)
+    acc = fzero
+    for (pm, qm), a in sorted(coeffs.items()):
+        if not any(pm) and not any(qm):
+            raise ValueError("majorant_bound: term with p = q = 0 is not allowed")
+        term = poly_norm(a, p.R)._mpf_
+        if any(pm):
+            term = raw_div(term, table.gamma(pm))
+        for v, e in zip([rho, C, *tails], [sum(pm), sum(qm), *qm]):
+            term = raw_mul(term, raw_pow(v, e))
+        acc = raw_add(acc, term)
+    return _mpf(acc)
 
 
 # -- randomized trials of the estimates -----------------------------------------
@@ -454,16 +433,15 @@ def _random_poly(rng, max_deg: int) -> TPoly:
     return TPoly.from_ints(6, re, im)
 
 
-def _random_mseries(rng, gens: Generators, lambda_base: Exponent, max_deg_for=None) -> MSeries:
+def _random_mseries(rng, gens: Generators, lambda_base: Exponent, max_deg_for=lambda m: 2) -> MSeries:
     kappa = gens.kappa
     terms = []
     for _ in range(rng.randint(1, 4)):
         m = tuple(rng.randint(0, 3) for _ in range(kappa))
         if not any(m):
             one = rng.randrange(kappa)
-            m = tuple(1 if i == one else v for i, v in enumerate(m))
-        cap = max_deg_for(m) if max_deg_for is not None else 2
-        terms.append((m, _random_poly(rng, cap)))
+            m = tuple(int(i == one) for i in range(kappa))
+        terms.append((m, _random_poly(rng, max_deg_for(m))))
     return MSeries(gens, lambda_base, tuple(terms), INF)
 
 
@@ -482,7 +460,8 @@ def norm_trials(rng, gens: Generators, R, s, Kcal, tol: float) -> dict:
     base = gens.basis.rational(Fraction(rng.randint(0, 3)))
     kappa = gens.kappa
     fails = dict.fromkeys(_TRIALS, 0)
-    p0 = NormParams(R=R, s=s, Kcal=Fraction(0), j=0, tol=tol)
+    params = partial(NormParams, R, s, tol=tol)
+    p0 = params(Fraction(0))
     for _ in range(_TRIALS["lemma6"]):
         g1, g2 = _random_mseries(rng, gens, base), _random_mseries(rng, gens, base)
         fails["lemma6"] += not check_lemma6(g1, g2, p0).passed
@@ -493,7 +472,7 @@ def norm_trials(rng, gens: Generators, R, s, Kcal, tol: float) -> dict:
     for _ in range(_TRIALS["lemma5"]):
         level = rng.randint(0, 1)
         j = level + rng.randint(0, 1)
-        p = NormParams(R=R, s=s, Kcal=Kcal, j=level, tol=tol)
+        p = params(Kcal, level)
         if p.slope_gate(j) > box_re:
             j = level
         while True:
@@ -506,7 +485,7 @@ def norm_trials(rng, gens: Generators, R, s, Kcal, tol: float) -> dict:
 
     for _ in range(_TRIALS["lemma5_rejects"]):
         level = rng.randint(0, 1)
-        p = NormParams(R=R, s=s, Kcal=Kcal, j=level, tol=tol)
+        p = params(Kcal, level)
         g = _random_mseries(rng, gens, base, max_deg_for=lambda m: 0)
         try:
             check_lemma5(TPoly.ONE, (0,) * kappa, level + 1, g, p)
@@ -514,7 +493,7 @@ def norm_trials(rng, gens: Generators, R, s, Kcal, tol: float) -> dict:
         except PreconditionViolated:
             pass
 
-    e1 = tuple(1 if i == 0 else 0 for i in range(kappa))
+    e1 = (1,) + (0,) * (kappa - 1)
     coeffs = {(e1, (0,)): TPoly.ONE, ((0,) * kappa, (1,)): TPoly.ONE, (e1, (2,)): TPoly.ONE}
     for _ in range(_TRIALS["majorant_monotone"]):
         lo = Fraction(rng.randint(1, 8), 8)

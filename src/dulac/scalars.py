@@ -5,6 +5,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 RationalLike = Union[int, Fraction, str]
@@ -32,6 +33,13 @@ def decimal_rational(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
+
+
+def _rational_literal(num: int, den: int) -> str:
+    """The literal "p/q" of num / den (den > 0) in lowest terms, as a Fraction
+    prints it in ExactScalar literals; one gcd, no Fraction built."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def _as_fraction(x: RationalLike) -> Fraction:

@@ -15,8 +15,8 @@ Taylor expansion and the back-substitution of solve_shifted all run on
 Python ints, with one gcd per result to restore the content-free form.  The
 module imports no floating point; the weighted norm poly_norm lives in
 numeric.  ExactScalar coefficients are built only at the API edge (coeffs,
-indexing, serialize, str, __call__, taylor_at) and are reduced like any
-other Fraction.
+indexing, str, __call__, taylor_at) and are reduced like any other
+Fraction; serialize formats the same literals straight from the ints.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .scalars import _ZERO_Q, ExactScalar, ZERO
+from .scalars import _ZERO_Q, ExactScalar, ZERO, _rational_literal
 
 NEG_INF = float("-inf")
 
@@ -362,7 +362,15 @@ class TPoly:
     # -- formatting ---------------------------------------------------------
 
     def serialize(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+        """The coefficients as the literals str(ExactScalar) writes ("p/q",
+        "p/q+r/si", "p/q-r/si"), formatted from the int fields."""
+        d, out = self.den, []
+        for x, y in zip(self.re, self.im or (0,) * len(self.re)):
+            text = _rational_literal(x, d)
+            if y:
+                text += ("+" if y > 0 else "-") + _rational_literal(abs(y), d) + "i"
+            out.append(text)
+        return out
 
     @staticmethod
     def parse(values) -> "TPoly":

@@ -22,7 +22,7 @@ from dulac.scalars import ExactScalar
 from dulac.series import DulacSeries
 from dulac.tpoly import TPoly
 
-from .util import interval
+from .util import exponent_serialize_oracle, interval
 
 
 def test_entry_parse():
@@ -271,6 +271,15 @@ def _assert_canonical(e: Exponent, coords) -> None:
     assert all(type(a) is int for a in e.nums)
     assert e.coords == tuple(coords)
     assert all(type(c) is Fraction for c in e.coords)
+    assert e.serialize() == exponent_serialize_oracle(e)
+
+
+def test_serialize_big_and_negative_coordinates():
+    b = ExponentBasis(["1", "1+1i"])
+    for coords in ([0, 0], [Fraction(-3, 6), 7], [3**300 + 1, Fraction(-(2**400), 3**7 * 5)]):
+        e = b.exponent(coords)
+        want = [f"{Fraction(c).numerator}/{Fraction(c).denominator}" for c in coords]
+        assert e.serialize() == exponent_serialize_oracle(e) == want
 
 
 @pytest.mark.parametrize("entries", _LAYOUT_BASES)

@@ -57,6 +57,12 @@ def test_domain_error():
             gamma_abs(bad)
 
 
+def test_tolerance_outside_unit_interval_rejected():
+    for tol in (0, 1, -1e-3, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="gamma_abs: tolerance must lie in"):
+            gamma_abs(2, tol)
+
+
 def test_deterministic_cache():
     z = ExactScalar(Fraction(3, 2), Fraction(1))
     assert gamma_abs(z) == gamma_abs(z)

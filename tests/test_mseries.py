@@ -1,13 +1,16 @@
 """Multivariate tail image: transport, derivation, graded norms, estimates."""
 
 import json
+import operator
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dulac import mseries
+from dulac import mseries, numeric
 from dulac.errors import (
     BasisMismatch,
     CutoffIncrease,
@@ -116,6 +119,9 @@ def test_norm_params_validation():
         NormParams(R=2, s=1, Kcal=-1)
     with pytest.raises(ValueError):
         NormParams(R=2, s=1, Kcal=0, j=-1)
+    for tol in (0, 1, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="NormParams: tolerance must lie in"):
+            NormParams(**P0, tol=tol)
 
 
 def test_norm_params_read_floats_as_poly_norm_does():
@@ -154,6 +160,48 @@ def test_mseries_gens_mismatch():
     b = _ms(_gens_mixed(), (((1, 0), TPoly.ONE),))
     with pytest.raises(BasisMismatch):
         a + b
+
+
+def test_mseries_arithmetic_rejects_mixed_base_exponents():
+    # the result would keep the left operand's base: at level 1 with
+    # Kcal = 1/2 the norm of f1 + f2 read 3.0 and that of f2 + f1 read 13.0
+    g = _gens_one()
+    f1 = _ms(g, (((1,), TPoly.ONE),), base=g.basis.zero())
+    f2 = _ms(g, (((1,), TPoly.ONE),), base=g.basis.rational(5))
+    for op in (operator.add, operator.sub, operator.mul):
+        for x, y in ((f1, f2), (f2, f1)):
+            with pytest.raises(BasisMismatch):
+                op(x, y)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gens_of=st.sampled_from([_gens_one, _gens_mixed]), seed=st.integers(0, 2**32 - 1),
+       cutoff=st.sampled_from([INF, Fraction(5, 2), Fraction(4)]), lvec=st.lists(st.integers(0, 3), min_size=2))
+def test_trusted_results_equal_canonical_construction(gens_of, seed, cutoff, lvec):
+    """Shift, polynomial product, negation and product skip
+    re-canonicalization; each, and the Euler derivation, equals the fully
+    canonicalized series."""
+    gens, rng = gens_of(), random.Random(seed)
+    g, h = _random_mseries(rng, gens).truncate(cutoff), _random_mseries(rng, gens)
+    l, a = tuple(lvec[: gens.kappa]), rng.choice([TPoly.ZERO, random_poly(rng, 2)])
+    shifted = tuple((tuple(x + y for x, y in zip(m, l)), c) for m, c in g.terms)
+    assert g.shift_m(l) == MSeries(gens, g.lambda_base, shifted, g.cutoff + gens.m_re(l))
+    assert g.mul_poly(a) == MSeries(gens, g.lambda_base, tuple((m, c * a) for m, c in g.terms), g.cutoff)
+    assert -g == MSeries(gens, g.lambda_base, tuple((m, -c) for m, c in g.terms), g.cutoff)
+    out = tuple((m, c.shift_apply(g.m_value(m))) for m, c in g.terms)
+    assert g.hat_delta() == MSeries(gens, g.lambda_base, out, g.cutoff)
+    prods = tuple(
+        (tuple(x + y for x, y in zip(m1, m2)), c1 * c2) for m1, c1 in g.terms for m2, c2 in h.terms
+    )
+    cut = min(g.cutoff + h.val_re(), h.cutoff + g.val_re()) if g.terms and h.terms else min(g.cutoff, h.cutoff)
+    assert g * h == MSeries(gens, g.lambda_base, prods, cut)
+
+
+def test_shift_by_an_invalid_index_raises_as_construction_does():
+    g = _ms(_gens_mixed(), (((1, 0), TPoly.ONE), ((0, 2), TPoly.T)))
+    for l in ((-1, 0), (0, -1), (0, -2), (1,)):
+        with pytest.raises(ValueError, match="MSeries: "):
+            g.shift_m(l)
 
 
 def test_hat_delta():
@@ -612,3 +660,53 @@ def test_norms_share_gamma_values_across_params(monkeypatch):
     assert len(gammas) == len({m for m, _ in g.terms + h.terms}) == 4
     h_norm(g, NormParams(R=p.R, s=Fraction(2), Kcal=p.Kcal))
     assert len(gammas) == 4 + len(g.terms)
+
+
+def _norm_reports(g, g2, a, l, coeffs, p) -> list:
+    """The _mpf_ tuple of every value h_norm, check_lemma6, check_lemma5 and
+    majorant_bound report on this data, levels 0 to 2 included."""
+    out = [h_norm(g, p, level=j) for j in (0, 1, 2)]
+    r6 = check_lemma6(g, g2, p)
+    out += [r6.lhs, r6.rhs, r6.C_used]
+    for j in (p.j, p.j + 1):
+        r5 = check_lemma5(a, l, j, g, p)
+        out += [r5.lhs, r5.bound, r5.A_tilde]
+    out += [majorant_bound(coeffs, rho, tails, g.gens, p)
+            for rho, tails in ((Fraction(1, 2), [Fraction(2, 3)]), (0.1, [0.1, 1.5]))]
+    return [v._mpf_ for v in out]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(gens_of=st.sampled_from([_gens_one, _gens_mixed]), R=st.sampled_from([2, 2.1, Fraction(5, 3)]),
+       level=st.integers(0, 2), base=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_raw_norms_equal_mpf_oracles_in_any_context(gens_of, R, level, base, seed):
+    """Every reported value equals, bit for bit, the mpf-object arithmetic of
+    the oracles, and does not depend on the caller's mpmath precision."""
+    gens, rng = gens_of(), random.Random(seed)
+    g = _ms(gens, _random_mseries(rng, gens).terms, base=gens.basis.rational(base))
+    g2 = _ms(gens, _random_mseries(rng, gens).terms, base=g.lambda_base)
+    p = NormParams(R=R, s=Fraction(1, 2), Kcal=2, j=level)
+    a, l = random_poly(rng, 2), tuple(rng.randint(0, 2) for _ in range(gens.kappa - 1)) + (1,)
+    coeffs = {((1,) * gens.kappa, (1, 0)): a, ((0,) * gens.kappa, (0, 2)): TPoly.ONE, (l, (1, 1)): TPoly.T}
+    want = [h_norm_oracle(g, p, j) for j in (0, 1, 2)]
+    want += lemma6_oracle(g, g2, p)
+    for j in (p.j, p.j + 1):
+        want += lemma5_oracle(a, l, j, g, p)
+    want += [majorant_oracle(coeffs, rho, tails, gens, p)
+             for rho, tails in ((Fraction(1, 2), [Fraction(2, 3)]), (0.1, [0.1, 1.5]))]
+    got = _norm_reports(g, g2, a, l, coeffs, p)
+    assert got == [v._mpf_ for v in want]
+    for prec in (53, 300):
+        for memo in (mseries._table, mseries._gammas, numeric._norm_powers):
+            memo.cache_clear()
+        with mpmath.workprec(prec):
+            assert _norm_reports(g, g2, a, l, coeffs, p) == got
+
+
+def test_majorant_reads_floats_at_their_repr():
+    g = _gens_one()
+    p = NormParams(**P0)
+    coeffs = {((1,), (1,)): TPoly.ONE, ((0,), (2,)): TPoly.of(3)}
+    tenth = majorant_bound(coeffs, Fraction(1, 10), [Fraction(1, 10)], g, p)
+    assert majorant_bound(coeffs, 0.1, [0.1], g, p)._mpf_ == tenth._mpf_
+    assert majorant_bound(coeffs, Fraction(0.1), [Fraction(0.1)], g, p) != tenth

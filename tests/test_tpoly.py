@@ -19,6 +19,7 @@ from .util import (
     poly_linear_oracle,
     poly_norm_oracle,
     poly_scale_oracle,
+    poly_serialize_oracle,
     poly_shift_apply_oracle,
     poly_taylor_oracle,
     poly_value_oracle,
@@ -184,9 +185,30 @@ def test_norm_equals_abs_scalar_sum_exactly(p, R):
             assert got.man_exp == want.man_exp  # same mantissa and exponent, bit for bit
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_tpolys())
+def test_serialize_matches_scalar_oracle(p):
+    # the same values over a 300-bit denominator, and with big numerators
+    wide = TPoly.from_ints(p.den * 3**200, [x * 3**200 for x in p.re], p.im and [y * 3**200 for y in p.im])
+    big = TPoly.from_ints(p.den, [x << 310 for x in p.re], p.im and [y << 310 for y in p.im])
+    for q in (p, -p, wide, big, big * ExactScalar.of(0, 1)):
+        assert q.serialize() == poly_serialize_oracle(q)
+    assert wide.serialize() == p.serialize()
+
+
+def test_serialize_edge_cases():
+    for literals, want in [
+        ([], []),
+        (["0/1", "-3/6", "0/5+2/4i"], ["0/1", "-1/2", "0/1+1/2i"]),
+        (["-7/3-5/9i", "1/1-1/1i"], ["-7/3-5/9i", "1/1-1/1i"]),
+    ]:
+        p = TPoly.parse(literals)
+        assert p.serialize() == poly_serialize_oracle(p) == want
+
+
 def test_arithmetic_builds_no_scalar(monkeypatch):
-    """Sums, products, deriv and shift_apply run on ints: no ExactScalar is
-    built until a coefficient is read."""
+    """Sums, products, deriv, shift_apply and serialize run on ints: no
+    ExactScalar is built until a coefficient is read."""
     rng = random.Random(11)
     polys = [random_poly(rng, 5) for _ in range(12)]
     polys = [-(-p) for p in polys]  # equal polynomials without cached coefficients
@@ -198,6 +220,7 @@ def test_arithmetic_builds_no_scalar(monkeypatch):
         r = p * q + p - q
         r = -(r * lam) + r * real + r * 3 + r * Fraction(2, 7)
         r.deriv().shift_apply(lam).shift_apply(real).degree
+        r.serialize()
         assert r == r and hash(r) == hash(r) and r.is_zero() in (True, False)
     assert built == []
     assert polys[0].coeffs

@@ -199,6 +199,16 @@ def poly_taylor_oracle(p: TPoly, z: ExactScalar) -> list:
         fact *= i
 
 
+def poly_serialize_oracle(p: TPoly) -> list:
+    """TPoly.serialize from the ExactScalar coefficients: str of each."""
+    return [str(c) for c in p.coeffs]
+
+
+def exponent_serialize_oracle(e) -> list:
+    """Exponent.serialize from the Fraction coordinates."""
+    return [f"{c.numerator}/{c.denominator}" for c in e.coords]
+
+
 def poly_norm_oracle(p: TPoly, R, prec: int = 128):
     """Weighted norm sum |a_j| R^j, each |a_j| from numeric.abs_scalar; a
     float R is read at its repr."""
@@ -214,6 +224,8 @@ def poly_norm_oracle(p: TPoly, R, prec: int = 128):
 
 
 # -- memo-free graded-norm oracles: every constant recomputed on each use ------
+# The mpf-object arithmetic inside mpmath.workprec(128) that mseries ran before
+# its norms moved to raw mpmath.libmp values.
 
 
 def _m_parts_oracle(gens, m) -> tuple:
@@ -236,13 +248,22 @@ def weight_oracle(gens, lambda_base, m, p):
         return abs_scalar(lam) + to_mpf(p.Kcal) * sum(m)
 
 
+def weight_pow_oracle(gens, lambda_base, m, e: int, p):
+    """The weight of m to the power e at 128 bits; 1, with no weight
+    computed, for e = 0."""
+    if not e:
+        return mpmath.mpf(1)
+    with mpmath.workprec(128):
+        return weight_oracle(gens, lambda_base, m, p) ** e
+
+
 def h_norm_oracle(g, p, level=None):
     j = p.j if level is None else level
     with mpmath.workprec(128):
         acc = mpmath.mpf(0)
         for m, c in g.terms:
-            w = weight_oracle(g.gens, g.lambda_base, m, p)
-            acc += w**j / gamma_oracle(g.gens, m, p) * poly_norm_oracle(c, p.R)
+            w = weight_pow_oracle(g.gens, g.lambda_base, m, j, p)
+            acc += w / gamma_oracle(g.gens, m, p) * poly_norm_oracle(c, p.R)
         return acc
 
 
@@ -273,15 +294,17 @@ def lemma5_oracle(a: TPoly, l, j: int, g, p) -> tuple:
         A = mpmath.mpf(0)
         for m, _ in g.terms:
             msum = tuple(x + y for x, y in zip(m, l))
-            w = weight_oracle(g.gens, g.lambda_base, m, p)
-            cand = na * gamma_oracle(g.gens, m, p) / gamma_oracle(g.gens, msum, p) * w ** (j - p.j)
+            w = weight_pow_oracle(g.gens, g.lambda_base, m, j - p.j, p)
+            cand = na * gamma_oracle(g.gens, m, p) / gamma_oracle(g.gens, msum, p) * w
             A = max(A, cand)
         bound = A * h_norm_oracle(g, p, p.j)
     return lhs, bound, A
 
 
-def majorant_oracle(coeffs: dict, rho: Fraction, tail_norms, gens, p):
-    """majorant_bound for a Fraction rho and Fraction tail norms."""
+def majorant_oracle(coeffs: dict, rho, tail_norms, gens, p):
+    """majorant_bound; a float rho or tail norm is read at its repr."""
+    rho = Fraction(repr(rho)) if isinstance(rho, float) else Fraction(rho)
+    tail_norms = [Fraction(repr(v)) if isinstance(v, float) else Fraction(v) for v in tail_norms]
     pms = [pm for pm, _ in coeffs if any(pm)]
     with mpmath.workprec(128):
         pairs = [(a, b) for i, a in enumerate(pms) for b in pms[i:]]
