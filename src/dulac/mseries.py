@@ -171,9 +171,11 @@ class MSeries:
 
     def shift_m(self, l) -> "MSeries":
         l = tuple(int(v) for v in l)
+        if len(l) != self.gens.kappa:
+            raise ValueError(f"MSeries: shift index {l} is not kappa = {self.gens.kappa} integers")
         terms = tuple((tuple(map(add, m, l)), c) for m, c in self.terms)
         cutoff = self.cutoff + self.gens.m_re(l)
-        if len(l) == self.gens.kappa and min(l) >= 0:
+        if min(l) >= 0:
             # adding <l,r> keeps each index valid, the order and the cutoff test
             return self._trusted(terms, cutoff)
         return MSeries(self.gens, self.lambda_base, terms, cutoff)
@@ -355,8 +357,8 @@ def check_lemma5(a: TPoly, l, j: int, g: MSeries, p: NormParams) -> Lemma5Report
       * deg C_m <= Kcal * |m| for the stored terms of g (level membership).
     """
     l = tuple(int(v) for v in l)
-    if any(v < 0 for v in l):
-        raise PreconditionViolated(f"check_lemma5: negative shift index {l}")
+    if len(l) != g.gens.kappa or any(v < 0 for v in l):
+        raise PreconditionViolated(f"check_lemma5: shift index {l} is not kappa = {g.gens.kappa} nonnegative integers")
     cap, re_l, gate = p.degree_cap(l), g.gens.m_re(l), p.slope_gate(j)
     if a.degree > cap:
         raise PreconditionViolated(f"check_lemma5: deg a = {a.degree} exceeds Kcal |l| = {cap}")

@@ -48,7 +48,7 @@ def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_rational(x)
     raise TypeError(f"not a rational value: {x!r}")
 
 

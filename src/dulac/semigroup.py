@@ -4,8 +4,9 @@ The exponents of a solved series, measured from a chosen base term, land in
 the semigroup of nonnegative integer combinations of finitely many complex
 generators r_1, ..., r_kappa that are independent over the integers and have
 positive real parts.  Independence over Z is equivalent to independence over
-Q of the rational coordinate vectors, so validation and membership reduce to
-exact rational linear algebra over the declared basis.
+Q of the rational coordinate vectors, so validation, membership and the
+suggested generators all reduce to one Hermite reduction of the integer
+coordinate rows over the declared basis.
 """
 
 from __future__ import annotations
@@ -13,82 +14,61 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 
 from .errors import BasisMismatch, DependentGenerators, NonpositiveRealPart, UndecidableComparison
 from .exponents import Exponent, ExponentBasis
 
 
-# -- exact rational linear algebra (small dense systems) -------------------
+# -- integer linear algebra (small dense systems) --------------------------
 
 
-def _rref(rows: list) -> tuple:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    pivots = []
+def _int_rows(exps) -> tuple:
+    """(d, rows): the coordinates of the exponents as int rows over one
+    common denominator d."""
+    d = lcm(*(e.den for e in exps))
+    return d, [[a * (d // e.den) for a in e.nums] for e in exps]
+
+
+def _hnf_rows(mat: list) -> list:
+    """Row-style Hermite reduction of an integer matrix; returns a basis of
+    the row lattice with nonnegative pivots."""
+    mat = [list(r) for r in mat if any(r)]
+    if not mat:
+        return []
+    cols = len(mat[0])
     r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    for c in range(cols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(r + 1, len(mat)):
+            while mat[i][c] != 0:
+                q = mat[r][c] // mat[i][c]
+                mat[r] = [a - q * b for a, b in zip(mat[r], mat[i])]
+                mat[r], mat[i] = mat[i], mat[r]
+        if mat[r][c] < 0:
+            mat[r] = [-v for v in mat[r]]
+        for i in range(r):
+            q = mat[i][c] // mat[r][c]
+            if q:
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
         r += 1
-        if r == len(rows):
+        if r == len(mat):
             break
-    return rows, pivots
+    return [row for row in mat[:r] if any(row)]
 
 
-def solve_unique(columns: list, rhs: list):
-    """Solve M x = rhs where M is given by columns; None when inconsistent.
-
-    Assumes the columns are linearly independent (unique solution if any).
-    """
-    ncols = len(columns)
-    nrows = len(rhs)
-    aug = [[columns[j][i] for j in range(ncols)] + [rhs[i]] for i in range(nrows)]
-    rows, pivots = _rref(aug)
-    if ncols in pivots:
-        return None  # inconsistent: pivot in the augmented column
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][ncols]
-    # verify: guards against an underdetermined system slipping through
-    for i in range(nrows):
-        if sum(columns[j][i] * x[j] for j in range(ncols)) != rhs[i]:
-            return None
-    return x
-
-
-def nullspace_vector(columns: list):
-    """A nonzero rational x with sum_j x_j * columns[j] = 0, or None."""
-    ncols = len(columns)
-    nrows = len(columns[0]) if columns else 0
-    mat = [[columns[j][i] for j in range(ncols)] for i in range(nrows)]
-    rows, pivots = _rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    f = free[0]
-    x = [Fraction(0)] * ncols
-    x[f] = Fraction(1)
-    for r, c in enumerate(pivots):
-        x[c] = -rows[r][f]
-    return x
-
-
-def _to_integer_vector(x: list) -> list:
-    denom = lcm(*(v.denominator for v in x)) if x else 1
-    ints = [int(v * denom) for v in x]
-    g = gcd(*ints) or 1
-    return [v // g for v in ints]
+def _relation(exps):
+    """The primitive integer relation sum c_i e_i = 0 of exponents whose
+    relations have rank at most 1 (a list c), or None when they are
+    independent: the right block of the row whose left block vanishes in
+    the Hermite form of [int rows | identity] (H. Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4)."""
+    n, dim = len(exps), exps[0].basis.dim
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(_int_rows(exps)[1])]
+    return next((row[dim:] for row in _hnf_rows(rows) if not any(row[:dim])), None)
 
 
 # -- generators -------------------------------------------------------------
@@ -98,15 +78,15 @@ def _to_integer_vector(x: list) -> list:
 class Generators:
     """Validated semigroup generators over a shared exponent basis.
 
-    Re <m, r> and Im <m, r> are computed once per multi-index m and kept,
-    since norm tables and series sorts ask for the same m many times; so is
-    the decomposition of each exponent, which the gaps and the iota image of
-    a run both ask for.
+    The exponent <m, r> is computed once per multi-index m and kept, with
+    its Re and Im, since norm tables, series sorts and the iota image ask
+    for the same m many times; so is the decomposition of each exponent,
+    which the gaps and the iota image of a run both ask for.
     """
 
     basis: ExponentBasis
     r: tuple  # of Exponent
-    _m_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _m_exponents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _decomposed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -117,36 +97,37 @@ class Generators:
         return [g.re_mid for g in self.r]
 
     def m_exponent(self, m) -> Exponent:
-        """The exponent <m, r> = sum m_i r_i."""
-        acc = self.basis.zero()
-        for mi, ri in zip(m, self.r):
-            if mi:
-                acc = acc + ri * mi
-        return acc
+        """The exponent <m, r> = sum m_i r_i; ValueError unless m has kappa
+        entries."""
+        m = tuple(m)
+        e = self._m_exponents.get(m)
+        if e is None:
+            if len(m) != len(self.r):
+                raise ValueError(f"Generators: multi-index {m} does not have kappa = {len(self.r)} entries")
+            e = self.basis.zero()
+            for mi, ri in zip(m, self.r):
+                if mi:
+                    e = e + ri * mi
+            self._m_exponents[m] = e
+        return e
 
     def m_parts(self, m) -> tuple:
         """(Re <m, r>, Im <m, r>) as Fractions (the midpoints over an
         approximate basis)."""
-        m = tuple(m)
-        parts = self._m_parts.get(m)
-        if parts is None:
-            parts = self._m_parts[m] = (
-                sum((mi * ri.re_mid for mi, ri in zip(m, self.r)), Fraction(0)),
-                sum((mi * ri.im_mid for mi, ri in zip(m, self.r)), Fraction(0)),
-            )
-        return parts
+        e = self.m_exponent(m)
+        return e.re_mid, e.im_mid
+
+    def m_re(self, m) -> Fraction:
+        return self.m_exponent(m).re_mid
+
+    def m_im(self, m) -> Fraction:
+        return self.m_exponent(m).im_mid
 
     def decomposition(self, lam: Exponent):
         """decompose(lam, self), solved once per exponent and kept."""
         if lam not in self._decomposed:
             self._decomposed[lam] = decompose(lam, self)
         return self._decomposed[lam]
-
-    def m_re(self, m) -> Fraction:
-        return self.m_parts(m)[0]
-
-    def m_im(self, m) -> Fraction:
-        return self.m_parts(m)[1]
 
     def serialize(self) -> list:
         return [g.serialize() for g in self.r]
@@ -156,7 +137,8 @@ def validate_generators(rs) -> Generators:
     """Check positivity of real parts and integer independence.
 
     Dependence is reported with an explicit integer relation witness m != 0
-    such that sum m_j r_j = 0.
+    such that sum m_j r_j = 0: the primitive relation of the shortest
+    dependent prefix r_1..r_f, with m_f > 0, padded with zeros.
     """
     rs = tuple(rs)
     if not rs:
@@ -169,15 +151,15 @@ def validate_generators(rs) -> Generators:
             raise NonpositiveRealPart(
                 f"validate_generators: generator {g} has nonpositive real part"
             )
-    columns = [list(g.coords) for g in rs]
-    null = nullspace_vector(columns)
-    if null is not None:
-        witness = _to_integer_vector(null)
-        raise DependentGenerators(
-            f"validate_generators: integer relation {witness} . r = 0 links the "
-            "generators; they are not independent over the integers",
-            witness=witness,
-        )
+    for f in range(2, len(rs) + 1):
+        rel = _relation(rs[:f])
+        if rel is not None:
+            witness = [c if rel[-1] > 0 else -c for c in rel] + [0] * (len(rs) - f)
+            raise DependentGenerators(
+                f"validate_generators: integer relation {witness} . r = 0 links the "
+                "generators; they are not independent over the integers",
+                witness=witness,
+            )
     return Generators(basis=basis, r=rs)
 
 
@@ -186,16 +168,17 @@ def decompose(lam: Exponent, gens: Generators):
 
     Independence makes the decomposition unique when it exists, so failure
     is a definite non-membership answer for the declared generators, not an
-    error.
+    error.  lam is a member exactly when the primitive relation of
+    (r_1..r_kappa, lam) has last entry +-1 and the others of the opposite
+    sign, not all zero.
     """
     if lam.basis != gens.basis:
         return None
-    x = solve_unique([list(g.coords) for g in gens.r], list(lam.coords))
-    if x is None:
+    rel = _relation(gens.r + (lam,))
+    if rel is None or abs(rel[-1]) != 1:
         return None
-    if not any(x) or any(v.denominator != 1 or v < 0 for v in x):
-        return None
-    return tuple(int(v) for v in x)
+    m = tuple(-rel[-1] * c for c in rel[:-1])
+    return m if any(m) and min(m) >= 0 else None
 
 
 def minimal_shell(gens: Generators, tau_re: Fraction) -> list:
@@ -264,36 +247,6 @@ def exponent_gaps(solution_terms, gens: Generators, m_index: int) -> list:
 # -- generator suggestion (heuristic) ---------------------------------------
 
 
-def _hnf_rows(mat: list) -> list:
-    """Row-style Hermite reduction of an integer matrix; returns a basis of
-    the row lattice with nonnegative pivots."""
-    mat = [list(r) for r in mat if any(r)]
-    if not mat:
-        return []
-    cols = len(mat[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, len(mat)):
-            while mat[i][c] != 0:
-                q = mat[r][c] // mat[i][c]
-                mat[r] = [a - q * b for a, b in zip(mat[r], mat[i])]
-                mat[r], mat[i] = mat[i], mat[r]
-        if mat[r][c] < 0:
-            mat[r] = [-v for v in mat[r]]
-        for i in range(r):
-            q = mat[i][c] // mat[r][c]
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return [row for row in mat[:r] if any(row)]
-
-
 def suggest_generators(F, prefix, basis: ExponentBasis) -> dict:
     """Heuristic generator candidates from the x-exponents of the equation
     and the exponent gaps of a prefix.
@@ -330,11 +283,9 @@ def suggest_generators(F, prefix, basis: ExponentBasis) -> dict:
     if not cand:
         return {"candidates": [], "suggested": [], "note": note}
 
-    denom = lcm(*(e.den for e in cand))
-    int_rows = [[a * (denom // e.den) for a in e.nums] for e in cand]
-    rows = _hnf_rows(int_rows)
+    denom, int_rows = _int_rows(cand)
     suggested = []
-    for row in rows:
+    for row in _hnf_rows(int_rows):
         e = basis.exponent([Fraction(v, denom) for v in row])
         try:
             sgn = e.re_sign()

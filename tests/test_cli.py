@@ -295,10 +295,10 @@ def test_iota_euler(tmp_path):
 
 
 def test_iota_decomposes_each_gap_once(tmp_path, monkeypatch):
-    # every decomposition solves one linear system: count the systems
+    # every decomposition is one Hermite reduction: count the decompositions
     calls = []
-    solve = semigroup.solve_unique
-    monkeypatch.setattr(semigroup, "solve_unique", lambda cols, rhs: calls.append(rhs) or solve(cols, rhs))
+    decompose = semigroup.decompose
+    monkeypatch.setattr(semigroup, "decompose", lambda lam, gens: calls.append(lam) or decompose(lam, gens))
     code, out = run(tmp_path, "iota", str(DATA / "semigroup_2d.json"))
     assert code == 0
     gaps = payload(out, "mseries.json")["gaps"]

@@ -90,8 +90,7 @@ def test_zero_index_rejected():
     "gens, m", [(_gens_one, (1, 2)), (_gens_mixed, (1,)), (_gens_mixed, (1, 0, 0))], ids=["long", "short", "long2"]
 )
 def test_multi_index_of_wrong_length_rejected(gens, m):
-    # Generators.m_parts zips m against the generators, so (1, 2) over
-    # kappa = 1 would otherwise be kept with Re<m,r> = 1
+    # the constructor checks the length before it sorts on Re<m,r>
     with pytest.raises(ValueError, match="kappa"):
         _ms(gens(), ((m, TPoly.ONE),))
 
@@ -199,7 +198,8 @@ def test_trusted_results_equal_canonical_construction(gens_of, seed, cutoff, lve
 
 def test_shift_by_an_invalid_index_raises_as_construction_does():
     g = _ms(_gens_mixed(), (((1, 0), TPoly.ONE), ((0, 2), TPoly.T)))
-    for l in ((-1, 0), (0, -1), (0, -2), (1,)):
+    one = _ms(_gens_one(), (((1,), TPoly.ONE),), cutoff=4)
+    for g, l in ((g, (-1, 0)), (g, (0, -1)), (g, (0, -2)), (g, (1,)), (g, (1, 0, 0)), (one, (1, 5))):
         with pytest.raises(ValueError, match="MSeries: "):
             g.shift_m(l)
 
@@ -488,6 +488,9 @@ def test_lemma5_gate_rejects():
     # negative shift
     with pytest.raises(PreconditionViolated):
         check_lemma5(TPoly.ONE, (-1,), 0, ms, p)
+    # a shift index longer than kappa is not read as its first entries
+    with pytest.raises(PreconditionViolated, match="kappa"):
+        check_lemma5(TPoly.ONE, (1, 5), 0, ms, NormParams(2, 1, 2))
     # g outside the level space: deg C_m = 2 > Kcal |m| = 1
     bad = _ms(g, (((1,), TPoly.of(0, 0, 1)),))
     with pytest.raises(PreconditionViolated):

@@ -24,6 +24,13 @@ def test_parse_rejects(bad):
         ExactScalar.parse(bad)
 
 
+def test_zero_denominator_string_is_malformed():
+    # every reader of a scalar string raises as ExactScalar.parse does
+    for build in (ExactScalar.of, lambda x: ExactScalar.of(0, x), lambda x: ExactScalar(x, 0)):
+        with pytest.raises(ValueError, match="zero denominator"):
+            build("1/0")
+
+
 def test_str_roundtrip():
     rng = random.Random(11)
     for _ in range(200):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dulac.errors import DependentGenerators, NonpositiveRealPart
 from dulac.exponents import ExponentBasis
@@ -14,8 +16,6 @@ from dulac.semigroup import (
     decompose,
     exponent_gaps,
     minimal_shell,
-    nullspace_vector,
-    solve_unique,
     suggest_generators,
     validate_generators,
 )
@@ -23,7 +23,15 @@ from dulac.series import DulacSeries
 from dulac.solver import extend
 from dulac.tpoly import TPoly
 
-from .util import basis_mixed, basis_one, euler_ode
+from .util import (
+    basis_mixed,
+    basis_one,
+    decompose_oracle,
+    euler_ode,
+    nullspace_vector,
+    relation_witness_oracle,
+    solve_unique,
+)
 
 
 def _gens_one():
@@ -39,7 +47,7 @@ def _gens_half_mixed():
     )
 
 
-# -- exact linear algebra -----------------------------------------------------
+# -- exact linear algebra: the Hermite layer against the Fraction oracle ------
 
 
 def test_solve_unique():
@@ -47,6 +55,12 @@ def test_solve_unique():
     assert solve_unique(cols, [Fraction(3), Fraction(1)]) == [Fraction(2), Fraction(1)]
     # inconsistent: x * (1, 0) can never produce (0, 1)
     assert solve_unique([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)]) is None
+    # the same systems as membership questions: r = (1, 0), (1, 1)
+    basis = basis_mixed()
+    g = validate_generators([basis.exponent([1, 0]), basis.exponent([1, 1])])
+    assert decompose(basis.exponent([3, 1]), g) == decompose_oracle(basis.exponent([3, 1]), g) == (2, 1)
+    one = validate_generators([basis.exponent([1, 0])])
+    assert decompose(basis.exponent([0, 1]), one) is decompose_oracle(basis.exponent([0, 1]), one) is None
 
 
 def test_nullspace_vector():
@@ -55,6 +69,52 @@ def test_nullspace_vector():
     assert x is not None
     assert x[0] * 1 + x[1] * 2 == 0 and any(x)
     assert nullspace_vector([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) is None
+    # the same columns as generators: 1 and 2 are linked, (1, 0) and (0, 1) are not
+    basis = basis_one()
+    with pytest.raises(DependentGenerators) as info:
+        validate_generators([basis.rational(1), basis.rational(2)])
+    assert info.value.witness == relation_witness_oracle([basis.rational(1), basis.rational(2)]) == [-2, 1]
+    assert validate_generators([basis_mixed().exponent([1, 0]), basis_mixed().exponent([0, 1])]).kappa == 2
+
+
+_ORACLE_BASES = [ExponentBasis(b) for b in (["1"], ["1", "1+1i"], ["1", "1.41421356237"], ["1", "2/1", "1+1i"])]
+_coordinate = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_semigroup_layer_matches_fraction_oracle(data):
+    basis = data.draw(st.sampled_from(_ORACLE_BASES))
+    exponent = st.lists(_coordinate, min_size=basis.dim, max_size=basis.dim).map(basis.exponent)
+    rs = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        if rs and data.draw(st.booleans()):  # a rational multiple of an integer combination
+            e = basis.zero()
+            for r in rs:
+                e = e + r * data.draw(st.integers(-2, 2))
+            e = e * data.draw(_coordinate)
+        else:
+            e = data.draw(exponent)
+        if not e.re_sign():  # zero or purely imaginary: move it off the axis
+            e = e + basis.rational(1)
+        rs.append(e if e.re_sign() > 0 else -e)
+    witness = relation_witness_oracle(rs)
+    if witness is not None:
+        with pytest.raises(DependentGenerators) as info:
+            validate_generators(rs)
+        assert info.value.witness == witness
+        assert str(info.value) == (
+            f"validate_generators: integer relation {witness} . r = 0 links the "
+            "generators; they are not independent over the integers"
+        )
+        return
+    g = validate_generators(rs)
+    m = data.draw(st.lists(st.integers(-2, 3), min_size=g.kappa, max_size=g.kappa))
+    scale = data.draw(st.sampled_from([1, 1, Fraction(1, 2), Fraction(-1, 3)]))
+    for lam in (g.m_exponent(m), g.m_exponent(m) * scale, data.draw(exponent), basis.zero(), basis_one().rational(1)):
+        assert decompose(lam, g) == decompose_oracle(lam, g)
+    if min(m) >= 0 and any(m):
+        assert decompose(g.m_exponent(m), g) == tuple(m)
 
 
 # -- validation ---------------------------------------------------------------
@@ -92,6 +152,16 @@ def test_validate_independent_mixed_pair():
     assert g.m_re((1, 1)) == Fraction(3, 2)
     assert g.m_im((1, 1)) == Fraction(1)
     assert g.m_exponent((2, 0)).coords == (Fraction(1), Fraction(0))
+    assert g.m_parts((1, 1)) == (Fraction(3, 2), Fraction(1))
+
+
+@pytest.mark.parametrize("m", [(1, 5), (1,), (1, 0, 0)])
+def test_multi_index_of_wrong_length_raises(m):
+    # a multi-index has exactly kappa entries: none is dropped or padded
+    g = _gens_one() if len(m) == 2 else _gens_half_mixed()
+    for read in (g.m_exponent, g.m_parts, g.m_re, g.m_im):
+        with pytest.raises(ValueError, match="kappa"):
+            read(m)
 
 
 # -- membership ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared builders for the test suite: canonical equations and seeded random data."""
 
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import mpmath
@@ -221,6 +222,96 @@ def poly_norm_oracle(p: TPoly, R, prec: int = 128):
                 acc += abs_scalar(c, prec) * power
             power *= Rm
         return acc
+
+
+# -- Fraction Gauss-Jordan oracles for the semigroup layer --------------------
+# The rational elimination semigroup ran before its one Hermite reduction.
+
+
+def _rref(rows: list) -> tuple:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def solve_unique(columns: list, rhs: list):
+    """Solve M x = rhs where M is given by columns; None when inconsistent.
+
+    Assumes the columns are linearly independent (unique solution if any).
+    """
+    ncols = len(columns)
+    nrows = len(rhs)
+    aug = [[columns[j][i] for j in range(ncols)] + [rhs[i]] for i in range(nrows)]
+    rows, pivots = _rref(aug)
+    if ncols in pivots:
+        return None  # inconsistent: pivot in the augmented column
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][ncols]
+    # verify: guards against an underdetermined system slipping through
+    for i in range(nrows):
+        if sum(columns[j][i] * x[j] for j in range(ncols)) != rhs[i]:
+            return None
+    return x
+
+
+def nullspace_vector(columns: list):
+    """A nonzero rational x with sum_j x_j * columns[j] = 0, or None."""
+    ncols = len(columns)
+    nrows = len(columns[0]) if columns else 0
+    mat = [[columns[j][i] for j in range(ncols)] for i in range(nrows)]
+    rows, pivots = _rref(mat)
+    free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return None
+    f = free[0]
+    x = [Fraction(0)] * ncols
+    x[f] = Fraction(1)
+    for r, c in enumerate(pivots):
+        x[c] = -rows[r][f]
+    return x
+
+
+def _to_integer_vector(x: list) -> list:
+    denom = lcm(*(v.denominator for v in x)) if x else 1
+    ints = [int(v * denom) for v in x]
+    g = gcd(*ints) or 1
+    return [v // g for v in ints]
+
+
+def relation_witness_oracle(rs):
+    """The witness validate_generators reports for generators rs with
+    positive real parts, or None when they are independent."""
+    null = nullspace_vector([list(g.coords) for g in rs])
+    return None if null is None else _to_integer_vector(null)
+
+
+def decompose_oracle(lam, gens):
+    """semigroup.decompose by Fraction elimination."""
+    if lam.basis != gens.basis:
+        return None
+    x = solve_unique([list(g.coords) for g in gens.r], list(lam.coords))
+    if x is None or not any(x) or any(v.denominator != 1 or v < 0 for v in x):
+        return None
+    return tuple(int(v) for v in x)
 
 
 # -- memo-free graded-norm oracles: every constant recomputed on each use ------
