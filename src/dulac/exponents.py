@@ -32,7 +32,6 @@ raising UndecidableComparison.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, isinf, lcm
@@ -58,15 +57,43 @@ def _parse_part(text: str) -> tuple[Fraction, Fraction]:
     return parse_rational(text), Fraction(0)
 
 
-@dataclass(frozen=True)
 class BasisEntry:
-    """One basis element with its enclosure data."""
+    """One basis element with its enclosure data: the literal, the parts re
+    and im it reads as, and the resolution floors re_floor and im_floor of
+    the literal, 0 when exact."""
 
-    literal: str
-    re: Fraction
-    im: Fraction
-    re_floor: Fraction  # resolution floor of the literal, 0 when exact
-    im_floor: Fraction
+    __slots__ = ("literal", "re", "im", "re_floor", "im_floor")
+
+    def __init__(self, literal: str, re: Fraction, im: Fraction, re_floor: Fraction, im_floor: Fraction):
+        _set = object.__setattr__
+        _set(self, "literal", literal)
+        _set(self, "re", re)
+        _set(self, "im", im)
+        _set(self, "re_floor", re_floor)
+        _set(self, "im_floor", im_floor)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"BasisEntry is immutable; cannot set {name}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return self.literal, self.re, self.im, self.re_floor, self.im_floor
+
+    def __reduce__(self):
+        return BasisEntry, self._values()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not BasisEntry:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (f"BasisEntry(literal={self.literal!r}, re={self.re!r}, im={self.im!r}, "
+                f"re_floor={self.re_floor!r}, im_floor={self.im_floor!r})")
 
     @property
     def exact(self) -> bool:

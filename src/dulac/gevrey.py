@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath
@@ -37,15 +37,8 @@ def serialize_s(s) -> str:
     return "inf" if s == INF else str(Fraction(s))
 
 
-@dataclass(frozen=True)
-class RhoRow:
-    k: int
-    re_lambda: Fraction
-    im_lambda: Fraction
-    deg_c: int
-    norm_R: object  # mpf
-    gamma: object  # mpf (1 in the convergent case)
-    rho: object  # mpf
+# norm_R, gamma and rho are mpf; gamma is 1 in the convergent case
+RhoRow = namedtuple("RhoRow", "k re_lambda im_lambda deg_c norm_R gamma rho")
 
 
 def _rows(terms, s, R, tol) -> list:
@@ -112,15 +105,13 @@ def fit_growth(rhos, abscissae=None) -> tuple:
         return C, A, k_C, k_A
 
 
-@dataclass(frozen=True)
-class GevreyReport:
-    s: object            # Fraction or +inf
-    rows: tuple          # of RhoRow
-    C_fit: object        # mpf
-    A_fit: object        # mpf
-    R_used: object       # Fraction
-    verdict: str         # GevreyBounded | ConvergentCandidate | Inconclusive
-    radius_estimate: object  # mpf or None (1/A_fit in the convergent case)
+class GevreyReport(namedtuple("GevreyReport", "s rows C_fit A_fit R_used verdict radius_estimate")):
+    """The fit of classify: order s (a Fraction or +inf), the RhoRows, the
+    envelope constants C_fit and A_fit (mpf), the Fraction R_used, the
+    verdict (GevreyBounded, ConvergentCandidate or Inconclusive) and
+    radius_estimate, 1/A_fit in the convergent case and None otherwise."""
+
+    __slots__ = ()
 
     def envelope_at(self, row: RhoRow):
         with mpmath.workprec(FLOAT_PRECISION):

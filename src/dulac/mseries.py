@@ -23,7 +23,7 @@ norm_trials runs them on seeded random data (the check-norms command).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from operator import add
@@ -52,31 +52,55 @@ _mpf = mpmath.mp.make_mpf
 _SLACK = raw_add(fone, from_float(1e-25))
 
 
-@dataclass(frozen=True)
 class NormParams:
     """Parameters of the graded norm: weight R, order s, degree constant
     Kcal, and the level j.  R, s and Kcal are read as decimal_rational reads
-    them, so a float 2.1 is 21/10, as poly_norm and series cutoffs read it."""
+    them, so a float 2.1 is 21/10, as poly_norm and series cutoffs read it.
+    Immutable; the hash, which keys the norm tables, is computed once."""
 
-    R: Fraction
-    s: Fraction
-    Kcal: Fraction
-    j: int = 0
-    tol: float = 1e-12
+    __slots__ = ("R", "s", "Kcal", "j", "tol", "_hash")
 
-    def __post_init__(self):
-        for name in ("R", "s", "Kcal"):
-            object.__setattr__(self, name, decimal_rational(getattr(self, name)))
-        if self.R <= 1:
-            raise ValueError(f"NormParams: R must exceed 1, got {self.R}")
-        if self.s <= 0:
-            raise ValueError(f"NormParams: s must be positive and finite, got {self.s}")
-        if self.Kcal < 0:
-            raise ValueError(f"NormParams: Kcal must be nonnegative, got {self.Kcal}")
-        if self.j < 0:
-            raise ValueError(f"NormParams: level j must be nonnegative, got {self.j}")
-        if not 0 < self.tol < 1:
-            raise ValueError(f"NormParams: tolerance must lie in (0, 1), got {self.tol}")
+    def __init__(self, R: Fraction, s: Fraction, Kcal: Fraction, j: int = 0, tol: float = 1e-12):
+        R, s, Kcal = decimal_rational(R), decimal_rational(s), decimal_rational(Kcal)
+        if R <= 1:
+            raise ValueError(f"NormParams: R must exceed 1, got {R}")
+        if s <= 0:
+            raise ValueError(f"NormParams: s must be positive and finite, got {s}")
+        if Kcal < 0:
+            raise ValueError(f"NormParams: Kcal must be nonnegative, got {Kcal}")
+        if j < 0:
+            raise ValueError(f"NormParams: level j must be nonnegative, got {j}")
+        if not 0 < tol < 1:
+            raise ValueError(f"NormParams: tolerance must lie in (0, 1), got {tol}")
+        _set = object.__setattr__
+        _set(self, "R", R)
+        _set(self, "s", s)
+        _set(self, "Kcal", Kcal)
+        _set(self, "j", j)
+        _set(self, "tol", tol)
+        _set(self, "_hash", hash((R, s, Kcal, j, tol)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"NormParams is immutable; cannot set {name}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return self.R, self.s, self.Kcal, self.j, self.tol
+
+    def __reduce__(self):
+        return NormParams, self._values()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not NormParams:
+            return NotImplemented
+        return self._hash == other._hash and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"NormParams(R={self.R!r}, s={self.s!r}, Kcal={self.Kcal!r}, j={self.j!r}, tol={self.tol!r})"
 
     def degree_cap(self, m) -> Fraction:
         """Kcal |m|, the largest degree of C_m in the level spaces."""
@@ -96,33 +120,62 @@ def _canonical_terms(items: dict, gens: Generators, cutoff) -> tuple:
     )
 
 
-@dataclass(frozen=True)
 class MSeries:
-    """Finite multivariate series sum C_m(t) X^m below a cutoff on Re<m,r>."""
+    """Finite multivariate series sum C_m(t) X^m below a cutoff on Re<m,r>:
+    the terms (m, C_m) over the generators gens, with base exponent
+    lambda_base; immutable."""
 
-    gens: Generators
-    lambda_base: Exponent
-    terms: tuple
-    cutoff: object
+    __slots__ = ("gens", "lambda_base", "terms", "cutoff")
 
-    def __post_init__(self):
-        cutoff = _as_cutoff(self.cutoff)
-        items, kappa = {}, self.gens.kappa
-        for m, c in self.terms:
+    def __init__(self, gens: Generators, lambda_base: Exponent, terms: tuple, cutoff):
+        cutoff = _as_cutoff(cutoff)
+        items, kappa = {}, gens.kappa
+        for m, c in terms:
             m = tuple(int(v) for v in m)
             if len(m) != kappa or any(v < 0 for v in m):
                 raise ValueError(f"MSeries: multi-index {m} is not kappa = {kappa} nonnegative integers")
             if not any(m):
                 raise ValueError("MSeries: the zero multi-index is not a semigroup member")
             items[m] = items[m] + c if m in items else c
-        self.__dict__.update(cutoff=cutoff, terms=_canonical_terms(items, self.gens, cutoff))
+        _set = object.__setattr__
+        _set(self, "gens", gens)
+        _set(self, "lambda_base", lambda_base)
+        _set(self, "terms", _canonical_terms(items, gens, cutoff))
+        _set(self, "cutoff", cutoff)
 
     def _trusted(self, terms: tuple, cutoff) -> "MSeries":
         """This series' gens and lambda_base with canonical terms (valid,
         nonzero, sorted, below the cutoff) and cutoff."""
         out = object.__new__(MSeries)
-        out.__dict__.update(self.__dict__, terms=terms, cutoff=cutoff)
+        _set = object.__setattr__
+        _set(out, "gens", self.gens)
+        _set(out, "lambda_base", self.lambda_base)
+        _set(out, "terms", terms)
+        _set(out, "cutoff", cutoff)
         return out
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"MSeries is immutable; cannot set {name}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return self.gens, self.lambda_base, self.terms, self.cutoff
+
+    def __reduce__(self):
+        return MSeries, self._values()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not MSeries:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (f"MSeries(gens={self.gens!r}, lambda_base={self.lambda_base!r}, "
+                f"terms={self.terms!r}, cutoff={self.cutoff!r})")
 
     # -- helpers -------------------------------------------------------------
 
@@ -170,15 +223,13 @@ class MSeries:
         return self._trusted(tuple((m, c * a) for m, c in self.terms) if a else (), self.cutoff)
 
     def shift_m(self, l) -> "MSeries":
+        """The product by X^l for a multi-index l of kappa nonnegative integers."""
         l = tuple(int(v) for v in l)
-        if len(l) != self.gens.kappa:
-            raise ValueError(f"MSeries: shift index {l} is not kappa = {self.gens.kappa} integers")
+        if len(l) != self.gens.kappa or min(l) < 0:
+            raise ValueError(f"MSeries: shift index {l} is not kappa = {self.gens.kappa} nonnegative integers")
+        # adding <l,r> keeps each index valid, the order and the cutoff test
         terms = tuple((tuple(map(add, m, l)), c) for m, c in self.terms)
-        cutoff = self.cutoff + self.gens.m_re(l)
-        if min(l) >= 0:
-            # adding <l,r> keeps each index valid, the order and the cutoff test
-            return self._trusted(terms, cutoff)
-        return MSeries(self.gens, self.lambda_base, terms, cutoff)
+        return self._trusted(terms, self.cutoff + self.gens.m_re(l))
 
     def hat_delta(self) -> "MSeries":
         """Transported Euler derivation: C_m -> (<m,r> + d/dt) C_m."""
@@ -314,13 +365,7 @@ def h_norm(g: MSeries, p: NormParams, level: int | None = None) -> mpmath.mpf:
     return _mpf(acc)
 
 
-@dataclass(frozen=True)
-class Lemma6Report:
-    lhs: object
-    rhs: object
-    C_used: object
-    passed: bool
-    splits: int
+Lemma6Report = namedtuple("Lemma6Report", "lhs rhs C_used passed splits")
 
 
 def check_lemma6(g1: MSeries, g2: MSeries, p: NormParams) -> Lemma6Report:
@@ -339,12 +384,7 @@ def check_lemma6(g1: MSeries, g2: MSeries, p: NormParams) -> Lemma6Report:
     return Lemma6Report(lhs, _mpf(rhs), _mpf(C_used), passed, len(pairs))
 
 
-@dataclass(frozen=True)
-class Lemma5Report:
-    lhs: object
-    bound: object
-    A_tilde: object
-    passed: bool
+Lemma5Report = namedtuple("Lemma5Report", "lhs bound A_tilde passed")
 
 
 def check_lemma5(a: TPoly, l, j: int, g: MSeries, p: NormParams) -> Lemma5Report:

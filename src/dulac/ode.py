@@ -16,7 +16,6 @@ from its products, so no step substitutes from scratch or builds a series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
@@ -31,22 +30,20 @@ from .series import INF, DulacSeries
 from .tpoly import TPoly
 
 
-@dataclass(frozen=True)
 class ODESpec:
-    """Monomial data of F in the variables x, y_0, ..., y_n."""
+    """Monomial data of F in the variables x, y_0, ..., y_n: terms is a tuple
+    of (ExactScalar coeff, int p, tuple q) with len(q) == n+1; immutable."""
 
-    n: int
-    terms: tuple  # of (ExactScalar coeff, int p, tuple q) with len(q) == n+1
-    declared_degree: int | None = None
+    __slots__ = ("n", "terms", "declared_degree")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"ODESpec: order n must be at least 1, got {self.n}")
+    def __init__(self, n: int, terms: tuple, declared_degree: int | None = None):
+        if n < 1:
+            raise ValueError(f"ODESpec: order n must be at least 1, got {n}")
         seen = set()
-        for coeff, p, q in self.terms:
-            if len(q) != self.n + 1:
+        for coeff, p, q in terms:
+            if len(q) != n + 1:
                 raise ValueError(
-                    f"ODESpec: monomial exponent vector {q} must have length n+1 = {self.n + 1}"
+                    f"ODESpec: monomial exponent vector {q} must have length n+1 = {n + 1}"
                 )
             if p < 0 or any(e < 0 for e in q):
                 raise ValueError(f"ODESpec: negative exponent in monomial (x^{p}, y^{q})")
@@ -57,11 +54,37 @@ class ODESpec:
             if (p, q) in seen:
                 raise ValueError(f"ODESpec: duplicate monomial (x^{p}, y^{q})")
             seen.add((p, q))
-            if self.declared_degree is not None and p + sum(q) > self.declared_degree:
+            if declared_degree is not None and p + sum(q) > declared_degree:
                 raise ValueError(
                     f"ODESpec: monomial (x^{p}, y^{q}) exceeds declared degree "
-                    f"{self.declared_degree}"
+                    f"{declared_degree}"
                 )
+        _set = object.__setattr__
+        _set(self, "n", n)
+        _set(self, "terms", terms)
+        _set(self, "declared_degree", declared_degree)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"ODESpec is immutable; cannot set {name}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return self.n, self.terms, self.declared_degree
+
+    def __reduce__(self):
+        return ODESpec, self._values()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ODESpec:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"ODESpec(n={self.n!r}, terms={self.terms!r}, declared_degree={self.declared_degree!r})"
 
     # -- calculus on the monomial data ------------------------------------
 

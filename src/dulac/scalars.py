@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Union
@@ -12,6 +11,7 @@ RationalLike = Union[int, Fraction, str]
 
 # one rational part: "3", "-3", "3/4", "-3/4"
 _PART = r"[+-]?\d+(?:/\d+)?"
+_PART_RE = _re.compile(_PART)
 _SCALAR_RE = _re.compile(rf"^(?P<re>{_PART})?(?:(?P<im>{_PART})i)?$")
 
 _ZERO_Q = Fraction(0)
@@ -48,11 +48,13 @@ def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        # a real part as ExactScalar.parse reads it, not any Fraction string
+        if _PART_RE.fullmatch(x) is None:
+            raise ValueError(f"malformed rational literal {x!r}")
         return parse_rational(x)
     raise TypeError(f"not a rational value: {x!r}")
 
 
-@dataclass(frozen=True)
 class ExactScalar:
     """A complex number a + b*i with exact rational a, b.
 
@@ -60,13 +62,30 @@ class ExactScalar:
     ZeroDivisionError like the underlying Fraction arithmetic.
     """
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        if not isinstance(self.re, Fraction) or not isinstance(self.im, Fraction):
-            object.__setattr__(self, "re", _as_fraction(self.re))
-            object.__setattr__(self, "im", _as_fraction(self.im))
+    def __init__(self, re: RationalLike, im: RationalLike):
+        if not isinstance(re, Fraction) or not isinstance(im, Fraction):
+            re, im = _as_fraction(re), _as_fraction(im)
+        _set = object.__setattr__
+        _set(self, "re", re)
+        _set(self, "im", im)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"ExactScalar is immutable; cannot set {name}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return ExactScalar, (self.re, self.im)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ExactScalar:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     # -- construction ------------------------------------------------
 

@@ -11,7 +11,6 @@ coordinate rows over the declared basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -74,9 +73,9 @@ def _relation(exps):
 # -- generators -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Generators:
-    """Validated semigroup generators over a shared exponent basis.
+    """Validated semigroup generators r (a tuple of Exponent) over a shared
+    exponent basis; immutable, equal when basis and r are.
 
     The exponent <m, r> is computed once per multi-index m and kept, with
     its Re and Im, since norm tables, series sorts and the iota image ask
@@ -84,10 +83,33 @@ class Generators:
     which the gaps and the iota image of a run both ask for.
     """
 
-    basis: ExponentBasis
-    r: tuple  # of Exponent
-    _m_exponents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _decomposed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("basis", "r", "_m_exponents", "_decomposed")
+
+    def __init__(self, basis: ExponentBasis, r: tuple):
+        _set = object.__setattr__
+        _set(self, "basis", basis)
+        _set(self, "r", r)
+        _set(self, "_m_exponents", {})
+        _set(self, "_decomposed", {})
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Generators is immutable; cannot set {name}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Generators, (self.basis, self.r)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Generators:
+            return NotImplemented
+        return (self.basis, self.r) == (other.basis, other.r)
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.r))
+
+    def __repr__(self) -> str:
+        return f"Generators(basis={self.basis!r}, r={self.r!r})"
 
     @property
     def kappa(self) -> int:

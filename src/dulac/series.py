@@ -26,7 +26,6 @@ with precision escalation over an approximate one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
 
@@ -114,15 +113,40 @@ def _canonical(terms, cutoff):
     )
 
 
-@dataclass(frozen=True)
 class DulacSeries:
-    basis: ExponentBasis
-    terms: tuple
-    cutoff: object  # Fraction or +inf
+    """The terms (Exponent, TPoly) over a basis, canonical below the cutoff
+    (a Fraction or +inf); immutable."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "cutoff", _as_cutoff(self.cutoff))
-        object.__setattr__(self, "terms", _canonical(self.terms, self.cutoff))
+    __slots__ = ("basis", "terms", "cutoff")
+
+    def __init__(self, basis: ExponentBasis, terms: tuple, cutoff):
+        cutoff = _as_cutoff(cutoff)
+        _set = object.__setattr__
+        _set(self, "basis", basis)
+        _set(self, "terms", _canonical(terms, cutoff))
+        _set(self, "cutoff", cutoff)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"DulacSeries is immutable; cannot set {name}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return self.basis, self.terms, self.cutoff
+
+    def __reduce__(self):
+        return DulacSeries, self._values()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not DulacSeries:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"DulacSeries(basis={self.basis!r}, terms={self.terms!r}, cutoff={self.cutoff!r})"
 
     # -- constructors ---------------------------------------------------
 

@@ -18,7 +18,7 @@ the user to supply the logarithmic part by hand in the prefix.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath
@@ -45,17 +45,14 @@ MAX_EXTENSION_STEPS = 10000
 ROOT_BAND = Fraction(1, 10**20)
 
 
-@dataclass(frozen=True)
-class LinearData:
-    """Leading data of the derivatives of F along a prefix."""
+class LinearData(namedtuple("LinearData", "nu A nu_sec B ell L n")):
+    """Leading data of the derivatives of F along a prefix: the shared
+    leading exponent nu, the n+1 ExactScalars A_j, the secondary exponents
+    nu_sec (Exponent or None each) with their TPoly coefficients B (or
+    None), ell = max j with A_j nonzero, and the characteristic polynomial L
+    in zeta."""
 
-    nu: Exponent          # shared leading exponent
-    A: tuple              # ExactScalar, length n+1
-    nu_sec: tuple         # Exponent | None: secondary exponents nu_j
-    B: tuple              # TPoly | None: secondary coefficients
-    ell: int              # max j with A_j nonzero
-    L: TPoly              # characteristic polynomial in zeta
-    n: int
+    __slots__ = ()
 
     def stability_key(self):
         return (self.nu, self.A, self.ell)
@@ -180,17 +177,16 @@ def roots_of_L(L: TPoly, prec: int = FLOAT_PRECISION) -> list:
         return list(mpmath.polyroots(list(reversed(cs)), maxsteps=200, extraprec=64))
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Solvability conditions for splitting the solution at the last prefix term."""
+class ConditionReport(namedtuple(
+        "ConditionReport", "roots_ok gap_ok next_ok root_margin gap_margin minimal_m roots")):
+    """Solvability conditions for splitting the solution at the last prefix
+    term: roots_ok, every root of L lies left of Re lambda_m; gap_ok,
+    Re lambda_m > max Re nu_j + 2 tau; next_ok, Re(lambda_{m+1} - lambda_m) > 0
+    when known, else None; the float margins (or None) of the first two;
+    minimal_m, the least prefix index where roots_ok and gap_ok hold (or
+    None); and the roots of L."""
 
-    roots_ok: bool            # every root of L lies left of Re lambda_m
-    gap_ok: bool              # Re lambda_m > max Re nu_j + 2 tau
-    next_ok: bool | None      # Re(lambda_{m+1} - lambda_m) > 0, when known
-    root_margin: float | None
-    gap_margin: float | None
-    minimal_m: int | None     # least prefix index where roots_ok and gap_ok hold
-    roots: tuple
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -290,15 +286,11 @@ def solve_coefficient(L: TPoly, lam, b: TPoly) -> TPoly:
         ) from None
 
 
-@dataclass(frozen=True)
-class SolutionState:
-    """A solved (or partially solved) prefix together with its audit trail."""
+class SolutionState(namedtuple("SolutionState", "F solution residual lin history")):
+    """A solved (or partially solved) prefix together with its audit trail,
+    the history of (lambda_k, c_k, b_k)."""
 
-    F: ODESpec
-    solution: DulacSeries
-    residual: DulacSeries
-    lin: LinearData
-    history: tuple  # of (lambda_k, c_k, b_k)
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -380,8 +372,7 @@ def _extend(F, prefix, target, pinned) -> SolutionState:
     return SolutionState(F=F, solution=solution, residual=residual, lin=lin_final, history=tuple(history))
 
 
-@dataclass(frozen=True)
-class ReducedEquation:
+class ReducedEquation(namedtuple("ReducedEquation", "L Ltilde N lambda_m nu tau violations")):
     """Data of the equation satisfied by the normalized tail u, where
     y = phi_m + x^{lambda_m} u:
 
@@ -389,16 +380,12 @@ class ReducedEquation:
           + sum_q a_q(t, x) x^{tau |q|} prod_j ((lambda_m + delta)^j u)^{q_j} = 0
 
     with a_q = x^{(|q|-1) lambda_m - nu - tau |q|} * (1/q!) d^q F(x, phi_m).
-    Violations of the splitting conditions are recorded, not raised.
+    Ltilde holds the nonzero (j, DulacSeries), j = 0..n, and N the nonzero
+    (q, DulacSeries) with |q| != 1.  Violations of the splitting conditions
+    are recorded, not raised.
     """
 
-    L: TPoly
-    Ltilde: tuple      # of (j, DulacSeries), j = 0..n, nonzero only
-    N: tuple           # of (q, DulacSeries) with |q| != 1, nonzero only
-    lambda_m: Exponent
-    nu: Exponent
-    tau: Exponent
-    violations: tuple
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -22,7 +22,6 @@ Rewrite both files only on known-good code, from the root of a checkout:
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -110,8 +109,9 @@ def norm_values(argv: list) -> list:
             except Exception as exc:
                 records.append([name, type(exc).__name__])
                 raise
-            fields = [getattr(out, f.name) for f in dataclasses.fields(out)] \
-                if dataclasses.is_dataclass(out) else [out]
+            # a report is a namedtuple: its fields in declaration order
+            fields = [getattr(out, name) for name in out._fields] \
+                if hasattr(out, "_fields") else [out]
             records.append([name, *(_encode(v) for v in fields)])
             return out
         return wrapper

@@ -330,6 +330,18 @@ def test_exponent_is_immutable_and_pickles(entries):
         assert copied == e and hash(copied) == hash(e)
         assert (copied.den, copied.nums, copied.coords) == (e.den, e.nums, e.coords)
         assert copied.re_mid == e.re_mid and copied.basis == b
+    # the basis entries are immutable values too
+    fields = ("literal", "re", "im", "re_floor", "im_floor")
+    for entry in b.entries:
+        for name in (*fields, "exact"):
+            with pytest.raises(AttributeError):
+                setattr(entry, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(entry, name)
+        assert not hasattr(entry, "__dict__")
+        assert repr(entry) == "BasisEntry(" + ", ".join(f"{n}={getattr(entry, n)!r}" for n in fields) + ")"
+        for copied in (pickle.loads(pickle.dumps(entry)), copy.deepcopy(entry)):
+            assert copied == entry and hash(copied) == hash(entry) and repr(copied) == repr(entry)
 
 
 _CROSS_PROCESS = """

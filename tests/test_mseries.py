@@ -199,7 +199,10 @@ def test_trusted_results_equal_canonical_construction(gens_of, seed, cutoff, lve
 def test_shift_by_an_invalid_index_raises_as_construction_does():
     g = _ms(_gens_mixed(), (((1, 0), TPoly.ONE), ((0, 2), TPoly.T)))
     one = _ms(_gens_one(), (((1,), TPoly.ONE),), cutoff=4)
-    for g, l in ((g, (-1, 0)), (g, (0, -1)), (g, (0, -2)), (g, (1,)), (g, (1, 0, 0)), (one, (1, 5))):
+    # X^l multiplies only for l in Z^kappa_+, so a series without terms raises too
+    empty = _ms(_gens_one(), (), cutoff=4)
+    for g, l in ((g, (-1, 0)), (g, (0, -1)), (g, (0, -2)), (g, (1,)), (g, (1, 0, 0)), (one, (1, 5)),
+                 (empty, (-1,))):
         with pytest.raises(ValueError, match="MSeries: "):
             g.shift_m(l)
 

@@ -55,6 +55,18 @@ def test_exact_core_loads_no_mpmath():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # a CLI job starts a fresh interpreter: the value classes are written out,
+    # not generated by dataclasses, whose import pulls in inspect and ast
+    code = (
+        "import sys, dulac.cli; "
+        "print(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dulac.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
 def test_public_names_resolve_to_submodule_objects():
     names = {name for names in PUBLIC.values() for name in names.split()}
     assert set(dulac.__all__) == names | {"__version__"}

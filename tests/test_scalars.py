@@ -16,6 +16,10 @@ def test_parse_forms():
     assert ExactScalar.parse("-1/2+3/4i") == ExactScalar(Fraction(-1, 2), Fraction(3, 4))
     assert ExactScalar.parse("1/1-1/1i") == ExactScalar(Fraction(1), Fraction(-1))
     assert ExactScalar.parse("5/3i") == ExactScalar(Fraction(0), Fraction(5, 3))
+    # the string parts of of() and the constructor read a literal as parse does
+    for text in ("-2", "+6/4", "3/4"):
+        assert ExactScalar.of(text) == ExactScalar(text, "0") == ExactScalar.parse(text)
+        assert ExactScalar.of(0, text) == ExactScalar(0, text) == ExactScalar.parse(text) * I
 
 
 @pytest.mark.parametrize("bad", ["1.5", "2+3j", "1/0", "", "i", "1 + 2i"])
@@ -24,11 +28,23 @@ def test_parse_rejects(bad):
         ExactScalar.parse(bad)
 
 
+_STRING_READERS = (ExactScalar.of, lambda x: ExactScalar.of(0, x), lambda x: ExactScalar(x, 0))
+
+
 def test_zero_denominator_string_is_malformed():
     # every reader of a scalar string raises as ExactScalar.parse does
-    for build in (ExactScalar.of, lambda x: ExactScalar.of(0, x), lambda x: ExactScalar(x, 0)):
+    for build in _STRING_READERS:
         with pytest.raises(ValueError, match="zero denominator"):
             build("1/0")
+
+
+@pytest.mark.parametrize("bad", ["1.5", " 3 ", "1e3", "1_0", "3/4i", "0x1", ""])
+def test_string_parts_read_only_rational_literals(bad):
+    # a scalar part is a literal "a" or "a/b", as in ExactScalar.parse, though
+    # Fraction reads decimals, exponents and surrounding spaces too
+    for build in _STRING_READERS:
+        with pytest.raises(ValueError, match="malformed rational literal"):
+            build(bad)
 
 
 def test_str_roundtrip():

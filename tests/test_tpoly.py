@@ -11,10 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dulac.gevrey import GevreyReport, RhoRow, classify
+from dulac.mseries import Lemma5Report, Lemma6Report, MSeries, NormParams, check_lemma5, check_lemma6
 from dulac.numeric import abs_scalar, poly_norm
 from dulac.scalars import ExactScalar
+from dulac.semigroup import validate_generators
+from dulac.series import INF, DulacSeries
+from dulac.solver import (
+    ConditionReport,
+    LinearData,
+    ReducedEquation,
+    SolutionState,
+    check_conditions,
+    extend,
+    reduce_equation,
+)
 from dulac.tpoly import TPoly, _normal
 from .util import (
+    basis_one,
+    euler_ode,
     poly_deriv_oracle,
     poly_linear_oracle,
     poly_norm_oracle,
@@ -215,7 +230,13 @@ def test_arithmetic_builds_no_scalar(monkeypatch):
     lam = ExactScalar(Fraction(3, 4), Fraction(-2, 5))
     real = ExactScalar.of(Fraction(5, 6))
     built = []
-    monkeypatch.setattr(ExactScalar, "__post_init__", lambda self: built.append(self))
+    init = ExactScalar.__init__
+
+    def counting_init(self, re, im):
+        built.append(self)
+        init(self, re, im)
+
+    monkeypatch.setattr(ExactScalar, "__init__", counting_init)
     for p, q in zip(polys, polys[1:]):
         r = p * q + p - q
         r = -(r * lam) + r * real + r * 3 + r * Fraction(2, 7)
@@ -227,14 +248,51 @@ def test_arithmetic_builds_no_scalar(monkeypatch):
     assert built
 
 
+def _value_objects() -> list:
+    """(value, declared fields) for TPoly and every other immutable value
+    class of the library; the fields are None where the repr is custom."""
+    basis = basis_one()
+    state = extend(euler_ode(), DulacSeries.zero(basis), 6)
+    report = classify(state, 1, 2)
+    gens = validate_generators([basis.rational(1)])
+    p = NormParams(2, 1, 1)
+    g = MSeries(gens, basis.zero(), (((1,), TPoly.T),), INF)
+    return [
+        (TPoly.of("1/2", "3/4+1/3i"), None),
+        (ExactScalar(Fraction(1, 2), Fraction(-3)), None),
+        (state.solution, ("basis", "terms", "cutoff")),
+        (state.F, ("n", "terms", "declared_degree")),
+        (gens, ("basis", "r")),
+        (p, ("R", "s", "Kcal", "j", "tol")),
+        (g, ("gens", "lambda_base", "terms", "cutoff")),
+        (state, SolutionState._fields),
+        (state.lin, LinearData._fields),
+        (report, GevreyReport._fields),
+        (report.rows[0], RhoRow._fields),
+        (check_conditions(state.lin, [e for e, _ in state.solution.terms], s=1), ConditionReport._fields),
+        (reduce_equation(euler_ode(), state.solution, 1, s=1), ReducedEquation._fields),
+        (check_lemma6(g, g, p), Lemma6Report._fields),
+        (check_lemma5(TPoly.ONE, (1,), 0, g, p), Lemma5Report._fields),
+    ]
+
+
 def test_immutable_and_picklable():
-    p = TPoly.of("1/2", "3/4+1/3i")
-    with pytest.raises(AttributeError):
-        p.den = 3
-    with pytest.raises(AttributeError):
-        del p.den
-    assert pickle.loads(pickle.dumps(p)) == p
-    assert copy.deepcopy(p) == p
+    """No field can be set or deleted and no attribute added; the repr of a
+    record lists its fields by name; a pickled or deep-copied value equals
+    the original, with an equal hash and repr."""
+    for value, fields in _value_objects():
+        assert not hasattr(value, "__dict__")
+        for name in (*type(value).__slots__, *(fields or ()), "no_such_field"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        if fields is not None:
+            listed = ", ".join(f"{name}={getattr(value, name)!r}" for name in fields)
+            assert repr(value) == f"{type(value).__name__}({listed})"
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(copied) is type(value)
+            assert copied == value and hash(copied) == hash(value) and repr(copied) == repr(value)
 
 
 def test_deriv_and_shift_apply():
