@@ -21,18 +21,16 @@ _EXPORTS = {
     "exponents": """DEFAULT_PRECISION MAX_PRECISION BasisEntry Exponent ExponentBasis
         exp_compare re_compare""",
     "tpoly": "TPoly",
-    "numeric": "poly_norm",
+    "numeric": "ConditionReport check_conditions poly_norm roots_of_L",
     "gammafn": "gamma_abs",
     "series": "INF DulacSeries",
     "ode": "ODESpec",
-    "solver": """ConditionReport LinearData ReducedEquation SolutionState check_conditions
-        extend extract_linearization reduce_equation reduced_residual roots_of_L
-        solve_coefficient""",
+    "solver": """LinearData ReducedEquation SolutionState extend extract_linearization
+        reduce_equation reduced_residual solve_coefficient""",
     "gevrey": "CSV_COLUMNS GevreyReport RhoRow classify fit_growth normalized_coeffs",
-    "semigroup": """Generators choose_R compute_kcal decompose exponent_gaps minimal_shell
-        suggest_generators validate_generators""",
-    "mseries": """MSeries NormParams check_lemma5 check_lemma6 fit_degree_K h_norm iota
-        iota_inv majorant_bound""",
+    "semigroup": "Generators choose_R decompose exponent_gaps suggest_generators validate_generators",
+    "mseries": "MSeries fit_degree_K iota iota_inv",
+    "norms": "NormParams check_lemma5 check_lemma6 h_norm majorant_bound",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
 import warnings
 from fractions import Fraction
+from importlib import import_module
 from math import isfinite
 from pathlib import Path
 
@@ -47,13 +49,9 @@ from .errors import (
     SchemaError,
 )
 from .exponents import DEFAULT_PRECISION, MAX_PRECISION, ExponentBasis
-from .gevrey import classify, serialize_s
-from .mseries import fit_degree_K, iota as iota_map, iota_inv, norm_trials
 from .ode import ODESpec
 from .scalars import decimal_rational
-from .semigroup import Generators, choose_R, exponent_gaps, suggest_generators, validate_generators
 from .series import INF, DulacSeries, terms_from_json
-from .solver import check_conditions, extend, extract_linearization, reduce_equation
 
 # Codes 2-5 are the exit_code of the error raised (see dulac.errors).
 EXIT_OK = 0
@@ -155,13 +153,18 @@ class Problem:
                 raise SchemaError(f"problem file: generators[{i}] ({exc})") from exc
         return out
 
-    def gens(self) -> Generators:
+    def gens(self):
+        """The declared generators, validated (semigroup.Generators)."""
+        from .semigroup import validate_generators
+
         if self.generator_exponents is None:
             raise SchemaError("problem file: this command requires the 'generators' key")
         return validate_generators(self.generator_exponents)
 
-    def default_gens(self) -> Generators:
-        """Declared generators, or {1} when none are declared."""
+    def default_gens(self):
+        """Declared generators, or {1} when none are declared, validated."""
+        from .semigroup import validate_generators
+
         return validate_generators(self.generator_exponents or [self.basis.rational(Fraction(1))])
 
 
@@ -223,6 +226,8 @@ def _terms_csv(series: DulacSeries) -> str:
 
 
 def _cmd_solve(problem: Problem, args) -> int:
+    from .solver import extend
+
     state = extend(problem.ode, problem.prefix, problem.cutoff)
     payload = {"command": "solve", **state.to_json()}
     text = [
@@ -234,6 +239,10 @@ def _cmd_solve(problem: Problem, args) -> int:
 
 
 def _cmd_analyze(problem: Problem, args) -> int:
+    from .gevrey import serialize_s
+    from .numeric import check_conditions
+    from .solver import extract_linearization
+
     lin = extract_linearization(problem.ode, problem.prefix)
     s = problem.s_override if problem.s_override is not None else lin.slope()
     conditions = None
@@ -262,6 +271,9 @@ def _cmd_analyze(problem: Problem, args) -> int:
 
 
 def _cmd_verify(problem: Problem, args) -> int:
+    from .gevrey import classify, serialize_s
+    from .solver import extend
+
     state = extend(problem.ode, problem.prefix, problem.cutoff)
     s = problem.s_override if problem.s_override is not None else state.lin.slope()
     R = problem.R if problem.R is not None else Fraction(2)
@@ -281,6 +293,9 @@ def _cmd_verify(problem: Problem, args) -> int:
 
 
 def _cmd_reduce(problem: Problem, args) -> int:
+    from .numeric import check_conditions
+    from .solver import extend, reduce_equation
+
     if problem.prefix.terms:
         phi, m = problem.prefix, len(problem.prefix.terms)
     else:
@@ -305,6 +320,10 @@ def _cmd_reduce(problem: Problem, args) -> int:
 
 
 def _cmd_iota(problem: Problem, args) -> int:
+    from .mseries import fit_degree_K, iota as iota_map, iota_inv
+    from .semigroup import exponent_gaps
+    from .solver import extend
+
     gens = problem.gens()
     state = extend(problem.ode, problem.prefix, problem.cutoff)
     m = len(problem.prefix.terms) if problem.prefix.terms else 1
@@ -350,6 +369,10 @@ def _cmd_iota(problem: Problem, args) -> int:
 def _cmd_check_norms(problem: Problem, args) -> int:
     import random
 
+    from .gevrey import serialize_s
+    from .norms import norm_trials
+    from .semigroup import choose_R
+
     gens = problem.default_gens()
     s = problem.s_override if problem.s_override not in (None, INF) else Fraction(1)
     Kcal = Fraction(2)
@@ -378,6 +401,8 @@ def _cmd_check_norms(problem: Problem, args) -> int:
 
 
 def _cmd_suggest_generators(problem: Problem, args) -> int:
+    from .semigroup import suggest_generators
+
     result = suggest_generators(problem.ode, problem.prefix, problem.basis)
     payload = {"command": "suggest-generators", **result}
     text = [
@@ -396,6 +421,21 @@ _COMMANDS = {
     "iota": _cmd_iota,
     "check-norms": _cmd_check_norms,
     "suggest-generators": _cmd_suggest_generators,
+}
+
+# The dulac layers each command runs, beyond the ones Problem needs.  main
+# imports them after parsing argv and before loading the problem, so a job
+# loads only what its command runs (solve, iota and suggest-generators load no
+# mpmath) and the imports count as set-up, not as the command's work; the
+# imports inside the commands then find them loaded.
+_LAYERS = {
+    "solve": ("solver",),
+    "analyze": ("solver", "numeric", "gevrey"),
+    "verify": ("solver", "gevrey"),
+    "reduce": ("solver", "numeric"),
+    "iota": ("solver", "semigroup", "mseries"),
+    "check-norms": ("semigroup", "norms", "gevrey"),
+    "suggest-generators": ("semigroup",),
 }
 
 
@@ -445,6 +485,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        for layer in _LAYERS[args.command]:
+            import_module(f"{__package__}.{layer}")
+        # the modules, classes and functions the imports made live until exit:
+        # promote them to the oldest generation now, or the first young
+        # collection the command triggers traverses them all
+        gc.collect(1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DerivativeYnZeroWarning)
             problem = _load_problem(args.problem, args)

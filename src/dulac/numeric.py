@@ -1,14 +1,18 @@
-"""Small helpers for high-precision floating point via mpmath.
+"""The float layer: high-precision floating point via mpmath.
 
 All numeric (non-exact) evaluation in the library runs at FLOAT_PRECISION
 bits of mantissa unless a caller asks for more.  Values returned by these
 helpers are mpmath mpf/mpc objects, which are immutable and keep the
 precision they were created with; the raw_* arithmetic takes and returns
-raw mpmath.libmp values.
+raw mpmath.libmp values.  Besides the weighted coefficient norm, this layer
+places the roots of the characteristic polynomial for the splitting
+conditions (check_conditions); the exact layers never import it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from fractions import Fraction
 from functools import cmp_to_key, lru_cache, partial
 
 import mpmath
@@ -16,10 +20,13 @@ from mpmath.libmp import (
     fone, from_rational, fzero, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_pow_int, mpf_sqrt, round_nearest,
 )
 
+from .errors import IndeterminateRoot
+from .exponents import Exponent, re_compare
 from .scalars import decimal_rational
 from .tpoly import TPoly
 
 FLOAT_PRECISION = 128
+ROOT_BAND = Fraction(1, 10**20)
 
 # Arithmetic on raw mpmath.libmp values at FLOAT_PRECISION bits, rounding to
 # nearest as mpf arithmetic inside mpmath.workprec(FLOAT_PRECISION) does,
@@ -48,16 +55,14 @@ def abs_scalar(s, prec: int = FLOAT_PRECISION) -> mpmath.mpf:
     return mpmath.mp.make_mpf(_sqrt_rational(sq.numerator, sq.denominator, prec))
 
 
-@lru_cache(maxsize=16, typed=True)
-def _norm_powers(R, prec: int) -> list:
-    """[R^0, R^1, ...] as raw mpf values: R rounded at prec bits as to_mpf
-    rounds a Fraction (a float R read at its repr, as decimal_rational reads
-    it), each further power the one before times R, rounded to nearest at
-    prec.  poly_norm extends the list to the longest polynomial it weighs."""
-    Rq = decimal_rational(R)
-    if Rq <= 1:
-        raise ValueError(f"poly_norm: weight R must exceed 1, got {R}")
-    return [fone, from_rational(Rq.numerator, Rq.denominator, prec)]
+@lru_cache(maxsize=16)
+def _norm_powers(num: int, den: int, prec: int) -> list:
+    """[R^0, R^1, ...] as raw mpf values for R = num / den in lowest terms:
+    R rounded at prec bits as to_mpf rounds a Fraction, each further power
+    the one before times R, rounded to nearest at prec.  poly_norm extends
+    the list to the longest polynomial it weighs.  The key is ints, whose
+    hash is computed in C, not the Fraction R, whose hash is not."""
+    return [fone, from_rational(num, den, prec)]
 
 
 def poly_norm(p: TPoly, R, prec: int = FLOAT_PRECISION) -> mpmath.mpf:
@@ -69,7 +74,10 @@ def poly_norm(p: TPoly, R, prec: int = FLOAT_PRECISION) -> mpmath.mpf:
     The sum runs on raw mpmath.libmp values at prec bits, rounding to nearest,
     as mpf arithmetic inside mpmath.workprec(prec) does.
     """
-    powers = _norm_powers(R, prec)
+    Rq = decimal_rational(R)
+    if Rq <= 1:
+        raise ValueError(f"poly_norm: weight R must exceed 1, got {R}")
+    powers = _norm_powers(Rq.numerator, Rq.denominator, prec)
     while len(powers) < len(p.re):
         powers.append(mpf_mul(powers[-1], powers[1], prec, round_nearest))
     den2 = p.den * p.den
@@ -80,3 +88,117 @@ def poly_norm(p: TPoly, R, prec: int = FLOAT_PRECISION) -> mpmath.mpf:
             acc = mpf_add(acc, mpf_mul(_sqrt_rational(sq, den2, prec), power, prec, round_nearest),
                           prec, round_nearest)
     return mpmath.mp.make_mpf(acc)
+
+
+def roots_of_L(L: TPoly, prec: int = FLOAT_PRECISION) -> list:
+    """Roots of the characteristic polynomial as mpc values.
+
+    Degrees 1 and 2 use closed forms, higher degrees a numeric companion
+    solve at the working precision.  The closed forms stay because they fix
+    the order of the roots, which analysis.json records: mpmath.polyroots
+    returns many degree-2 roots in the other order.
+    """
+    d = L.degree
+    if d < 1:
+        return []
+    with mpmath.workprec(prec):
+        cs = [
+            mpmath.mpc(to_mpf(c.re, prec), to_mpf(c.im, prec)) for c in L.coeffs
+        ]
+        if d == 1:
+            return [-cs[0] / cs[1]]
+        if d == 2:
+            a, b, c = cs[2], cs[1], cs[0]
+            disc = mpmath.sqrt(b * b - 4 * a * c)
+            return [(-b + disc) / (2 * a), (-b - disc) / (2 * a)]
+        return list(mpmath.polyroots(list(reversed(cs)), maxsteps=200, extraprec=64))
+
+
+class ConditionReport(namedtuple(
+        "ConditionReport", "roots_ok gap_ok next_ok root_margin gap_margin minimal_m roots")):
+    """Solvability conditions for splitting the solution at the last prefix
+    term: roots_ok, every root of L lies left of Re lambda_m; gap_ok,
+    Re lambda_m > max Re nu_j + 2 tau; next_ok, Re(lambda_{m+1} - lambda_m) > 0
+    when known, else None; the float margins (or None) of the first two;
+    minimal_m, the least prefix index where roots_ok and gap_ok hold (or
+    None); and the roots of L."""
+
+    __slots__ = ()
+
+    def to_json(self) -> dict:
+        return {
+            "roots_ok": self.roots_ok,
+            "gap_ok": self.gap_ok,
+            "next_ok": self.next_ok,
+            "root_margin": self.root_margin,
+            "gap_margin": self.gap_margin,
+            "minimal_m": self.minimal_m,
+            "roots": [[float(mpmath.re(r)), float(mpmath.im(r))] for r in self.roots],
+        }
+
+
+def check_conditions(
+    lin,
+    prefix_exponents,
+    next_exponent: Exponent | None = None,
+    s=None,
+) -> ConditionReport:
+    """Evaluate the splitting conditions of a solver.LinearData lin at the
+    last prefix exponent.
+
+    Raises IndeterminateRoot when a root of L sits within 1e-20 of the
+    boundary Re zeta = Re lambda_m: either more precision is required or the
+    configuration is genuinely resonant.
+    """
+    if not prefix_exponents:
+        raise ValueError("check_conditions: prefix must contain at least one term")
+    roots = roots_of_L(lin.L)
+    tau = lin.tau_re(s)
+    sec_res = [e.re_mid for e in lin.nu_sec if e is not None]
+
+    def roots_check(lam_re: Fraction):
+        if not roots:
+            return True, None
+        with mpmath.workprec(FLOAT_PRECISION):
+            lam_mpf = to_mpf(lam_re)
+            margins = [lam_mpf - mpmath.re(r) for r in roots]
+            m = min(margins)
+            if abs(m) < to_mpf(ROOT_BAND):
+                raise IndeterminateRoot(
+                    f"check_conditions: a root of L has real part within 1e-20 of "
+                    f"Re lambda_m = {lam_re}; raise precision or treat as resonant"
+                )
+            return bool(m > 0), float(m)
+
+    def gap_check(lam_re: Fraction):
+        if not sec_res:
+            return True, None
+        margin = lam_re - max(sec_res) - 2 * tau
+        return margin > 0, float(margin)
+
+    minimal_m = None
+    for i, lam in enumerate(prefix_exponents, start=1):
+        try:
+            ok1, _ = roots_check(lam.re_mid)
+        except IndeterminateRoot:
+            ok1 = False
+        ok2, _ = gap_check(lam.re_mid)
+        if ok1 and ok2:
+            minimal_m = i
+            break
+
+    lam_last = prefix_exponents[-1]
+    roots_ok, root_margin = roots_check(lam_last.re_mid)
+    gap_ok, gap_margin = gap_check(lam_last.re_mid)
+    next_ok = None
+    if next_exponent is not None:
+        next_ok = re_compare(next_exponent, lam_last) > 0
+    return ConditionReport(
+        roots_ok=roots_ok,
+        gap_ok=gap_ok,
+        next_ok=next_ok,
+        root_margin=root_margin,
+        gap_margin=gap_margin,
+        minimal_m=minimal_m,
+        roots=tuple(roots),
+    )

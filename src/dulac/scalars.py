@@ -12,14 +12,17 @@ RationalLike = Union[int, Fraction, str]
 # one rational part: "3", "-3", "3/4", "-3/4"
 _PART = r"[+-]?\d+(?:/\d+)?"
 _PART_RE = _re.compile(_PART)
-_SCALAR_RE = _re.compile(rf"^(?P<re>{_PART})?(?:(?P<im>{_PART})i)?$")
+_SCALAR_RE = _re.compile(rf"(?P<re>{_PART})?(?:(?P<im>{_PART})i)?")
 
 _ZERO_Q = Fraction(0)
 
 
-def parse_rational(text) -> Fraction:
-    """Fraction(text) for a literal read from input.  A zero denominator is a
-    malformed literal like any other: ValueError, not ZeroDivisionError."""
+def parse_rational(text: str) -> Fraction:
+    """The Fraction of a rational literal read from input, "a" or "a/b" with
+    an optional sign: no whitespace, decimal point, exponent or underscore.
+    A malformed literal, a zero denominator included, raises ValueError."""
+    if not isinstance(text, str) or _PART_RE.fullmatch(text) is None:
+        raise ValueError(f"malformed rational literal {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -48,9 +51,6 @@ def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        # a real part as ExactScalar.parse reads it, not any Fraction string
-        if _PART_RE.fullmatch(x) is None:
-            raise ValueError(f"malformed rational literal {x!r}")
         return parse_rational(x)
     raise TypeError(f"not a rational value: {x!r}")
 
@@ -102,7 +102,7 @@ class ExactScalar:
         """
         if not isinstance(text, str):
             raise ValueError(f"scalar parse: expected string, got {text!r}")
-        m = _SCALAR_RE.match(text.strip())
+        m = _SCALAR_RE.fullmatch(text)
         if m is None or (m.group("re") is None and m.group("im") is None):
             raise ValueError(f"scalar parse: malformed scalar literal {text!r}")
         re_part = parse_rational(m.group("re")) if m.group("re") else Fraction(0)

@@ -12,7 +12,6 @@ coordinate rows over the declared basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import lcm
 
 from .errors import BasisMismatch, DependentGenerators, NonpositiveRealPart, UndecidableComparison
@@ -201,35 +200,6 @@ def decompose(lam: Exponent, gens: Generators):
         return None
     m = tuple(-rel[-1] * c for c in rel[:-1])
     return m if any(m) and min(m) >= 0 else None
-
-
-def minimal_shell(gens: Generators, tau_re: Fraction) -> list:
-    """Minimal elements of {m in Z^kappa_+ \\ {0} : Re<m, r> > tau_re}.
-
-    Minimality is with respect to the componentwise order.  The real parts
-    of the generators are positive, so every minimal element lies in the box
-    with sides floor(tau / Re r_j) + 1 and a finite scan suffices.
-    """
-    betas = gens.re_mids()
-    tau_re = Fraction(tau_re)
-    bounds = [max(int(tau_re / b) + 1, 1) for b in betas]
-    members = [
-        m
-        for m in product(*(range(b + 1) for b in bounds))
-        if any(m) and gens.m_re(m) > tau_re
-    ]
-    return [
-        m for m in members
-        if not any(k != m and all(ki <= mi for ki, mi in zip(k, m)) for k in members)
-    ]
-
-
-def compute_kcal(K_fit: Fraction, gens: Generators, tau_re) -> Fraction:
-    """Degree-growth constant: 2 * K_fit * max |m| over the minimal shell."""
-    shell = minimal_shell(gens, tau_re)
-    if not shell:
-        return Fraction(0)
-    return 2 * Fraction(K_fit) * max(sum(m) for m in shell)
 
 
 def choose_R(Kcal, gens: Generators) -> tuple:

@@ -21,8 +21,6 @@ import warnings
 from collections import namedtuple
 from fractions import Fraction
 
-import mpmath
-
 from .errors import (
     AllDerivativesVanish,
     DerivativeYnZeroWarning,
@@ -35,14 +33,12 @@ from .errors import (
     SlopeUndetermined,
 )
 from .exponents import Exponent, exp_compare, re_compare
-from .numeric import FLOAT_PRECISION, to_mpf
 from .ode import Evaluation, ODESpec, multi_indices
 from .scalars import ZERO
 from .series import INF, DulacSeries, _as_cutoff
 from .tpoly import TPoly
 
 MAX_EXTENSION_STEPS = 10000
-ROOT_BAND = Fraction(1, 10**20)
 
 
 class LinearData(namedtuple("LinearData", "nu A nu_sec B ell L n")):
@@ -151,119 +147,6 @@ def extract_linearization(F: ODESpec, phi: DulacSeries | Evaluation) -> LinearDa
     ell = max(j for j, a in enumerate(A) if not a.is_zero())
     L = TPoly(tuple(A[: ell + 1]))
     return LinearData(nu=nu, A=tuple(A), nu_sec=tuple(nu_sec), B=tuple(B), ell=ell, L=L, n=F.n)
-
-
-def roots_of_L(L: TPoly, prec: int = FLOAT_PRECISION) -> list:
-    """Roots of the characteristic polynomial as mpc values.
-
-    Degrees 1 and 2 use closed forms, higher degrees a numeric companion
-    solve at the working precision.  The closed forms stay because they fix
-    the order of the roots, which analysis.json records: mpmath.polyroots
-    returns many degree-2 roots in the other order.
-    """
-    d = L.degree
-    if d < 1:
-        return []
-    with mpmath.workprec(prec):
-        cs = [
-            mpmath.mpc(to_mpf(c.re, prec), to_mpf(c.im, prec)) for c in L.coeffs
-        ]
-        if d == 1:
-            return [-cs[0] / cs[1]]
-        if d == 2:
-            a, b, c = cs[2], cs[1], cs[0]
-            disc = mpmath.sqrt(b * b - 4 * a * c)
-            return [(-b + disc) / (2 * a), (-b - disc) / (2 * a)]
-        return list(mpmath.polyroots(list(reversed(cs)), maxsteps=200, extraprec=64))
-
-
-class ConditionReport(namedtuple(
-        "ConditionReport", "roots_ok gap_ok next_ok root_margin gap_margin minimal_m roots")):
-    """Solvability conditions for splitting the solution at the last prefix
-    term: roots_ok, every root of L lies left of Re lambda_m; gap_ok,
-    Re lambda_m > max Re nu_j + 2 tau; next_ok, Re(lambda_{m+1} - lambda_m) > 0
-    when known, else None; the float margins (or None) of the first two;
-    minimal_m, the least prefix index where roots_ok and gap_ok hold (or
-    None); and the roots of L."""
-
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {
-            "roots_ok": self.roots_ok,
-            "gap_ok": self.gap_ok,
-            "next_ok": self.next_ok,
-            "root_margin": self.root_margin,
-            "gap_margin": self.gap_margin,
-            "minimal_m": self.minimal_m,
-            "roots": [[float(mpmath.re(r)), float(mpmath.im(r))] for r in self.roots],
-        }
-
-
-def check_conditions(
-    lin: LinearData,
-    prefix_exponents,
-    next_exponent: Exponent | None = None,
-    s=None,
-) -> ConditionReport:
-    """Evaluate the splitting conditions at the last prefix exponent.
-
-    Raises IndeterminateRoot when a root of L sits within 1e-20 of the
-    boundary Re zeta = Re lambda_m: either more precision is required or the
-    configuration is genuinely resonant.
-    """
-    if not prefix_exponents:
-        raise ValueError("check_conditions: prefix must contain at least one term")
-    roots = roots_of_L(lin.L)
-    tau = lin.tau_re(s)
-    sec_res = [e.re_mid for e in lin.nu_sec if e is not None]
-
-    def roots_check(lam_re: Fraction):
-        if not roots:
-            return True, None
-        with mpmath.workprec(FLOAT_PRECISION):
-            lam_mpf = to_mpf(lam_re)
-            margins = [lam_mpf - mpmath.re(r) for r in roots]
-            m = min(margins)
-            if abs(m) < to_mpf(ROOT_BAND):
-                raise IndeterminateRoot(
-                    f"check_conditions: a root of L has real part within 1e-20 of "
-                    f"Re lambda_m = {lam_re}; raise precision or treat as resonant"
-                )
-            return bool(m > 0), float(m)
-
-    def gap_check(lam_re: Fraction):
-        if not sec_res:
-            return True, None
-        margin = lam_re - max(sec_res) - 2 * tau
-        return margin > 0, float(margin)
-
-    minimal_m = None
-    for i, lam in enumerate(prefix_exponents, start=1):
-        try:
-            ok1, _ = roots_check(lam.re_mid)
-        except IndeterminateRoot:
-            ok1 = False
-        ok2, _ = gap_check(lam.re_mid)
-        if ok1 and ok2:
-            minimal_m = i
-            break
-
-    lam_last = prefix_exponents[-1]
-    roots_ok, root_margin = roots_check(lam_last.re_mid)
-    gap_ok, gap_margin = gap_check(lam_last.re_mid)
-    next_ok = None
-    if next_exponent is not None:
-        next_ok = re_compare(next_exponent, lam_last) > 0
-    return ConditionReport(
-        roots_ok=roots_ok,
-        gap_ok=gap_ok,
-        next_ok=next_ok,
-        root_margin=root_margin,
-        gap_margin=gap_margin,
-        minimal_m=minimal_m,
-        roots=tuple(roots),
-    )
 
 
 def solve_coefficient(L: TPoly, lam, b: TPoly) -> TPoly:
@@ -400,7 +283,10 @@ class ReducedEquation(namedtuple("ReducedEquation", "L Ltilde N lambda_m nu tau 
 
 
 def reduce_equation(F: ODESpec, prefix: DulacSeries, m: int, s=None) -> ReducedEquation:
-    """Build the reduced equation for the tail after the first m prefix terms."""
+    """Build the reduced equation for the tail after the first m prefix terms.
+
+    The splitting conditions are checked by numeric.check_conditions, so
+    this function, unlike the rest of the module, loads mpmath."""
     if not 1 <= m <= len(prefix.terms):
         raise ValueError(
             f"reduce_equation: m = {m} outside 1..{len(prefix.terms)} prefix terms"
@@ -452,6 +338,10 @@ def reduce_equation(F: ODESpec, prefix: DulacSeries, m: int, s=None) -> ReducedE
                         f"secondary gap Re mu_{j} = {mu_re} is below (j - ell) s = "
                         f"{(j - lin.ell) * Fraction(s_val)}"
                     )
+    # the root test places the roots of L in floats, so it lives in the float
+    # layer, which nothing else in this module needs
+    from .numeric import check_conditions
+
     try:
         report = check_conditions(lin, [e for e, _ in phi.terms], s=s_val)
         if not report.roots_ok:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import mpmath
 
-from dulac import cli, mseries
+from dulac import cli, norms
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_digests.json"
@@ -116,17 +116,17 @@ def norm_values(argv: list) -> list:
             return out
         return wrapper
 
-    # the checks are patched on mseries, whose norm_trials calls them
-    saved = {name: getattr(mseries, name) for name in NORM_CHECKS}
+    # the checks are patched on norms, whose norm_trials calls them
+    saved = {name: getattr(norms, name) for name in NORM_CHECKS}
     try:
         for name, check in saved.items():
-            setattr(mseries, name, recording(name, check))
+            setattr(norms, name, recording(name, check))
         with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             cli.main([*argv, "--output-dir", tmp])
     finally:
         for name, check in saved.items():
-            setattr(mseries, name, check)
+            setattr(norms, name, check)
     return records
 
 

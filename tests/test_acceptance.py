@@ -17,7 +17,8 @@ import pytest
 from dulac import cli
 from dulac.errors import PreconditionViolated, Resonance
 from dulac.gammafn import gamma_abs
-from dulac.mseries import NormParams, check_lemma5, check_lemma6, iota, iota_inv
+from dulac.mseries import iota, iota_inv
+from dulac.norms import NormParams, check_lemma5, check_lemma6
 from dulac.scalars import ExactScalar
 from dulac.semigroup import validate_generators
 from dulac.series import DulacSeries

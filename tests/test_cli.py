@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import dulac
-from dulac import cli, errors, mseries, semigroup
-from dulac.mseries import Lemma6Report
+from dulac import cli, errors, norms, semigroup
+from dulac.norms import Lemma6Report
 
 from .util import DATA
 
@@ -162,6 +162,32 @@ def test_malformed_problem_file_exits_5(tmp_path, capsys, edit, field):
     data = json.loads((DATA / "euler.json").read_text(encoding="utf-8"))
     edit(data)
     path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for command in cli._COMMANDS:
+        code, out = run(tmp_path, command, str(path))
+        err = capsys.readouterr().err
+        assert code == 5, command
+        assert field in err and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", [" 3 ", "1.5", "1e2", "1_0"])
+@pytest.mark.parametrize(
+    "place, field",
+    [
+        (lambda d, v: d["ode"]["terms"][0].update(coeff=v), "ode: terms[0].coeff"),
+        (lambda d, v: d["prefix"][0].update(exp=[v]), "prefix[0].exp"),
+        (lambda d, v: d["prefix"][0].update(poly=[v]), "prefix[0].poly"),
+        (lambda d, v: d.update(generators=[[v]]), "generators[0]"),
+    ],
+    ids=["ode_coeff", "prefix_exp", "prefix_poly", "generator"],
+)
+def test_non_rational_literal_exits_5(tmp_path, capsys, place, field, literal):
+    # scalars and exponent coordinates are "a" or "a/b" literals: no spaces,
+    # decimal points, exponents or digit separators
+    data = json.loads((DATA / "euler.json").read_text(encoding="utf-8"))
+    place(data, literal)
+    path = tmp_path / "literal.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     for command in cli._COMMANDS:
         code, out = run(tmp_path, command, str(path))
@@ -366,7 +392,7 @@ def test_check_norms_regression_exits_1(tmp_path, monkeypatch):
     def broken(g1, g2, p):
         return Lemma6Report(lhs=1, rhs=0, C_used=1, passed=False, splits=1)
 
-    monkeypatch.setattr(mseries, "check_lemma6", broken)
+    monkeypatch.setattr(norms, "check_lemma6", broken)
     code, out = run(tmp_path, "check-norms", str(DATA / "euler.json"))
     assert code == 1
     assert payload(out, "normcheck.json")["all_pass"] is False

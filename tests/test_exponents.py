@@ -137,6 +137,14 @@ def test_parse_exponent_accepts_only_strings_and_integers():
             b.parse_exponent(coords)
 
 
+@pytest.mark.parametrize("bad", [" 3 ", "1.5", "1e2", "1_0", "3\n"])
+def test_parse_exponent_reads_only_rational_strings(bad):
+    # a coordinate string is "a" or "a/b", though Fraction reads more
+    b = ExponentBasis(["1"])
+    with pytest.raises(ValueError, match="malformed rational literal"):
+        b.parse_exponent([bad])
+
+
 def test_mismatched_bases():
     with pytest.raises(BasisMismatch):
         exp_compare(ExponentBasis(["1"]).rational(1), ExponentBasis(["2"]).exponent([1]))

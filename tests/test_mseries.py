@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dulac import mseries, numeric
+from dulac import norms, numeric
 from dulac.errors import (
     BasisMismatch,
     CutoffIncrease,
@@ -18,17 +18,8 @@ from dulac.errors import (
     PreconditionViolated,
     SchemaError,
 )
-from dulac.mseries import (
-    MSeries,
-    NormParams,
-    check_lemma5,
-    check_lemma6,
-    fit_degree_K,
-    h_norm,
-    iota,
-    iota_inv,
-    majorant_bound,
-)
+from dulac.mseries import MSeries, fit_degree_K, iota, iota_inv
+from dulac.norms import NormParams, check_lemma5, check_lemma6, h_norm, majorant_bound
 from dulac.numeric import poly_norm
 from dulac.semigroup import validate_generators
 from dulac.series import INF, DulacSeries
@@ -634,11 +625,11 @@ def test_lemma6_computes_each_constant_once(monkeypatch):
     g2 = _ms(gens, (((1, 0), TPoly.T), ((1, 2), random_poly(rng, 2))))
     p = NormParams(R=3, s=Fraction(5, 3), Kcal=2, j=0)
     weights, gammas = [], []
-    real_gamma = mseries.gamma_abs
-    monkeypatch.setattr(mseries, "abs_scalar", lambda *args: weights.append(args))
-    monkeypatch.setattr(mseries, "gamma_abs", lambda z, tol: gammas.append(z) or real_gamma(z, tol))
-    mseries._table.cache_clear()
-    mseries._gammas.cache_clear()
+    real_gamma = norms.gamma_abs
+    monkeypatch.setattr(norms, "abs_scalar", lambda *args: weights.append(args))
+    monkeypatch.setattr(norms, "gamma_abs", lambda z, tol: gammas.append(z) or real_gamma(z, tol))
+    norms._table.cache_clear()
+    norms._gammas.cache_clear()
     report = check_lemma6(g1, g2, p)
     assert report.passed and report.splits == 6
     assert weights == []
@@ -655,10 +646,10 @@ def test_norms_share_gamma_values_across_params(monkeypatch):
     g = _ms(gens, (((1, 0), random_poly(rng, 2)), ((0, 1), random_poly(rng, 2)), ((1, 1), TPoly.ONE)))
     h = _ms(gens, (((2, 0), TPoly.T), ((0, 1), TPoly.ONE)))
     gammas = []
-    real_gamma = mseries.gamma_abs
-    monkeypatch.setattr(mseries, "gamma_abs", lambda z, tol: gammas.append(z) or real_gamma(z, tol))
-    mseries._table.cache_clear()
-    mseries._gammas.cache_clear()
+    real_gamma = norms.gamma_abs
+    monkeypatch.setattr(norms, "gamma_abs", lambda z, tol: gammas.append(z) or real_gamma(z, tol))
+    norms._table.cache_clear()
+    norms._gammas.cache_clear()
     p = NormParams(R=3, s=Fraction(5, 3), Kcal=2, j=0)
     h_norm(g, p)
     h_norm(g, NormParams(R=4, s=p.s, Kcal=1, j=1))
@@ -703,7 +694,7 @@ def test_raw_norms_equal_mpf_oracles_in_any_context(gens_of, R, level, base, see
     got = _norm_reports(g, g2, a, l, coeffs, p)
     assert got == [v._mpf_ for v in want]
     for prec in (53, 300):
-        for memo in (mseries._table, mseries._gammas, numeric._norm_powers):
+        for memo in (norms._table, norms._gammas, numeric._norm_powers):
             memo.cache_clear()
         with mpmath.workprec(prec):
             assert _norm_reports(g, g2, a, l, coeffs, p) == got

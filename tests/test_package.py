@@ -1,6 +1,7 @@
 """The package namespace: public names resolve lazily from their submodules."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -20,17 +21,16 @@ PUBLIC = {
     "scalars": "ExactScalar",
     "exponents": "DEFAULT_PRECISION MAX_PRECISION BasisEntry Exponent ExponentBasis exp_compare re_compare",
     "tpoly": "TPoly",
-    "numeric": "poly_norm",
+    "numeric": "ConditionReport check_conditions poly_norm roots_of_L",
     "gammafn": "gamma_abs",
     "series": "INF DulacSeries",
     "ode": "ODESpec",
-    "solver": """ConditionReport LinearData ReducedEquation SolutionState check_conditions extend
-        extract_linearization reduce_equation reduced_residual roots_of_L solve_coefficient""",
+    "solver": """LinearData ReducedEquation SolutionState extend extract_linearization reduce_equation
+        reduced_residual solve_coefficient""",
     "gevrey": "CSV_COLUMNS GevreyReport RhoRow classify fit_growth normalized_coeffs",
-    "semigroup": """Generators choose_R compute_kcal decompose exponent_gaps minimal_shell
-        suggest_generators validate_generators""",
-    "mseries": """MSeries NormParams check_lemma5 check_lemma6 fit_degree_K h_norm iota iota_inv
-        majorant_bound""",
+    "semigroup": "Generators choose_R decompose exponent_gaps suggest_generators validate_generators",
+    "mseries": "MSeries fit_degree_K iota iota_inv",
+    "norms": "NormParams check_lemma5 check_lemma6 h_norm majorant_bound",
 }
 
 
@@ -47,7 +47,7 @@ def test_import_loads_no_submodule():
 def test_exact_core_loads_no_mpmath():
     # floats enter through dulac.numeric; the exact layers never import it
     code = (
-        "import sys, dulac.tpoly, dulac.series, dulac.ode; "
+        "import sys, dulac.tpoly, dulac.series, dulac.ode, dulac.solver, dulac.semigroup, dulac.mseries; "
         "print(sorted(m for m in sys.modules if m.startswith('mpmath')))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(dulac.__file__).parents[1]))
@@ -65,6 +65,57 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     env = dict(os.environ, PYTHONPATH=str(Path(dulac.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+# The dulac layers each subcommand may load beyond the ones every job loads,
+# and whether it loads mpmath.
+_EVERY_JOB = {"cli", "errors", "exponents", "ode", "scalars", "series", "tpoly"}
+_SUBCOMMAND_LAYERS = {
+    "solve": ({"solver"}, False),
+    "analyze": ({"solver", "numeric", "gevrey", "gammafn"}, True),
+    "verify": ({"solver", "numeric", "gevrey", "gammafn"}, True),
+    "reduce": ({"solver", "numeric"}, True),
+    "iota": ({"solver", "semigroup", "mseries"}, False),
+    "check-norms": ({"semigroup", "mseries", "norms", "numeric", "gevrey", "gammafn"}, True),
+    "suggest-generators": ({"semigroup"}, False),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_LAYERS))
+def test_subcommand_loads_only_its_layers(command, tmp_path):
+    # a job imports its layers after parsing argv and before loading the
+    # problem, so the imports count as set-up and none is left for the work;
+    # what they made is then in the oldest gc generation, not in the young
+    # ones the work's first collections traverse
+    code = (
+        "import gc, json, sys, dulac.cli as cli\n"
+        "def loaded():\n"
+        "    return {m for m in sys.modules if m.startswith(('dulac.', 'mpmath'))}\n"
+        "load, marks = cli._load_problem, {}\n"
+        "def watched_load(*args):\n"
+        "    marks['at_load'] = loaded()\n"
+        "    marks['young'] = len(gc.get_objects(0)) + len(gc.get_objects(1))\n"
+        "    return load(*args)\n"
+        "cli._load_problem = watched_load\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "at_load = marks['at_load']\n"
+        "print(json.dumps({'code': code, 'later': sorted(loaded() - at_load),\n"
+        "    'layers': sorted(m[6:] for m in at_load if m.startswith('dulac.')),\n"
+        "    'mpmath': 'mpmath' in at_load, 'young': marks['young']}))\n"
+    )
+    problem = Path(__file__).parent / "data" / "euler_gens.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(dulac.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, command, str(problem), "--output-dir", str(tmp_path)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    layers, mpmath = _SUBCOMMAND_LAYERS[command]
+    assert report["code"] == 0
+    assert report["layers"] == sorted(_EVERY_JOB | layers)
+    assert report["mpmath"] is mpmath
+    assert report["later"] == []
+    assert report["young"] < 100  # thousands when the imports' objects stay young
 
 
 def test_public_names_resolve_to_submodule_objects():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dulac.scalars import I, ONE, ZERO, ExactScalar, decimal_rational
+from dulac.scalars import I, ONE, ZERO, ExactScalar, decimal_rational, parse_rational
 
 
 def test_parse_forms():
@@ -26,6 +26,26 @@ def test_parse_forms():
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         ExactScalar.parse(bad)
+
+
+@pytest.mark.parametrize("bad", [" 3 ", "3 ", "\t3", "3\n", " 1/2+1/3i"])
+def test_parse_rejects_whitespace(bad):
+    # no surrounding whitespace either: the literal is read as given
+    with pytest.raises(ValueError, match="malformed scalar literal"):
+        ExactScalar.parse(bad)
+
+
+@pytest.mark.parametrize("bad", [" 3 ", "1.5", "1e2", "1_0", "3\n", "1/2/3", "", "+", 3, None])
+def test_parse_rational_reads_only_a_and_a_over_b(bad):
+    with pytest.raises(ValueError, match="malformed rational literal"):
+        parse_rational(bad)
+
+
+def test_parse_rational_forms():
+    assert parse_rational("-3") == -3
+    assert parse_rational("+6/4") == Fraction(3, 2)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
 
 
 _STRING_READERS = (ExactScalar.of, lambda x: ExactScalar.of(0, x), lambda x: ExactScalar(x, 0))

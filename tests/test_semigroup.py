@@ -1,4 +1,4 @@
-"""Generator validation, membership, shells, and the norm-weight rule."""
+"""Generator validation, membership, and the norm-weight rule."""
 
 import random
 from fractions import Fraction
@@ -12,10 +12,8 @@ from dulac.exponents import ExponentBasis
 from dulac.semigroup import (
     Generators,
     choose_R,
-    compute_kcal,
     decompose,
     exponent_gaps,
-    minimal_shell,
     suggest_generators,
     validate_generators,
 )
@@ -202,31 +200,7 @@ def test_decompose_foreign_basis():
     assert decompose(other.rational(1), g) is None
 
 
-# -- shells and constants ------------------------------------------------------
-
-
-def test_minimal_shell_integer_semigroup():
-    g = _gens_one()
-    assert minimal_shell(g, Fraction(0)) == [(1,)]
-    assert minimal_shell(g, Fraction(2)) == [(3,)]
-    assert minimal_shell(g, Fraction(5, 2)) == [(3,)]
-
-
-def test_minimal_shell_mixed_pair():
-    g = _gens_half_mixed()
-    shell = minimal_shell(g, Fraction(1))
-    assert sorted(shell) == [(0, 2), (1, 1), (3, 0)]
-    # minimality: no element dominates another
-    for a in shell:
-        for b in shell:
-            assert a == b or not all(x <= y for x, y in zip(a, b))
-
-
-def test_compute_kcal():
-    g = _gens_half_mixed()
-    # max |m| over the shell for tau = 1 is 3, so Kcal = 2 * K * 3
-    assert compute_kcal(Fraction(1, 2), g, Fraction(1)) == Fraction(3)
-    assert compute_kcal(Fraction(2), g, Fraction(1)) == Fraction(12)
+# -- norm-weight rule -----------------------------------------------------------
 
 
 def test_choose_R():

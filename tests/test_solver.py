@@ -15,16 +15,15 @@ from dulac.errors import (
     Resonance,
 )
 from dulac.exponents import ExponentBasis
+from dulac.numeric import check_conditions, roots_of_L
 from dulac.ode import ODESpec
 from dulac.scalars import ZERO, ExactScalar
 from dulac.series import INF, DulacSeries
 from dulac.solver import (
-    check_conditions,
     extend,
     extract_linearization,
     reduce_equation,
     reduced_residual,
-    roots_of_L,
     solve_coefficient,
 )
 from dulac.tpoly import TPoly

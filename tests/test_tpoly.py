@@ -12,20 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dulac.gevrey import GevreyReport, RhoRow, classify
-from dulac.mseries import Lemma5Report, Lemma6Report, MSeries, NormParams, check_lemma5, check_lemma6
-from dulac.numeric import abs_scalar, poly_norm
+from dulac.mseries import MSeries
+from dulac.norms import Lemma5Report, Lemma6Report, NormParams, check_lemma5, check_lemma6
+from dulac.numeric import ConditionReport, abs_scalar, check_conditions, poly_norm
 from dulac.scalars import ExactScalar
 from dulac.semigroup import validate_generators
 from dulac.series import INF, DulacSeries
-from dulac.solver import (
-    ConditionReport,
-    LinearData,
-    ReducedEquation,
-    SolutionState,
-    check_conditions,
-    extend,
-    reduce_equation,
-)
+from dulac.solver import LinearData, ReducedEquation, SolutionState, extend, reduce_equation
 from dulac.tpoly import TPoly, _normal
 from .util import (
     basis_one,
