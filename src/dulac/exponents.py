@@ -39,7 +39,7 @@ from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .errors import BasisMismatch, ExactValueRequired, UndecidableComparison
-from .scalars import ExactScalar, _rational_literal, decimal_rational, parse_rational
+from .scalars import ExactScalar, Value, _rational_literal, decimal_rational, parse_rational
 
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
@@ -57,12 +57,12 @@ def _parse_part(text: str) -> tuple[Fraction, Fraction]:
     return parse_rational(text), Fraction(0)
 
 
-class BasisEntry:
+class BasisEntry(Value):
     """One basis element with its enclosure data: the literal, the parts re
     and im it reads as, and the resolution floors re_floor and im_floor of
     the literal, 0 when exact."""
 
-    __slots__ = ("literal", "re", "im", "re_floor", "im_floor")
+    __slots__ = _fields = ("literal", "re", "im", "re_floor", "im_floor")
 
     def __init__(self, literal: str, re: Fraction, im: Fraction, re_floor: Fraction, im_floor: Fraction):
         _set = object.__setattr__
@@ -71,29 +71,6 @@ class BasisEntry:
         _set(self, "im", im)
         _set(self, "re_floor", re_floor)
         _set(self, "im_floor", im_floor)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"BasisEntry is immutable; cannot set {name}")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
-        return self.literal, self.re, self.im, self.re_floor, self.im_floor
-
-    def __reduce__(self):
-        return BasisEntry, self._values()
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not BasisEntry:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return (f"BasisEntry(literal={self.literal!r}, re={self.re!r}, im={self.im!r}, "
-                f"re_floor={self.re_floor!r}, im_floor={self.im_floor!r})")
 
     @property
     def exact(self) -> bool:
@@ -120,13 +97,17 @@ class BasisEntry:
         return max(self.scale * Fraction(1, 2**precision), floor)
 
 
-class ExponentBasis:
-    """A declared list of rationally independent complex numbers.
+class ExponentBasis(Value):
+    """A declared list of rationally independent complex numbers; immutable.
 
     The independence promise is the user's; the library cannot verify it and
     reports a broken promise through UndecidableComparison when two distinct
     coordinate vectors evaluate to provably equal numbers.
     """
+
+    __slots__ = ("entries", "precision", "_hash", "exact", "_one_index",
+                 "_weight_den", "_re_weights", "_im_weights")
+    _fields = ("entries", "precision")
 
     def __init__(self, entries: Sequence[str], precision: int = DEFAULT_PRECISION):
         parsed = tuple(BasisEntry.parse(e) if isinstance(e, str) else e for e in entries)
@@ -142,36 +123,29 @@ class ExponentBasis:
             seen[key] = e.literal
         if precision < 16:
             raise ValueError(f"ExponentBasis: precision {precision} is too small")
-        self.entries = parsed
-        self.precision = min(precision, MAX_PRECISION)
-        self._hash = hash((parsed, self.precision))
-        self.exact = all(e.exact for e in parsed)
-        self._one_index = next(
+        precision = min(precision, MAX_PRECISION)
+        _set = object.__setattr__
+        _set(self, "entries", parsed)
+        _set(self, "precision", precision)
+        _set(self, "_hash", hash((parsed, precision)))
+        _set(self, "exact", all(e.exact for e in parsed))
+        _set(self, "_one_index", next(
             (i for i, e in enumerate(parsed) if e.exact and e.re == 1 and e.im == 0), None
-        )
+        ))
         # Re and Im of the entries (midpoints) as ints over one denominator
-        w = self._weight_den = lcm(*(q.denominator for e in parsed for q in (e.re, e.im)))
-        self._re_weights = tuple(e.re.numerator * (w // e.re.denominator) for e in parsed)
-        self._im_weights = tuple(e.im.numerator * (w // e.im.denominator) for e in parsed)
+        w = lcm(*(q.denominator for e in parsed for q in (e.re, e.im)))
+        _set(self, "_weight_den", w)
+        _set(self, "_re_weights", tuple(e.re.numerator * (w // e.re.denominator) for e in parsed))
+        _set(self, "_im_weights", tuple(e.im.numerator * (w // e.im.denominator) for e in parsed))
 
     @property
     def dim(self) -> int:
         return len(self.entries)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExponentBasis)
-            and self.entries == other.entries
-            and self.precision == other.precision
-        )
-
     def __hash__(self) -> int:
+        # computed once: it hashes the entries' literals, so it holds only in
+        # the process that computed it and a pickle rebuilds it from the fields
         return self._hash
-
-    def __reduce__(self):
-        # rebuilt from the entries: the kept hash of their literals holds only
-        # in the process that computed it
-        return ExponentBasis, (self.entries, self.precision)
 
     def __repr__(self) -> str:
         lits = ", ".join(e.literal for e in self.entries)
@@ -231,7 +205,7 @@ def _normal(basis: ExponentBasis, den: int, nums) -> "Exponent":
     return Exponent._raw(basis, den, tuple(nums))
 
 
-class Exponent:
+class Exponent(Value):
     """Exact rational coordinate vector over an ExponentBasis; immutable.
 
     Coordinate i is nums[i] / den for an int den > 0 and ints nums with
@@ -278,11 +252,6 @@ class Exponent:
             raise AttributeError(f"'Exponent' object has no attribute {name!r}")
         object.__setattr__(self, name, value)
         return value
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Exponent is immutable; cannot set {name}")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         return Exponent._raw, (self.basis, self.den, self.nums)

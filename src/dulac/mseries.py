@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
 )
 from .exponents import Exponent
-from .scalars import ExactScalar
+from .scalars import ExactScalar, Value
 from .semigroup import Generators
 from .series import INF, DulacSeries, _as_cutoff, cutoff_from_json, cutoff_to_json
 from .tpoly import TPoly
@@ -37,12 +37,12 @@ def _canonical_terms(items: dict, gens: Generators, cutoff) -> tuple:
     )
 
 
-class MSeries:
+class MSeries(Value):
     """Finite multivariate series sum C_m(t) X^m below a cutoff on Re<m,r>:
     the terms (m, C_m) over the generators gens, with base exponent
     lambda_base; immutable."""
 
-    __slots__ = ("gens", "lambda_base", "terms", "cutoff")
+    __slots__ = _fields = ("gens", "lambda_base", "terms", "cutoff")
 
     def __init__(self, gens: Generators, lambda_base: Exponent, terms: tuple, cutoff):
         cutoff = _as_cutoff(cutoff)
@@ -70,29 +70,6 @@ class MSeries:
         _set(out, "terms", terms)
         _set(out, "cutoff", cutoff)
         return out
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"MSeries is immutable; cannot set {name}")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
-        return self.gens, self.lambda_base, self.terms, self.cutoff
-
-    def __reduce__(self):
-        return MSeries, self._values()
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not MSeries:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return (f"MSeries(gens={self.gens!r}, lambda_base={self.lambda_base!r}, "
-                f"terms={self.terms!r}, cutoff={self.cutoff!r})")
 
     # -- helpers -------------------------------------------------------------
 

@@ -30,7 +30,7 @@ from .exponents import Exponent
 from .gammafn import gamma_abs
 from .mseries import MSeries
 from .numeric import FLOAT_PRECISION, abs_scalar, by_value, poly_norm, raw_add, raw_div, raw_mul, raw_pow, to_mpf
-from .scalars import ExactScalar, decimal_rational
+from .scalars import ExactScalar, Value, decimal_rational
 from .semigroup import Generators
 from .series import INF
 from .tpoly import TPoly
@@ -41,13 +41,14 @@ _mpf = mpmath.mp.make_mpf
 _SLACK = raw_add(fone, from_float(1e-25))
 
 
-class NormParams:
+class NormParams(Value):
     """Parameters of the graded norm: weight R, order s, degree constant
     Kcal, and the level j.  R, s and Kcal are read as decimal_rational reads
     them, so a float 2.1 is 21/10, as poly_norm and series cutoffs read it.
     Immutable; the hash, which keys the norm tables, is computed once."""
 
     __slots__ = ("R", "s", "Kcal", "j", "tol", "_hash")
+    _fields = ("R", "s", "Kcal", "j", "tol")
 
     def __init__(self, R: Fraction, s: Fraction, Kcal: Fraction, j: int = 0, tol: float = 1e-12):
         R, s, Kcal = decimal_rational(R), decimal_rational(s), decimal_rational(Kcal)
@@ -69,27 +70,8 @@ class NormParams:
         _set(self, "tol", tol)
         _set(self, "_hash", hash((R, s, Kcal, j, tol)))
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"NormParams is immutable; cannot set {name}")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
-        return self.R, self.s, self.Kcal, self.j, self.tol
-
-    def __reduce__(self):
-        return NormParams, self._values()
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not NormParams:
-            return NotImplemented
-        return self._hash == other._hash and self._values() == other._values()
-
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return f"NormParams(R={self.R!r}, s={self.s!r}, Kcal={self.Kcal!r}, j={self.j!r}, tol={self.tol!r})"
 
     def degree_cap(self, m) -> Fraction:
         """Kcal |m|, the largest degree of C_m in the level spaces."""

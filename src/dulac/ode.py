@@ -25,20 +25,24 @@ from operator import mul
 
 from .errors import NonpositiveValuation, SchemaError, UndecidableComparison
 from .exponents import Exponent
-from .scalars import ExactScalar
+from .scalars import ExactScalar, Value
 from .series import INF, DulacSeries
 from .tpoly import TPoly
 
 
-class ODESpec:
+class ODESpec(Value):
     """Monomial data of F in the variables x, y_0, ..., y_n: terms is a tuple
-    of (ExactScalar coeff, int p, tuple q) with len(q) == n+1; immutable."""
+    of at least one (ExactScalar coeff, int p, tuple q) with len(q) == n+1;
+    immutable."""
 
-    __slots__ = ("n", "terms", "declared_degree")
+    __slots__ = _fields = ("n", "terms", "declared_degree")
 
     def __init__(self, n: int, terms: tuple, declared_degree: int | None = None):
         if n < 1:
             raise ValueError(f"ODESpec: order n must be at least 1, got {n}")
+        if not terms:
+            # F = 0 is not an equation; every term also bounds n by its length
+            raise ValueError("ODESpec: the equation has no terms")
         seen = set()
         for coeff, p, q in terms:
             if len(q) != n + 1:
@@ -63,28 +67,6 @@ class ODESpec:
         _set(self, "n", n)
         _set(self, "terms", terms)
         _set(self, "declared_degree", declared_degree)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"ODESpec is immutable; cannot set {name}")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
-        return self.n, self.terms, self.declared_degree
-
-    def __reduce__(self):
-        return ODESpec, self._values()
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not ODESpec:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return f"ODESpec(n={self.n!r}, terms={self.terms!r}, declared_degree={self.declared_degree!r})"
 
     # -- calculus on the monomial data ------------------------------------
 

@@ -55,14 +55,54 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"not a rational value: {x!r}")
 
 
-class ExactScalar:
+class Value:
+    """Base of the immutable value classes.
+
+    A subclass keeps its data in __slots__, sets them in __init__ through
+    object.__setattr__, and names its constructor fields in _fields.  From
+    those the base derives the repr Name(field=value, ...), equality with a
+    value of the same class, the hash of the field tuple, and a pickle that
+    rebuilds the value through the class.  Setting or deleting an attribute
+    raises AttributeError.  A subclass that writes out __eq__ writes out
+    __hash__ too: Python sets __hash__ to None in a class that defines
+    __eq__ alone.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        listed = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({listed})"
+
+
+class ExactScalar(Value):
     """A complex number a + b*i with exact rational a, b.
 
     Immutable; all arithmetic is exact.  Division by zero raises
     ZeroDivisionError like the underlying Fraction arithmetic.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = _fields = ("re", "im")
 
     def __init__(self, re: RationalLike, im: RationalLike):
         if not isinstance(re, Fraction) or not isinstance(im, Fraction):
@@ -70,14 +110,6 @@ class ExactScalar:
         _set = object.__setattr__
         _set(self, "re", re)
         _set(self, "im", im)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"ExactScalar is immutable; cannot set {name}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return ExactScalar, (self.re, self.im)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not ExactScalar:

@@ -16,6 +16,7 @@ from math import lcm
 
 from .errors import BasisMismatch, DependentGenerators, NonpositiveRealPart, UndecidableComparison
 from .exponents import Exponent, ExponentBasis
+from .scalars import Value
 
 
 # -- integer linear algebra (small dense systems) --------------------------
@@ -72,7 +73,7 @@ def _relation(exps):
 # -- generators -------------------------------------------------------------
 
 
-class Generators:
+class Generators(Value):
     """Validated semigroup generators r (a tuple of Exponent) over a shared
     exponent basis; immutable, equal when basis and r are.
 
@@ -83,6 +84,7 @@ class Generators:
     """
 
     __slots__ = ("basis", "r", "_m_exponents", "_decomposed")
+    _fields = ("basis", "r")
 
     def __init__(self, basis: ExponentBasis, r: tuple):
         _set = object.__setattr__
@@ -90,25 +92,6 @@ class Generators:
         _set(self, "r", r)
         _set(self, "_m_exponents", {})
         _set(self, "_decomposed", {})
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Generators is immutable; cannot set {name}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return Generators, (self.basis, self.r)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Generators:
-            return NotImplemented
-        return (self.basis, self.r) == (other.basis, other.r)
-
-    def __hash__(self) -> int:
-        return hash((self.basis, self.r))
-
-    def __repr__(self) -> str:
-        return f"Generators(basis={self.basis!r}, r={self.r!r})"
 
     @property
     def kappa(self) -> int:

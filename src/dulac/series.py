@@ -31,7 +31,7 @@ from math import isfinite
 
 from .errors import BasisMismatch, CutoffIncrease, SchemaError, UndecidableComparison
 from .exponents import Exponent, ExponentBasis
-from .scalars import ExactScalar, decimal_rational
+from .scalars import ExactScalar, Value, decimal_rational
 from .tpoly import TPoly
 
 INF = float("inf")
@@ -113,11 +113,11 @@ def _canonical(terms, cutoff):
     )
 
 
-class DulacSeries:
+class DulacSeries(Value):
     """The terms (Exponent, TPoly) over a basis, canonical below the cutoff
     (a Fraction or +inf); immutable."""
 
-    __slots__ = ("basis", "terms", "cutoff")
+    __slots__ = _fields = ("basis", "terms", "cutoff")
 
     def __init__(self, basis: ExponentBasis, terms: tuple, cutoff):
         cutoff = _as_cutoff(cutoff)
@@ -125,28 +125,6 @@ class DulacSeries:
         _set(self, "basis", basis)
         _set(self, "terms", _canonical(terms, cutoff))
         _set(self, "cutoff", cutoff)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"DulacSeries is immutable; cannot set {name}")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
-        return self.basis, self.terms, self.cutoff
-
-    def __reduce__(self):
-        return DulacSeries, self._values()
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not DulacSeries:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return f"DulacSeries(basis={self.basis!r}, terms={self.terms!r}, cutoff={self.cutoff!r})"
 
     # -- constructors ---------------------------------------------------
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .scalars import _ZERO_Q, ExactScalar, ZERO, _rational_literal
+from .scalars import _ZERO_Q, ExactScalar, Value, ZERO, _rational_literal
 
 NEG_INF = float("-inf")
 
@@ -87,7 +87,7 @@ def _convolve(a, b) -> list:
     return out
 
 
-class TPoly:
+class TPoly(Value):
     """Polynomial in t with exact complex coefficients; immutable."""
 
     __slots__ = ("den", "re", "im", "_coeffs")
@@ -116,11 +116,6 @@ class TPoly:
         _set(p, "im", im)
         _set(p, "_coeffs", None)
         return p
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"TPoly is immutable; cannot set {name}")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         return TPoly._raw, (self.den, self.re, self.im)

@@ -149,6 +149,9 @@ def test_help_exits_0(capsys):
         (lambda d: d["prefix"][0].update(poly="1"), "prefix[0].poly"),
         (lambda d: d["prefix"][0].update(poly="12"), "prefix[0].poly"),
         (lambda d: d["prefix"][0].update(poly={"1": 0}), "prefix[0].poly"),
+        # F = 0 is not an equation, and with no term to bound it n may be huge
+        (lambda d: d.update(ode={"n": 1, "terms": []}), "ode: ODESpec: the equation has no terms"),
+        (lambda d: d.update(ode={"n": 10**12, "terms": []}), "ode: ODESpec: the equation has no terms"),
     ],
     ids=[
         "zero_denominator_coeff", "zero_denominator_prefix_exp", "zero_denominator_prefix_poly",
@@ -156,6 +159,7 @@ def test_help_exits_0(capsys):
         "string_n", "string_degree", "float_x", "float_y",
         "float_prefix_exp", "bool_prefix_exp", "float_generator", "bool_generator",
         "string_prefix_poly", "digit_string_prefix_poly", "object_prefix_poly",
+        "no_terms", "no_terms_huge_n",
     ],
 )
 def test_malformed_problem_file_exits_5(tmp_path, capsys, edit, field):

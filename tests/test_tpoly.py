@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dulac.exponents import ExponentBasis
 from dulac.gevrey import GevreyReport, RhoRow, classify
 from dulac.mseries import MSeries
 from dulac.norms import Lemma5Report, Lemma6Report, NormParams, check_lemma5, check_lemma6
@@ -250,9 +251,13 @@ def _value_objects() -> list:
     gens = validate_generators([basis.rational(1)])
     p = NormParams(2, 1, 1)
     g = MSeries(gens, basis.zero(), (((1,), TPoly.T),), INF)
+    approx = ExponentBasis(["1", "1+1i", "1.41421356237"])
     return [
         (TPoly.of("1/2", "3/4+1/3i"), None),
         (ExactScalar(Fraction(1, 2), Fraction(-3)), None),
+        (approx, None),
+        (approx.exponent([Fraction(1, 2), 0, 3]), None),
+        (approx.entries[2], ("literal", "re", "im", "re_floor", "im_floor")),
         (state.solution, ("basis", "terms", "cutoff")),
         (state.F, ("n", "terms", "declared_degree")),
         (gens, ("basis", "r")),
@@ -271,8 +276,9 @@ def _value_objects() -> list:
 
 def test_immutable_and_picklable():
     """No field can be set or deleted and no attribute added; the repr of a
-    record lists its fields by name; a pickled or deep-copied value equals
-    the original, with an equal hash and repr."""
+    record lists its fields by name and its hash is that of the field tuple;
+    a pickled or deep-copied value equals the original, with an equal hash
+    and repr."""
     for value, fields in _value_objects():
         assert not hasattr(value, "__dict__")
         for name in (*type(value).__slots__, *(fields or ()), "no_such_field"):
@@ -283,6 +289,7 @@ def test_immutable_and_picklable():
         if fields is not None:
             listed = ", ".join(f"{name}={getattr(value, name)!r}" for name in fields)
             assert repr(value) == f"{type(value).__name__}({listed})"
+            assert hash(value) == hash(tuple(getattr(value, name) for name in fields))
         for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
             assert type(copied) is type(value)
             assert copied == value and hash(copied) == hash(value) and repr(copied) == repr(value)
