@@ -171,20 +171,25 @@ class Problem:
 def _load_problem(path: str, args) -> Problem:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"problem file: cannot read {path} ({exc})") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an int literal past Python's digit limit, or
+        # nesting past the recursion limit
         raise SchemaError(f"problem file: invalid JSON in {path} ({exc})") from exc
     return Problem(data, args)
 
 
 def _write_text(directory: Path, name: str, content: str) -> Path:
-    directory.mkdir(parents=True, exist_ok=True)
     path = directory / name
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(content)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise SchemaError(f"--output-dir: cannot write {path} ({exc})") from exc
     return path
 
 

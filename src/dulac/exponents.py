@@ -23,7 +23,8 @@ broken by imaginary part, ascending.  The imaginary tie-break is a library
 convention chosen to make the order total; any fixed tie rule would do.
 
 Every exponent carries one sort key, computed once: over an exact basis the
-pair (Re, Im) of exact Fractions, so no enclosure is ever built; otherwise
+tuple (floor(Re), Re, floor(Im), Im), so no enclosure is ever built and the
+int floors decide a comparison before any exact Fraction does; otherwise
 cmp_to_key(exp_compare), which certifies each comparison from the interval
 enclosures, doubling the working precision until the signs separate or
 raising UndecidableComparison.
@@ -247,7 +248,14 @@ class Exponent(Value):
         elif name == "re_low":
             value = self.re_mid if self.basis.exact else self.re_mid - self.radius("re", self.basis.precision)
         elif name == "key":
-            value = (self.re_mid, self.im_mid) if self.basis.exact else cmp_to_key(exp_compare)(self)
+            b = self.basis
+            if b.exact:
+                # int floors first: they decide most comparisons in C
+                d = self.den * b._weight_den
+                value = (sum(map(mul, self.nums, b._re_weights)) // d, self.re_mid,
+                         sum(map(mul, self.nums, b._im_weights)) // d, self.im_mid)
+            else:
+                value = cmp_to_key(exp_compare)(self)
         else:
             raise AttributeError(f"'Exponent' object has no attribute {name!r}")
         object.__setattr__(self, name, value)

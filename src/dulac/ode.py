@@ -21,7 +21,7 @@ from functools import reduce
 from heapq import heappop, heappush
 from itertools import product
 from math import comb, prod
-from operator import mul
+from operator import mul, sub
 
 from .errors import NonpositiveValuation, SchemaError, UndecidableComparison
 from .exponents import Exponent
@@ -161,22 +161,26 @@ def _accumulate(acc: dict, e: Exponent, c: TPoly) -> None:
 class Evaluation:
     """F(x, phi, delta phi, ..., delta^n phi) for a phi that grows term by term.
 
-    For every q in the down-closure of F's y-exponent vectors it keeps the
-    product Y[q] = prod_j (delta^j phi)^{q_j}, and with them the value
-    F(phi) = sum of coeff x^p Y[q] over the monomials of F.  Adding a term
-    m = c x^lambda to phi updates them by the binomial rule
+    It keeps the value F(phi) = sum of coeff x^p Y[q] over the monomials of
+    F, where Y[q] = prod_j (delta^j phi)^{q_j}.  Adding a term m = c x^lambda
+    to phi changes each Y[q] by the binomial rule
 
         Y[q] += sum over 0 != r <= q of C(q, r) Y[q - r] prod_j (delta^j m)^{r_j}
 
     with the old Y on the right, where delta^j m = ((lambda + d/dt)^j c) x^lambda
-    is a monomial.  A step thus costs one product per term of each Y, not a
-    new substitution: online multiplication in its plain quadratic form (van
-    der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002).
+    is a monomial.  Y[q] itself is kept only for a q strictly below another
+    element of the down-closure of F's y-exponent vectors, the q that an
+    update or a derivative reads; each product of the rule, times coeff x^p,
+    goes straight into the value.  A step thus costs, for each r != q, one
+    product per term of Y[q - r] and per kept Y[q] or monomial of F at q,
+    and none for r = q, where Y[0] = 1; not a new substitution: online
+    multiplication in its plain quadratic form (van der Hoeven, "Relax, but
+    don't be too lazy", J. Symbolic Comput. 34, 2002).
     Exact arithmetic makes the result independent of the order of the terms.
 
     Each Y[q] and the value are term maps from exponents to coefficients, so
-    a step builds no series.  A heap of (key, coordinates, exponent), pushed
-    when an exponent first enters the value, gives leading() the value's
+    a step builds no series.  A heap of (key, nums, den, exponent), pushed
+    whenever an exponent enters the value, gives leading() the value's
     lowest term; terms lists phi's terms fed so far, in increasing order.
     The derivatives dF/dy_j along phi are read off the kept products, as are
     the mixed ones (derivative()); value() and derivative() build one
@@ -198,15 +202,25 @@ class Evaluation:
         closure = {r for _, _, q in F.terms for r in multi_indices(q)}
         zero = (0,) * (F.n + 1)
         one = basis.zero()
-        self._Y = {q: {} for q in closure}
+        # Y[q] is read only for a q below another element of the closure: as
+        # the rest of an update, or by derivative(order) with order != 0
+        self._Y = {q: {} for q in closure
+                   if any(q != s and all(map(int.__le__, q, s)) for s in closure)}
         self._Y[zero] = {one: TPoly.ONE}
         # highest total degree first, so that Y[q - r] still holds the old
-        # value when Y[q] is updated
-        self._updates = [
-            (q, [(r, tuple(a - b for a, b in zip(q, r)), prod(map(comb, q, r)))
-                 for r in multi_indices(q) if any(r)])
-            for q in sorted(closure - {zero}, key=sum, reverse=True)
-        ]
+        # value when Y[q] is updated; a step (r, q - r, C(q, r), folded)
+        # carries C(q, r) coeff and x^p for each monomial of F at q, whose
+        # products go straight into the value
+        self._updates = []
+        for q in sorted(closure - {zero}, key=sum, reverse=True):
+            at_q = [(coeff, self._x[p]) for coeff, p, s in F.terms if s == q]
+            steps = []
+            for r in multi_indices(q):
+                if any(r):
+                    weight = prod(map(comb, q, r))
+                    folded = [(coeff * weight, x_p) for coeff, x_p in at_q]
+                    steps.append((r, tuple(map(sub, q, r)), weight, folded))
+            self._updates.append((self._Y.get(q), steps))
         self._value = {}
         self._heap = []
         for coeff, p, q in F.terms:
@@ -217,7 +231,7 @@ class Evaluation:
 
     def _add_value(self, e: Exponent, c: TPoly) -> None:
         if e not in self._value:
-            heappush(self._heap, (e.key, e.coords, e))
+            heappush(self._heap, (e.key, e.nums, e.den, e))
         _accumulate(self._value, e, c)
 
     def add(self, lam: Exponent, c: TPoly) -> None:
@@ -232,27 +246,27 @@ class Evaluation:
                 row.append(row[-1] * d)
             powers.append(row)
         monomials = {}  # r -> prod_j (delta^j m)^{r_j}, as (exponent, coefficient)
-        changes = {}
-        for q, steps in self._updates:
-            acc = {}
-            for r, rest, weight in steps:
+        for target, steps in self._updates:
+            for r, rest, weight, folded in steps:
                 if r not in monomials:
                     coeff = reduce(mul, (powers[j][k] for j, k in enumerate(r) if k))
                     monomials[r] = (lam * sum(r), coeff)
                 e_r, c_r = monomials[r]
-                if weight != 1:
+                to_value = [(e_r + x_p, c_r * c) for c, x_p in folded]
+                if target is not None and weight != 1:
                     c_r = c_r * weight
+                if not any(rest):
+                    # r = q: Y[0] = 1, so m^q itself enters with no product
+                    for e_v, c_v in to_value:
+                        self._add_value(e_v, c_v)
+                    if target is not None:
+                        _accumulate(target, e_r, c_r)
+                    continue
                 for e, y in self._Y[rest].items():
-                    _accumulate(acc, e + e_r, y * c_r)
-            target = self._Y[q]
-            for e, y in acc.items():
-                _accumulate(target, e, y)
-            changes[q] = acc
-        for coeff, p, q in self.F.terms:
-            if any(q):
-                x_p = self._x[p]
-                for e, y in changes[q].items():
-                    self._add_value(e + x_p if p else e, y * coeff)
+                    for e_v, c_v in to_value:
+                        self._add_value(e + e_v, y * c_v)
+                    if target is not None:
+                        _accumulate(target, e + e_r, y * c_r)
         self.terms.append((lam, c))
 
     def _cutoff(self, G: ODESpec, phi_cutoff, bound):
@@ -286,19 +300,19 @@ class Evaluation:
         the head's key but other coordinates: the basis is dependent.
         """
         heap, value = self._heap, self._value
-        while heap and heap[0][2] not in value:
+        while heap and heap[0][-1] not in value:
             heappop(heap)
         if not heap:
             return None
-        key, _, e = heap[0]
+        key, e = heap[0][0], heap[0][-1]
         # every entry with the head's key hangs below it on a path of such keys
         ties = [1, 2]
         while ties:
             i = ties.pop()
             if i < len(heap) and heap[i][0] == key:
-                if heap[i][2] != e and heap[i][2] in value:
+                if heap[i][-1] != e and heap[i][-1] in value:
                     raise UndecidableComparison(
-                        f"Evaluation: exponents {e} and {heap[i][2]} differ but their "
+                        f"Evaluation: exponents {e} and {heap[i][-1]} differ but their "
                         "values are provably equal; the basis independence promise "
                         "is broken"
                     )
@@ -318,7 +332,10 @@ class Evaluation:
         sum C(q, order) coeff x^p Y[q - order] over the monomials of F, with
         the cutoff _cutoff gives its monomials: the value of
         F.partial_multi(order) along phi without a second evaluation.
-        For order = e_j it is dF/dy_j = sum q_j coeff x^p Y[q - e_j]."""
+        For order = e_j it is dF/dy_j = sum q_j coeff x^p Y[q - e_j]; order
+        0 gives F itself, whose value is kept: value(phi_cutoff)."""
+        if not any(order):
+            return self.value(phi_cutoff)
         G = self.F.partial_multi(order)
         terms = tuple(
             (e + self._x[p] if p else e, y * coeff)

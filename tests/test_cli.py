@@ -152,6 +152,10 @@ def test_help_exits_0(capsys):
         # F = 0 is not an equation, and with no term to bound it n may be huge
         (lambda d: d.update(ode={"n": 1, "terms": []}), "ode: ODESpec: the equation has no terms"),
         (lambda d: d.update(ode={"n": 10**12, "terms": []}), "ode: ODESpec: the equation has no terms"),
+        # an edit that returns bytes replaces the whole file
+        (lambda d: b"\xff\xfe", "problem file: cannot read"),
+        (lambda d: b"[" * 100000 + b"]" * 100000, "problem file: invalid JSON"),
+        (lambda d: b'{"cutoff": ' + b"1" * 5000 + b"}", "problem file: invalid JSON"),
     ],
     ids=[
         "zero_denominator_coeff", "zero_denominator_prefix_exp", "zero_denominator_prefix_poly",
@@ -159,14 +163,14 @@ def test_help_exits_0(capsys):
         "string_n", "string_degree", "float_x", "float_y",
         "float_prefix_exp", "bool_prefix_exp", "float_generator", "bool_generator",
         "string_prefix_poly", "digit_string_prefix_poly", "object_prefix_poly",
-        "no_terms", "no_terms_huge_n",
+        "no_terms", "no_terms_huge_n", "not_utf8", "nested_too_deeply", "huge_int_literal",
     ],
 )
 def test_malformed_problem_file_exits_5(tmp_path, capsys, edit, field):
     data = json.loads((DATA / "euler.json").read_text(encoding="utf-8"))
-    edit(data)
+    raw = edit(data)
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_bytes(raw if raw is not None else json.dumps(data).encode("utf-8"))
     for command in cli._COMMANDS:
         code, out = run(tmp_path, command, str(path))
         err = capsys.readouterr().err
@@ -225,6 +229,19 @@ def test_every_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(cli._COMMANDS, "solve", fail)
         assert run(tmp_path, "solve", str(DATA / "euler.json"))[0] == _EXIT_CODES[name]
         assert capsys.readouterr().err == f"error: raised {name}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "check-norms"])
+def test_output_dir_that_is_a_file_exits_5(tmp_path, capsys, command):
+    blocker = tmp_path / "out"
+    blocker.write_text("not a directory", encoding="utf-8")
+    for outdir in ("out", "out/sub"):
+        code, _ = run(tmp_path, command, str(DATA / "euler.json"), outdir=outdir)
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith(f"error: --output-dir: cannot write {tmp_path / outdir}")
+        assert "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
 
 
 # -- analyze ------------------------------------------------------------------

@@ -180,6 +180,12 @@ def _interval_sign(lo, hi) -> int:
 
 
 _COORDS = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+# integers, and fractions just beside them, so that the key's floors straddle
+_NEAR_INTEGERS = st.builds(
+    lambda n, off: n + off,
+    st.integers(-4, 4),
+    st.sampled_from([Fraction(0), Fraction(1, 7), Fraction(-1, 7), Fraction(1, 2), Fraction(-5, 6)]),
+)
 
 
 @pytest.mark.parametrize("entries", [["1"], ["1", "1+1i"]])
@@ -188,21 +194,29 @@ _COORDS = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 def test_key_order_matches_certified_interval_signs(entries, data):
     # oracle: the signs of the enclosures of the difference, Re first, then Im
     b = ExponentBasis(entries)
-    exps = [
-        b.exponent(data.draw(st.lists(_COORDS, min_size=b.dim, max_size=b.dim)))
-        for _ in range(4)
-    ]
+    coords = st.lists(st.one_of(_COORDS, _NEAR_INTEGERS), min_size=b.dim, max_size=b.dim)
+    exps = [b.exponent(data.draw(coords)) for _ in range(4)]
     for a in exps:
         for c in exps:
             d = a - c
             re_s = _interval_sign(*interval(d, "re"))
             want = re_s or _interval_sign(*interval(d, "im"))
             assert (a.key > c.key) - (a.key < c.key) == want
+            assert (a.key == c.key) == (want == 0)
             assert exp_compare(a, c) == want
             assert re_compare(a, c) == re_s
             assert a.re_below(c.re_mid) == (re_s < 0)
     ordered = sorted(exps, key=lambda e: e.key)
+    assert ordered == sorted(exps, key=lambda e: (e.re_mid, e.im_mid))
     assert all(exp_compare(x, y) <= 0 for x, y in zip(ordered, ordered[1:]))
+
+
+def test_floor_first_key_takes_huge_coordinates():
+    # the floors come from ints, so no float conversion can overflow
+    b = ExponentBasis(["1", "1+1i"])
+    big = b.exponent([Fraction(-(10**400) - 1, 3), Fraction(10**400, 7)])
+    bigger = b.exponent([Fraction(-(10**400), 3), Fraction(10**400, 7)])
+    assert big.key < bigger.key and exp_compare(big, bigger) == -1
 
 
 def test_equal_exponents_are_one_map_key():

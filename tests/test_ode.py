@@ -5,6 +5,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dulac.errors import (
     DerivativeYnZeroWarning,
@@ -197,6 +199,60 @@ def test_evaluation_reads_match_oracle(basis, ode):
             assert ev.derivative(e_j, phi.cutoff) == substitute_direct(ode.partial_multi(e_j), phi)
         for q in multi_indices(ode.y_degree_bounds()):
             assert ev.derivative(q, phi.cutoff) == substitute_direct(ode.partial_multi(q), phi)
+
+
+def _ode(n: int, *monomials) -> ODESpec:
+    """F from (coeff, p, q) literals."""
+    return ODESpec.from_json({"n": n, "terms": [
+        {"coeff": c, "x": p, "y": list(q)} for c, p, q in monomials
+    ]})
+
+
+# shapes whose maximal q feed the value straight from the update products
+_FOLDING_SHAPES = {
+    # a maximal (2, 0) with p > 0
+    "x_y2": _ode(1, ("1/1", 1, (0, 1)), ("-1/1", 0, (1, 0)), ("2/3", 1, (2, 0)), ("1/1", 1, (0, 0))),
+    # two monomials, p = 0 and p = 2, at the maximal q = (1, 1)
+    "shared_q": _ode(1, ("1/1", 0, (0, 1)), ("-2/1", 0, (1, 1)), ("1/3+1/1i", 2, (1, 1)), ("1/1", 1, (0, 0))),
+    # y^3: (3, 0) is maximal, (2, 0) is kept without being a monomial of F
+    "cubic": _ode(1, ("1/1", 1, (0, 1)), ("-1/1", 0, (1, 0)), ("1/2", 0, (3, 0)), ("1/1", 1, (0, 0))),
+    # n = 2 with y0 y2
+    "y0_y2": _ode(2, ("1/1", 0, (0, 0, 1)), ("-1/1", 1, (1, 0, 1)), ("1/1", 0, (1, 0, 0)), ("1/1", 2, (0, 0, 0))),
+}
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _phis(draw, basis):
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        coords = draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=3),
+                               min_size=basis.dim, max_size=basis.dim))
+        e = basis.exponent(coords)
+        parts = draw(st.lists(st.tuples(_SMALL, _SMALL), min_size=1, max_size=2))
+        c = TPoly(tuple(ExactScalar(a, b) for a, b in parts))
+        if e.re_mid > 0 and not c.is_zero():
+            terms.append((e, c))
+    cutoff = draw(st.sampled_from([INF, Fraction(3), Fraction(9, 2)]))
+    return DulacSeries(basis, tuple(terms), cutoff)
+
+
+@pytest.mark.parametrize("shape", list(_FOLDING_SHAPES))
+@pytest.mark.parametrize("basis", [basis_one(), basis_mixed()], ids=["basis_one", "basis_mixed"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_evaluation_matches_direct_substitution(shape, basis, data):
+    # value and every derivative(order) against the monomial-by-monomial
+    # oracle, which takes its own binomial weights and no partial_multi
+    ode = _FOLDING_SHAPES[shape]
+    phi = data.draw(_phis(basis))
+    ev = Evaluation(ode, phi)
+    value = ev.value(phi.cutoff)
+    assert value == substitute_direct(ode, phi)
+    for order in multi_indices(ode.y_degree_bounds()):
+        assert ev.derivative(order, phi.cutoff) == substitute_direct(ode, phi, order)
+    assert ev.derivative((0,) * (ode.n + 1), phi.cutoff) == value
 
 
 def _linearization_or_error(ode, phi):

@@ -314,6 +314,29 @@ def test_extend_builds_no_series_per_step(monkeypatch):
     assert counts[10][0] == counts[30][0]
 
 
+@pytest.mark.parametrize("name, cutoff, products, sums", [
+    ("semigroup_2d.json", 7, 364, 221),
+    ("nonlinear.json", 30, 585, 436),
+    ("euler.json", 80, 162, 79),
+])
+def test_extend_operation_counts(monkeypatch, name, cutoff, products, sums):
+    # the exact TPoly products and sums of one extend: noise-free cost
+    # signals, pinned so that extra exact work shows up as a failure
+    data = json.loads((DATA / name).read_text())
+    basis = ExponentBasis(data["basis"])
+    F = ODESpec.from_json(data["ode"])
+    prefix = DulacSeries.from_json({"terms": data["prefix"]}, basis)
+    counts = {"__mul__": 0, "__add__": 0}
+    for op in counts:
+        def counted(a, b, op=op, f=getattr(TPoly, op)):
+            counts[op] += 1
+            return f(a, b)
+
+        monkeypatch.setattr(TPoly, op, counted)
+    extend(F, prefix, cutoff)
+    assert counts == {"__mul__": products, "__add__": sums}
+
+
 # -- splitting conditions ------------------------------------------------------
 
 

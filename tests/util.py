@@ -1,7 +1,7 @@
 """Shared builders for the test suite: canonical equations and seeded random data."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm, prod
 from pathlib import Path
 
 import mpmath
@@ -132,23 +132,31 @@ def schoolbook_product(p: TPoly, q: TPoly) -> TPoly:
     return TPoly(tuple(ExactScalar(x, y) for x, y in zip(re, im)))
 
 
-def substitute_direct(ode: ODESpec, phi: DulacSeries) -> DulacSeries:
-    """Unpruned oracle for ode.Evaluation's value: each monomial is evaluated on
-    its own by repeated full products of the truncated factors, with no
-    bound and no incremental update."""
+def substitute_direct(ode: ODESpec, phi: DulacSeries, order: tuple | None = None) -> DulacSeries:
+    """Unpruned oracle for ode.Evaluation's value and, given an order, its
+    derivative(order), the scaled (1/order!) d^|order| F / dy^order along
+    phi: each monomial coeff x^p y^q with q >= order is evaluated on its own
+    as C(q, order) coeff x^p prod_j (delta^j phi)^(q_j - order_j), by
+    repeated full products of the truncated factors, with no bound and no
+    incremental update."""
     basis = phi.basis
+    order = order or (0,) * (ode.n + 1)
     deltas = [phi]
     for _ in range(ode.n):
         deltas.append(deltas[-1].delta())
     total = DulacSeries.zero(basis)
     for coeff, p, q in ode.terms:
-        acc = DulacSeries.monomial(basis.rational(p), TPoly.of(coeff))
-        for j, e in enumerate(q):
-            for _ in range(e):
+        if any(o > e for o, e in zip(order, q)):
+            continue
+        weight = prod(comb(e, o) for e, o in zip(q, order))
+        acc = DulacSeries.monomial(basis.rational(p), TPoly.of(coeff * weight))
+        for j, (e, o) in enumerate(zip(q, order)):
+            for _ in range(e - o):
                 acc = acc * deltas[j]
         total = total + acc
     if ode.declared_degree is not None:
-        cap = (ode.declared_degree + 1) * min(Fraction(1), phi.val())
+        degree = max(ode.declared_degree - sum(order), 0)
+        cap = (degree + 1) * min(Fraction(1), phi.val())
         total = total.truncate(min(total.cutoff, cap))
     return total
 
