@@ -18,8 +18,9 @@ Exit codes
      prefix, undefined growth order)
   3  resonance: the coefficient recursion hit a root of the characteristic
      polynomial and a prefix term must be prescribed there
-  4  undecidable comparison at maximum precision (exponent ordering or a
-     characteristic root too close to a splitting boundary)
+  4  undecidable comparison: an exponent enclosure, whose radius the decimal
+     basis literals fix, contains zero, or a characteristic root lies too
+     close to a splitting boundary
   5  malformed problem file or flag
 
 Determinism: identical inputs and seed produce byte-identical artifacts.
@@ -48,7 +49,7 @@ from .errors import (
     PreconditionViolated,
     SchemaError,
 )
-from .exponents import DEFAULT_PRECISION, MAX_PRECISION, ExponentBasis
+from .exponents import ExponentBasis
 from .ode import ODESpec
 from .scalars import decimal_rational
 from .series import INF, DulacSeries, terms_from_json
@@ -58,8 +59,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 
 _PROBLEM_KEYS = {
-    "ode", "basis", "prefix", "generators", "cutoff", "R", "s_override",
-    "precision", "tolerance",
+    "ode", "basis", "prefix", "generators", "cutoff", "R", "s_override", "tolerance",
 }
 
 
@@ -82,20 +82,11 @@ class Problem:
         if unknown:
             raise SchemaError(f"problem file: unknown keys {sorted(unknown)}")
 
-        precision = data.get("precision", DEFAULT_PRECISION)
-        if args.precision is not None:
-            precision = args.precision
-        if not isinstance(precision, int) or isinstance(precision, bool) or not 64 <= precision <= MAX_PRECISION:
-            raise SchemaError(
-                f"problem file: precision must be an integer in [64, {MAX_PRECISION}], got {precision!r}"
-            )
-        self.precision = precision
-
         entries = data.get("basis")
         if not isinstance(entries, list) or not entries or not all(isinstance(e, str) for e in entries):
             raise SchemaError("problem file: basis must be a nonempty list of entry strings")
         try:
-            self.basis = ExponentBasis(entries, precision)
+            self.basis = ExponentBasis(entries)
         except ValueError as exc:
             raise SchemaError(f"problem file: basis ({exc})") from exc
 
@@ -476,8 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override the problem file's cutoff on Re lambda")
         cmd.add_argument("--R", type=_number_flag, default=None,
                          help="override the coefficient-norm weight R (> 1)")
-        cmd.add_argument("--precision", type=int, default=None,
-                         help="override the exponent interval precision in bits")
         cmd.add_argument("--seed", type=int, default=0,
                          help="seed for the randomized harnesses")
         cmd.add_argument("--output-dir", default=".",

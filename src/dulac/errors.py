@@ -22,7 +22,8 @@ class SchemaError(DulacError):
 
 
 class UndecidableComparison(DulacError):
-    """Interval enclosures still overlap at the maximum working precision.
+    """An exponent enclosure, whose radius the decimal basis literals fix,
+    contains zero.
 
     Either two basis entries are too close to separate with the digits
     supplied, or the declared rational independence of the basis is broken.

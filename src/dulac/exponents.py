@@ -4,10 +4,12 @@ A basis is a finite list of complex numbers that the user promises to be
 linearly independent over the rationals.  Exponents never store floating
 point: each one is a vector of exact rational coordinates, stored
 content-free over the integers like a TPoly (FLINT's fmpq_poly layout), and
-real or imaginary parts are only ever produced as interval enclosures whose
-radius shrinks as the working precision grows.  Linear arithmetic runs on
-ints, and each basis keeps the parts of its entries as int weights over one
-denominator, so Re and Im of an exponent cost one Fraction each.
+real or imaginary parts are only ever produced as interval enclosures: an
+exact rational midpoint with the radius the basis literals leave open (the
+midpoint-radius rule of Arb: an exact midpoint carries only its input
+radius).  Linear arithmetic runs on ints, and each basis keeps the parts of
+its entries as int weights over one denominator, so Re and Im of an
+exponent cost one Fraction each.
 
 Basis entries come in two flavors, distinguished by their literal form:
 
@@ -15,8 +17,8 @@ Basis entries come in two flavors, distinguished by their literal form:
   "1+1i".  Their enclosures have radius zero and comparisons terminate.
 * approximate: literals containing a decimal point, such as
   "1.41421356237309504880".  The literal fixes the value to half a unit in
-  its last decimal place; raising the working precision tightens the
-  enclosure only down to that floor.
+  its last decimal place, and that floor is the radius of the entry's
+  enclosure.
 
 Ordering convention: exponents are compared by real part first and ties are
 broken by imaginary part, ascending.  The imaginary tie-break is a library
@@ -26,8 +28,7 @@ Every exponent carries one sort key, computed once: over an exact basis the
 tuple (floor(Re), Re, floor(Im), Im), so no enclosure is ever built and the
 int floors decide a comparison before any exact Fraction does; otherwise
 cmp_to_key(exp_compare), which certifies each comparison from the interval
-enclosures, doubling the working precision until the signs separate or
-raising UndecidableComparison.
+enclosures or raises UndecidableComparison when an enclosure contains zero.
 """
 
 from __future__ import annotations
@@ -37,13 +38,10 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, isinf, lcm
 from operator import add, mul, sub
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import BasisMismatch, ExactValueRequired, UndecidableComparison
 from .scalars import ExactScalar, Value, _rational_literal, decimal_rational, parse_rational
-
-DEFAULT_PRECISION = 128
-MAX_PRECISION = 1024
 
 # one entry part: rational "a" / "a/b" or decimal "a.b"
 _EPART = r"[+-]?\d+(?:\.\d+|/\d+)?"
@@ -77,10 +75,6 @@ class BasisEntry(Value):
     def exact(self) -> bool:
         return self.re_floor == 0 and self.im_floor == 0
 
-    @property
-    def scale(self) -> Fraction:
-        return max(abs(self.re), abs(self.im), Fraction(1))
-
     @staticmethod
     def parse(text: str) -> "BasisEntry":
         m = _ENTRY_RE.match(text.strip())
@@ -90,12 +84,9 @@ class BasisEntry(Value):
         im_v, im_f = _parse_part(m.group("im")) if m.group("im") else (Fraction(0), Fraction(0))
         return BasisEntry(text.strip(), re_v, im_v, re_f, im_f)
 
-    def radius(self, part: str, precision: int) -> Fraction:
-        """Enclosure radius of the chosen part at the given precision."""
-        floor = self.re_floor if part == "re" else self.im_floor
-        if floor == 0:
-            return Fraction(0)
-        return max(self.scale * Fraction(1, 2**precision), floor)
+    def radius(self, part: str) -> Fraction:
+        """Enclosure radius of the chosen part: the literal's floor."""
+        return self.re_floor if part == "re" else self.im_floor
 
 
 class ExponentBasis(Value):
@@ -106,11 +97,11 @@ class ExponentBasis(Value):
     coordinate vectors evaluate to provably equal numbers.
     """
 
-    __slots__ = ("entries", "precision", "_hash", "exact", "_one_index",
+    __slots__ = ("entries", "_hash", "exact", "_one_index",
                  "_weight_den", "_re_weights", "_im_weights")
-    _fields = ("entries", "precision")
+    _fields = ("entries",)
 
-    def __init__(self, entries: Sequence[str], precision: int = DEFAULT_PRECISION):
+    def __init__(self, entries: Sequence[str]):
         parsed = tuple(BasisEntry.parse(e) if isinstance(e, str) else e for e in entries)
         if not parsed:
             raise ValueError("ExponentBasis: at least one entry is required")
@@ -122,13 +113,9 @@ class ExponentBasis(Value):
                     f"ExponentBasis: entries {seen[key]!r} and {e.literal!r} have equal value"
                 )
             seen[key] = e.literal
-        if precision < 16:
-            raise ValueError(f"ExponentBasis: precision {precision} is too small")
-        precision = min(precision, MAX_PRECISION)
         _set = object.__setattr__
         _set(self, "entries", parsed)
-        _set(self, "precision", precision)
-        _set(self, "_hash", hash((parsed, precision)))
+        _set(self, "_hash", hash(parsed))
         _set(self, "exact", all(e.exact for e in parsed))
         _set(self, "_one_index", next(
             (i for i, e in enumerate(parsed) if e.exact and e.re == 1 and e.im == 0), None
@@ -150,7 +137,7 @@ class ExponentBasis(Value):
 
     def __repr__(self) -> str:
         lits = ", ".join(e.literal for e in self.entries)
-        return f"ExponentBasis([{lits}], precision={self.precision})"
+        return f"ExponentBasis([{lits}])"
 
     # -- construction of exponents ------------------------------------
 
@@ -246,7 +233,7 @@ class Exponent(Value):
             weights = b._re_weights if name == "re_mid" else b._im_weights
             value = Fraction(sum(map(mul, self.nums, weights)), self.den * b._weight_den)
         elif name == "re_low":
-            value = self.re_mid if self.basis.exact else self.re_mid - self.radius("re", self.basis.precision)
+            value = self.re_mid if self.basis.exact else self.re_mid - self.radius("re")
         elif name == "key":
             b = self.basis
             if b.exact:
@@ -311,8 +298,8 @@ class Exponent(Value):
 
     # -- enclosures ----------------------------------------------------
 
-    def radius(self, part: str, precision: int) -> Fraction:
-        return sum(abs(a) * e.radius(part, precision) for a, e in zip(self.nums, self.basis.entries)) / self.den
+    def radius(self, part: str) -> Fraction:
+        return sum(abs(a) * e.radius(part) for a, e in zip(self.nums, self.basis.entries)) / self.den
 
     def value(self) -> ExactScalar:
         """Exact complex value; requires every participating entry exact."""
@@ -329,12 +316,24 @@ class Exponent(Value):
 
     def _sign(self, part: str, shift: Fraction = Fraction(0)) -> int:
         """Certified sign of Re or Im of this exponent minus a rational shift;
-        0 only when exactly equal."""
+        0 only when exactly equal.  An approximate basis encloses it in
+        mid +- rad; an enclosure that contains zero without being {0} raises
+        UndecidableComparison."""
         mid = (self.re_mid if part == "re" else self.im_mid) - shift
         if self.basis.exact:
             return (mid > 0) - (mid < 0)
+        rad = self.radius(part)
+        if mid > rad:
+            return 1
+        if mid < -rad:
+            return -1
+        if rad == 0:
+            return 0
         what = f"{part}{self}" + (f" - {shift}" if shift else "")
-        return _certified_sign(mid, lambda p: self.radius(part, p), self.basis.precision, what)
+        raise UndecidableComparison(
+            f"sign of {what} undecidable: enclosure radius {float(rad):.3e}, "
+            "set by the decimal precision of the basis literals, contains zero"
+        )
 
     def re_sign(self) -> int:
         return self._sign("re")
@@ -357,44 +356,15 @@ class Exponent(Value):
         return [_rational_literal(a, self.den) for a in self.nums]
 
 
-def _certified_sign(
-    mid: Fraction, radius_at: Callable[[int], Fraction], precision: int, what: str
-) -> int:
-    """Sign of a real number enclosed by mid +- radius_at(p) at precision p.
-
-    The precision doubles up to MAX_PRECISION until the enclosure excludes
-    zero; 0 is returned only for a zero midpoint with zero radius.  An
-    enclosure that straddles zero and stops shrinking raises
-    UndecidableComparison.
-    """
-    prec = precision
-    while True:
-        rad = radius_at(prec)
-        if mid - rad > 0:
-            return 1
-        if mid + rad < 0:
-            return -1
-        if rad == 0:
-            return 0
-        nxt = min(prec * 2, MAX_PRECISION)
-        if nxt == prec or radius_at(nxt) == rad:
-            raise UndecidableComparison(
-                f"sign of {what} undecidable at precision {prec}: "
-                f"enclosure radius {float(rad):.3e} does not shrink"
-            )
-        prec = nxt
-
-
 def exp_compare(a: Exponent, b: Exponent) -> int:
     """Total order: -1, 0, +1 with real parts first, imaginary tie-break.
 
     Returns 0 exactly when the coordinate vectors agree.  Over an exact basis
-    the exact keys decide.  Otherwise, when enclosures overlap without
-    coordinate equality the working precision is doubled up to the
-    configured maximum; persistent overlap raises UndecidableComparison,
-    which signals basis entries too close to separate.  Distinct coordinates
-    with provably equal values raise it too: the basis independence promise
-    is broken.
+    the exact keys decide.  Otherwise an enclosure of the difference that
+    contains zero without coordinate equality raises UndecidableComparison,
+    which signals basis literals too short to separate the values.  Distinct
+    coordinates with provably equal values raise it too: the basis
+    independence promise is broken.
     """
     if a.basis != b.basis:
         raise BasisMismatch("exp_compare: operands use different bases")

@@ -29,11 +29,18 @@ from .scalars import ExactScalar, Value
 from .series import INF, DulacSeries
 from .tpoly import TPoly
 
+# Evaluation builds one update step per pair 0 != r <= s for each s in the
+# down-closure of F's y-exponent vectors.  The pairs r <= s <= q summed over
+# the monomials x^p y^q bound that count, and ODESpec admits at most this
+# many: a set-up of 500,000 steps takes seconds
+MAX_UPDATE_STEPS = 10000
+
 
 class ODESpec(Value):
     """Monomial data of F in the variables x, y_0, ..., y_n: terms is a tuple
     of at least one (ExactScalar coeff, int p, tuple q) with len(q) == n+1;
-    immutable."""
+    immutable.  The monomials may call for at most MAX_UPDATE_STEPS update
+    steps of an Evaluation."""
 
     __slots__ = _fields = ("n", "terms", "declared_degree")
 
@@ -63,6 +70,13 @@ class ODESpec(Value):
                     f"ODESpec: monomial (x^{p}, y^{q}) exceeds declared degree "
                     f"{declared_degree}"
                 )
+        # the pairs r <= s <= q, counted without enumerating them
+        steps = sum(prod((e + 1) * (e + 2) // 2 for e in q) for _, _, q in terms)
+        if steps > MAX_UPDATE_STEPS:
+            raise ValueError(
+                f"ODESpec: the y-exponents of the monomials call for up to {steps} "
+                f"update steps of the substitution, above the limit {MAX_UPDATE_STEPS}"
+            )
         _set = object.__setattr__
         _set(self, "n", n)
         _set(self, "terms", terms)
@@ -129,6 +143,11 @@ class ODESpec(Value):
             for j, e in enumerate(q):
                 bounds[j] = max(bounds[j], e)
         return tuple(bounds)
+
+    def y_closure(self) -> list:
+        """The down-closure of the y-exponent vectors, every r <= q for the q
+        of some monomial, in lexicographic order: the zero vector first."""
+        return sorted({r for _, _, q in self.terms for r in multi_indices(q)})
 
 
 def _json_int(value, field: str) -> int:
@@ -199,8 +218,8 @@ class Evaluation:
         self.terms = []  # phi's terms (exponent, coefficient) in the order fed
         self._x = {p: basis.rational(p) for _, p, _ in F.terms}
         self._degrees = F.y_degree_bounds()
-        closure = {r for _, _, q in F.terms for r in multi_indices(q)}
-        zero = (0,) * (F.n + 1)
+        closure = F.y_closure()
+        zero = closure[0]
         one = basis.zero()
         # Y[q] is read only for a q below another element of the closure: as
         # the rest of an update, or by derivative(order) with order != 0
@@ -212,7 +231,7 @@ class Evaluation:
         # carries C(q, r) coeff and x^p for each monomial of F at q, whose
         # products go straight into the value
         self._updates = []
-        for q in sorted(closure - {zero}, key=sum, reverse=True):
+        for q in sorted(closure[1:], key=sum, reverse=True):
             at_q = [(coeff, self._x[p]) for coeff, p, s in F.terms if s == q]
             steps = []
             for r in multi_indices(q):

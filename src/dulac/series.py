@@ -20,7 +20,7 @@ only lower a cutoff, never raise it.
 
 Terms are ordered by the exponents' sort keys (see exponents): exact
 rational (Re, Im) pairs over an exact basis, certified interval comparisons
-with precision escalation over an approximate one.
+over an approximate one.
 """
 
 from __future__ import annotations

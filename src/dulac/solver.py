@@ -33,7 +33,7 @@ from .errors import (
     SlopeUndetermined,
 )
 from .exponents import Exponent, exp_compare, re_compare
-from .ode import Evaluation, ODESpec, multi_indices
+from .ode import Evaluation, ODESpec
 from .scalars import ZERO
 from .series import INF, DulacSeries, _as_cutoff
 from .tpoly import TPoly
@@ -303,8 +303,9 @@ def reduce_equation(F: ODESpec, prefix: DulacSeries, m: int, s=None) -> ReducedE
     violations = []
     ltilde = []
     nterms = []
-    # q = 0 is the residual term
-    for q in multi_indices(F.y_degree_bounds()):
+    # q = 0 is the residual term; a q outside the down-closure of F's
+    # y-exponent vectors has a zero derivative
+    for q in F.y_closure():
         fq = evaluation.derivative(q)
         if fq.is_zero():
             continue
@@ -364,32 +365,3 @@ def reduce_equation(F: ODESpec, prefix: DulacSeries, m: int, s=None) -> ReducedE
         tau=tau,
         violations=tuple(violations),
     )
-
-
-def reduced_residual(red: ReducedEquation, psi: DulacSeries) -> DulacSeries:
-    """Evaluate the reduced equation at a tail candidate psi (for checking)."""
-    lam_v = red.lambda_m.value()
-    basis = psi.basis
-
-    powers = {0: psi}
-
-    def op(j):
-        if j not in powers:
-            u = op(j - 1)
-            powers[j] = u.delta() + u * lam_v
-        return powers[j]
-
-    acc = DulacSeries.zero(basis, psi.cutoff)
-    for i, coeff in enumerate(red.L.coeffs):
-        if not coeff.is_zero():
-            acc = acc + op(i) * coeff
-    for j, g in red.Ltilde:
-        acc = acc + g * op(j)
-    for q, aq in red.N:
-        k = sum(q)
-        term = aq.shift(red.tau * k)
-        for j, e in enumerate(q):
-            for _ in range(e):
-                term = term * op(j)
-        acc = acc + term
-    return acc

@@ -97,9 +97,21 @@ def test_schema_error_exits_5(tmp_path, capsys):
     assert code2 == 5
 
 
-def test_bad_precision_flag_exits_5(tmp_path):
+def test_bad_precision_flag_exits_5(tmp_path, capsys):
     assert run(tmp_path, "solve", str(DATA / "euler.json"), "--precision", "32")[0] == 5
     assert run(tmp_path, "solve", str(DATA / "euler.json"), "--precision", "2048")[0] == 5
+    # enclosures take their radius from the basis literals: there is no
+    # working precision to set, by flag or by problem key
+    assert run(tmp_path, "solve", str(DATA / "euler.json"), "--precision", "128")[0] == 5
+    data = json.loads((DATA / "euler.json").read_text(encoding="utf-8"))
+    data["precision"] = 128
+    path = tmp_path / "precision.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(tmp_path, "solve", str(path))[0] == 5
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --precision 128" in err
+    assert "unknown keys ['precision']" in err
+    assert "Traceback" not in err
 
 
 def test_bad_R_flag_exits_5(tmp_path):
@@ -152,6 +164,8 @@ def test_help_exits_0(capsys):
         # F = 0 is not an equation, and with no term to bound it n may be huge
         (lambda d: d.update(ode={"n": 1, "terms": []}), "ode: ODESpec: the equation has no terms"),
         (lambda d: d.update(ode={"n": 10**12, "terms": []}), "ode: ODESpec: the equation has no terms"),
+        # the substitution's set-up alone would build 500 billion update steps
+        (lambda d: d["ode"]["terms"][0].update(y=[0, 1000000]), "above the limit 10000"),
         # an edit that returns bytes replaces the whole file
         (lambda d: b"\xff\xfe", "problem file: cannot read"),
         (lambda d: b"[" * 100000 + b"]" * 100000, "problem file: invalid JSON"),
@@ -163,7 +177,8 @@ def test_help_exits_0(capsys):
         "string_n", "string_degree", "float_x", "float_y",
         "float_prefix_exp", "bool_prefix_exp", "float_generator", "bool_generator",
         "string_prefix_poly", "digit_string_prefix_poly", "object_prefix_poly",
-        "no_terms", "no_terms_huge_n", "not_utf8", "nested_too_deeply", "huge_int_literal",
+        "no_terms", "no_terms_huge_n", "huge_y_exponent", "not_utf8", "nested_too_deeply",
+        "huge_int_literal",
     ],
 )
 def test_malformed_problem_file_exits_5(tmp_path, capsys, edit, field):

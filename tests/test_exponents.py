@@ -1,4 +1,4 @@
-"""Exponent intervals, certified comparisons, and escalation behavior."""
+"""Exponent intervals, certified comparisons, and the literal floors."""
 
 import copy
 import os
@@ -15,14 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dulac
-from dulac import exponents
 from dulac.errors import BasisMismatch, ExactValueRequired, UndecidableComparison
-from dulac.exponents import DEFAULT_PRECISION, BasisEntry, Exponent, ExponentBasis, exp_compare, re_compare
+from dulac.exponents import BasisEntry, Exponent, ExponentBasis, exp_compare, re_compare
 from dulac.scalars import ExactScalar
 from dulac.series import DulacSeries
 from dulac.tpoly import TPoly
 
-from .util import exponent_serialize_oracle, interval
+from .util import enclosure_sign, exponent_serialize_oracle, interval, literal_floor
 
 
 def test_entry_parse():
@@ -117,10 +116,10 @@ def test_re_below():
     assert not e.re_below(float("-inf"))
 
 
-def test_radius_shrinks_with_precision():
-    b = ExponentBasis(["0.5"])
-    e = b.exponent([1])
-    assert e.radius("re", 64) >= e.radius("re", 128) == Fraction(1, 20)
+def test_radius_is_the_literal_floor():
+    e = ExponentBasis(["0.5"]).exponent([1])
+    assert e.radius("re") == Fraction(1, 20)
+    assert e.radius("im") == 0
 
 
 def test_serialize_roundtrip():
@@ -241,21 +240,67 @@ def _tiny_real_part(literal: str) -> Exponent:
     return basis.exponent([Fraction(1, 10**45) - Fraction(literal), 1])
 
 
-def test_precision_escalation_decides_a_tiny_real_part(monkeypatch):
+def test_literal_floor_decides_a_tiny_real_part():
+    # the 64-digit literal fixes sqrt(2) to 5e-65, far below 10^-45
     e = _tiny_real_part(_SQRT2_64)
-    # undecided at the starting precision, decided once it doubles
-    assert e.radius("re", DEFAULT_PRECISION) > e.re_mid > e.radius("re", 2 * DEFAULT_PRECISION)
+    assert e.radius("re") == Fraction(1, 2 * 10**64) < e.re_mid
     assert e.re_sign() == 1
-    monkeypatch.setattr(exponents, "MAX_PRECISION", DEFAULT_PRECISION)
-    with pytest.raises(UndecidableComparison, match="at precision 128"):
-        e.re_sign()
 
 
-def test_precision_escalation_stops_at_the_literal_floor():
+def test_literal_floor_leaves_a_tiny_real_part_undecided():
     # the 40-digit literal fixes sqrt(2) only to 5e-41, far above 10^-45
     e = _tiny_real_part(_SQRT2_40)
-    with pytest.raises(UndecidableComparison, match="at precision 256: enclosure radius 5.000e-41"):
+    with pytest.raises(UndecidableComparison, match="enclosure radius 5.000e-41, set by the decimal precision"):
         e.re_sign()
+
+
+def test_re_low_and_shift_take_the_literal_floor():
+    e = ExponentBasis(["1", _SQRT2_64]).exponent([0, 1])
+    floor = Fraction(1, 2 * 10**64)
+    assert e.re_low == e.re_mid - floor
+    assert DulacSeries.zero(e.basis, 5).shift(e).cutoff == 5 + e.re_mid - floor
+
+
+# a decimal literal with 1 to 80 places; its integer digit is at least 2, so
+# the basis ["1", L] never holds two equal values
+_LITERALS = st.builds(
+    lambda whole, places, digits: f"{whole}.{digits % 10**places:0{places}d}",
+    st.integers(2, 9), st.integers(1, 80), st.integers(0, 10**80 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(literal=_LITERALS, data=st.data())
+def test_signs_decide_exactly_when_the_literal_floor_excludes_zero(literal, data):
+    # oracle: Re(a + b L) lies in a + b L +- |b| floor, floor read off the
+    # literal; a is drawn within a few floors of -b L to reach the boundary
+    floor = literal_floor(literal)
+    value = Fraction(literal)
+    basis = ExponentBasis(["1", literal])
+    quarter = st.integers(-12, 12).map(lambda k: k * floor / 4)
+    small = st.integers(-3, 3)
+
+    def draw_exponent():
+        b = data.draw(small)
+        return basis.exponent([-b * value + data.draw(quarter) + data.draw(small), b])
+
+    def decides(want, call):
+        if want is None:
+            with pytest.raises(UndecidableComparison):
+                call()
+        else:
+            assert call() == want
+
+    e, f = draw_exponent(), draw_exponent()
+    b = e.coords[1]
+    re_e = e.coords[0] + b * value
+    decides(enclosure_sign(re_e, abs(b) * floor), e.re_sign)
+    bound = data.draw(quarter) + data.draw(st.sampled_from([0, re_e]))
+    want = enclosure_sign(re_e - bound, abs(b) * floor)
+    decides(None if want is None else want < 0, lambda: e.re_below(bound))
+    db = b - f.coords[1]
+    want = 0 if e == f else enclosure_sign(e.coords[0] - f.coords[0] + db * value, abs(db) * floor)
+    decides(want, lambda: exp_compare(e, f))
 
 
 def test_float_entry_points_read_floats_at_their_repr():

@@ -19,14 +19,14 @@ PUBLIC = {
         NonpositiveRealPart NonpositiveValuation NonProgressingResidual
         PreconditionViolated Resonance SchemaError SlopeUndetermined UndecidableComparison""",
     "scalars": "ExactScalar",
-    "exponents": "DEFAULT_PRECISION MAX_PRECISION BasisEntry Exponent ExponentBasis exp_compare re_compare",
+    "exponents": "BasisEntry Exponent ExponentBasis exp_compare re_compare",
     "tpoly": "TPoly",
     "numeric": "ConditionReport check_conditions poly_norm roots_of_L",
     "gammafn": "gamma_abs",
     "series": "INF DulacSeries",
     "ode": "ODESpec",
     "solver": """LinearData ReducedEquation SolutionState extend extract_linearization reduce_equation
-        reduced_residual solve_coefficient""",
+        solve_coefficient""",
     "gevrey": "CSV_COLUMNS GevreyReport RhoRow classify fit_growth normalized_coeffs",
     "semigroup": "Generators choose_R decompose exponent_gaps suggest_generators validate_generators",
     "mseries": "MSeries fit_degree_K iota iota_inv",

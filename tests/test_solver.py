@@ -16,14 +16,13 @@ from dulac.errors import (
 )
 from dulac.exponents import ExponentBasis
 from dulac.numeric import check_conditions, roots_of_L
-from dulac.ode import ODESpec
+from dulac.ode import Evaluation, ODESpec
 from dulac.scalars import ZERO, ExactScalar
 from dulac.series import INF, DulacSeries
 from dulac.solver import (
     extend,
     extract_linearization,
     reduce_equation,
-    reduced_residual,
     solve_coefficient,
 )
 from dulac.tpoly import TPoly
@@ -34,6 +33,7 @@ from .util import (
     euler_ode,
     random_poly,
     random_scalar,
+    reduced_residual,
     resonant_double_ode,
     resonant_ode,
     substitute_direct,
@@ -446,6 +446,35 @@ def test_reduced_residual_of_exact_tail_vanishes_on_nonlinear_equations(name, cu
     out = reduced_residual(red, tail)
     assert out.is_zero()
     assert out.cutoff == tail.cutoff
+
+
+def test_reduce_equation_walks_the_down_closure_not_the_box(monkeypatch):
+    # the Euler equation plus x^3 y_j^7 for j = 0..7: the y-exponent vectors
+    # span a box of 8^8 vectors, but their down-closure holds only the 57
+    # vectors k e_j, k = 0..7, and every q outside it has a zero derivative
+    units = [tuple(int(i == j) for i in range(8)) for j in range(8)]
+    F = ODESpec.from_json({"n": 7, "terms": [
+        {"coeff": "1/1", "x": 1, "y": list(units[1])},
+        {"coeff": "-1/1", "x": 0, "y": list(units[0])},
+        {"coeff": "1/1", "x": 1, "y": [0] * 8},
+        *({"coeff": "1/1", "x": 3, "y": [7 * a for a in u]} for u in units),
+    ]})
+    closure = sorted({tuple(k * a for a in u) for u in units for k in range(8)})
+    assert len(closure) == 57
+    calls = []
+    derivative = Evaluation.derivative
+
+    def counted(self, order, phi_cutoff=INF):
+        calls.append(order)
+        # the linearization reads the 8 first derivatives, reduce the closure
+        if len(calls) > len(units) + len(closure):
+            raise AssertionError(f"derivative call {len(calls)}, at order {order}")
+        return derivative(self, order, phi_cutoff)
+
+    monkeypatch.setattr(Evaluation, "derivative", counted)
+    red = reduce_equation(F, x_prefix(basis_one()), 1)
+    assert calls[len(units):] == closure
+    assert [q for q, _ in red.N] == [q for q in closure if sum(q) != 1]
 
 
 def test_reduce_equation_reports_secondary_gap_below_slope():

@@ -12,6 +12,7 @@ from dulac.numeric import abs_scalar, to_mpf
 from dulac.ode import ODESpec
 from dulac.scalars import ExactScalar
 from dulac.series import INF, DulacSeries
+from dulac.solver import ReducedEquation
 from dulac.tpoly import TPoly
 
 DATA = Path(__file__).parent / "data"
@@ -78,11 +79,26 @@ def x_prefix(basis: ExponentBasis) -> DulacSeries:
 
 
 def interval(e, part: str) -> tuple:
-    """Enclosure (lo, hi) of Re or Im (part "re" or "im") of an exponent at
-    its basis precision."""
+    """Enclosure (lo, hi) of Re or Im (part "re" or "im") of an exponent."""
     mid = e.re_mid if part == "re" else e.im_mid
-    r = e.radius(part, e.basis.precision)
+    r = e.radius(part)
     return (mid - r, mid + r)
+
+
+def literal_floor(literal: str) -> Fraction:
+    """Half a unit in the last decimal place of a decimal literal, counted
+    off its string."""
+    return Fraction(1, 2 * 10 ** len(literal.partition(".")[2]))
+
+
+def enclosure_sign(mid: Fraction, rad: Fraction):
+    """Sign of every number in mid +- rad, 0 for the single point 0; None
+    when the interval holds 0 and other numbers."""
+    if mid - rad > 0:
+        return 1
+    if mid + rad < 0:
+        return -1
+    return 0 if mid == rad == 0 else None
 
 
 def random_scalar(rng, zero_ok: bool = True) -> ExactScalar:
@@ -159,6 +175,36 @@ def substitute_direct(ode: ODESpec, phi: DulacSeries, order: tuple | None = None
         cap = (degree + 1) * min(Fraction(1), phi.val())
         total = total.truncate(min(total.cutoff, cap))
     return total
+
+
+def reduced_residual(red: ReducedEquation, psi: DulacSeries) -> DulacSeries:
+    """Oracle for solver.ReducedEquation: the reduced equation evaluated at a
+    tail candidate psi, by full series products."""
+    lam_v = red.lambda_m.value()
+    basis = psi.basis
+
+    powers = {0: psi}
+
+    def op(j):
+        if j not in powers:
+            u = op(j - 1)
+            powers[j] = u.delta() + u * lam_v
+        return powers[j]
+
+    acc = DulacSeries.zero(basis, psi.cutoff)
+    for i, coeff in enumerate(red.L.coeffs):
+        if not coeff.is_zero():
+            acc = acc + op(i) * coeff
+    for j, g in red.Ltilde:
+        acc = acc + g * op(j)
+    for q, aq in red.N:
+        k = sum(q)
+        term = aq.shift(red.tau * k)
+        for j, e in enumerate(q):
+            for _ in range(e):
+                term = term * op(j)
+        acc = acc + term
+    return acc
 
 
 # -- ExactScalar-formula oracles for TPoly ----------------------------------
