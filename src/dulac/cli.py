@@ -15,7 +15,8 @@ Exit codes
   2  structural hypothesis violated by the problem data (non-constant leading
      derivative coefficient, vanishing top-order derivative, dependent or
      nonpositive generators, gap outside the declared semigroup, inconsistent
-     prefix, undefined growth order)
+     prefix, undefined growth order), or an artifact value outside the
+     double range
   3  resonance: the coefficient recursion hit a root of the characteristic
      polynomial and a prefix term must be prescribed there
   4  undecidable comparison: an exponent enclosure, whose radius the decimal
@@ -24,8 +25,9 @@ Exit codes
   5  malformed problem file or flag
 
 Determinism: identical inputs and seed produce byte-identical artifacts.
-JSON artifacts are UTF-8, sorted keys, two-space indent, trailing newline;
-CSV artifacts are RFC 4180 with CRLF line ends.
+JSON artifacts are strict JSON (no Infinity or NaN), UTF-8, sorted keys,
+two-space indent, trailing newline: a value outside the double range exits 2
+and no artifact is written.  CSV artifacts are RFC 4180 with CRLF line ends.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from pathlib import Path
 
 from .errors import (
     DerivativeYnZeroWarning,
+    DomainError,
     DulacError,
     ExponentOutsideSemigroup,
     PreconditionViolated,
@@ -58,9 +61,7 @@ from .series import INF, DulacSeries, terms_from_json
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 
-_PROBLEM_KEYS = {
-    "ode", "basis", "prefix", "generators", "cutoff", "R", "s_override", "tolerance",
-}
+_PROBLEM_KEYS = {"ode", "basis", "prefix", "generators", "cutoff", "R", "s_override"}
 
 
 def _rational(value, what: str) -> Fraction:
@@ -118,11 +119,6 @@ class Problem:
             self.s_override = _rational(s, "s_override")
             if self.s_override <= 0:
                 raise SchemaError(f"problem file: s_override must be positive, got {s!r}")
-
-        tol = data.get("tolerance", 1e-12)
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol <= 1e-3:
-            raise SchemaError(f"problem file: tolerance must be in (0, 1e-3], got {tol!r}")
-        self.tolerance = float(tol)
 
     def _parse_prefix(self, raw) -> DulacSeries:
         if raw is None:
@@ -184,17 +180,23 @@ def _write_text(directory: Path, name: str, content: str) -> Path:
     return path
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _json_text(payload: dict, name: str) -> str:
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise DomainError(
+            f"{name}: a value lies outside the double range, and JSON has no infinite or NaN number"
+        ) from None
 
 
 def _emit(args, payload: dict, json_name: str, csv_text: str | None, csv_name: str | None, text_lines) -> None:
     outdir = Path(args.output_dir)
-    _write_text(outdir, json_name, _json_text(payload))
+    json_text = _json_text(payload, json_name)
+    _write_text(outdir, json_name, json_text)
     if csv_text is not None and csv_name is not None:
         _write_text(outdir, csv_name, csv_text)
     if args.format == "json":
-        sys.stdout.write(_json_text(payload))
+        sys.stdout.write(json_text)
     elif args.format == "csv" and csv_text is not None:
         sys.stdout.write(csv_text)
     else:
@@ -273,7 +275,7 @@ def _cmd_verify(problem: Problem, args) -> int:
     state = extend(problem.ode, problem.prefix, problem.cutoff)
     s = problem.s_override if problem.s_override is not None else state.lin.slope()
     R = problem.R if problem.R is not None else Fraction(2)
-    report = classify(state, s, R, problem.tolerance)
+    report = classify(state, s, R)
     payload = {"command": "verify", **report.to_json()}
     text = [
         f"s: {serialize_s(s)}",
@@ -373,7 +375,7 @@ def _cmd_check_norms(problem: Problem, args) -> int:
     s = problem.s_override if problem.s_override not in (None, INF) else Fraction(1)
     Kcal = Fraction(2)
     R = problem.R if problem.R is not None else choose_R(Kcal, gens)[1]
-    counts = norm_trials(random.Random(args.seed), gens, R, s, Kcal, problem.tolerance)
+    counts = norm_trials(random.Random(args.seed), gens, R, s, Kcal)
     all_pass = not any(failures for _, failures in counts.values())
     payload = {
         "command": "check-norms",

@@ -47,7 +47,8 @@ class NonpositiveValuation(DulacError):
 
 
 class DomainError(DulacError):
-    """Argument outside the supported domain (e.g. gamma_abs with Re z <= 0)."""
+    """Argument outside the supported domain (e.g. gamma_abs with Re z <= 0),
+    or an artifact value outside the double range, which JSON cannot hold."""
 
 
 class HypothesisViolation(DulacError):

@@ -41,12 +41,12 @@ def serialize_s(s) -> str:
 RhoRow = namedtuple("RhoRow", "k re_lambda im_lambda deg_c norm_R gamma rho")
 
 
-def _rows(terms, s, R, tol) -> list:
+def _rows(terms, s, R) -> list:
     """rho_k = ||c_k||_R / |Gamma(lambda_k / s)| for the k-th of terms, with
     |Gamma| = 1 when s = +inf."""
     rows = []
     for k, (lam, c) in enumerate(terms, start=1):
-        g = _ONE if s == INF else gamma_abs(ExactScalar(lam.re_mid / s, lam.im_mid / s), tol)
+        g = _ONE if s == INF else gamma_abs(ExactScalar(lam.re_mid / s, lam.im_mid / s))
         nr = poly_norm(c, R)
         with mpmath.workprec(FLOAT_PRECISION):
             rows.append(RhoRow(k, lam.re_mid, lam.im_mid, c.degree, nr, g, nr / g))
@@ -58,7 +58,7 @@ def _abscissa(s, row: RhoRow):
     return row.re_lambda if s == INF else row.k
 
 
-def normalized_coeffs(terms, s, R, tol: float = 1e-12) -> list:
+def normalized_coeffs(terms, s, R) -> list:
     """Gamma-normalized norm table rho_k = ||c_k||_R / |Gamma(lambda_k / s)|.
 
     terms are (Exponent, TPoly) pairs of a solved series, k is their 1-based
@@ -69,7 +69,7 @@ def normalized_coeffs(terms, s, R, tol: float = 1e-12) -> list:
     s_q = Fraction(s)
     if s_q <= 0:
         raise ValueError(f"normalized_coeffs: s must be positive, got {s}")
-    return _rows(terms, s_q, R, tol)
+    return _rows(terms, s_q, R)
 
 
 def fit_growth(rhos, abscissae=None) -> tuple:
@@ -150,7 +150,7 @@ class GevreyReport(namedtuple("GevreyReport", "s rows C_fit A_fit R_used verdict
         return buf.getvalue()
 
 
-def classify(state, s, R, tol: float = 1e-12) -> GevreyReport:
+def classify(state, s, R) -> GevreyReport:
     """Fit a growth envelope for a solved state and render a verdict.
 
     Finite s: rho_k = ||c_k||_R / |Gamma(lambda_k/s)| is fitted against
@@ -162,10 +162,10 @@ def classify(state, s, R, tol: float = 1e-12) -> GevreyReport:
     """
     terms, R_q = state.solution.terms, Fraction(R)
     if s == INF:
-        rows, verdict = _rows(terms, INF, R_q, tol), "ConvergentCandidate"
+        rows, verdict = _rows(terms, INF, R_q), "ConvergentCandidate"
     else:
         s = Fraction(s)
-        rows, verdict = normalized_coeffs(terms, s, R_q, tol), "GevreyBounded"
+        rows, verdict = normalized_coeffs(terms, s, R_q), "GevreyBounded"
     C, A, _, _ = fit_growth([r.rho for r in rows], [_abscissa(s, r) for r in rows])
     if len(rows) < 3 and not state.residual.is_zero():
         verdict = "Inconclusive"

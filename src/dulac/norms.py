@@ -47,10 +47,10 @@ class NormParams(Value):
     them, so a float 2.1 is 21/10, as poly_norm and series cutoffs read it.
     Immutable; the hash, which keys the norm tables, is computed once."""
 
-    __slots__ = ("R", "s", "Kcal", "j", "tol", "_hash")
-    _fields = ("R", "s", "Kcal", "j", "tol")
+    __slots__ = ("R", "s", "Kcal", "j", "_hash")
+    _fields = ("R", "s", "Kcal", "j")
 
-    def __init__(self, R: Fraction, s: Fraction, Kcal: Fraction, j: int = 0, tol: float = 1e-12):
+    def __init__(self, R: Fraction, s: Fraction, Kcal: Fraction, j: int = 0):
         R, s, Kcal = decimal_rational(R), decimal_rational(s), decimal_rational(Kcal)
         if R <= 1:
             raise ValueError(f"NormParams: R must exceed 1, got {R}")
@@ -60,15 +60,12 @@ class NormParams(Value):
             raise ValueError(f"NormParams: Kcal must be nonnegative, got {Kcal}")
         if j < 0:
             raise ValueError(f"NormParams: level j must be nonnegative, got {j}")
-        if not 0 < tol < 1:
-            raise ValueError(f"NormParams: tolerance must lie in (0, 1), got {tol}")
         _set = object.__setattr__
         _set(self, "R", R)
         _set(self, "s", s)
         _set(self, "Kcal", Kcal)
         _set(self, "j", j)
-        _set(self, "tol", tol)
-        _set(self, "_hash", hash((R, s, Kcal, j, tol)))
+        _set(self, "_hash", hash((R, s, Kcal, j)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -86,14 +83,14 @@ class NormParams(Value):
 
 
 @lru_cache(maxsize=64)
-def _gammas(gens: Generators, s: Fraction, tol: float) -> tuple:
+def _gammas(gens: Generators, s: Fraction) -> tuple:
     """Memoized gamma(m) = |Gamma(<m,r>/s)| and the Gamma ratio ratio(a, b) =
     gamma(a) gamma(b) / gamma(a + b), shared by every _NormTable with these values."""
 
     @cache
     def gamma(m):
         re, im = gens.m_parts(m)
-        return gamma_abs(ExactScalar(re / s, im / s), tol)._mpf_
+        return gamma_abs(ExactScalar(re / s, im / s))._mpf_
 
     return gamma, cache(lambda a, b: raw_div(raw_mul(gamma(a), gamma(b)), gamma(tuple(map(add, a, b)))))
 
@@ -111,7 +108,7 @@ class _NormTable:
             with mpmath.workprec(FLOAT_PRECISION):
                 return (abs_scalar(lam) + to_mpf(p.Kcal) * sum(m))._mpf_
 
-        self.gamma, self.ratio = _gammas(gens, p.s, p.tol)
+        self.gamma, self.ratio = _gammas(gens, p.s)
         self.weight_pow = lambda m, e: raw_pow(weight(m), e) if e else fone
         self.factor = cache(lambda m, j: raw_div(self.weight_pow(m, j), self.gamma(m)))
 
@@ -258,10 +255,10 @@ def _random_mseries(rng, gens: Generators, lambda_base: Exponent, max_deg_for=la
 _TRIALS = {"lemma6": 40, "lemma5": 25, "lemma5_rejects": 8, "majorant_monotone": 5}
 
 
-def norm_trials(rng, gens: Generators, R, s, Kcal, tol: float) -> dict:
+def norm_trials(rng, gens: Generators, R, s, Kcal) -> dict:
     """{kind: (trials, failures)} of randomized trials of the estimates on
-    data drawn from rng over gens, with weight R, order s, degree constant
-    Kcal and tolerance tol; a failure is an implementation regression.
+    data drawn from rng over gens, with weight R, order s and degree constant
+    Kcal; a failure is an implementation regression.
 
     The kinds, in order: check_lemma6 on random pairs; check_lemma5 on a
     shift l and data that meet its preconditions; check_lemma5 on l = 0 with
@@ -270,7 +267,7 @@ def norm_trials(rng, gens: Generators, R, s, Kcal, tol: float) -> dict:
     base = gens.basis.rational(Fraction(rng.randint(0, 3)))
     kappa = gens.kappa
     fails = dict.fromkeys(_TRIALS, 0)
-    params = partial(NormParams, R, s, tol=tol)
+    params = partial(NormParams, R, s)
     p0 = params(Fraction(0))
     for _ in range(_TRIALS["lemma6"]):
         g1, g2 = _random_mseries(rng, gens, base), _random_mseries(rng, gens, base)

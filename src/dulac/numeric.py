@@ -1,10 +1,9 @@
 """The float layer: high-precision floating point via mpmath.
 
 All numeric (non-exact) evaluation in the library runs at FLOAT_PRECISION
-bits of mantissa unless a caller asks for more.  Values returned by these
-helpers are mpmath mpf/mpc objects, which are immutable and keep the
-precision they were created with; the raw_* arithmetic takes and returns
-raw mpmath.libmp values.  Besides the weighted coefficient norm, this layer
+bits of mantissa.  Values returned by these helpers are mpmath mpf/mpc
+objects, which are immutable and keep the precision they were created with;
+the raw_* arithmetic takes and returns raw mpmath.libmp values.  Besides the weighted coefficient norm, this layer
 places the roots of the characteristic polynomial for the splitting
 conditions (check_conditions); the exact layers never import it.
 """
@@ -37,74 +36,70 @@ raw_add, raw_mul, raw_div, raw_pow = (
 by_value = cmp_to_key(mpf_cmp)
 
 
-def to_mpf(x, prec: int = FLOAT_PRECISION) -> mpmath.mpf:
-    """Convert int/Fraction/float/str to mpf, rounding once at prec bits."""
-    with mpmath.workprec(prec):
+def to_mpf(x) -> mpmath.mpf:
+    """Convert int/Fraction/float/str to mpf, rounding once at FLOAT_PRECISION bits."""
+    with mpmath.workprec(FLOAT_PRECISION):
         return mpmath.mpmathify(x)
 
 
-def _sqrt_rational(num: int, den: int, prec: int) -> tuple:
-    """sqrt(num / den) as a raw mpf value: num / den rounded once at prec bits
-    as mpmathify rounds a Fraction, then the root rounded to nearest."""
-    return mpf_sqrt(from_rational(num, den, prec), prec, round_nearest)
+def _sqrt_rational(num: int, den: int) -> tuple:
+    """sqrt(num / den) as a raw mpf value: num / den rounded once as
+    mpmathify rounds a Fraction, then the root rounded to nearest."""
+    return mpf_sqrt(from_rational(num, den, FLOAT_PRECISION), FLOAT_PRECISION, round_nearest)
 
 
-def abs_scalar(s, prec: int = FLOAT_PRECISION) -> mpmath.mpf:
+def abs_scalar(s) -> mpmath.mpf:
     """|a + bi| for an ExactScalar, computed as sqrt of the exact a^2 + b^2."""
     sq = s.abs_squared()
-    return mpmath.mp.make_mpf(_sqrt_rational(sq.numerator, sq.denominator, prec))
+    return mpmath.mp.make_mpf(_sqrt_rational(sq.numerator, sq.denominator))
 
 
 @lru_cache(maxsize=16)
-def _norm_powers(num: int, den: int, prec: int) -> list:
+def _norm_powers(num: int, den: int) -> list:
     """[R^0, R^1, ...] as raw mpf values for R = num / den in lowest terms:
-    R rounded at prec bits as to_mpf rounds a Fraction, each further power
-    the one before times R, rounded to nearest at prec.  poly_norm extends
-    the list to the longest polynomial it weighs.  The key is ints, whose
-    hash is computed in C, not the Fraction R, whose hash is not."""
-    return [fone, from_rational(num, den, prec)]
+    R rounded as to_mpf rounds a Fraction, each further power the one before
+    times R, rounded with raw_mul.  poly_norm extends the list to the longest
+    polynomial it weighs.  The key is ints, whose hash is computed in C, not
+    the Fraction R, whose hash is not."""
+    return [fone, from_rational(num, den, FLOAT_PRECISION)]
 
 
-def poly_norm(p: TPoly, R, prec: int = FLOAT_PRECISION) -> mpmath.mpf:
+def poly_norm(p: TPoly, R) -> mpmath.mpf:
     """Weighted coefficient norm: sum of |a_j| R^j over the coefficients.
 
     R must exceed 1 so that the norm is monotone in the degree direction and
-    submultiplicative.  The result is an mpf at prec bits.  Each |a_j| is
-    rounded as abs_scalar rounds it, from the exact (re_j^2 + im_j^2) / den^2.
-    The sum runs on raw mpmath.libmp values at prec bits, rounding to nearest,
-    as mpf arithmetic inside mpmath.workprec(prec) does.
+    submultiplicative.  Each |a_j| is rounded as abs_scalar rounds it, from
+    the exact (re_j^2 + im_j^2) / den^2, and the sum runs on raw values with
+    raw_add and raw_mul.
     """
     Rq = decimal_rational(R)
     if Rq <= 1:
         raise ValueError(f"poly_norm: weight R must exceed 1, got {R}")
-    powers = _norm_powers(Rq.numerator, Rq.denominator, prec)
+    powers = _norm_powers(Rq.numerator, Rq.denominator)
     while len(powers) < len(p.re):
-        powers.append(mpf_mul(powers[-1], powers[1], prec, round_nearest))
+        powers.append(raw_mul(powers[-1], powers[1]))
     den2 = p.den * p.den
     acc = fzero
     for x, y, power in zip(p.re, p.im or (0,) * len(p.re), powers):
         sq = x * x + y * y
         if sq:
-            acc = mpf_add(acc, mpf_mul(_sqrt_rational(sq, den2, prec), power, prec, round_nearest),
-                          prec, round_nearest)
+            acc = raw_add(acc, raw_mul(_sqrt_rational(sq, den2), power))
     return mpmath.mp.make_mpf(acc)
 
 
-def roots_of_L(L: TPoly, prec: int = FLOAT_PRECISION) -> list:
+def roots_of_L(L: TPoly) -> list:
     """Roots of the characteristic polynomial as mpc values.
 
     Degrees 1 and 2 use closed forms, higher degrees a numeric companion
-    solve at the working precision.  The closed forms stay because they fix
-    the order of the roots, which analysis.json records: mpmath.polyroots
+    solve at FLOAT_PRECISION.  The closed forms stay because they fix the
+    order of the roots, which analysis.json records: mpmath.polyroots
     returns many degree-2 roots in the other order.
     """
     d = L.degree
     if d < 1:
         return []
-    with mpmath.workprec(prec):
-        cs = [
-            mpmath.mpc(to_mpf(c.re, prec), to_mpf(c.im, prec)) for c in L.coeffs
-        ]
+    with mpmath.workprec(FLOAT_PRECISION):
+        cs = [mpmath.mpc(to_mpf(c.re), to_mpf(c.im)) for c in L.coeffs]
         if d == 1:
             return [-cs[0] / cs[1]]
         if d == 2:

@@ -85,13 +85,15 @@ class ODESpec(Value):
     # -- calculus on the monomial data ------------------------------------
 
     def partial_multi(self, q_order: tuple) -> "ODESpec":
-        """Scaled mixed derivative (1/q!) d^|q| F / dy^q via binomial weights."""
+        """Scaled mixed derivative (1/q!) d^|q| F / dy^q via binomial weights;
+        only the nonzero entries of the order are compared and weighed."""
         if len(q_order) != self.n + 1:
             raise ValueError(f"partial_multi: order vector {q_order} has wrong length")
+        support = _support(q_order)
         terms = tuple(
-            (coeff * prod(map(comb, q, q_order)), p, tuple(qi - oi for qi, oi in zip(q, q_order)))
+            (coeff * prod(comb(q[j], o) for j, o in support), p, tuple(map(sub, q, q_order)))
             for coeff, p, q in self.terms
-            if all(qi >= oi for qi, oi in zip(q, q_order))
+            if all(q[j] >= o for j, o in support)
         )
         deg = None if self.declared_degree is None else max(self.declared_degree - sum(q_order), 0)
         # derivatives may legitimately contain a constant monomial, so the
@@ -158,6 +160,18 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _support(q: tuple) -> list:
+    """The (index, entry) pairs of the nonzero entries of an exponent vector."""
+    return [(j, e) for j, e in enumerate(q) if e]
+
+
+def _below_another(q: tuple, vectors) -> bool:
+    """Whether q <= s entrywise for some s != q of vectors, compared on the
+    nonzero entries of q only."""
+    support = _support(q)
+    return any(s != q and all(s[j] >= e for j, e in support) for s in vectors)
+
+
 def multi_indices(bounds: tuple):
     """Every q with 0 <= q_j <= bounds_j, in lexicographic order."""
     return product(*(range(b + 1) for b in bounds))
@@ -222,9 +236,13 @@ class Evaluation:
         zero = closure[0]
         one = basis.zero()
         # Y[q] is read only for a q below another element of the closure: as
-        # the rest of an update, or by derivative(order) with order != 0
-        self._Y = {q: {} for q in closure
-                   if any(q != s and all(map(int.__le__, q, s)) for s in closure)}
+        # the rest of an update, or by derivative(order) with order != 0.  A q
+        # of the closure that is no monomial vector lies below one; a monomial
+        # vector is compared with the others on its nonzero entries only
+        at = {}  # the monomials of F grouped by y-vector: (coeff, x^p)
+        for coeff, p, q in F.terms:
+            at.setdefault(q, []).append((coeff, self._x[p]))
+        self._Y = {q: {} for q in closure if q not in at or _below_another(q, at)}
         self._Y[zero] = {one: TPoly.ONE}
         # highest total degree first, so that Y[q - r] still holds the old
         # value when Y[q] is updated; a step (r, q - r, C(q, r), folded)
@@ -232,7 +250,7 @@ class Evaluation:
         # products go straight into the value
         self._updates = []
         for q in sorted(closure[1:], key=sum, reverse=True):
-            at_q = [(coeff, self._x[p]) for coeff, p, s in F.terms if s == q]
+            at_q = at.get(q, ())
             steps = []
             for r in multi_indices(q):
                 if any(r):

@@ -170,6 +170,8 @@ def test_help_exits_0(capsys):
         (lambda d: b"\xff\xfe", "problem file: cannot read"),
         (lambda d: b"[" * 100000 + b"]" * 100000, "problem file: invalid JSON"),
         (lambda d: b'{"cutoff": ' + b"1" * 5000 + b"}", "problem file: invalid JSON"),
+        # the float layer runs at one fixed accuracy: no key sets it
+        (lambda d: d.update(tolerance=1e-12), "unknown keys ['tolerance']"),
     ],
     ids=[
         "zero_denominator_coeff", "zero_denominator_prefix_exp", "zero_denominator_prefix_poly",
@@ -178,7 +180,7 @@ def test_help_exits_0(capsys):
         "float_prefix_exp", "bool_prefix_exp", "float_generator", "bool_generator",
         "string_prefix_poly", "digit_string_prefix_poly", "object_prefix_poly",
         "no_terms", "no_terms_huge_n", "huge_y_exponent", "not_utf8", "nested_too_deeply",
-        "huge_int_literal",
+        "huge_int_literal", "tolerance_key",
     ],
 )
 def test_malformed_problem_file_exits_5(tmp_path, capsys, edit, field):
@@ -479,3 +481,39 @@ def test_json_artifacts_sorted_and_newline_terminated(tmp_path):
     assert text.endswith("\n") and not text.endswith("\n\n")
     data = json.loads(text)
     assert text == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _euler_with(tmp_path, name: str, **edits) -> Path:
+    data = json.loads((DATA / "euler.json").read_text(encoding="utf-8"))
+    data.update(edits)
+    path = tmp_path / name
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, edits, argv, artifact",
+    [
+        # 10^-400 delta y - y + x = 0 with prefix x: a root of L at 10^400
+        ("analyze", {"ode": {"n": 1, "terms": [
+            {"coeff": "1/1" + "0" * 400, "x": 0, "y": [0, 1]},
+            {"coeff": "-1/1", "x": 0, "y": [1, 0]},
+            {"coeff": "1/1", "x": 1, "y": [0, 0]},
+        ]}}, [], "analysis.json"),
+        # |Gamma(lambda_k / s)| past the double range at s = 10^-4
+        ("verify", {"s_override": 1e-4}, ["--cutoff", "5"], "gevrey.json"),
+    ],
+    ids=["analyze_huge_root", "verify_huge_gamma"],
+)
+def test_non_finite_value_exits_2_and_writes_nothing(tmp_path, capsys, command, edits, argv, artifact):
+    # JSON has no Infinity or NaN: such a value is out of the artifacts' range
+    path = _euler_with(tmp_path, "huge.json", **edits)
+    code, out = run(tmp_path, command, str(path), *argv, "--format", "json")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"error: {artifact}: a value lies outside the double range, "
+        "and JSON has no infinite or NaN number\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()

@@ -109,9 +109,6 @@ def test_norm_params_validation():
         NormParams(R=2, s=1, Kcal=-1)
     with pytest.raises(ValueError):
         NormParams(R=2, s=1, Kcal=0, j=-1)
-    for tol in (0, 1, -1e-3, float("nan")):
-        with pytest.raises(ValueError, match="NormParams: tolerance must lie in"):
-            NormParams(**P0, tol=tol)
 
 
 def test_norm_params_read_floats_as_poly_norm_does():
@@ -589,11 +586,10 @@ def test_norm_constants_match_memo_free_oracle():
         validate_generators([basis.rational(Fraction(3, 2))]),
     ]
     bases = [basis.zero(), basis.rational(Fraction(1, 2))]
-    first = dict(R=Fraction(2), s=Fraction(1), Kcal=Fraction(1), j=1, tol=1e-12)
+    first = dict(R=Fraction(2), s=Fraction(1), Kcal=Fraction(1), j=1)
     params = [
         NormParams(**first),
         NormParams(**{**first, "s": Fraction(2)}),
-        NormParams(**{**first, "tol": 1e-10}),
         NormParams(**{**first, "Kcal": Fraction(3)}),
         NormParams(**{**first, "R": Fraction(3)}),
     ]
@@ -627,7 +623,7 @@ def test_lemma6_computes_each_constant_once(monkeypatch):
     weights, gammas = [], []
     real_gamma = norms.gamma_abs
     monkeypatch.setattr(norms, "abs_scalar", lambda *args: weights.append(args))
-    monkeypatch.setattr(norms, "gamma_abs", lambda z, tol: gammas.append(z) or real_gamma(z, tol))
+    monkeypatch.setattr(norms, "gamma_abs", lambda z: gammas.append(z) or real_gamma(z))
     norms._table.cache_clear()
     norms._gammas.cache_clear()
     report = check_lemma6(g1, g2, p)
@@ -639,7 +635,7 @@ def test_lemma6_computes_each_constant_once(monkeypatch):
 
 
 def test_norms_share_gamma_values_across_params(monkeypatch):
-    """Norms over the same generators, s and tolerance evaluate each
+    """Norms over the same generators and s evaluate each
     |Gamma(<m,r>/s)| once between them, whatever their R, Kcal and level."""
     gens = _gens_mixed()
     rng = random.Random(9)
@@ -647,7 +643,7 @@ def test_norms_share_gamma_values_across_params(monkeypatch):
     h = _ms(gens, (((2, 0), TPoly.T), ((0, 1), TPoly.ONE)))
     gammas = []
     real_gamma = norms.gamma_abs
-    monkeypatch.setattr(norms, "gamma_abs", lambda z, tol: gammas.append(z) or real_gamma(z, tol))
+    monkeypatch.setattr(norms, "gamma_abs", lambda z: gammas.append(z) or real_gamma(z))
     norms._table.cache_clear()
     norms._gammas.cache_clear()
     p = NormParams(R=3, s=Fraction(5, 3), Kcal=2, j=0)

@@ -1,6 +1,7 @@
 """ODESpec: validation, partial derivatives, the evaluator against the unpruned oracle."""
 
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -348,3 +349,19 @@ def test_json_roundtrip():
 def test_y_degree_bounds():
     assert nonlinear_ode().y_degree_bounds() == (2, 1)
     assert euler_ode().y_degree_bounds() == (1, 1)
+
+
+def test_high_order_linear_setup_is_not_cubic():
+    # sum_j delta^j y + x = 0 at order 300: the set-up of the evaluation and
+    # each derivative compare vectors on their nonzero entries only, so the
+    # 301 unit vectors cost no 301^3 entry comparisons
+    n = 300
+    one = ExactScalar.of(1)
+    units = [tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]
+    F = ODESpec(n, tuple((one, 0, u) for u in units) + ((one, 1, (0,) * (n + 1)),))
+    t0 = time.perf_counter()
+    state = extend(F, DulacSeries.zero(basis_one()), Fraction(3))
+    elapsed = time.perf_counter() - t0
+    assert state.solution.terms == ((basis_one().rational(1), TPoly.of(Fraction(-1, n + 1))),)
+    assert state.residual.is_zero()
+    assert elapsed < 1.5, elapsed

@@ -264,16 +264,16 @@ def exponent_serialize_oracle(e) -> list:
     return [f"{c.numerator}/{c.denominator}" for c in e.coords]
 
 
-def poly_norm_oracle(p: TPoly, R, prec: int = 128):
-    """Weighted norm sum |a_j| R^j, each |a_j| from numeric.abs_scalar; a
-    float R is read at its repr."""
+def poly_norm_oracle(p: TPoly, R):
+    """Weighted norm sum |a_j| R^j at 128 bits, each |a_j| from
+    numeric.abs_scalar; a float R is read at its repr."""
     Rq = Fraction(repr(R)) if isinstance(R, float) else Fraction(R)
-    with mpmath.workprec(prec):
-        Rm = to_mpf(Rq, prec)
+    with mpmath.workprec(128):
+        Rm = to_mpf(Rq)
         acc, power = mpmath.mpf(0), mpmath.mpf(1)
         for c in p.coeffs:
             if not c.is_zero():
-                acc += abs_scalar(c, prec) * power
+                acc += abs_scalar(c) * power
             power *= Rm
         return acc
 
@@ -380,9 +380,9 @@ def _m_parts_oracle(gens, m) -> tuple:
 
 
 def gamma_oracle(gens, m, p):
-    """|Gamma(<m,r>/s)| at the norm's tolerance."""
+    """|Gamma(<m,r>/s)|."""
     re, im = _m_parts_oracle(gens, m)
-    return gamma_abs(ExactScalar(re / p.s, im / p.s), p.tol)
+    return gamma_abs(ExactScalar(re / p.s, im / p.s))
 
 
 def weight_oracle(gens, lambda_base, m, p):
