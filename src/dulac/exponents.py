@@ -237,10 +237,13 @@ class Exponent(Value):
         elif name == "key":
             b = self.basis
             if b.exact:
-                # int floors first: they decide most comparisons in C
+                # int floors first: they decide most comparisons in C; an
+                # integral Re or Im enters as the int, so that a tie of two
+                # integral parts is decided in C too
                 d = self.den * b._weight_den
-                value = (sum(map(mul, self.nums, b._re_weights)) // d, self.re_mid,
-                         sum(map(mul, self.nums, b._im_weights)) // d, self.im_mid)
+                re, im = self.re_mid, self.im_mid
+                value = (sum(map(mul, self.nums, b._re_weights)) // d, re.numerator if re.denominator == 1 else re,
+                         sum(map(mul, self.nums, b._im_weights)) // d, im.numerator if im.denominator == 1 else im)
             else:
                 value = cmp_to_key(exp_compare)(self)
         else:

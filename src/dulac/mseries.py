@@ -60,16 +60,21 @@ class MSeries(Value):
         _set(self, "terms", _canonical_terms(items, gens, cutoff))
         _set(self, "cutoff", cutoff)
 
-    def _trusted(self, terms: tuple, cutoff) -> "MSeries":
-        """This series' gens and lambda_base with canonical terms (valid,
-        nonzero, sorted, below the cutoff) and cutoff."""
+    @staticmethod
+    def _trusted_over(gens: Generators, lambda_base: Exponent, terms: tuple, cutoff) -> "MSeries":
+        """The series over gens and lambda_base with canonical terms (valid,
+        nonzero, sorted, below the cutoff) and cutoff; nothing is checked."""
         out = object.__new__(MSeries)
         _set = object.__setattr__
-        _set(out, "gens", self.gens)
-        _set(out, "lambda_base", self.lambda_base)
+        _set(out, "gens", gens)
+        _set(out, "lambda_base", lambda_base)
         _set(out, "terms", terms)
         _set(out, "cutoff", cutoff)
         return out
+
+    def _trusted(self, terms: tuple, cutoff) -> "MSeries":
+        """This series' gens and lambda_base with canonical terms and cutoff."""
+        return MSeries._trusted_over(self.gens, self.lambda_base, terms, cutoff)
 
     # -- helpers -------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache, reduce
 from operator import add
 
 import mpmath
@@ -28,8 +28,10 @@ from mpmath.libmp import fone, from_float, fzero
 from .errors import PreconditionViolated
 from .exponents import Exponent
 from .gammafn import gamma_abs
-from .mseries import MSeries
-from .numeric import FLOAT_PRECISION, abs_scalar, by_value, poly_norm, raw_add, raw_div, raw_mul, raw_pow, to_mpf
+from .mseries import MSeries, _canonical_terms
+from .numeric import (
+    FLOAT_PRECISION, _norm_powers, abs_scalar, by_value, raw_add, raw_div, raw_mul, raw_poly_norm, raw_pow, to_mpf,
+)
 from .scalars import ExactScalar, Value, decimal_rational
 from .semigroup import Generators
 from .series import INF
@@ -97,8 +99,9 @@ def _gammas(gens: Generators, s: Fraction) -> tuple:
 
 class _NormTable:
     """The constants of one graded norm: gamma and ratio of _gammas, the
-    weight |lambda_base + <m,r>| + Kcal |m| to a power e, and factor(m, j) =
-    weight^j / gamma(m), the factor of ||C_m||_R in the level-j norm."""
+    weight |lambda_base + <m,r>| + Kcal |m| to a power e, factor(m, j) =
+    weight^j / gamma(m), the factor of ||C_m||_R in the level-j norm, and
+    the powers of R that raw_poly_norm weighs ||C_m||_R with."""
 
     def __init__(self, gens: Generators, lambda_base: Exponent | None, p: NormParams):
         @cache
@@ -111,6 +114,7 @@ class _NormTable:
         self.gamma, self.ratio = _gammas(gens, p.s)
         self.weight_pow = lambda m, e: raw_pow(weight(m), e) if e else fone
         self.factor = cache(lambda m, j: raw_div(self.weight_pow(m, j), self.gamma(m)))
+        self.powers = _norm_powers(p.R.numerator, p.R.denominator)
 
 
 @lru_cache(maxsize=64)
@@ -122,12 +126,16 @@ def _table(gens: Generators, lambda_base: Exponent | None, p: NormParams) -> _No
 
 def h_norm(g: MSeries, p: NormParams, level: int | None = None) -> mpmath.mpf:
     """Graded norm at the given level (defaults to p.j)."""
-    j = p.j if level is None else level
-    factor = _table(g.gens, g.lambda_base, p).factor
-    acc = fzero
-    for m, c in g.terms:
-        acc = raw_add(acc, raw_mul(factor(m, j), poly_norm(c, p.R)._mpf_))
-    return _mpf(acc)
+    return _mpf(_raw_h_norm(g, p, p.j if level is None else level))
+
+
+def _raw_h_norm(g: MSeries, p: NormParams, j: int) -> tuple:
+    """The level-j norm as a raw value: the sum of factor(m, j) ||C_m||_R
+    from the first term on, with no 0 + x step."""
+    table = _table(g.gens, g.lambda_base, p)
+    factor, powers = table.factor, table.powers
+    terms = [raw_mul(factor(m, j), raw_poly_norm(c, powers)) for m, c in g.terms]
+    return reduce(raw_add, terms) if terms else fzero
 
 
 Lemma6Report = namedtuple("Lemma6Report", "lhs rhs C_used passed splits")
@@ -144,7 +152,7 @@ def check_lemma6(g1: MSeries, g2: MSeries, p: NormParams) -> Lemma6Report:
     ratio = _table(g1.gens, g1.lambda_base, p).ratio
     C_used = max((ratio(a, b) for a, b in pairs), key=by_value, default=fone)
     lhs = h_norm(g1 * g2, p, level=0)
-    rhs = raw_mul(raw_mul(C_used, h_norm(g1, p, level=0)._mpf_), h_norm(g2, p, level=0)._mpf_)
+    rhs = raw_mul(raw_mul(C_used, _raw_h_norm(g1, p, 0)), _raw_h_norm(g2, p, 0))
     passed = lhs <= _mpf(raw_mul(rhs, _SLACK))
     return Lemma6Report(lhs, _mpf(rhs), _mpf(C_used), passed, len(pairs))
 
@@ -184,12 +192,12 @@ def check_lemma5(a: TPoly, l, j: int, g: MSeries, p: NormParams) -> Lemma5Report
     h = h.mul_poly(a).shift_m(l)
     table = _table(g.gens, g.lambda_base, p)
     lhs = h_norm(h, p, level=0)
-    na = poly_norm(a, p.R)._mpf_
+    na = raw_poly_norm(a, table.powers)
     gamma, weight_pow = table.gamma, table.weight_pow
     cands = (raw_mul(raw_div(raw_mul(na, gamma(m)), gamma(tuple(map(add, m, l)))), weight_pow(m, j - p.j))
              for m, _ in g.terms)  # each >= 0
     A_tilde = max(cands, key=by_value, default=fzero)
-    bound = raw_mul(A_tilde, h_norm(g, p, level=p.j)._mpf_)
+    bound = raw_mul(A_tilde, _raw_h_norm(g, p, p.j))
     passed = lhs <= _mpf(raw_mul(bound, _SLACK))
     return Lemma5Report(lhs, _mpf(bound), _mpf(A_tilde), passed)
 
@@ -212,7 +220,7 @@ def majorant_bound(coeffs: dict, rho, tail_norms, gens: Generators, p: NormParam
     for (pm, qm), a in sorted(coeffs.items()):
         if not any(pm) and not any(qm):
             raise ValueError("majorant_bound: term with p = q = 0 is not allowed")
-        term = poly_norm(a, p.R)._mpf_
+        term = raw_poly_norm(a, table.powers)
         if any(pm):
             term = raw_div(term, table.gamma(pm))
         for v, e in zip([rho, C, *tails], [sum(pm), sum(qm), *qm]):
@@ -224,32 +232,41 @@ def majorant_bound(coeffs: dict, rho, tail_norms, gens: Generators, p: NormParam
 # -- randomized trials of the estimates -----------------------------------------
 
 
+# the draws of _random_poly and _random_mseries, as tuples for rng.choice:
+# choice(range(a, b + 1)) draws what randint(a, b) draws, with less overhead
+_RE, _IM, _SIXTHS = tuple(range(-4, 5)), tuple(range(-2, 3)), (6, 3, 2)
+_TERMS, _ENTRIES = (1, 2, 3, 4), (0, 1, 2, 3)
+
+
 def _random_poly(rng, max_deg: int) -> TPoly:
     """Coefficients a/b + (c/d) i with a in [-4, 4], c in [-2, 2] and b, d in
     [1, 3], drawn in that order; a zero leading coefficient becomes 1.  Every
-    denominator divides 6, so the numerators are built over 6."""
-    deg = rng.randint(0, max_deg)
+    denominator divides 6, so the numerators are built over 6 (6 // b is
+    drawn for b)."""
+    choice = rng.choice
     re, im = [], []
-    for _ in range(deg + 1):
-        a, b = rng.randint(-4, 4), rng.randint(1, 3)
-        c, d = rng.randint(-2, 2), rng.randint(1, 3)
-        re.append(a * (6 // b))
-        im.append(c * (6 // d))
+    for _ in range(rng.randint(0, max_deg) + 1):
+        re.append(choice(_RE) * choice(_SIXTHS))
+        im.append(choice(_IM) * choice(_SIXTHS))
     if not re[-1] and not im[-1]:
         re[-1] = 6
     return TPoly.from_ints(6, re, im)
 
 
 def _random_mseries(rng, gens: Generators, lambda_base: Exponent, max_deg_for=lambda m: 2) -> MSeries:
-    kappa = gens.kappa
-    terms = []
-    for _ in range(rng.randint(1, 4)):
-        m = tuple(rng.randint(0, 3) for _ in range(kappa))
+    """1 to 4 terms at multi-indices with entries in [0, 3] (a zero index
+    becomes a random unit vector), each with a _random_poly coefficient;
+    the indices are valid by construction, so the series is built trusted."""
+    kappa, choice = gens.kappa, rng.choice
+    items = {}
+    for _ in range(choice(_TERMS)):
+        m = tuple([choice(_ENTRIES) for _ in range(kappa)])
         if not any(m):
             one = rng.randrange(kappa)
             m = tuple(int(i == one) for i in range(kappa))
-        terms.append((m, _random_poly(rng, max_deg_for(m))))
-    return MSeries(gens, lambda_base, tuple(terms), INF)
+        c = _random_poly(rng, max_deg_for(m))
+        items[m] = items[m] + c if m in items else c
+    return MSeries._trusted_over(gens, lambda_base, _canonical_terms(items, gens, INF), INF)
 
 
 _TRIALS = {"lemma6": 40, "lemma5": 25, "lemma5_rejects": 8, "majorant_monotone": 5}
@@ -267,8 +284,8 @@ def norm_trials(rng, gens: Generators, R, s, Kcal) -> dict:
     base = gens.basis.rational(Fraction(rng.randint(0, 3)))
     kappa = gens.kappa
     fails = dict.fromkeys(_TRIALS, 0)
-    params = partial(NormParams, R, s)
-    p0 = params(Fraction(0))
+    p0 = NormParams(R, s, Fraction(0))
+    at_level = [NormParams(R, s, Kcal, level) for level in (0, 1)]
     for _ in range(_TRIALS["lemma6"]):
         g1, g2 = _random_mseries(rng, gens, base), _random_mseries(rng, gens, base)
         fails["lemma6"] += not check_lemma6(g1, g2, p0).passed
@@ -279,7 +296,7 @@ def norm_trials(rng, gens: Generators, R, s, Kcal) -> dict:
     for _ in range(_TRIALS["lemma5"]):
         level = rng.randint(0, 1)
         j = level + rng.randint(0, 1)
-        p = params(Kcal, level)
+        p = at_level[level]
         if p.slope_gate(j) > box_re:
             j = level
         while True:
@@ -292,7 +309,7 @@ def norm_trials(rng, gens: Generators, R, s, Kcal) -> dict:
 
     for _ in range(_TRIALS["lemma5_rejects"]):
         level = rng.randint(0, 1)
-        p = params(Kcal, level)
+        p = at_level[level]
         g = _random_mseries(rng, gens, base, max_deg_for=lambda m: 0)
         try:
             check_lemma5(TPoly.ONE, (0,) * kappa, level + 1, g, p)

@@ -3,20 +3,27 @@
 All numeric (non-exact) evaluation in the library runs at FLOAT_PRECISION
 bits of mantissa.  Values returned by these helpers are mpmath mpf/mpc
 objects, which are immutable and keep the precision they were created with;
-the raw_* arithmetic takes and returns raw mpmath.libmp values.  Besides the weighted coefficient norm, this layer
-places the roots of the characteristic polynomial for the splitting
-conditions (check_conditions); the exact layers never import it.
+the raw_* arithmetic takes and returns raw mpmath.libmp values.  Besides the
+weighted coefficient norm, this layer places the roots of the characteristic
+polynomial for the splitting conditions (check_conditions); the exact layers
+never import it.
+
+Every root sqrt(num / den) of an exact rational comes from one int kernel,
+_sqrt_rational, with the two roundings of mpf_sqrt(from_rational(num, den,
+128), 128, round_nearest): the quotient truncated to 128 bits, then the root
+from math.isqrt, with a sticky bit when inexact, rounded to nearest.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache, partial
+from functools import cmp_to_key, lru_cache
+from math import isqrt
 
 import mpmath
 from mpmath.libmp import (
-    fone, from_rational, fzero, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_pow_int, mpf_sqrt, round_nearest,
+    fone, from_man_exp, from_rational, fzero, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_pow_int, round_nearest,
 )
 
 from .errors import IndeterminateRoot
@@ -29,10 +36,24 @@ ROOT_BAND = Fraction(1, 10**20)
 
 # Arithmetic on raw mpmath.libmp values at FLOAT_PRECISION bits, rounding to
 # nearest as mpf arithmetic inside mpmath.workprec(FLOAT_PRECISION) does,
-# whatever the caller's mpmath context; by_value is the max/sort key of raw values.
-raw_add, raw_mul, raw_div, raw_pow = (
-    partial(f, prec=FLOAT_PRECISION, rnd=round_nearest) for f in (mpf_add, mpf_mul, mpf_div, mpf_pow_int)
-)
+# whatever the caller's mpmath context; by_value is the max/sort key of raw
+# values.  Plain positional calls, cheaper than keyword functools.partials.
+def raw_add(x: tuple, y: tuple) -> tuple:
+    return mpf_add(x, y, FLOAT_PRECISION, round_nearest)
+
+
+def raw_mul(x: tuple, y: tuple) -> tuple:
+    return mpf_mul(x, y, FLOAT_PRECISION, round_nearest)
+
+
+def raw_div(x: tuple, y: tuple) -> tuple:
+    return mpf_div(x, y, FLOAT_PRECISION, round_nearest)
+
+
+def raw_pow(x: tuple, n: int) -> tuple:
+    return mpf_pow_int(x, n, FLOAT_PRECISION, round_nearest)
+
+
 by_value = cmp_to_key(mpf_cmp)
 
 
@@ -42,10 +63,32 @@ def to_mpf(x) -> mpmath.mpf:
         return mpmath.mpmathify(x)
 
 
+@lru_cache(maxsize=256)
 def _sqrt_rational(num: int, den: int) -> tuple:
-    """sqrt(num / den) as a raw mpf value: num / den rounded once as
-    mpmathify rounds a Fraction, then the root rounded to nearest."""
-    return mpf_sqrt(from_rational(num, den, FLOAT_PRECISION), FLOAT_PRECISION, round_nearest)
+    """sqrt(num / den) for ints num >= 0, den > 0 as a raw mpf value, bit for
+    bit mpf_sqrt(from_rational(num, den, 128), 128, round_nearest).  The
+    memo is keyed on the int pair, hashed in C; norms meet the same pair often.
+    num = 0 runs through to a zero root, which from_man_exp returns as fzero."""
+    # num / den truncated to man * 2^-exp with a 128-bit man, as
+    # from_rational's default rounding (round down) leaves it
+    exp = FLOAT_PRECISION + den.bit_length() - num.bit_length()
+    man = (num << exp) // den if exp >= 0 else (num >> -exp) // den
+    if man.bit_length() > FLOAT_PRECISION:
+        man >>= 1
+        exp -= 1
+    # mpf_sqrt: an even exponent, at least 2 prec + 4 bits under the root, and
+    # a sticky bit when the root is inexact, then one rounding to nearest
+    if exp & 1:
+        man <<= 1
+        exp += 1
+    shift = 2 * FLOAT_PRECISION + 4 - man.bit_length()
+    shift += shift & 1
+    man <<= shift
+    root = isqrt(man)
+    if root * root != man:
+        root = 2 * root + 1
+        shift += 2
+    return from_man_exp(root, -(exp + shift) // 2, FLOAT_PRECISION, round_nearest)
 
 
 def abs_scalar(s) -> mpmath.mpf:
@@ -58,33 +101,40 @@ def abs_scalar(s) -> mpmath.mpf:
 def _norm_powers(num: int, den: int) -> list:
     """[R^0, R^1, ...] as raw mpf values for R = num / den in lowest terms:
     R rounded as to_mpf rounds a Fraction, each further power the one before
-    times R, rounded with raw_mul.  poly_norm extends the list to the longest
-    polynomial it weighs.  The key is ints, whose hash is computed in C, not
-    the Fraction R, whose hash is not."""
+    times R, rounded with raw_mul.  raw_poly_norm extends the list to the
+    longest polynomial it weighs.  The key is ints, whose hash is computed in
+    C, not the Fraction R, whose hash is not."""
     return [fone, from_rational(num, den, FLOAT_PRECISION)]
+
+
+def raw_poly_norm(p: TPoly, powers: list) -> tuple:
+    """sum |a_j| R^j as a raw value, for the powers of R from _norm_powers.
+
+    Each |a_j| is rounded as abs_scalar rounds it, from the exact
+    (re_j^2 + im_j^2) / den^2, and the sum runs with raw_add and raw_mul,
+    leaving out the exact steps |a_0| * 1 and 0 + the first term."""
+    while len(powers) < len(p.re):
+        powers.append(raw_mul(powers[-1], powers[1]))
+    den2, im = p.den * p.den, p.im
+    acc = None
+    for j, x in enumerate(p.re):
+        sq = x * x + im[j] * im[j] if im else x * x
+        if sq:
+            term = raw_mul(_sqrt_rational(sq, den2), powers[j]) if j else _sqrt_rational(sq, den2)
+            acc = raw_add(acc, term) if acc else term
+    return acc or fzero
 
 
 def poly_norm(p: TPoly, R) -> mpmath.mpf:
     """Weighted coefficient norm: sum of |a_j| R^j over the coefficients.
 
     R must exceed 1 so that the norm is monotone in the degree direction and
-    submultiplicative.  Each |a_j| is rounded as abs_scalar rounds it, from
-    the exact (re_j^2 + im_j^2) / den^2, and the sum runs on raw values with
-    raw_add and raw_mul.
+    submultiplicative.  The sum is raw_poly_norm's.
     """
     Rq = decimal_rational(R)
     if Rq <= 1:
         raise ValueError(f"poly_norm: weight R must exceed 1, got {R}")
-    powers = _norm_powers(Rq.numerator, Rq.denominator)
-    while len(powers) < len(p.re):
-        powers.append(raw_mul(powers[-1], powers[1]))
-    den2 = p.den * p.den
-    acc = fzero
-    for x, y, power in zip(p.re, p.im or (0,) * len(p.re), powers):
-        sq = x * x + y * y
-        if sq:
-            acc = raw_add(acc, raw_mul(_sqrt_rational(sq, den2), power))
-    return mpmath.mp.make_mpf(acc)
+    return mpmath.mp.make_mpf(raw_poly_norm(p, _norm_powers(Rq.numerator, Rq.denominator)))
 
 
 def roots_of_L(L: TPoly) -> list:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
-from itertools import product
+from itertools import compress, product
 from math import comb, prod
 from operator import mul, sub
 
@@ -42,7 +42,8 @@ class ODESpec(Value):
     immutable.  The monomials may call for at most MAX_UPDATE_STEPS update
     steps of an Evaluation."""
 
-    __slots__ = _fields = ("n", "terms", "declared_degree")
+    __slots__ = ("n", "terms", "declared_degree", "_by_y")
+    _fields = ("n", "terms", "declared_degree")
 
     def __init__(self, n: int, terms: tuple, declared_degree: int | None = None):
         if n < 1:
@@ -82,17 +83,36 @@ class ODESpec(Value):
         _set(self, "terms", terms)
         _set(self, "declared_degree", declared_degree)
 
+    def __getattr__(self, name):
+        # called only for the empty _by_y slot: _by_y[j] lists, in order, the
+        # monomials whose y-vector has a nonzero entry j
+        if name != "_by_y":
+            raise AttributeError(f"'ODESpec' object has no attribute {name!r}")
+        by_y = [[] for _ in range(self.n + 1)]
+        for term in self.terms:
+            for j, _ in _support(term[2]):
+                by_y[j].append(term)
+        object.__setattr__(self, "_by_y", by_y)
+        return by_y
+
+    def _scan_for(self, support: list):
+        """The monomials whose y-vector may be nonzero at every index of
+        support, (index, entry) pairs: those holding the rarest index, or all
+        of them for an empty support."""
+        return min((self._by_y[j] for j, _ in support), key=len) if support else self.terms
+
     # -- calculus on the monomial data ------------------------------------
 
     def partial_multi(self, q_order: tuple) -> "ODESpec":
         """Scaled mixed derivative (1/q!) d^|q| F / dy^q via binomial weights;
-        only the nonzero entries of the order are compared and weighed."""
+        only the nonzero entries of the order are compared and weighed, and
+        only the monomials with the rarest of those y-entries are scanned."""
         if len(q_order) != self.n + 1:
             raise ValueError(f"partial_multi: order vector {q_order} has wrong length")
         support = _support(q_order)
         terms = tuple(
             (coeff * prod(comb(q[j], o) for j, o in support), p, tuple(map(sub, q, q_order)))
-            for coeff, p, q in self.terms
+            for coeff, p, q in self._scan_for(support)
             if all(q[j] >= o for j, o in support)
         )
         deg = None if self.declared_degree is None else max(self.declared_degree - sum(q_order), 0)
@@ -140,11 +160,7 @@ class ODESpec(Value):
 
     def y_degree_bounds(self) -> tuple:
         """Componentwise maxima of the y-exponent vectors over all monomials."""
-        bounds = [0] * (self.n + 1)
-        for _, _, q in self.terms:
-            for j, e in enumerate(q):
-                bounds[j] = max(bounds[j], e)
-        return tuple(bounds)
+        return tuple(map(max, (0,) * (self.n + 1), *(q for _, _, q in self.terms)))
 
     def y_closure(self) -> list:
         """The down-closure of the y-exponent vectors, every r <= q for the q
@@ -161,20 +177,20 @@ def _json_int(value, field: str) -> int:
 
 
 def _support(q: tuple) -> list:
-    """The (index, entry) pairs of the nonzero entries of an exponent vector."""
-    return [(j, e) for j, e in enumerate(q) if e]
-
-
-def _below_another(q: tuple, vectors) -> bool:
-    """Whether q <= s entrywise for some s != q of vectors, compared on the
-    nonzero entries of q only."""
-    support = _support(q)
-    return any(s != q and all(s[j] >= e for j, e in support) for s in vectors)
+    """The (index, entry) pairs of the nonzero entries of an exponent vector;
+    the zero entries are skipped in C."""
+    return [(j, q[j]) for j in compress(range(len(q)), q)]
 
 
 def multi_indices(bounds: tuple):
-    """Every q with 0 <= q_j <= bounds_j, in lexicographic order."""
-    return product(*(range(b + 1) for b in bounds))
+    """Every q with 0 <= q_j <= bounds_j, in lexicographic order; only the
+    entries with a nonzero bound are stepped through."""
+    support = _support(bounds)
+    q = [0] * len(bounds)
+    for values in product(*[range(b + 1) for _, b in support]):
+        for (j, _), v in zip(support, values):
+            q[j] = v
+        yield tuple(q)
 
 
 def _accumulate(acc: dict, e: Exponent, c: TPoly) -> None:
@@ -242,7 +258,7 @@ class Evaluation:
         at = {}  # the monomials of F grouped by y-vector: (coeff, x^p)
         for coeff, p, q in F.terms:
             at.setdefault(q, []).append((coeff, self._x[p]))
-        self._Y = {q: {} for q in closure if q not in at or _below_another(q, at)}
+        self._Y = {q: {} for q in closure if q not in at or self._below_another(q)}
         self._Y[zero] = {one: TPoly.ONE}
         # highest total degree first, so that Y[q - r] still holds the old
         # value when Y[q] is updated; a step (r, q - r, C(q, r), folded)
@@ -266,6 +282,13 @@ class Evaluation:
         for e, c in phi.terms:
             self.add(e, c)
 
+    def _below_another(self, q: tuple) -> bool:
+        """Whether q <= s entrywise for the y-vector s != q of some monomial
+        of F, compared on the nonzero entries of q; only the monomials with
+        the rarest of those entries are scanned."""
+        support = _support(q)
+        return any(s != q and all(s[j] >= e for j, e in support) for _, _, s in self.F._scan_for(support))
+
     def _add_value(self, e: Exponent, c: TPoly) -> None:
         if e not in self._value:
             heappush(self._heap, (e.key, e.nums, e.den, e))
@@ -286,7 +309,7 @@ class Evaluation:
         for target, steps in self._updates:
             for r, rest, weight, folded in steps:
                 if r not in monomials:
-                    coeff = reduce(mul, (powers[j][k] for j, k in enumerate(r) if k))
+                    coeff = reduce(mul, (powers[j][k] for j, k in _support(r)))
                     monomials[r] = (lam * sum(r), coeff)
                 e_r, c_r = monomials[r]
                 to_value = [(e_r + x_p, c_r * c) for c, x_p in folded]

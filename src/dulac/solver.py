@@ -106,7 +106,8 @@ def extract_linearization(F: ODESpec, phi: DulacSeries | Evaluation) -> LinearDa
         evaluation, phi_cutoff = phi, INF
     else:
         evaluation, phi_cutoff = Evaluation(F, phi), phi.cutoff
-    units = [tuple(int(i == j) for i in range(F.n + 1)) for j in range(F.n + 1)]
+    zero = (0,) * (F.n + 1)
+    units = [zero[:j] + (1,) + zero[j + 1:] for j in range(F.n + 1)]
     G = [evaluation.derivative(e_j, phi_cutoff) for e_j in units]
     nonzero = [g for g in G if g.terms]
     if not nonzero:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dulac import norms, numeric
+from dulac import cli, norms, numeric
 from dulac.errors import (
     BasisMismatch,
     CutoffIncrease,
@@ -27,6 +27,7 @@ from dulac.solver import extend
 from dulac.tpoly import TPoly
 
 from .util import (
+    DATA,
     basis_mixed,
     basis_one,
     euler_ode,
@@ -34,6 +35,7 @@ from .util import (
     lemma5_oracle,
     lemma6_oracle,
     majorant_oracle,
+    norm_draws_oracle,
     random_poly,
 )
 
@@ -703,3 +705,49 @@ def test_majorant_reads_floats_at_their_repr():
     tenth = majorant_bound(coeffs, Fraction(1, 10), [Fraction(1, 10)], g, p)
     assert majorant_bound(coeffs, 0.1, [0.1], g, p)._mpf_ == tenth._mpf_
     assert majorant_bound(coeffs, Fraction(0.1), [Fraction(0.1)], g, p) != tenth
+
+
+# -- the check-norms run: its draws and its cost -----------------------------------
+
+
+@pytest.mark.parametrize("name", ["euler_gens.json", "semigroup_2d.json", "resonant_logprefix.json"])
+def test_norm_trials_draw_as_the_randint_reference(monkeypatch, tmp_path, name):
+    """check-norms leaves its rng in the state a randint-based drawer of the
+    same numbers leaves it in, at seeds 0-5: the number and order of the
+    draws are pinned, those of the gate-rejection trials, whose data reach no
+    report, included."""
+    real, seen = norms.norm_trials, []
+
+    def spy(rng, gens, R, s, Kcal):
+        out = real(rng, gens, R, s, Kcal)
+        seen.append((rng.getstate(), gens, s, Kcal))
+        return out
+
+    monkeypatch.setattr(norms, "norm_trials", spy)
+    for seed in range(6):
+        argv = ["check-norms", str(DATA / name), "--seed", str(seed), "--output-dir", str(tmp_path / str(seed))]
+        assert cli.main(argv) == 0
+        state, gens, s, Kcal = seen[-1]
+        reference = random.Random(seed)
+        norm_draws_oracle(reference, gens, s, Kcal)
+        assert state == reference.getstate()
+
+
+def test_check_norms_operation_counts(monkeypatch, tmp_path):
+    # the root-kernel evaluations (memo misses) and raw mpf operations of one
+    # check-norms run from cold memos: noise-free cost signals, pinned so
+    # that extra float work shows up as a failure
+    for memo in (norms._table, norms._gammas, numeric._norm_powers, numeric._sqrt_rational):
+        memo.cache_clear()
+    ops = dict.fromkeys(("raw_add", "raw_mul", "raw_div", "raw_pow"), 0)
+    for name in ops:
+        def counted(x, y, name=name, f=getattr(numeric, name)):
+            ops[name] += 1
+            return f(x, y)
+
+        monkeypatch.setattr(numeric, name, counted)
+        monkeypatch.setattr(norms, name, counted)
+    argv = ["check-norms", str(DATA / "euler_gens.json"), "--seed", "7", "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert numeric._sqrt_rational.cache_info().misses == 609
+    assert ops == {"raw_add": 769, "raw_mul": 1266, "raw_div": 88, "raw_pow": 117}

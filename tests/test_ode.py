@@ -351,17 +351,29 @@ def test_y_degree_bounds():
     assert euler_ode().y_degree_bounds() == (1, 1)
 
 
-def test_high_order_linear_setup_is_not_cubic():
-    # sum_j delta^j y + x = 0 at order 300: the set-up of the evaluation and
-    # each derivative compare vectors on their nonzero entries only, so the
-    # 301 unit vectors cost no 301^3 entry comparisons
-    n = 300
+def _extend_in_time(n: int, cutoff: int, limit: float) -> None:
+    """extend sum_j delta^j y + x = 0 at order n, whose solution is
+    -x / (n + 1), in under limit seconds."""
     one = ExactScalar.of(1)
     units = [tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]
     F = ODESpec(n, tuple((one, 0, u) for u in units) + ((one, 1, (0,) * (n + 1)),))
     t0 = time.perf_counter()
-    state = extend(F, DulacSeries.zero(basis_one()), Fraction(3))
+    state = extend(F, DulacSeries.zero(basis_one()), Fraction(cutoff))
     elapsed = time.perf_counter() - t0
     assert state.solution.terms == ((basis_one().rational(1), TPoly.of(Fraction(-1, n + 1))),)
     assert state.residual.is_zero()
-    assert elapsed < 1.5, elapsed
+    assert elapsed < limit, elapsed
+
+
+def test_high_order_linear_setup_is_not_cubic():
+    # at order 300: the set-up of the evaluation and each derivative compare
+    # vectors on their nonzero entries only, so the 301 unit vectors cost no
+    # 301^3 entry comparisons
+    _extend_in_time(300, 3, 1.5)
+
+
+def test_high_order_derivatives_are_not_quadratic():
+    # at order 600: derivative(e_j) scans only the monomials with y_j, so the
+    # 2 * 601 derivatives of the two linearizations cost no 601^2 monomial
+    # scans; the set-up steps through nonzero entries only
+    _extend_in_time(600, 4, 1.0)

@@ -337,6 +337,28 @@ def test_extend_operation_counts(monkeypatch, name, cutoff, products, sums):
     assert counts == {"__mul__": products, "__add__": sums}
 
 
+def test_exponent_key_ties_compare_in_c(monkeypatch):
+    # over ["1", "1+1i"] many terms tie on the int floors of their keys; an
+    # integral Re or Im enters the key as an int, so those ties compare in C:
+    # one extend compares 10 Fractions, all of them outside the keys (362
+    # when the integral parts entered as Fractions)
+    data = json.loads((DATA / "semigroup_2d.json").read_text())
+    basis = ExponentBasis(data["basis"])
+    F = ODESpec.from_json(data["ode"])
+    prefix = DulacSeries.from_json({"terms": data["prefix"]}, basis)
+    calls = []
+
+    def counted(a, b, f=Fraction.__eq__):
+        calls.append(None)
+        return f(a, b)
+
+    monkeypatch.setattr(Fraction, "__eq__", counted)
+    state = extend(F, prefix, 7)
+    monkeypatch.undo()
+    assert len(state.solution.terms) == 21
+    assert len(calls) == 10
+
+
 # -- splitting conditions ------------------------------------------------------
 
 

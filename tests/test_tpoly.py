@@ -8,14 +8,14 @@ from math import gcd
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dulac.exponents import ExponentBasis
 from dulac.gevrey import GevreyReport, RhoRow, classify
 from dulac.mseries import MSeries
 from dulac.norms import Lemma5Report, Lemma6Report, NormParams, check_lemma5, check_lemma6
-from dulac.numeric import ConditionReport, abs_scalar, check_conditions, poly_norm
+from dulac.numeric import ConditionReport, _sqrt_rational, abs_scalar, check_conditions, poly_norm
 from dulac.scalars import ExactScalar
 from dulac.semigroup import validate_generators
 from dulac.series import INF, DulacSeries
@@ -35,6 +35,7 @@ from .util import (
     random_poly,
     random_scalar,
     schoolbook_product,
+    sqrt_rational_oracle,
 )
 
 
@@ -352,6 +353,41 @@ def test_norm_submultiplicative_and_monotone():
                 R += 1
             assert poly_norm(p * q, R) <= poly_norm(p, R) * poly_norm(q, R) * slack
             assert poly_norm(p, R) <= poly_norm(p, R + 1) * slack
+
+
+def _ints_of_bits(bits):
+    return st.integers(1 << (bits - 1), (1 << bits) - 1)
+
+
+_WIDE = st.integers(1, 3000).flatmap(_ints_of_bits)
+_MANTISSAS = st.integers(1 << 127, (1 << 129) - 1)  # 128 or 129 bits
+_ROOT_PAIRS = st.one_of(
+    st.tuples(_WIDE, _WIDE),
+    # perfect squares: an exact root
+    st.tuples(_WIDE, _WIDE).map(lambda nd: (nd[0] * nd[0], nd[1] * nd[1])),
+    # powers of two and their neighbours
+    st.tuples(st.integers(0, 2000), st.integers(-1, 1), st.integers(0, 2000), st.integers(-1, 1)).map(
+        lambda t: ((1 << t[0]) + t[1], max((1 << t[2]) + t[3], 1))),
+    # a quotient m 2^e with m of 128 bits (exact) or 129 (truncated)
+    st.tuples(_MANTISSAS, _WIDE, st.integers(-300, 300)).map(
+        lambda t: (t[0] * t[1] << max(t[2], 0), t[1] << max(-t[2], 0))),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_ROOT_PAIRS)
+@example((0, 1))
+@example((0, 7))
+@example((1, 1))
+@example((2, 1))
+@example((1, 2))
+@example(((1 << 128) - 1, 1))
+@example((1 << 128, 3))
+def test_root_kernel_rounds_as_mpmath(pair):
+    # the int kernel under abs_scalar and poly_norm: bit for bit mpf_sqrt of
+    # from_rational, both roundings included
+    num, den = pair
+    assert _sqrt_rational(num, den) == sqrt_rational_oracle(num, den)
 
 
 def test_poly_norm_of_a_constant_rounds_as_abs_scalar():

@@ -5,6 +5,7 @@ from math import comb, gcd, lcm, prod
 from pathlib import Path
 
 import mpmath
+from mpmath.libmp import from_rational, mpf_sqrt, round_nearest
 
 from dulac.exponents import ExponentBasis
 from dulac.gammafn import gamma_abs
@@ -278,6 +279,12 @@ def poly_norm_oracle(p: TPoly, R):
         return acc
 
 
+def sqrt_rational_oracle(num: int, den: int) -> tuple:
+    """sqrt(num / den) as a raw mpf value by mpmath's own two roundings: the
+    quotient rounded down to 128 bits, then the root rounded to nearest."""
+    return mpf_sqrt(from_rational(num, den, 128), 128, round_nearest)
+
+
 # -- Fraction Gauss-Jordan oracles for the semigroup layer --------------------
 # The rational elimination semigroup ran before its one Hermite reduction.
 
@@ -464,3 +471,54 @@ def majorant_oracle(coeffs: dict, rho, tail_norms, gens, p):
                 term *= to_mpf(ni) ** qi
             acc += term
         return acc
+
+
+def norm_draws_oracle(rng, gens, s, Kcal) -> None:
+    """Draw from rng, with randint and randrange, every number the
+    check-norms trials draw over gens with order s and degree constant Kcal,
+    in their order, and nothing else: the base exponent; two random tails
+    for each of 40 product trials; level, j, a shift l that meets the slope
+    gate (j - level) s, a polynomial of degree at most min(2, Kcal |l|) and a
+    tail of degrees min(2, Kcal |m|) for each of 25 operator trials; a level
+    and a tail of constants for each of 8 gate rejections; and lo, hi and
+    rho for each of 5 majorant trials."""
+    kappa = gens.kappa
+
+    def poly(max_deg):
+        for _ in range(rng.randint(0, max_deg) + 1):
+            rng.randint(-4, 4), rng.randint(1, 3), rng.randint(-2, 2), rng.randint(1, 3)
+
+    def tail(max_deg_for):
+        for _ in range(rng.randint(1, 4)):
+            m = tuple(rng.randint(0, 3) for _ in range(kappa))
+            if not any(m):
+                one = rng.randrange(kappa)
+                m = tuple(int(i == one) for i in range(kappa))
+            poly(max_deg_for(m))
+
+    def re_of(m):
+        return _m_parts_oracle(gens, m)[0]
+
+    def cap(m):
+        return min(2, int(Fraction(Kcal) * sum(m)))
+
+    rng.randint(0, 3)
+    for _ in range(40):
+        tail(lambda m: 2)
+        tail(lambda m: 2)
+    for _ in range(25):
+        level = rng.randint(0, 1)
+        j = level + rng.randint(0, 1)
+        if (j - level) * s > re_of((2,) * kappa):
+            j = level
+        while True:
+            l = tuple(rng.randint(0, 2) for _ in range(kappa))
+            if any(l) and re_of(l) >= (j - level) * s:
+                break
+        poly(cap(l))
+        tail(cap)
+    for _ in range(8):
+        rng.randint(0, 1)
+        tail(lambda m: 0)
+    for _ in range(5):
+        rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 4)
