@@ -15,14 +15,18 @@ Exit codes
   2  structural hypothesis violated by the problem data (non-constant leading
      derivative coefficient, vanishing top-order derivative, dependent or
      nonpositive generators, gap outside the declared semigroup, inconsistent
-     prefix, undefined growth order), or an artifact value outside the
-     double range
+     prefix, undefined growth order or infinite tau), or an artifact value
+     outside the double range
   3  resonance: the coefficient recursion hit a root of the characteristic
      polynomial and a prefix term must be prescribed there
   4  undecidable comparison: an exponent enclosure, whose radius the decimal
      basis literals fix, contains zero, or a characteristic root lies too
      close to a splitting boundary
   5  malformed problem file or flag
+
+Set-up: each command imports the layers it runs, then loads the problem
+(_problem), so a job loads only its own layers and the imports count as
+set-up, not as the command's work.
 
 Determinism: identical inputs and seed produce byte-identical artifacts.
 JSON artifacts are strict JSON (no Infinity or NaN), UTF-8, sorted keys,
@@ -40,7 +44,6 @@ import json
 import sys
 import warnings
 from fractions import Fraction
-from importlib import import_module
 from math import isfinite
 from pathlib import Path
 
@@ -55,7 +58,7 @@ from .errors import (
 from .exponents import ExponentBasis
 from .ode import ODESpec
 from .scalars import decimal_rational
-from .series import INF, DulacSeries, terms_from_json
+from .series import INF, DulacSeries, serialize_s, terms_from_json
 
 # Codes 2-5 are the exit_code of the error raised (see dulac.errors).
 EXIT_OK = 0
@@ -140,6 +143,11 @@ class Problem:
                 raise SchemaError(f"problem file: generators[{i}] ({exc})") from exc
         return out
 
+    def growth_order(self, lin):
+        """The run's growth order s: s_override when given, else the slope of
+        the linearization lin (solver.LinearData)."""
+        return lin.slope() if self.s_override is None else self.s_override
+
     def gens(self):
         """The declared generators, validated (semigroup.Generators)."""
         from .semigroup import validate_generators
@@ -169,6 +177,15 @@ def _load_problem(path: str, args) -> Problem:
     return Problem(data, args)
 
 
+def _problem(args) -> Problem:
+    """The run's problem, loaded once the command has imported its layers."""
+    # the modules, classes and functions the imports made live until exit:
+    # promote them to the oldest generation now, or the first young
+    # collection the command triggers traverses them all
+    gc.collect(1)
+    return _load_problem(args.problem, args)
+
+
 def _write_text(directory: Path, name: str, content: str) -> Path:
     path = directory / name
     try:
@@ -191,7 +208,7 @@ def _json_text(payload: dict, name: str) -> str:
 
 def _emit(args, payload: dict, json_name: str, csv_text: str | None, csv_name: str | None, text_lines) -> None:
     outdir = Path(args.output_dir)
-    json_text = _json_text(payload, json_name)
+    json_text = _json_text({"command": args.command, **payload}, json_name)
     _write_text(outdir, json_name, json_text)
     if csv_text is not None and csv_name is not None:
         _write_text(outdir, csv_name, csv_text)
@@ -223,32 +240,30 @@ def _terms_csv(series: DulacSeries) -> str:
 # -- commands ------------------------------------------------------------------
 
 
-def _cmd_solve(problem: Problem, args) -> int:
+def _cmd_solve(args) -> int:
     from .solver import extend
 
+    problem = _problem(args)
     state = extend(problem.ode, problem.prefix, problem.cutoff)
-    payload = {"command": "solve", **state.to_json()}
     text = [
         f"solve: {len(state.solution.terms)} terms below cutoff {float(problem.cutoff)}",
         f"residual valuation: {'inf' if state.residual.is_zero() else float(state.residual.val())}",
     ]
-    _emit(args, payload, "solution.json", _terms_csv(state.solution), "terms.csv", text)
+    _emit(args, state.to_json(), "solution.json", _terms_csv(state.solution), "terms.csv", text)
     return EXIT_OK
 
 
-def _cmd_analyze(problem: Problem, args) -> int:
-    from .gevrey import serialize_s
+def _cmd_analyze(args) -> int:
     from .numeric import check_conditions
     from .solver import extract_linearization
 
+    problem = _problem(args)
     lin = extract_linearization(problem.ode, problem.prefix)
-    s = problem.s_override if problem.s_override is not None else lin.slope()
+    s = problem.growth_order(lin)
     conditions = None
     if problem.prefix.terms:
-        report = check_conditions(lin, [e for e, _ in problem.prefix.terms], s=s)
-        conditions = report.to_json()
+        conditions = check_conditions(lin, [e for e, _ in problem.prefix.terms], s).to_json()
     payload = {
-        "command": "analyze",
         "linearization": lin.to_json(),
         "s": serialize_s(s),
         "conditions": conditions,
@@ -268,15 +283,15 @@ def _cmd_analyze(problem: Problem, args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(problem: Problem, args) -> int:
-    from .gevrey import classify, serialize_s
+def _cmd_verify(args) -> int:
+    from .gevrey import classify
     from .solver import extend
 
+    problem = _problem(args)
     state = extend(problem.ode, problem.prefix, problem.cutoff)
-    s = problem.s_override if problem.s_override is not None else state.lin.slope()
+    s = problem.growth_order(state.lin)
     R = problem.R if problem.R is not None else Fraction(2)
     report = classify(state, s, R)
-    payload = {"command": "verify", **report.to_json()}
     text = [
         f"s: {serialize_s(s)}",
         f"verdict: {report.verdict}",
@@ -286,26 +301,25 @@ def _cmd_verify(problem: Problem, args) -> int:
     ]
     if report.radius_estimate is not None:
         text.append(f"radius_estimate: {report.radius_estimate}")
-    _emit(args, payload, "gevrey.json", report.to_csv(), "gevrey.csv", text)
+    _emit(args, report.to_json(), "gevrey.json", report.to_csv(), "gevrey.csv", text)
     return EXIT_OK
 
 
-def _cmd_reduce(problem: Problem, args) -> int:
+def _cmd_reduce(args) -> int:
     from .numeric import check_conditions
     from .solver import extend, reduce_equation
 
+    problem = _problem(args)
     if problem.prefix.terms:
         phi, m = problem.prefix, len(problem.prefix.terms)
     else:
         state = extend(problem.ode, problem.prefix, problem.cutoff)
         if not state.solution.terms:
             raise PreconditionViolated("reduce: no prefix given and the solved solution is empty")
-        lin = state.lin
-        report = check_conditions(lin, [e for e, _ in state.solution.terms])
         phi = state.solution
+        report = check_conditions(state.lin, [e for e, _ in phi.terms], problem.growth_order(state.lin))
         m = report.minimal_m if report.minimal_m is not None else 1
     red = reduce_equation(problem.ode, phi, m, s=problem.s_override)
-    payload = {"command": "reduce", "m": m, **red.to_json()}
     text = [
         f"m: {m}",
         f"lambda_m: {';'.join(red.lambda_m.serialize())}",
@@ -313,15 +327,16 @@ def _cmd_reduce(problem: Problem, args) -> int:
         f"nonlinear terms: {len(red.N)}",
         f"violations: {'; '.join(red.violations) if red.violations else 'none'}",
     ]
-    _emit(args, payload, "reduced.json", None, None, text)
+    _emit(args, {"m": m, **red.to_json()}, "reduced.json", None, None, text)
     return EXIT_OK
 
 
-def _cmd_iota(problem: Problem, args) -> int:
+def _cmd_iota(args) -> int:
     from .mseries import fit_degree_K, iota as iota_map, iota_inv
     from .semigroup import exponent_gaps
     from .solver import extend
 
+    problem = _problem(args)
     gens = problem.gens()
     state = extend(problem.ode, problem.prefix, problem.cutoff)
     m = len(problem.prefix.terms) if problem.prefix.terms else 1
@@ -343,7 +358,6 @@ def _cmd_iota(problem: Problem, args) -> int:
     exact = round_trip.terms == tail.terms and round_trip.cutoff == tail.cutoff
     K_fit = fit_degree_K(image)
     payload = {
-        "command": "iota",
         "m": m,
         "lambda_base": lam_m.serialize(),
         "gaps": [
@@ -364,13 +378,13 @@ def _cmd_iota(problem: Problem, args) -> int:
     return EXIT_OK
 
 
-def _cmd_check_norms(problem: Problem, args) -> int:
+def _cmd_check_norms(args) -> int:
     import random
 
-    from .gevrey import serialize_s
     from .norms import norm_trials
     from .semigroup import choose_R
 
+    problem = _problem(args)
     gens = problem.default_gens()
     s = problem.s_override if problem.s_override not in (None, INF) else Fraction(1)
     Kcal = Fraction(2)
@@ -378,7 +392,6 @@ def _cmd_check_norms(problem: Problem, args) -> int:
     counts = norm_trials(random.Random(args.seed), gens, R, s, Kcal)
     all_pass = not any(failures for _, failures in counts.values())
     payload = {
-        "command": "check-norms",
         "seed": args.seed,
         "R": str(R),
         "s": serialize_s(s),
@@ -398,16 +411,16 @@ def _cmd_check_norms(problem: Problem, args) -> int:
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
-def _cmd_suggest_generators(problem: Problem, args) -> int:
+def _cmd_suggest_generators(args) -> int:
     from .semigroup import suggest_generators
 
+    problem = _problem(args)
     result = suggest_generators(problem.ode, problem.prefix, problem.basis)
-    payload = {"command": "suggest-generators", **result}
     text = [
         f"suggested: {result['suggested']}",
         f"note: {result['note']}",
     ]
-    _emit(args, payload, "generators.json", None, None, text)
+    _emit(args, result, "generators.json", None, None, text)
     return EXIT_OK
 
 
@@ -419,21 +432,6 @@ _COMMANDS = {
     "iota": _cmd_iota,
     "check-norms": _cmd_check_norms,
     "suggest-generators": _cmd_suggest_generators,
-}
-
-# The dulac layers each command runs, beyond the ones Problem needs.  main
-# imports them after parsing argv and before loading the problem, so a job
-# loads only what its command runs (solve, iota and suggest-generators load no
-# mpmath) and the imports count as set-up, not as the command's work; the
-# imports inside the commands then find them loaded.
-_LAYERS = {
-    "solve": ("solver",),
-    "analyze": ("solver", "numeric", "gevrey"),
-    "verify": ("solver", "gevrey"),
-    "reduce": ("solver", "numeric"),
-    "iota": ("solver", "semigroup", "mseries"),
-    "check-norms": ("semigroup", "norms", "gevrey"),
-    "suggest-generators": ("semigroup",),
 }
 
 
@@ -481,16 +479,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        for layer in _LAYERS[args.command]:
-            import_module(f"{__package__}.{layer}")
-        # the modules, classes and functions the imports made live until exit:
-        # promote them to the oldest generation now, or the first young
-        # collection the command triggers traverses them all
-        gc.collect(1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DerivativeYnZeroWarning)
-            problem = _load_problem(args.problem, args)
-            return _COMMANDS[args.command](problem, args)
+            return _COMMANDS[args.command](args)
     except (DulacError, DerivativeYnZeroWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

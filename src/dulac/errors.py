@@ -47,8 +47,9 @@ class NonpositiveValuation(DulacError):
 
 
 class DomainError(DulacError):
-    """Argument outside the supported domain (e.g. gamma_abs with Re z <= 0),
-    or an artifact value outside the double range, which JSON cannot hold."""
+    """Argument outside the supported domain (e.g. gamma_abs with Re z <= 0,
+    or s = +inf where tau = (n - ell) s must be finite), or an artifact value
+    outside the double range, which JSON cannot hold."""
 
 
 class HypothesisViolation(DulacError):

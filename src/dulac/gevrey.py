@@ -26,15 +26,10 @@ import mpmath
 from .gammafn import gamma_abs
 from .numeric import FLOAT_PRECISION, poly_norm, to_mpf
 from .scalars import ExactScalar
-from .series import INF
+from .series import INF, serialize_s
 
 _ONE = mpmath.mpf(1)
 CSV_COLUMNS = ["k", "re_lambda", "im_lambda", "deg_c", "norm_R", "gamma_abs", "rho", "envelope_Ck"]
-
-
-def serialize_s(s) -> str:
-    """JSON form of a growth order: "inf" or the exact "p/q"."""
-    return "inf" if s == INF else str(Fraction(s))
 
 
 # norm_R, gamma and rho are mpf; gamma is 1 in the convergent case

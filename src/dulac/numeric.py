@@ -27,7 +27,6 @@ from mpmath.libmp import (
 )
 
 from .errors import IndeterminateRoot
-from .exponents import Exponent, re_compare
 from .scalars import decimal_rational
 from .tpoly import TPoly
 
@@ -160,11 +159,10 @@ def roots_of_L(L: TPoly) -> list:
 
 
 class ConditionReport(namedtuple(
-        "ConditionReport", "roots_ok gap_ok next_ok root_margin gap_margin minimal_m roots")):
+        "ConditionReport", "roots_ok gap_ok root_margin gap_margin minimal_m roots")):
     """Solvability conditions for splitting the solution at the last prefix
     term: roots_ok, every root of L lies left of Re lambda_m; gap_ok,
-    Re lambda_m > max Re nu_j + 2 tau; next_ok, Re(lambda_{m+1} - lambda_m) > 0
-    when known, else None; the float margins (or None) of the first two;
+    Re lambda_m > max Re nu_j + 2 tau; their float margins (or None);
     minimal_m, the least prefix index where roots_ok and gap_ok hold (or
     None); and the roots of L."""
 
@@ -174,7 +172,8 @@ class ConditionReport(namedtuple(
         return {
             "roots_ok": self.roots_ok,
             "gap_ok": self.gap_ok,
-            "next_ok": self.next_ok,
+            # analysis.json keeps the key of a condition no command evaluates
+            "next_ok": None,
             "root_margin": self.root_margin,
             "gap_margin": self.gap_margin,
             "minimal_m": self.minimal_m,
@@ -182,14 +181,9 @@ class ConditionReport(namedtuple(
         }
 
 
-def check_conditions(
-    lin,
-    prefix_exponents,
-    next_exponent: Exponent | None = None,
-    s=None,
-) -> ConditionReport:
+def check_conditions(lin, prefix_exponents, s) -> ConditionReport:
     """Evaluate the splitting conditions of a solver.LinearData lin at the
-    last prefix exponent.
+    last prefix exponent, for the growth order s.
 
     Raises IndeterminateRoot when a root of L sits within 1e-20 of the
     boundary Re zeta = Re lambda_m: either more precision is required or the
@@ -235,13 +229,9 @@ def check_conditions(
     lam_last = prefix_exponents[-1]
     roots_ok, root_margin = roots_check(lam_last.re_mid)
     gap_ok, gap_margin = gap_check(lam_last.re_mid)
-    next_ok = None
-    if next_exponent is not None:
-        next_ok = re_compare(next_exponent, lam_last) > 0
     return ConditionReport(
         roots_ok=roots_ok,
         gap_ok=gap_ok,
-        next_ok=next_ok,
         root_margin=root_margin,
         gap_margin=gap_margin,
         minimal_m=minimal_m,

@@ -56,6 +56,11 @@ def cutoff_to_json(c):
     return f"{c.numerator}/{c.denominator}"
 
 
+def serialize_s(s) -> str:
+    """JSON form of a growth order: "inf" or the exact "p/q"."""
+    return "inf" if s == INF else str(Fraction(s))
+
+
 def cutoff_from_json(value, what: str):
     """Inverse of cutoff_to_json; a number is read as its decimal literal.
     SchemaError for anything else, a malformed "p/q" string included."""

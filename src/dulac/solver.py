@@ -24,6 +24,7 @@ from fractions import Fraction
 from .errors import (
     AllDerivativesVanish,
     DerivativeYnZeroWarning,
+    DomainError,
     HypothesisViolation,
     IndeterminateRoot,
     LinearDataDrift,
@@ -70,14 +71,18 @@ class LinearData(namedtuple("LinearData", "nu A nu_sec B ell L n")):
             )
         return min(cands)
 
-    def tau_re(self, s=None) -> Fraction:
-        """Real value tau = (n - ell) * s; zero when ell = n."""
+    def tau_re(self, s) -> Fraction:
+        """Real value tau = (n - ell) * s for the growth order s; zero when
+        ell = n.  DomainError when s = +inf and ell < n: tau is infinite."""
         if self.ell == self.n:
             return Fraction(0)
-        s = self.slope() if s is None else s
+        if s == INF:
+            raise DomainError(
+                f"tau = (n - ell) s is infinite: growth order s = inf with ell = {self.ell} < n = {self.n}"
+            )
         return (self.n - self.ell) * Fraction(s)
 
-    def tau_exponent(self, s=None) -> Exponent:
+    def tau_exponent(self, s) -> Exponent:
         """tau embedded as an exponent over the basis (needs the entry 1)."""
         if self.ell == self.n:
             return self.nu.basis.zero()
@@ -345,7 +350,7 @@ def reduce_equation(F: ODESpec, prefix: DulacSeries, m: int, s=None) -> ReducedE
     from .numeric import check_conditions
 
     try:
-        report = check_conditions(lin, [e for e, _ in phi.terms], s=s_val)
+        report = check_conditions(lin, [e for e, _ in phi.terms], s_val)
         if not report.roots_ok:
             violations.append(
                 f"a root of L has real part >= Re lambda_m = {lam_m.re_mid}"

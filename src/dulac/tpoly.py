@@ -280,36 +280,38 @@ class TPoly(Value):
             out_im = [a * y + b * x + z for x, y, z in zip(re, im, dim)]
         return _normal(self.den * d, out_re, out_im)
 
-    def _taylor_numerators(self, z) -> tuple:
+    def _taylor_numerators(self, z, count: int) -> tuple:
         """(D, m_re, m_im) with p^(i)(z) / i! = (m_re[i] + m_im[i] i) / D for
-        i = 0..degree (one entry for the zero polynomial), m_im None when
-        every entry is real.
+        i below count and the degree + 1 (one entry for the zero
+        polynomial), m_im None when every entry is real.
 
         An integer Taylor shift: with z = w / e, the numerators of
         e^n p(t) = sum c_k e^(n-k) (e t)^k are shifted by the Gaussian
         integer w with Horner's scheme (von zur Gathen & Gerhard, ch. 4).
+        Pass i leaves entry i final, so the passes stop after count entries.
         """
         e, wr, wi = _scalar_parts(z)
         re = self.re or (0,)
         im = self.im or (0,) * len(re)
         n = len(re) - 1
+        count = min(count, n + 1)
         scale = [e**k for k in range(n + 1)]
         br = [x * scale[n - k] for k, x in enumerate(re)]
         bi = [y * scale[n - k] for k, y in enumerate(im)]
-        for i in range(n):
+        for i in range(min(count, n)):
             for j in range(n - 1, i - 1, -1):
                 xr, xi = br[j + 1], bi[j + 1]
                 br[j] += wr * xr - wi * xi
                 bi[j] += wr * xi + wi * xr
-        m_im = [y * scale[i] for i, y in enumerate(bi)]
-        return self.den * scale[n], [x * scale[i] for i, x in enumerate(br)], m_im if any(m_im) else None
+        m_im = [bi[i] * scale[i] for i in range(count)]
+        return self.den * scale[n], [br[i] * scale[i] for i in range(count)], m_im if any(m_im) else None
 
     def __call__(self, z: ExactScalar) -> ExactScalar:
         return self.taylor_at(z)[0]
 
     def taylor_at(self, z: ExactScalar) -> list:
         """Coefficients [p(z), p'(z)/1!, p''(z)/2!, ...] up to the degree."""
-        D, m_re, m_im = self._taylor_numerators(z)
+        D, m_re, m_im = self._taylor_numerators(z, max(len(self.re), 1))
         return [
             ExactScalar(Fraction(x, D), Fraction(y, D) if y else _ZERO_Q)
             for x, y in zip(m_re, m_im or (0,) * len(m_re))
@@ -325,7 +327,8 @@ class TPoly(Value):
         N = |m_0|^2 otherwise), v_d = W_d / (bD N^(D-d+1)) with
         W_d = c (mD B_d N^(D-d) - sum_i m_i (d+i)!/d! W_(d+i) N^(i-1)).
         """
-        mD, m_re, m_im = self._taylor_numerators(lam)
+        # only L^(i)(lam) / i! for i <= deg b enter the back-substitution
+        mD, m_re, m_im = self._taylor_numerators(lam, max(len(b.re), 1))
         m_im = m_im or [0] * len(m_re)
         if not m_re[0] and not m_im[0]:
             raise ZeroDivisionError("solve_shifted: L(lam) = 0")

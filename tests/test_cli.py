@@ -240,7 +240,7 @@ def test_every_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch):
     }
     assert {name: cls.exit_code for name, cls in classes.items()} == _EXIT_CODES
     for name, cls in classes.items():
-        def fail(problem, args, cls=cls):
+        def fail(args, cls=cls):
             raise cls(f"raised {cls.__name__}")
 
         monkeypatch.setitem(cli._COMMANDS, "solve", fail)
@@ -341,6 +341,43 @@ def test_reduce_without_prefix_picks_minimal_m(tmp_path):
     data = payload(out, "reduced.json")
     assert data["m"] == 2
     assert data["violations"] == []
+
+
+@pytest.mark.parametrize("s_override, m, tau", [(None, 4, "1/1"), (0.25, 2, "1/4")])
+def test_reduce_without_prefix_chooses_m_under_the_runs_s(tmp_path, s_override, m, tau):
+    # euler's gap condition Re lambda_m > Re nu_1 + 2 tau, tau = s, holds
+    # from lambda = 4 under its slope s = 1 and from lambda = 2 under s = 1/4
+    path = _euler_with(tmp_path, "no_prefix.json", prefix=None, s_override=s_override)
+    code, out = run(tmp_path, "reduce", str(path), "--cutoff", "6")
+    assert code == 0
+    data = payload(out, "reduced.json")
+    assert data["m"] == m
+    assert data["violations"] == []
+    assert data["tau"] == [tau]
+
+
+@pytest.mark.parametrize(
+    "command, prefix, code",
+    [
+        ("analyze", True, 2), ("reduce", True, 2), ("reduce", False, 2),
+        ("verify", True, 0), ("check-norms", True, 0),
+    ],
+)
+def test_s_override_inf_with_ell_below_n(tmp_path, capsys, command, prefix, code):
+    # euler has ell = 0 < n = 1, so tau = (n - ell) s is infinite at s = +inf:
+    # the splitting conditions and the reduced equation cannot be formed,
+    # while the growth fit and the norm harness need no tau
+    edits = {"s_override": "inf"} if prefix else {"s_override": "inf", "prefix": None}
+    path = _euler_with(tmp_path, "inf.json", **edits)
+    status, out = run(tmp_path, command, str(path), "--cutoff", "5")
+    err = capsys.readouterr().err
+    assert status == code
+    if code:
+        assert err == "error: tau = (n - ell) s is infinite: growth order s = inf with ell = 0 < n = 1\n"
+        assert not out.exists()
+    else:
+        assert err == ""
+        assert out.exists()
 
 
 # -- iota --------------------------------------------------------------------------

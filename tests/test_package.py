@@ -72,11 +72,11 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 _EVERY_JOB = {"cli", "errors", "exponents", "ode", "scalars", "series", "tpoly"}
 _SUBCOMMAND_LAYERS = {
     "solve": ({"solver"}, False),
-    "analyze": ({"solver", "numeric", "gevrey", "gammafn"}, True),
+    "analyze": ({"solver", "numeric"}, True),
     "verify": ({"solver", "numeric", "gevrey", "gammafn"}, True),
     "reduce": ({"solver", "numeric"}, True),
     "iota": ({"solver", "semigroup", "mseries"}, False),
-    "check-norms": ({"semigroup", "mseries", "norms", "numeric", "gevrey", "gammafn"}, True),
+    "check-norms": ({"semigroup", "mseries", "norms", "numeric", "gammafn"}, True),
     "suggest-generators": ({"semigroup"}, False),
 }
 

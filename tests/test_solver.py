@@ -9,6 +9,7 @@ import pytest
 from dulac.errors import (
     AllDerivativesVanish,
     DerivativeYnZeroWarning,
+    DomainError,
     IndeterminateRoot,
     NonpositiveValuation,
     NonProgressingResidual,
@@ -18,7 +19,7 @@ from dulac.exponents import ExponentBasis
 from dulac.numeric import check_conditions, roots_of_L
 from dulac.ode import Evaluation, ODESpec
 from dulac.scalars import ZERO, ExactScalar
-from dulac.series import INF, DulacSeries
+from dulac.series import INF, DulacSeries, terms_from_json
 from dulac.solver import (
     extend,
     extract_linearization,
@@ -61,6 +62,10 @@ def test_extract_euler():
     assert lin.nu_sec[1].coords == (Fraction(1),)
     assert lin.B[1] == TPoly.ONE
     assert lin.tau_re(1) == Fraction(1)
+    # s = +inf with ell < n: tau is infinite, a one-line exit-2 error
+    for tau in (lin.tau_re, lin.tau_exponent):
+        with pytest.raises(DomainError, match="is infinite"):
+            tau(INF)
 
 
 def test_extract_along_empty_prefix():
@@ -75,7 +80,8 @@ def test_extract_resonant_has_degree_one_L():
     assert lin.A == (ExactScalar.of(-1), ExactScalar.of(1))
     assert lin.ell == 1
     assert lin.L == TPoly.of(-1, 1)
-    assert lin.tau_re(1) == Fraction(0)  # ell == n
+    assert lin.tau_re(1) == lin.tau_re(INF) == Fraction(0)  # ell == n, for any s
+    assert lin.tau_exponent(INF) == basis.zero()
 
 
 def test_extract_all_vanish():
@@ -359,6 +365,30 @@ def test_exponent_key_ties_compare_in_c(monkeypatch):
     assert len(calls) == 10
 
 
+@pytest.mark.parametrize("name, cutoff", [("nonlinear.json", 12), ("euler.json", 26)])
+@pytest.mark.parametrize("wide", [["1", "1+1i"], ["1", "1.41421356237"]], ids=["gaussian", "approximate"])
+def test_zero_extra_coordinates_leave_the_solution_unchanged(name, cutoff, wide):
+    # metamorphic: over a wider basis with every extra coordinate zero the
+    # same equation has the same solution, term by term in exponent value; a
+    # zero coordinate on an approximate entry adds no radius, so no
+    # comparison is undecidable
+    data = json.loads((DATA / name).read_text(encoding="utf-8"))
+    ode = ODESpec.from_json(data["ode"])
+
+    def solve(entries):
+        basis = ExponentBasis(entries)
+        pad = ["0/1"] * (len(entries) - 1)
+        prefix = [{**term, "exp": term["exp"] + pad} for term in data["prefix"]]
+        return extend(ode, DulacSeries(basis, terms_from_json(prefix, basis, "prefix"), INF), cutoff).solution
+
+    narrow, wider = solve(["1"]), solve(wide)
+    assert wider.cutoff == narrow.cutoff == cutoff
+    assert len(wider.terms) == len(narrow.terms) >= 11
+    for (e, c), (f, d) in zip(narrow.terms, wider.terms):
+        assert f.coords == (*e.coords, 0)
+        assert (f.re_mid, f.im_mid, d) == (e.re_mid, e.im_mid, c)
+
+
 # -- splitting conditions ------------------------------------------------------
 
 
@@ -366,13 +396,12 @@ def test_check_conditions_euler():
     basis = basis_one()
     state = extend(euler_ode(), DulacSeries.zero(basis), 6)
     exps = [e for e, _ in state.solution.terms]
-    rep = check_conditions(state.lin, exps, next_exponent=basis.rational(6), s=1)
+    rep = check_conditions(state.lin, exps, s=1)
     assert rep.roots_ok  # L is constant, no roots at all
     assert rep.root_margin is None
     # gap: Re lambda_m > Re nu_1 + 2 tau = 1 + 2
     assert rep.gap_ok and rep.gap_margin == pytest.approx(2.0)
     assert rep.minimal_m == 4
-    assert rep.next_ok is True
     assert rep.roots == ()
 
 

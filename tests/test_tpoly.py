@@ -165,6 +165,18 @@ def test_value_and_taylor_match_oracle(p, z):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
+@given(_tpolys(), _scalars(), st.integers(1, 8))
+def test_taylor_shift_stops_after_count_entries(p, z, count):
+    # solve_shifted reads only the first deg b + 1 Taylor entries of L, so
+    # the Horner passes stop there; those entries are the full expansion's
+    D, m_re, m_im = p._taylor_numerators(z, count)
+    full_D, full_re, full_im = p._taylor_numerators(z, max(len(p.re), 1))
+    k = min(count, len(full_re))
+    assert (D, m_re) == (full_D, full_re[:k])
+    assert (m_im or [0] * k) == (full_im or [0] * len(full_re))[:k]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(_tpolys(), _tpolys())
 def test_canonical_form_is_unique(p, q):
     assert_canonical(p)
