@@ -284,7 +284,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .gevrey import classify
+    from .gevrey import GevreyReport, classify
     from .solver import extend
 
     problem = _problem(args)
@@ -301,7 +301,8 @@ def _cmd_verify(args) -> int:
     ]
     if report.radius_estimate is not None:
         text.append(f"radius_estimate: {report.radius_estimate}")
-    _emit(args, report.to_json(), "gevrey.json", report.to_csv(), "gevrey.csv", text)
+    payload = report.to_json()
+    _emit(args, payload, "gevrey.json", GevreyReport.rows_csv(payload["rows"]), "gevrey.csv", text)
     return EXIT_OK
 
 

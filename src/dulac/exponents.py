@@ -9,7 +9,8 @@ exact rational midpoint with the radius the basis literals leave open (the
 midpoint-radius rule of Arb: an exact midpoint carries only its input
 radius).  Linear arithmetic runs on ints, and each basis keeps the parts of
 its entries as int weights over one denominator, so Re and Im of an
-exponent cost one Fraction each.
+exponent cost one Fraction each, and a sign over an exact basis none: it is
+one int cross-multiplication.
 
 Basis entries come in two flavors, distinguished by their literal form:
 
@@ -26,7 +27,8 @@ convention chosen to make the order total; any fixed tie rule would do.
 
 Every exponent carries one sort key, computed once: over an exact basis the
 tuple (floor(Re), Re, floor(Im), Im), so no enclosure is ever built and the
-int floors decide a comparison before any exact Fraction does; otherwise
+int floors decide a comparison before any exact Fraction does (an integral
+exponent's key is four ints, with no Fraction built); otherwise
 cmp_to_key(exp_compare), which certifies each comparison from the interval
 enclosures or raises UndecidableComparison when an enclosure contains zero.
 """
@@ -241,9 +243,13 @@ class Exponent(Value):
                 # integral Re or Im enters as the int, so that a tie of two
                 # integral parts is decided in C too
                 d = self.den * b._weight_den
-                re, im = self.re_mid, self.im_mid
-                value = (sum(map(mul, self.nums, b._re_weights)) // d, re.numerator if re.denominator == 1 else re,
-                         sum(map(mul, self.nums, b._im_weights)) // d, im.numerator if im.denominator == 1 else im)
+                x, y = sum(map(mul, self.nums, b._re_weights)), sum(map(mul, self.nums, b._im_weights))
+                if d == 1:
+                    value = (x, x, y, y)
+                else:
+                    re, im = self.re_mid, self.im_mid
+                    value = (x // d, re.numerator if re.denominator == 1 else re,
+                             y // d, im.numerator if im.denominator == 1 else im)
             else:
                 value = cmp_to_key(exp_compare)(self)
         else:
@@ -291,6 +297,8 @@ class Exponent(Value):
 
     def __mul__(self, k) -> "Exponent":
         """Product by an int, a Fraction or a float read at its repr."""
+        if k == 1:
+            return self
         q = k if isinstance(k, int) else decimal_rational(k)
         return _normal(self.basis, self.den * q.denominator, [a * q.numerator for a in self.nums])
 
@@ -322,9 +330,13 @@ class Exponent(Value):
         0 only when exactly equal.  An approximate basis encloses it in
         mid +- rad; an enclosure that contains zero without being {0} raises
         UndecidableComparison."""
+        b = self.basis
+        if b.exact:
+            # the sign of sum(nums * weights) / (den * weight_den) - shift
+            x = sum(map(mul, self.nums, b._re_weights if part == "re" else b._im_weights)) * shift.denominator
+            y = shift.numerator * self.den * b._weight_den
+            return (x > y) - (x < y)
         mid = (self.re_mid if part == "re" else self.im_mid) - shift
-        if self.basis.exact:
-            return (mid > 0) - (mid < 0)
         rad = self.radius(part)
         if mid > rad:
             return 1

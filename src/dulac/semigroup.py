@@ -80,18 +80,24 @@ class Generators(Value):
     The exponent <m, r> is computed once per multi-index m and kept, with
     its Re and Im, since norm tables, series sorts and the iota image ask
     for the same m many times; so is the decomposition of each exponent,
-    which the gaps and the iota image of a run both ask for.
+    which the gaps and the iota image of a run both ask for.  The hash,
+    which keys the norm tables, is computed once; a pickle rebuilds it
+    through the constructor.
     """
 
-    __slots__ = ("basis", "r", "_m_exponents", "_decomposed")
+    __slots__ = ("basis", "r", "_hash", "_m_exponents", "_decomposed")
     _fields = ("basis", "r")
 
     def __init__(self, basis: ExponentBasis, r: tuple):
         _set = object.__setattr__
         _set(self, "basis", basis)
         _set(self, "r", r)
+        _set(self, "_hash", hash((basis, r)))
         _set(self, "_m_exponents", {})
         _set(self, "_decomposed", {})
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def kappa(self) -> int:

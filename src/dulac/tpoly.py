@@ -33,6 +33,15 @@ def _normal(den: int, re, im) -> "TPoly":
     """The TPoly with coefficients (re[k] + im[k] i) / den for a nonzero int
     den and int sequences re and im (im None or as long as re): trailing
     zeros stripped, content divided out, den made positive."""
+    if len(re) == 1:
+        # a constant: one gcd, with no strip loop and no list built
+        x, y = re[0], im[0] if im else 0
+        if not x and not y:
+            return TPoly.ZERO
+        g = gcd(den, x, y)
+        if den < 0:
+            g = -g
+        return TPoly._raw(den // g, (x // g,), (y // g,) if y else None)
     n = len(re)
     if im is None:
         while n and not re[n - 1]:
@@ -190,11 +199,17 @@ class TPoly(Value):
         else:
             g = gcd(da, db)
             ma, mb = db // g, sign * (da // g)
+        a_im, b_im = self.im, other.im
+        if len(self.re) == 1 == len(other.re):
+            # two constants: one Gaussian-integer sum
+            im = None if a_im is None and b_im is None else (
+                ma * (a_im[0] if a_im else 0) + mb * (b_im[0] if b_im else 0),)
+            return _normal(da * ma, (ma * self.re[0] + mb * other.re[0],), im)
         re = _combine(self.re, ma, other.re, mb)
-        if self.im is None and other.im is None:
+        if a_im is None and b_im is None:
             im = None
         else:
-            im = _combine(self.im or (), ma, other.im or (), mb)
+            im = _combine(a_im or (), ma, b_im or (), mb)
             im += [0] * (len(re) - len(im))
         return _normal(da * ma, re, im)
 
@@ -233,6 +248,11 @@ class TPoly(Value):
             if not self.re or not other.re:
                 return TPoly.ZERO
             a_re, a_im, b_re, b_im = self.re, self.im, other.re, other.im
+            if len(a_re) == 1 == len(b_re):
+                # two constants: one Gaussian-integer product
+                x, y, u, v = a_re[0], a_im[0] if a_im else 0, b_re[0], b_im[0] if b_im else 0
+                im = None if a_im is None and b_im is None else (x * v + y * u,)
+                return _normal(self.den * other.den, (x * u - y * v,), im)
             re = _convolve(a_re, b_re)
             if a_im is None and b_im is None:
                 return _normal(self.den * other.den, re, None)
@@ -307,7 +327,8 @@ class TPoly(Value):
         return self.den * scale[n], [br[i] * scale[i] for i in range(count)], m_im if any(m_im) else None
 
     def __call__(self, z: ExactScalar) -> ExactScalar:
-        return self.taylor_at(z)[0]
+        D, m_re, m_im = self._taylor_numerators(z, 1)
+        return ExactScalar(Fraction(m_re[0], D), Fraction(m_im[0], D) if m_im else _ZERO_Q)
 
     def taylor_at(self, z: ExactScalar) -> list:
         """Coefficients [p(z), p'(z)/1!, p''(z)/2!, ...] up to the degree."""

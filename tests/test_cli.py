@@ -1,18 +1,17 @@
 """End-to-end command line runs over the problem corpus, in process."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import dulac
 from dulac import cli, errors, norms, semigroup
+from dulac.gevrey import GevreyReport
 from dulac.norms import Lemma6Report
 
-from .util import DATA
+from .util import DATA, child_env
 
 
 def run(tmp_path, *argv, outdir="out"):
@@ -323,6 +322,24 @@ def test_verify_convergent(tmp_path):
     _check_gevrey_csv(out, data, lambda row: row["re_lambda"])
 
 
+def test_verify_builds_each_gevrey_row_once(tmp_path, monkeypatch):
+    # gevrey.csv is written from the rows of gevrey.json, so each row's
+    # envelope and float conversions are computed once per job
+    calls = []
+    envelope_at = GevreyReport.envelope_at
+
+    def counted(self, row):
+        calls.append(row.k)
+        return envelope_at(self, row)
+
+    monkeypatch.setattr(GevreyReport, "envelope_at", counted)
+    code, out = run(tmp_path, "verify", str(DATA / "euler.json"))
+    assert code == 0
+    data = payload(out, "gevrey.json")
+    assert calls == [row["k"] for row in data["rows"]]
+    _check_gevrey_csv(out, data, lambda row: row["k"])
+
+
 # -- reduce ------------------------------------------------------------------------
 
 
@@ -452,7 +469,7 @@ def test_check_norms_terminates_for_unreachable_slope_gate(tmp_path, problem, s)
     data["s_override"] = s
     path = tmp_path / problem
     path.write_text(json.dumps(data), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(dulac.__file__).parents[1]))
+    env = child_env()
     out = subprocess.run(
         [sys.executable, "-m", "dulac", "check-norms", str(path), "--seed", "0",
          "--output-dir", str(tmp_path / "out")],

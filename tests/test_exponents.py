@@ -1,27 +1,24 @@
 """Exponent intervals, certified comparisons, and the literal floors."""
 
 import copy
-import os
 import pickle
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dulac
 from dulac.errors import BasisMismatch, ExactValueRequired, UndecidableComparison
 from dulac.exponents import BasisEntry, Exponent, ExponentBasis, exp_compare, re_compare
 from dulac.scalars import ExactScalar
 from dulac.series import DulacSeries
 from dulac.tpoly import TPoly
 
-from .util import enclosure_sign, exponent_serialize_oracle, interval, literal_floor
+from .util import child_env, enclosure_sign, exponent_serialize_oracle, interval, literal_floor
 
 
 def test_entry_parse():
@@ -383,6 +380,38 @@ def test_integer_layout_matches_fraction_oracle(entries, data):
     assert (e.key > f.key) - (e.key < f.key) == want == exp_compare(e, f)
 
 
+def _sign(q) -> int:
+    return (q > 0) - (q < 0)
+
+
+@pytest.mark.parametrize("entries", [["1"], ["1", "1+1i"], ["1", "1/3+1/2i"], ["-1/2", "2+3/4i"]])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exact_keys_and_signs_match_fraction_oracle(entries, data):
+    # an integral exponent keys on its int parts, and every exact-basis sign
+    # is one int cross-multiplication; both against Fractions, with den > 1
+    # and weight denominators > 1 among the draws
+    b = ExponentBasis(entries)
+    coords = st.lists(st.one_of(_Q, st.integers(-9, 9)), min_size=b.dim, max_size=b.dim)
+    exps = [b.exponent(data.draw(coords)) for _ in range(3)]
+    bound = data.draw(st.one_of(st.integers(-20, 20), _Q))
+    for e in exps:
+        re, im = _oracle_parts(b, e.coords)
+        if e.den * b._weight_den == 1:
+            assert e.key == (re, re, im, im) and all(type(v) is int for v in e.key)
+        assert (e.re_sign(), e.im_sign()) == (_sign(re), _sign(im))
+        assert e._sign("re", Fraction(bound)) == _sign(re - bound)
+        assert e._sign("im", Fraction(bound)) == _sign(im - bound)
+        assert e.re_below(bound) == (re < bound)
+        assert e._sign("re", re) == 0 and not e.re_below(re)
+        assert e * 1 is e
+        for f in exps:
+            pf = _oracle_parts(b, f.coords)
+            want = ((re, im) > pf) - ((re, im) < pf)
+            assert (e.key > f.key) - (e.key < f.key) == want == exp_compare(e, f)
+            assert (e.key == f.key) == (e == f)
+
+
 @pytest.mark.parametrize("entries", [["1/2", "2/3+1/5i"], ["1", "1.41421356237"]])
 def test_exponent_is_immutable_and_pickles(entries):
     b = ExponentBasis(entries)
@@ -430,5 +459,5 @@ def test_exponent_unpickled_in_another_process_hashes_as_a_fresh_one(tmp_path):
     # started with different PYTHONHASHSEED values
     path = str(tmp_path / "e.pickle")
     for seed, mode in (("1", "dump"), ("2", "load")):
-        env = dict(os.environ, PYTHONPATH=str(Path(dulac.__file__).parents[1]), PYTHONHASHSEED=seed)
+        env = child_env(PYTHONHASHSEED=seed)
         subprocess.run([sys.executable, "-c", _CROSS_PROCESS, path, mode], check=True, env=env, timeout=60)

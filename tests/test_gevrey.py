@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from dulac.errors import SlopeUndetermined
-from dulac.gevrey import INF, classify, fit_growth, normalized_coeffs
+from dulac.gevrey import INF, GevreyReport, classify, fit_growth, normalized_coeffs
 from dulac.scalars import ZERO, ExactScalar
 from dulac.series import DulacSeries
 from dulac.solver import LinearData, extend, extract_linearization
@@ -190,7 +190,7 @@ def test_envelope_dominates_rows():
 def test_csv_shape():
     basis = basis_one()
     state = extend(euler_ode(), DulacSeries.zero(basis), 6)
-    text = classify(state, 1, 2).to_csv()
+    text = GevreyReport.rows_csv(classify(state, 1, 2).to_json()["rows"])
     lines = text.split("\r\n")
     assert lines[0] == "k,re_lambda,im_lambda,deg_c,norm_R,gamma_abs,rho,envelope_Ck"
     assert lines[-1] == ""  # trailing CRLF

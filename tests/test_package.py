@@ -2,7 +2,6 @@
 
 import importlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import dulac
+
+from .util import child_env
 
 # Every public name of the package with the submodule that defines it.
 PUBLIC = {
@@ -39,7 +40,7 @@ def test_import_loads_no_submodule():
         "import sys, dulac; "
         "print(sorted(m for m in sys.modules if m.startswith(('dulac.', 'mpmath'))))"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(dulac.__file__).parents[1]))
+    env = child_env()
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
 
@@ -50,7 +51,7 @@ def test_exact_core_loads_no_mpmath():
         "import sys, dulac.tpoly, dulac.series, dulac.ode, dulac.solver, dulac.semigroup, dulac.mseries; "
         "print(sorted(m for m in sys.modules if m.startswith('mpmath')))"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(dulac.__file__).parents[1]))
+    env = child_env()
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
 
@@ -62,7 +63,7 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
         "import sys, dulac.cli; "
         "print(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect')))"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(dulac.__file__).parents[1]))
+    env = child_env()
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
 
@@ -104,7 +105,7 @@ def test_subcommand_loads_only_its_layers(command, tmp_path):
         "    'mpmath': 'mpmath' in at_load, 'young': marks['young']}))\n"
     )
     problem = Path(__file__).parent / "data" / "euler_gens.json"
-    env = dict(os.environ, PYTHONPATH=str(Path(dulac.__file__).parents[1]))
+    env = child_env()
     out = subprocess.run(
         [sys.executable, "-c", code, command, str(problem), "--output-dir", str(tmp_path)],
         capture_output=True, text=True, check=True, env=env,

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -341,6 +342,44 @@ def test_extend_operation_counts(monkeypatch, name, cutoff, products, sums):
         monkeypatch.setattr(TPoly, op, counted)
     extend(F, prefix, cutoff)
     assert counts == {"__mul__": products, "__add__": sums}
+
+
+# every Fraction method that builds a Fraction
+_FRACTION_BUILDERS = ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                      "__truediv__", "__rtruediv__", "__mod__", "__rmod__", "__pow__", "__rpow__",
+                      "__neg__", "__pos__", "__abs__")
+
+
+@pytest.mark.parametrize("name, cutoff, built", [
+    ("semigroup_2d.json", 7, 105),
+    ("nonlinear.json", 30, 115),
+    ("euler.json", 80, 256),
+])
+def test_extend_fraction_counts(monkeypatch, name, cutoff, built):
+    # the Fractions one extend builds, by a constructor call or an operator
+    # outside the fractions module (so a Python version's own conversions
+    # inside it do not count): constant coefficients and integral exponents
+    # stay on ints (343, 359 and 582 when they built Fractions)
+    data = json.loads((DATA / name).read_text())
+    basis = ExponentBasis(data["basis"])
+    F = ODESpec.from_json(data["ode"])
+    prefix = DulacSeries.from_json({"terms": data["prefix"]}, basis)
+    out = []
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            q = f(*args, **kwargs)
+            if type(q) is Fraction and sys._getframe(1).f_globals.get("__name__") != "fractions":
+                out.append(q)
+            return q
+        return wrapper
+
+    for op in _FRACTION_BUILDERS:
+        f = Fraction.__dict__[op]
+        monkeypatch.setattr(Fraction, op, staticmethod(counted(f.__func__)) if op == "__new__" else counted(f))
+    extend(F, prefix, cutoff)
+    monkeypatch.undo()
+    assert len(out) == built
 
 
 def test_exponent_key_ties_compare_in_c(monkeypatch):

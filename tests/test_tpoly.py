@@ -165,6 +165,15 @@ def test_value_and_taylor_match_oracle(p, z):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
+@given(_tpolys(), _scalars())
+@example(TPoly.ZERO, ExactScalar(Fraction(2, 3), Fraction(-1, 5)))
+@example(TPoly.ZERO, ExactScalar.of(0))
+def test_value_is_the_first_taylor_entry(p, z):
+    # p(z) runs one Horner pass, taylor_at all of them
+    assert p(z) == p.taylor_at(z)[0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(_tpolys(), _scalars(), st.integers(1, 8))
 def test_taylor_shift_stops_after_count_entries(p, z, count):
     # solve_shifted reads only the first deg b + 1 Taylor entries of L, so
@@ -189,6 +198,53 @@ def test_canonical_form_is_unique(p, q):
     assert_same(_normal(3 * p.den, [3 * x for x in p.re], im), p)
     assert_same(TPoly.from_ints(3 * p.den, [3 * x for x in p.re], im), p)
     assert_same(_normal(-3 * p.den, [-3 * x for x in p.re], im and [-y for y in im]), p)
+
+
+@st.composite
+def _constant_fields(draw):
+    """(den, x, y) for the constant (x + y i) / den: den of either sign,
+    and x or y or both zero often."""
+    den = draw(st.integers(-40, 40).filter(bool))
+    kind = draw(st.sampled_from(("real", "imaginary", "complex", "zero")))
+    x = 0 if kind in ("imaginary", "zero") else draw(st.integers(-60, 60))
+    y = 0 if kind in ("real", "zero") else draw(st.integers(-60, 60))
+    return den, x, y
+
+
+def _constant(c: ExactScalar) -> TPoly:
+    """The oracle constant, built from its ExactScalar by the public
+    constructor."""
+    return TPoly((c,))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_constant_fields(), _constant_fields(), _MULTIPLIERS, _scalars(), _tpolys())
+# a zero constant over a negative denominator, and L(lam) = 0 for L = t - 1
+@example((-4, 0, 0), (-6, 3, -9), 0, ExactScalar.of(1), TPoly.of(-1, 1))
+def test_constant_arithmetic_matches_scalar_oracle(f, g, k, lam, L):
+    # constants take the one-coefficient paths of _normal, *, + and -; each
+    # result is the content-free TPoly of the ExactScalar result
+    for den, x, y in (f, g):
+        c = ExactScalar(Fraction(x, den), Fraction(y, den))
+        assert_same(_normal(den, [x], [y]), _constant(c))
+        assert_same(_normal(den, [x], None), _constant(ExactScalar(c.re, Fraction(0))))
+    p, q = (TPoly.from_ints(den, [x], [y]) for den, x, y in (f, g))
+    a, b = p[0], q[0]
+    assert_same(p * q, _constant(a * b))
+    assert_same(p + q, _constant(a + b))
+    assert_same(p - q, _constant(a - b))
+    assert_same(p - p, TPoly.ZERO)
+    assert_same(p + -p, TPoly.ZERO)
+    assert_same(p * k, _constant(a * (k if isinstance(k, ExactScalar) else ExactScalar.of(k))))
+    assert_same(p.shift_apply(lam), _constant(lam * a))
+    # solve_shifted with a constant right-hand side: v = b / L(lam)
+    for op in (L, q):
+        value = poly_value_oracle(op, lam)
+        if value.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                op.solve_shifted(lam, p)
+        else:
+            assert_same(op.solve_shifted(lam, p), _constant(a / value))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

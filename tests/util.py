@@ -1,5 +1,6 @@
 """Shared builders for the test suite: canonical equations and seeded random data."""
 
+import os
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import mpmath
 from mpmath.libmp import from_rational, mpf_sqrt, round_nearest
 
+import dulac
 from dulac.exponents import ExponentBasis
 from dulac.gammafn import gamma_abs
 from dulac.numeric import abs_scalar, to_mpf
@@ -17,6 +19,14 @@ from dulac.solver import ReducedEquation
 from dulac.tpoly import TPoly
 
 DATA = Path(__file__).parent / "data"
+
+
+def child_env(**extra) -> dict:
+    """The environment for a child interpreter that imports this checkout's
+    dulac: its src directory goes in front of the inherited PYTHONPATH,
+    which may be where the child finds mpmath and the other dependencies."""
+    src, inherited = str(Path(dulac.__file__).parents[1]), os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + inherited if inherited else src, **extra)
 
 
 def basis_one() -> ExponentBasis:
