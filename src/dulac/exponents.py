@@ -8,9 +8,11 @@ real or imaginary parts are only ever produced as interval enclosures: an
 exact rational midpoint with the radius the basis literals leave open (the
 midpoint-radius rule of Arb: an exact midpoint carries only its input
 radius).  Linear arithmetic runs on ints, and each basis keeps the parts of
-its entries as int weights over one denominator, so Re and Im of an
-exponent cost one Fraction each, and a sign over an exact basis none: it is
-one int cross-multiplication.
+its entries as int weights over one denominator, so an exponent's value is
+one int triple (d, a, b), Re = a / d and Im = b / d at the midpoints, summed
+once: the polynomial kernels of tpoly take it as is, a sign over an exact
+basis is one int cross-multiplication, and Re or Im costs a Fraction only
+where a caller reads re_mid or im_mid.
 
 Basis entries come in two flavors, distinguished by their literal form:
 
@@ -28,9 +30,10 @@ convention chosen to make the order total; any fixed tie rule would do.
 Every exponent carries one sort key, computed once: over an exact basis the
 tuple (floor(Re), Re, floor(Im), Im), so no enclosure is ever built and the
 int floors decide a comparison before any exact Fraction does (an integral
-exponent's key is four ints, with no Fraction built); otherwise
-cmp_to_key(exp_compare), which certifies each comparison from the interval
-enclosures or raises UndecidableComparison when an enclosure contains zero.
+part enters as an int, so an integral exponent's key is four ints, with no
+Fraction built); otherwise cmp_to_key(exp_compare), which certifies each
+comparison from the interval enclosures or raises UndecidableComparison
+when an enclosure contains zero.
 """
 
 from __future__ import annotations
@@ -201,12 +204,13 @@ class Exponent(Value):
     Coordinate i is nums[i] / den for an int den > 0 and ints nums with
     gcd(den, *nums) = 1, so equal exponents have equal fields; the hash is
     computed once.  Built on first read and kept: coords (the Fractions, for
-    the API edge), re_mid and im_mid (enclosure midpoints, exact over an
-    exact basis), re_low (a certified lower bound on Re) and key (the sort
-    key of the module docstring).
+    the API edge), parts (the enclosure midpoint as the int triple (d, a, b)
+    in lowest terms, Re = a / d and Im = b / d, exact over an exact basis),
+    re_mid and im_mid (the same midpoints as Fractions), re_low (a certified
+    lower bound on Re) and key (the sort key of the module docstring).
     """
 
-    __slots__ = ("basis", "den", "nums", "_hash", "coords", "re_mid", "im_mid", "re_low", "key")
+    __slots__ = ("basis", "den", "nums", "_hash", "coords", "parts", "re_mid", "im_mid", "re_low", "key")
 
     def __new__(cls, basis: ExponentBasis, coords):
         """The exponent with the given rational coordinates; a float is read
@@ -228,28 +232,27 @@ class Exponent(Value):
 
     def __getattr__(self, name):
         # called only for an empty slot: compute the lazy value and keep it
-        if name == "coords":
-            value = tuple(Fraction(a, self.den) for a in self.nums)
-        elif name == "re_mid" or name == "im_mid":
+        if name == "parts":
             b = self.basis
-            weights = b._re_weights if name == "re_mid" else b._im_weights
-            value = Fraction(sum(map(mul, self.nums, weights)), self.den * b._weight_den)
+            d = self.den * b._weight_den
+            x, y = sum(map(mul, self.nums, b._re_weights)), sum(map(mul, self.nums, b._im_weights))
+            g = gcd(d, x, y)
+            value = (d // g, x // g, y // g)
+        elif name == "re_mid" or name == "im_mid":
+            d, x, y = self.parts
+            value = Fraction(x if name == "re_mid" else y, d)
+        elif name == "coords":
+            value = tuple(Fraction(a, self.den) for a in self.nums)
         elif name == "re_low":
             value = self.re_mid if self.basis.exact else self.re_mid - self.radius("re")
         elif name == "key":
-            b = self.basis
-            if b.exact:
+            if self.basis.exact:
                 # int floors first: they decide most comparisons in C; an
                 # integral Re or Im enters as the int, so that a tie of two
                 # integral parts is decided in C too
-                d = self.den * b._weight_den
-                x, y = sum(map(mul, self.nums, b._re_weights)), sum(map(mul, self.nums, b._im_weights))
-                if d == 1:
-                    value = (x, x, y, y)
-                else:
-                    re, im = self.re_mid, self.im_mid
-                    value = (x // d, re.numerator if re.denominator == 1 else re,
-                             y // d, im.numerator if im.denominator == 1 else im)
+                d, x, y = self.parts
+                value = (x // d, x // d if x % d == 0 else self.re_mid,
+                         y // d, y // d if y % d == 0 else self.im_mid)
             else:
                 value = cmp_to_key(exp_compare)(self)
         else:
@@ -312,8 +315,10 @@ class Exponent(Value):
     def radius(self, part: str) -> Fraction:
         return sum(abs(a) * e.radius(part) for a, e in zip(self.nums, self.basis.entries)) / self.den
 
-    def value(self) -> ExactScalar:
-        """Exact complex value; requires every participating entry exact."""
+    def exact_parts(self) -> tuple:
+        """parts, the exact value as (d, a, b) with value (a + b i) / d;
+        requires every participating entry exact.  The polynomial kernels
+        of tpoly read an exponent through this method."""
         if not self.basis.exact:
             for a, e in zip(self.nums, self.basis.entries):
                 if a and not e.exact:
@@ -321,6 +326,11 @@ class Exponent(Value):
                         f"exponent value: basis entry {e.literal!r} is approximate; "
                         "an exact complex value cannot be produced"
                     )
+        return self.parts
+
+    def value(self) -> ExactScalar:
+        """Exact complex value; requires every participating entry exact."""
+        self.exact_parts()
         return ExactScalar(self.re_mid, self.im_mid)
 
     # -- ordering -------------------------------------------------------
@@ -330,12 +340,11 @@ class Exponent(Value):
         0 only when exactly equal.  An approximate basis encloses it in
         mid +- rad; an enclosure that contains zero without being {0} raises
         UndecidableComparison."""
-        b = self.basis
-        if b.exact:
-            # the sign of sum(nums * weights) / (den * weight_den) - shift
-            x = sum(map(mul, self.nums, b._re_weights if part == "re" else b._im_weights)) * shift.denominator
-            y = shift.numerator * self.den * b._weight_den
-            return (x > y) - (x < y)
+        if self.basis.exact:
+            # the sign of x / d - shift for parts (d, x, y), or of y / d - shift
+            d, x, y = self.parts
+            v, w = (x if part == "re" else y) * shift.denominator, shift.numerator * d
+            return (v > w) - (v < w)
         mid = (self.re_mid if part == "re" else self.im_mid) - shift
         rad = self.radius(part)
         if mid > rad:

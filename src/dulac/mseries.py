@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
 )
 from .exponents import Exponent
-from .scalars import ExactScalar, Value
+from .scalars import Value
 from .semigroup import Generators
 from .series import INF, DulacSeries, _as_cutoff, cutoff_from_json, cutoff_to_json
 from .tpoly import TPoly
@@ -30,11 +30,22 @@ from .tpoly import TPoly
 
 def _canonical_terms(items: dict, gens: Generators, cutoff) -> tuple:
     """The nonzero terms of {m: C_m} below the cutoff, by (Re<m,r>, m)."""
-    m_re = gens.m_re
+    m_exponent = gens.m_exponent
     return tuple(
-        (m, items[m]) for m in sorted(items, key=lambda m: (m_re(m), m))
-        if not items[m].is_zero() and (cutoff == INF or m_re(m) < cutoff)
+        (m, items[m]) for m in sorted(items, key=lambda m: (m_exponent(m).re_mid, m))
+        if not items[m].is_zero() and (cutoff == INF or m_exponent(m).re_mid < cutoff)
     )
+
+
+def _multi_index(m, kappa: int, what: str, error=ValueError) -> tuple:
+    """m as a tuple of kappa nonnegative ints; otherwise error, with what
+    naming m.  An entry v with v != int(v), such as 1.5 or Fraction(5, 2),
+    is refused, never truncated."""
+    m = tuple(m)
+    ints = tuple(int(v) for v in m)
+    if len(ints) != kappa or min(ints, default=0) < 0 or ints != m:
+        raise error(f"{what} {m} is not kappa = {kappa} nonnegative integers")
+    return ints
 
 
 class MSeries(Value):
@@ -48,9 +59,7 @@ class MSeries(Value):
         cutoff = _as_cutoff(cutoff)
         items, kappa = {}, gens.kappa
         for m, c in terms:
-            m = tuple(int(v) for v in m)
-            if len(m) != kappa or any(v < 0 for v in m):
-                raise ValueError(f"MSeries: multi-index {m} is not kappa = {kappa} nonnegative integers")
+            m = _multi_index(m, kappa, "MSeries: multi-index")
             if not any(m):
                 raise ValueError("MSeries: the zero multi-index is not a semigroup member")
             items[m] = items[m] + c if m in items else c
@@ -86,10 +95,7 @@ class MSeries(Value):
         return not self.terms
 
     def val_re(self):
-        return self.gens.m_re(self.terms[0][0]) if self.terms else INF
-
-    def m_value(self, m) -> ExactScalar:
-        return self.gens.m_exponent(m).value()
+        return self.gens.m_exponent(self.terms[0][0]).re_mid if self.terms else INF
 
     # -- ring operations -------------------------------------------------------
 
@@ -123,22 +129,21 @@ class MSeries(Value):
 
     def shift_m(self, l) -> "MSeries":
         """The product by X^l for a multi-index l of kappa nonnegative integers."""
-        l = tuple(int(v) for v in l)
-        if len(l) != self.gens.kappa or min(l) < 0:
-            raise ValueError(f"MSeries: shift index {l} is not kappa = {self.gens.kappa} nonnegative integers")
+        l = _multi_index(l, self.gens.kappa, "MSeries: shift index")
         # adding <l,r> keeps each index valid, the order and the cutoff test
         terms = tuple((tuple(map(add, m, l)), c) for m, c in self.terms)
-        return self._trusted(terms, self.cutoff + self.gens.m_re(l))
+        return self._trusted(terms, self.cutoff + self.gens.m_exponent(l).re_mid)
 
     def hat_delta(self) -> "MSeries":
         """Transported Euler derivation: C_m -> (<m,r> + d/dt) C_m."""
-        out = tuple((m, c.shift_apply(self.m_value(m))) for m, c in self.terms)
+        out = tuple((m, c.shift_apply(self.gens.m_exponent(m))) for m, c in self.terms)
         return MSeries(self.gens, self.lambda_base, out, self.cutoff)
 
     def base_delta(self) -> "MSeries":
         """Reduced-equation operator (lambda_base + hat_delta)."""
-        lam = self.lambda_base.value()
-        out = tuple((m, c.shift_apply(self.m_value(m) + lam)) for m, c in self.terms)
+        base = self.lambda_base
+        base.exact_parts()  # an approximate base is refused before a sum could cancel it
+        out = tuple((m, c.shift_apply(base + self.gens.m_exponent(m))) for m, c in self.terms)
         return MSeries(self.gens, self.lambda_base, out, self.cutoff)
 
     def truncate(self, new_cutoff) -> "MSeries":

@@ -28,7 +28,7 @@ from mpmath.libmp import fone, from_float, fzero
 from .errors import PreconditionViolated
 from .exponents import Exponent
 from .gammafn import gamma_abs
-from .mseries import MSeries, _canonical_terms
+from .mseries import MSeries, _canonical_terms, _multi_index
 from .numeric import (
     FLOAT_PRECISION, _norm_powers, abs_scalar, by_value, raw_add, raw_div, raw_mul, raw_poly_norm, raw_pow, to_mpf,
 )
@@ -91,8 +91,8 @@ def _gammas(gens: Generators, s: Fraction) -> tuple:
 
     @cache
     def gamma(m):
-        re, im = gens.m_parts(m)
-        return gamma_abs(ExactScalar(re / s, im / s))._mpf_
+        e = gens.m_exponent(m)
+        return gamma_abs(ExactScalar(e.re_mid / s, e.im_mid / s))._mpf_
 
     return gamma, cache(lambda a, b: raw_div(raw_mul(gamma(a), gamma(b)), gamma(tuple(map(add, a, b)))))
 
@@ -106,8 +106,8 @@ class _NormTable:
     def __init__(self, gens: Generators, lambda_base: Exponent | None, p: NormParams):
         @cache
         def weight(m):
-            re, im = gens.m_parts(m)
-            lam = ExactScalar(lambda_base.re_mid + re, lambda_base.im_mid + im)
+            e = gens.m_exponent(m)
+            lam = ExactScalar(lambda_base.re_mid + e.re_mid, lambda_base.im_mid + e.im_mid)
             with mpmath.workprec(FLOAT_PRECISION):
                 return (abs_scalar(lam) + to_mpf(p.Kcal) * sum(m))._mpf_
 
@@ -169,10 +169,8 @@ def check_lemma5(a: TPoly, l, j: int, g: MSeries, p: NormParams) -> Lemma5Report
       * Re<l, r> >= (j - p.j) * s  (the slope gate; trivial when j <= p.j),
       * deg C_m <= Kcal * |m| for the stored terms of g (level membership).
     """
-    l = tuple(int(v) for v in l)
-    if len(l) != g.gens.kappa or any(v < 0 for v in l):
-        raise PreconditionViolated(f"check_lemma5: shift index {l} is not kappa = {g.gens.kappa} nonnegative integers")
-    cap, re_l, gate = p.degree_cap(l), g.gens.m_re(l), p.slope_gate(j)
+    l = _multi_index(l, g.gens.kappa, "check_lemma5: shift index", PreconditionViolated)
+    cap, re_l, gate = p.degree_cap(l), g.gens.m_exponent(l).re_mid, p.slope_gate(j)
     if a.degree > cap:
         raise PreconditionViolated(f"check_lemma5: deg a = {a.degree} exceeds Kcal |l| = {cap}")
     if re_l < gate:
@@ -292,7 +290,7 @@ def norm_trials(rng, gens: Generators, R, s, Kcal) -> dict:
 
     # l is drawn from {0,1,2}^kappa; when no such l meets the slope gate of
     # j = level + 1 (s above Re<(2,...,2),r>), the trial checks j = level
-    box_re = gens.m_re((2,) * kappa)
+    box_re = gens.m_exponent((2,) * kappa).re_mid
     for _ in range(_TRIALS["lemma5"]):
         level = rng.randint(0, 1)
         j = level + rng.randint(0, 1)
@@ -301,7 +299,7 @@ def norm_trials(rng, gens: Generators, R, s, Kcal) -> dict:
             j = level
         while True:
             l = tuple(rng.randint(0, 2) for _ in range(kappa))
-            if any(l) and gens.m_re(l) >= p.slope_gate(j):
+            if any(l) and gens.m_exponent(l).re_mid >= p.slope_gate(j):
                 break
         a = _random_poly(rng, min(2, int(p.degree_cap(l))))
         g = _random_mseries(rng, gens, base, max_deg_for=lambda m: min(2, int(p.degree_cap(m))))

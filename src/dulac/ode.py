@@ -297,10 +297,10 @@ class Evaluation:
     def add(self, lam: Exponent, c: TPoly) -> None:
         """Add the term c x^lam to phi and update every product and the value;
         lam must exceed every exponent added before."""
-        lam_v = lam.value()
+        lam.exact_parts()  # an approximate value is refused before any product
         powers = []  # powers[j][k] = ((lam + d/dt)^j c)^k
         for j, top in enumerate(self._degrees):
-            d = d.shift_apply(lam_v) if j else c
+            d = d.shift_apply(lam) if j else c
             row = [TPoly.ONE, d]
             while len(row) <= top:
                 row.append(row[-1] * d)

@@ -77,12 +77,12 @@ class Generators(Value):
     """Validated semigroup generators r (a tuple of Exponent) over a shared
     exponent basis; immutable, equal when basis and r are.
 
-    The exponent <m, r> is computed once per multi-index m and kept, with
-    its Re and Im, since norm tables, series sorts and the iota image ask
-    for the same m many times; so is the decomposition of each exponent,
-    which the gaps and the iota image of a run both ask for.  The hash,
-    which keys the norm tables, is computed once; a pickle rebuilds it
-    through the constructor.
+    The exponent <m, r> is computed once per multi-index m and kept (its
+    Re and Im are kept on it), since norm tables, series sorts, hat_delta
+    and the iota image ask for the same m many times; so is the
+    decomposition of each exponent, which the gaps and the iota image of a
+    run both ask for.  The hash, which keys the norm tables, is computed
+    once; a pickle rebuilds it through the constructor.
     """
 
     __slots__ = ("basis", "r", "_hash", "_m_exponents", "_decomposed")
@@ -103,9 +103,6 @@ class Generators(Value):
     def kappa(self) -> int:
         return len(self.r)
 
-    def re_mids(self) -> list:
-        return [g.re_mid for g in self.r]
-
     def m_exponent(self, m) -> Exponent:
         """The exponent <m, r> = sum m_i r_i; ValueError unless m has kappa
         entries."""
@@ -120,18 +117,6 @@ class Generators(Value):
                     e = e + ri * mi
             self._m_exponents[m] = e
         return e
-
-    def m_parts(self, m) -> tuple:
-        """(Re <m, r>, Im <m, r>) as Fractions (the midpoints over an
-        approximate basis)."""
-        e = self.m_exponent(m)
-        return e.re_mid, e.im_mid
-
-    def m_re(self, m) -> Fraction:
-        return self.m_exponent(m).re_mid
-
-    def m_im(self, m) -> Fraction:
-        return self.m_exponent(m).im_mid
 
     def decomposition(self, lam: Exponent):
         """decompose(lam, self), solved once per exponent and kept."""
@@ -200,7 +185,7 @@ def choose_R(Kcal, gens: Generators) -> tuple:
     The returned R keeps the derivative-term contraction below 1 whenever
     the coefficient degrees grow at most like Kcal * |m|.
     """
-    beta = min(gens.re_mids())
+    beta = min(g.re_mid for g in gens.r)
     theta_bound = 1 / beta
     R = max(Fraction(2), 2 * Fraction(Kcal) * theta_bound)
     return theta_bound, R

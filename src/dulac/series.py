@@ -194,10 +194,7 @@ class DulacSeries(Value):
 
     def delta(self) -> "DulacSeries":
         """Euler derivation x d/dx, acting termwise as (lambda + d/dt)."""
-        out = []
-        for e, c in self.terms:
-            out.append((e, c.shift_apply(e.value())))
-        return DulacSeries(self.basis, tuple(out), self.cutoff)
+        return DulacSeries(self.basis, tuple((e, c.shift_apply(e)) for e, c in self.terms), self.cutoff)
 
     def shift(self, exponent: Exponent) -> "DulacSeries":
         """Multiply by x^exponent: shifts every term and the cutoff."""

@@ -161,12 +161,11 @@ def solve_coefficient(L: TPoly, lam, b: TPoly) -> TPoly:
     The operator acts triangularly in the degree: expanding L(lam + d/dt) =
     sum_i L^(i)(lam)/i! (d/dt)^i, the top coefficient of v is fixed by
     L(lam) alone and lower ones follow by back-substitution (on integers,
-    TPoly.solve_shifted).  All arithmetic is exact; L(lam) = 0 raises
-    Resonance.
+    TPoly.solve_shifted, which takes an exponent lam as is).  All arithmetic
+    is exact; L(lam) = 0 raises Resonance.
     """
-    lam_v = lam.value() if isinstance(lam, Exponent) else lam
     try:
-        return L.solve_shifted(lam_v, b)
+        return L.solve_shifted(lam, b)
     except ZeroDivisionError:
         raise Resonance(
             f"solve_coefficient: characteristic polynomial vanishes at lambda = {lam}; "
@@ -217,9 +216,10 @@ def _extend(F, prefix, target, pinned) -> SolutionState:
     evaluation = Evaluation(F, prefix)
     lin = pinned if pinned is not None else extract_linearization(F, evaluation)
     nu_re = lin.nu.re_mid
+    bound = target + nu_re
     history = []
     while True:
-        head = evaluation.leading(target + nu_re)
+        head = evaluation.leading(bound)
         if head is None:
             break
         sigma, beta = head

@@ -13,10 +13,15 @@ hashes.  The degree of the zero polynomial is -inf.
 Sums, differences, products by scalars and polynomials, deriv, shift_apply,
 Taylor expansion and the back-substitution of solve_shifted all run on
 Python ints, with one gcd per result to restore the content-free form.  The
-module imports no floating point; the weighted norm poly_norm lives in
-numeric.  ExactScalar coefficients are built only at the API edge (coeffs,
-indexing, str, __call__, taylor_at) and are reduced like any other
-Fraction; serialize formats the same literals straight from the ints.
+point lam or z they take is read as one int triple (d, a, b), the value
+(a + b i) / d: split from an ExactScalar or a real number, or handed over
+as is by an exponent's exact_parts method, so an exponent reaches the
+kernels with no Fraction built and this module imports nothing from
+exponents.  The module imports no floating point; the weighted norm
+poly_norm lives in numeric.  ExactScalar coefficients are built only at the
+API edge (coeffs, indexing, str, __call__, taylor_at) and are reduced like
+any other Fraction; serialize formats the same literals straight from the
+ints.
 """
 
 from __future__ import annotations
@@ -66,15 +71,18 @@ def _normal(den: int, re, im) -> "TPoly":
 
 def _scalar_parts(k) -> tuple:
     """(d, a, b) with k = (a + b i) / d for ints d > 0, a, b, for an
-    ExactScalar, int or Fraction k."""
-    if not isinstance(k, ExactScalar):
-        k = Fraction(k)
-        return k.denominator, k.numerator, 0
-    re, im = k.re, k.im
-    if not im:
-        return re.denominator, re.numerator, 0
-    d = lcm(re.denominator, im.denominator)
-    return d, re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+    ExactScalar, an exponent, whose exact_parts method gives its own int
+    triple or raises ExactValueRequired, or a real k that Fraction reads."""
+    if isinstance(k, ExactScalar):
+        re, im = k.re, k.im
+        if not im:
+            return re.denominator, re.numerator, 0
+        d = lcm(re.denominator, im.denominator)
+        return d, re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+    if hasattr(k, "exact_parts"):
+        return k.exact_parts()
+    k = Fraction(k)
+    return k.denominator, k.numerator, 0
 
 
 def _combine(x, mx: int, y, my: int) -> list:
@@ -283,11 +291,12 @@ class TPoly(Value):
             None if im is None else [k * im[k] for k in range(1, len(im))],
         )
 
-    def shift_apply(self, lam: ExactScalar) -> "TPoly":
-        """Apply the operator (lam + d/dt) to this polynomial."""
+    def shift_apply(self, lam) -> "TPoly":
+        """Apply the operator (lam + d/dt) to this polynomial, for an
+        ExactScalar, int, Fraction or exponent lam."""
+        d, a, b = _scalar_parts(lam)  # an exponent is refused here even for p = 0
         if not self.re:
             return self
-        d, a, b = _scalar_parts(lam)
         re, n = self.re, len(self.re)
         dre = [d * k * re[k] for k in range(1, n)] + [0]  # d * (d/dt)
         if self.im is None:

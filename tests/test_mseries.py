@@ -14,10 +14,12 @@ from dulac import cli, norms, numeric
 from dulac.errors import (
     BasisMismatch,
     CutoffIncrease,
+    ExactValueRequired,
     ExponentOutsideSemigroup,
     PreconditionViolated,
     SchemaError,
 )
+from dulac.exponents import ExponentBasis
 from dulac.mseries import MSeries, fit_degree_K, iota, iota_inv
 from dulac.norms import NormParams, check_lemma5, check_lemma6, h_norm, majorant_bound
 from dulac.numeric import poly_norm
@@ -174,10 +176,10 @@ def test_trusted_results_equal_canonical_construction(gens_of, seed, cutoff, lve
     g, h = _random_mseries(rng, gens).truncate(cutoff), _random_mseries(rng, gens)
     l, a = tuple(lvec[: gens.kappa]), rng.choice([TPoly.ZERO, random_poly(rng, 2)])
     shifted = tuple((tuple(x + y for x, y in zip(m, l)), c) for m, c in g.terms)
-    assert g.shift_m(l) == MSeries(gens, g.lambda_base, shifted, g.cutoff + gens.m_re(l))
+    assert g.shift_m(l) == MSeries(gens, g.lambda_base, shifted, g.cutoff + gens.m_exponent(l).re_mid)
     assert g.mul_poly(a) == MSeries(gens, g.lambda_base, tuple((m, c * a) for m, c in g.terms), g.cutoff)
     assert -g == MSeries(gens, g.lambda_base, tuple((m, -c) for m, c in g.terms), g.cutoff)
-    out = tuple((m, c.shift_apply(g.m_value(m))) for m, c in g.terms)
+    out = tuple((m, c.shift_apply(gens.m_exponent(m).value())) for m, c in g.terms)
     assert g.hat_delta() == MSeries(gens, g.lambda_base, out, g.cutoff)
     prods = tuple(
         (tuple(x + y for x, y in zip(m1, m2)), c1 * c2) for m1, c1 in g.terms for m2, c2 in h.terms
@@ -197,6 +199,36 @@ def test_shift_by_an_invalid_index_raises_as_construction_does():
             g.shift_m(l)
 
 
+_NONINTEGRAL, _IDS = [(1.5,), (0.7,), (Fraction(5, 2),), (Fraction(1, 3),)], ["1.5", "0.7", "5/2", "1/3"]
+
+
+@pytest.mark.parametrize("m", _NONINTEGRAL, ids=_IDS)
+def test_construction_refuses_a_nonintegral_multi_index(m):
+    # 1.5 is not read as 1, nor 5/2 as 2; an integral 2.0 or Fraction(2) is 2
+    with pytest.raises(ValueError, match=r"MSeries: multi-index .* is not kappa = 1 nonnegative integers"):
+        _ms(_gens_one(), ((m, TPoly.ONE),))
+    assert _ms(_gens_one(), (((2.0,), TPoly.ONE), ((Fraction(1),), TPoly.T))).terms == (
+        ((1,), TPoly.T), ((2,), TPoly.ONE))
+
+
+@pytest.mark.parametrize("l", _NONINTEGRAL, ids=_IDS)
+def test_shift_refuses_a_nonintegral_index(l):
+    # a shift by (0.7,) is no shift by (0,)
+    g = _ms(_gens_one(), (((1,), TPoly.ONE),), cutoff=4)
+    with pytest.raises(ValueError, match=r"MSeries: shift index .* is not kappa = 1 nonnegative integers"):
+        g.shift_m(l)
+    assert g.shift_m((Fraction(2),)) == g.shift_m((2,))
+
+
+@pytest.mark.parametrize("l", _NONINTEGRAL, ids=_IDS)
+def test_lemma5_refuses_a_nonintegral_shift(l):
+    ms = _ms(_gens_one(), (((1,), TPoly.ONE),))
+    p = NormParams(R=2, s=1, Kcal=1, j=0)
+    with pytest.raises(PreconditionViolated, match="is not kappa = 1 nonnegative integers"):
+        check_lemma5(TPoly.ONE, l, 0, ms, p)
+    assert check_lemma5(TPoly.ONE, (1.0,), 0, ms, p) == check_lemma5(TPoly.ONE, (1,), 0, ms, p)
+
+
 def test_hat_delta():
     g = _gens_one()
     ms = _ms(g, (((1,), TPoly.of(0, 1)),))  # t X
@@ -212,6 +244,20 @@ def test_base_delta_adds_lambda_base():
     out = ms.base_delta()
     # (lambda_base + <m,r>) * 1 = 3
     assert out.terms == (((1,), TPoly.of(3)),)
+
+
+def test_derivations_refuse_an_approximate_value():
+    # over ["1", "1.41421356237"] with r = sqrt 2: lambda_base = -sqrt 2 is
+    # refused although lambda_base + <m,r> = 0 at m = (1,) is exact
+    basis = ExponentBasis(["1", "1.41421356237"])
+    g = validate_generators([basis.exponent([0, 1])])
+    ms = MSeries(g, basis.exponent([0, -1]), (((1,), TPoly.ONE),), INF)
+    for derivation in (ms.base_delta, ms.hat_delta):
+        with pytest.raises(ExactValueRequired, match="'1.41421356237' is approximate"):
+            derivation()
+    # exact data over the same basis pass
+    exact = MSeries(validate_generators([basis.exponent([1, 0])]), basis.rational(2), (((1,), TPoly.T),), INF)
+    assert exact.base_delta().terms == (((1,), TPoly.of(1, 3)),)
 
 
 def test_shift_and_truncate():

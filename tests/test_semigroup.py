@@ -121,7 +121,7 @@ def test_semigroup_layer_matches_fraction_oracle(data):
 def test_validate_single_generator():
     g = _gens_one()
     assert g.kappa == 1
-    assert g.re_mids() == [Fraction(1)]
+    assert g.m_exponent((1,)).re_mid == Fraction(1)
 
 
 def test_validate_rejects_nonpositive():
@@ -147,19 +147,18 @@ def test_validate_dependent_pair_has_witness():
 def test_validate_independent_mixed_pair():
     g = _gens_half_mixed()
     assert g.kappa == 2
-    assert g.m_re((1, 1)) == Fraction(3, 2)
-    assert g.m_im((1, 1)) == Fraction(1)
+    e = g.m_exponent((1, 1))
+    assert (e.re_mid, e.im_mid) == (Fraction(3, 2), Fraction(1))
+    assert e.parts == (2, 3, 2)
     assert g.m_exponent((2, 0)).coords == (Fraction(1), Fraction(0))
-    assert g.m_parts((1, 1)) == (Fraction(3, 2), Fraction(1))
 
 
 @pytest.mark.parametrize("m", [(1, 5), (1,), (1, 0, 0)])
 def test_multi_index_of_wrong_length_raises(m):
     # a multi-index has exactly kappa entries: none is dropped or padded
     g = _gens_one() if len(m) == 2 else _gens_half_mixed()
-    for read in (g.m_exponent, g.m_parts, g.m_re, g.m_im):
-        with pytest.raises(ValueError, match="kappa"):
-            read(m)
+    with pytest.raises(ValueError, match="kappa"):
+        g.m_exponent(m)
 
 
 # -- membership ---------------------------------------------------------------

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dulac.errors import (
     AllDerivativesVanish,
@@ -33,11 +35,13 @@ from .util import (
     DATA,
     basis_one,
     euler_ode,
+    log_resonant_oracle,
     random_poly,
     random_scalar,
     reduced_residual,
     resonant_double_ode,
     resonant_ode,
+    semigroup_2d_oracle,
     substitute_direct,
     x_prefix,
 )
@@ -351,15 +355,18 @@ _FRACTION_BUILDERS = ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "
 
 
 @pytest.mark.parametrize("name, cutoff, built", [
-    ("semigroup_2d.json", 7, 105),
-    ("nonlinear.json", 30, 115),
-    ("euler.json", 80, 256),
+    ("semigroup_2d.json", 7, 44),
+    ("nonlinear.json", 30, 30),
+    ("euler.json", 80, 21),
 ])
 def test_extend_fraction_counts(monkeypatch, name, cutoff, built):
     # the Fractions one extend builds, by a constructor call or an operator
     # outside the fractions module (so a Python version's own conversions
     # inside it do not count): constant coefficients and integral exponents
-    # stay on ints (343, 359 and 582 when they built Fractions)
+    # stay on ints (343, 359 and 582 when they built Fractions), and an
+    # exponent reaches the polynomial kernels as its int triple, with the
+    # step bound formed once (105, 115 and 256 when each solved exponent
+    # built its value and each step its bound)
     data = json.loads((DATA / name).read_text())
     basis = ExponentBasis(data["basis"])
     F = ODESpec.from_json(data["ode"])
@@ -572,3 +579,75 @@ def test_reduce_equation_reports_secondary_gap_below_slope():
     violations = reduce_equation(F, state.solution, 4, s=3).violations
     assert "secondary gap Re mu_1 = 1 is below (j - ell) s = 3" in violations
     assert reduce_equation(F, state.solution, 4).violations == ()
+
+
+# -- two equation families against their coefficient recursions --------------
+
+# fractions with large denominators and small integers of either sign, and
+# zero, which drops the parameter's term from the equation
+_FAMILY_PARAM = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**6).filter(bool),
+    st.integers(-3, 3).filter(bool).map(Fraction),
+    st.just(Fraction(0)),
+)
+
+
+def _literal(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+def _extend_family(entries, terms, prefix, cutoff) -> tuple:
+    """extend on delta y + (the given terms) = 0 from the prefix terms
+    (exponent coordinates, coefficient literals): the solution terms as
+    (coordinates, [(re, im) per coefficient]) and the achieved cutoff.  A
+    term with a zero coefficient is left out of the equation, as ODESpec
+    requires.  The solved steps are the solution's last terms: no step is
+    taken at or past the cutoff."""
+    basis = ExponentBasis(entries)
+    F = ODESpec.from_json({"n": 1, "terms": [{"coeff": "1/1", "x": 0, "y": [0, 1]}] + [
+        {"coeff": coeff, "x": x, "y": list(y)} for coeff, x, y in terms if not coeff.startswith("0/")]})
+    phi = DulacSeries.from_json({"terms": [
+        {"exp": [_literal(Fraction(v)) for v in exp], "poly": poly} for exp, poly in prefix]}, basis)
+    state = extend(F, phi, cutoff)
+
+    def listed(terms) -> list:
+        return [(e.coords, [(q.re, q.im) for q in c.coeffs]) for e, c, *_ in terms]
+
+    got, steps = listed(state.solution.terms), listed(state.history)
+    assert got[len(got) - len(steps):] == steps
+    return got, state.solution.cutoff
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=_FAMILY_PARAM, b=_FAMILY_PARAM, cutoff=st.sampled_from([Fraction(k, 3) for k in range(2, 22)]))
+@example(a=Fraction(-7, 123457), b=Fraction(5, 3), cutoff=Fraction(7))
+def test_log_resonant_family_matches_its_recursion(a, b, cutoff):
+    # delta y - y - a x - b y^2 = 0 with the resonant prefix a t x: each step
+    # solves (k - 1 + d/dt) c_k = ... on a log polynomial of degree k
+    got, achieved = _extend_family(
+        ["1"],
+        [("-1/1", 0, (1, 0)), (_literal(-a), 1, (0, 0)), (_literal(-b), 0, (2, 0))],
+        [((1,), ["0/1", _literal(a)])],
+        cutoff,
+    )
+    want = [((Fraction(k),), c) for k, c in log_resonant_oracle(a, b, cutoff)]
+    assert got == want
+    assert achieved == cutoff
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=_FAMILY_PARAM, b=_FAMILY_PARAM, c=_FAMILY_PARAM,
+       cutoff=st.sampled_from([Fraction(k, 3) for k in range(2, 17)]))
+@example(a=Fraction(2, 999983), b=Fraction(-3, 7), c=Fraction(-5, 11), cutoff=Fraction(11, 2))
+def test_semigroup_2d_family_matches_its_recursion(a, b, c, cutoff):
+    # delta y - (1+i) y - a x y - b y^2 = 0 with the prefix c x^(1+i) over
+    # ["1", "1+1i"]: every step solves at a complex exponent
+    got, achieved = _extend_family(
+        ["1", "1+1i"],
+        [("-1/1-1/1i", 0, (1, 0)), (_literal(-a), 1, (1, 0)), (_literal(-b), 0, (2, 0))],
+        [((0, 1), [_literal(c)])],
+        cutoff,
+    )
+    want = [((Fraction(p), Fraction(q)), poly) for (p, q), poly in semigroup_2d_oracle(a, b, c, cutoff)]
+    assert got == want
+    assert achieved == cutoff

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dulac.errors import ExactValueRequired
 from dulac.exponents import ExponentBasis
 from dulac.gevrey import GevreyReport, RhoRow, classify
 from dulac.mseries import MSeries
@@ -245,6 +246,56 @@ def test_constant_arithmetic_matches_scalar_oracle(f, g, k, lam, L):
                 op.solve_shifted(lam, p)
         else:
             assert_same(op.solve_shifted(lam, p), _constant(a / value))
+
+
+_EXPONENT_COORDS = st.one_of(st.integers(-9, 9), st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+def _each_kernel(p: TPoly, L: TPoly, b: TPoly, lam) -> tuple:
+    """p.shift_apply(lam), L.solve_shifted(lam, b) (ZeroDivisionError where
+    L(lam) = 0) and p(lam)."""
+    try:
+        solved = L.solve_shifted(lam, b)
+    except ZeroDivisionError:
+        solved = ZeroDivisionError
+    return p.shift_apply(lam), solved, p(lam)
+
+
+@pytest.mark.parametrize("entries", [["1"], ["1", "1+1i"], ["1", "1/3+1/2i"], ["-1/2", "2+3/4i"]])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kernels_take_an_exponent_as_its_value(entries, data):
+    # an exponent's parts are its value as one int triple in lowest terms,
+    # and each kernel fed the exponent itself gives what it gives fed value()
+    basis = ExponentBasis(entries)
+    e = basis.exponent(data.draw(st.lists(_EXPONENT_COORDS, min_size=basis.dim, max_size=basis.dim)))
+    d, a, b = e.parts
+    re = sum((c * x.re for c, x in zip(e.coords, basis.entries)), Fraction(0))
+    im = sum((c * x.im for c, x in zip(e.coords, basis.entries)), Fraction(0))
+    assert d > 0 and gcd(d, a, b) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == (e.re_mid, e.im_mid) == (re, im)
+    assert e.exact_parts() == e.parts
+    p, L, rhs = data.draw(_tpolys()), data.draw(_tpolys()), data.draw(_tpolys())
+    # half the time L vanishes at e: the resonant case raises on both sides
+    if data.draw(st.booleans()):
+        L = L * TPoly((-e.value(), ExactScalar.of(1)))
+    assert _each_kernel(p, L, rhs, e) == _each_kernel(p, L, rhs, e.value())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(_EXPONENT_COORDS, min_size=2, max_size=2), _tpolys(), _tpolys())
+def test_kernels_refuse_an_approximate_exponent_as_value_does(coords, p, L):
+    e = ExponentBasis(["1", "1.41421356237"]).exponent(coords)
+    if not e.nums[1]:
+        # no weight on the decimal entry: the value is exact
+        assert _each_kernel(p, L, p, e) == _each_kernel(p, L, p, e.value())
+        return
+    with pytest.raises(ExactValueRequired) as want:
+        e.value()
+    for kernel in (lambda: p.shift_apply(e), lambda: L.solve_shifted(e, p), lambda: p(e)):
+        with pytest.raises(ExactValueRequired) as got:
+            kernel()
+        assert str(got.value) == str(want.value)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -532,3 +532,96 @@ def norm_draws_oracle(rng, gens, s, Kcal) -> None:
         tail(lambda m: 0)
     for _ in range(5):
         rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 4)
+
+
+# -- closed-form coefficient recursions of two equation families ---------------
+#
+# They use no dulac type: a complex rational is a pair (re, im) of Fractions
+# and a polynomial in t = log x is a list of such pairs, lowest degree first,
+# with no trailing zero.  delta = x d/dx acts on c(t) x^lam as (lam + d/dt).
+
+
+def _cmul(x: tuple, y: tuple) -> tuple:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _ptrim(p: list) -> list:
+    while p and p[-1] == (0, 0):
+        p = p[:-1]
+    return p
+
+
+def _padd(p: list, q: list) -> list:
+    if len(p) < len(q):
+        p, q = q, p
+    return _ptrim([(x[0] + y[0], x[1] + y[1]) for x, y in zip(p, q)] + p[len(q):])
+
+
+def _pmul(p: list, q: list) -> list:
+    out = [(Fraction(0), Fraction(0))] * (len(p) + len(q) - 1) if p and q else []
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            z = _cmul(x, y)
+            out[i + j] = (out[i + j][0] + z[0], out[i + j][1] + z[1])
+    return _ptrim(out)
+
+
+def _solve_real_shift(mu: int, r: list) -> list:
+    """c with (mu + d/dt) c = r for an int mu != 0: the finite Neumann
+    series c = sum_i (-1)^i r^(i) / mu^(i+1), r^(i) the i-th t-derivative."""
+    c, term, i = [], r, 0
+    while term:
+        scale = Fraction((-1) ** i, mu ** (i + 1))
+        c = _padd(c, [(x * scale, y * scale) for x, y in term])
+        term = [(k * x, k * y) for k, (x, y) in enumerate(term) if k]
+        i += 1
+    return c
+
+
+def log_resonant_oracle(a: Fraction, b: Fraction, cutoff) -> list:
+    """The terms (k, c_k), k < cutoff, of the solution of
+    delta y - y - a x - b y^2 = 0 over the basis ["1"] with the prefix a t x.
+
+    At x^1 the prefix meets the resonance L(1) = 0 (L(zeta) = zeta - 1):
+    (1 + d/dt)(a t) - a t = a cancels -a x.  At x^k, k >= 2, the equation
+    reads (k - 1 + d/dt) c_k = b sum_{i + j = k} c_i c_j, so deg c_k = k.
+    Zero coefficients are left out, as a series leaves them out."""
+    c = {1: _ptrim([(Fraction(0), Fraction(0)), (Fraction(a), Fraction(0))])}
+    k = 2
+    while k < cutoff:
+        square = []
+        for i in range(1, k):
+            square = _padd(square, _pmul(c[i], c[k - i]))
+        c[k] = _solve_real_shift(k - 1, [(b * x, b * y) for x, y in square])
+        k += 1
+    return [(k, p) for k, p in sorted(c.items()) if p and k < cutoff]
+
+
+def semigroup_2d_oracle(a: Fraction, b: Fraction, c: Fraction, cutoff) -> list:
+    """The terms ((p, q), c_pq), p + q < cutoff, of the solution of
+    delta y - (1+i) y - a x y - b y^2 = 0 over the basis ["1", "1+1i"] with
+    the prefix c x^(1+i), lam = p + q (1+i), ordered by Re = p + q and then
+    Im = q.
+
+    L(zeta) = zeta - (1+i) vanishes at the prefix exponent only (p, q) =
+    (0, 1), where c is free; every other coefficient is a constant with
+    (p + (q - 1)(1+i)) c_pq = a c_(p-1)q + b sum c_(p1 q1) c_(p2 q2) over
+    p1 + p2 = p, q1 + q2 = q, q1, q2 >= 1."""
+    coef = {(0, 1): (Fraction(c), Fraction(0))}
+    total = 2
+    while total < cutoff:
+        for q in range(1, total + 1):
+            p = total - q
+            rhs = _cmul((Fraction(a), Fraction(0)), coef.get((p - 1, q), (0, 0)))
+            for p1 in range(p + 1):
+                for q1 in range(1, q):
+                    z = _cmul(coef.get((p1, q1), (0, 0)), coef.get((p - p1, q - q1), (0, 0)))
+                    rhs = (rhs[0] + b * z[0], rhs[1] + b * z[1])
+            mu = (p + q - 1, q - 1)  # L(lam) = lam - (1+i)
+            norm = mu[0] ** 2 + mu[1] ** 2
+            coef[(p, q)] = _cmul(rhs, (Fraction(mu[0], norm), Fraction(-mu[1], norm)))
+        total += 1
+    return [
+        (pq, [v]) for pq, v in sorted(coef.items(), key=lambda item: (sum(item[0]), item[0][1]))
+        if v != (0, 0) and sum(pq) < cutoff
+    ]
