@@ -149,10 +149,7 @@ class ExponentBasis(Value):
     def exponent(self, coords: Sequence) -> "Exponent":
         """The exponent with the given rational coordinates; a float is read
         at its repr (0.1 is 1/10)."""
-        e = Exponent(self, coords)
-        if len(e.nums) != self.dim:
-            raise ValueError(f"exponent: expected {self.dim} coordinates, got {len(e.nums)}")
-        return e
+        return Exponent(self, coords)
 
     def zero(self) -> "Exponent":
         return Exponent._raw(self, 1, (0,) * self.dim)
@@ -213,9 +210,12 @@ class Exponent(Value):
     __slots__ = ("basis", "den", "nums", "_hash", "coords", "parts", "re_mid", "im_mid", "re_low", "key")
 
     def __new__(cls, basis: ExponentBasis, coords):
-        """The exponent with the given rational coordinates; a float is read
-        at its repr (0.1 is 1/10), as scalars.decimal_rational reads it."""
+        """The exponent with the given rational coordinates, one per basis
+        entry; a float is read at its repr (0.1 is 1/10), as
+        scalars.decimal_rational reads it."""
         cs = [decimal_rational(c) for c in coords]
+        if len(cs) != basis.dim:
+            raise ValueError(f"exponent: expected {basis.dim} coordinates, got {len(cs)}")
         den = lcm(*(c.denominator for c in cs))
         return Exponent._raw(basis, den, tuple(c.numerator * (den // c.denominator) for c in cs))
 

@@ -12,6 +12,9 @@ with the products of the delta^j phi it needs, all as term maps, and updates
 them when phi gains a term.  extend feeds it each solved term, reads each
 step's lowest residual term off it and takes the derivatives of F along phi
 from its products, so no step substitutes from scratch or builds a series.
+The evaluator's update steps are the one table of the binomial-weighted
+monomials of F: they decide which products are kept and give every scaled
+derivative (1/q!) d^q F; ODESpec holds only the validated data.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class ODESpec(Value):
     immutable.  The monomials may call for at most MAX_UPDATE_STEPS update
     steps of an Evaluation."""
 
-    __slots__ = ("n", "terms", "declared_degree", "_by_y")
+    __slots__ = ("n", "terms", "declared_degree")
     _fields = ("n", "terms", "declared_degree")
 
     def __init__(self, n: int, terms: tuple, declared_degree: int | None = None):
@@ -82,47 +85,6 @@ class ODESpec(Value):
         _set(self, "n", n)
         _set(self, "terms", terms)
         _set(self, "declared_degree", declared_degree)
-
-    def __getattr__(self, name):
-        # called only for the empty _by_y slot: _by_y[j] lists, in order, the
-        # monomials whose y-vector has a nonzero entry j
-        if name != "_by_y":
-            raise AttributeError(f"'ODESpec' object has no attribute {name!r}")
-        by_y = [[] for _ in range(self.n + 1)]
-        for term in self.terms:
-            for j, _ in _support(term[2]):
-                by_y[j].append(term)
-        object.__setattr__(self, "_by_y", by_y)
-        return by_y
-
-    def _scan_for(self, support: list):
-        """The monomials whose y-vector may be nonzero at every index of
-        support, (index, entry) pairs: those holding the rarest index, or all
-        of them for an empty support."""
-        return min((self._by_y[j] for j, _ in support), key=len) if support else self.terms
-
-    # -- calculus on the monomial data ------------------------------------
-
-    def partial_multi(self, q_order: tuple) -> "ODESpec":
-        """Scaled mixed derivative (1/q!) d^|q| F / dy^q via binomial weights;
-        only the nonzero entries of the order are compared and weighed, and
-        only the monomials with the rarest of those y-entries are scanned."""
-        if len(q_order) != self.n + 1:
-            raise ValueError(f"partial_multi: order vector {q_order} has wrong length")
-        support = _support(q_order)
-        terms = tuple(
-            (coeff * prod(comb(q[j], o) for j, o in support), p, tuple(map(sub, q, q_order)))
-            for coeff, p, q in self._scan_for(support)
-            if all(q[j] >= o for j, o in support)
-        )
-        deg = None if self.declared_degree is None else max(self.declared_degree - sum(q_order), 0)
-        # derivatives may legitimately contain a constant monomial, so the
-        # constructor validation is skipped here
-        out = object.__new__(ODESpec)
-        object.__setattr__(out, "n", self.n)
-        object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "declared_degree", deg)
-        return out
 
     # -- serialization ---------------------------------------------------------
 
@@ -217,23 +179,26 @@ class Evaluation:
         Y[q] += sum over 0 != r <= q of C(q, r) Y[q - r] prod_j (delta^j m)^{r_j}
 
     with the old Y on the right, where delta^j m = ((lambda + d/dt)^j c) x^lambda
-    is a monomial.  Y[q] itself is kept only for a q strictly below another
-    element of the down-closure of F's y-exponent vectors, the q that an
-    update or a derivative reads; each product of the rule, times coeff x^p,
-    goes straight into the value.  A step thus costs, for each r != q, one
-    product per term of Y[q - r] and per kept Y[q] or monomial of F at q,
-    and none for r = q, where Y[0] = 1; not a new substitution: online
-    multiplication in its plain quadratic form (van der Hoeven, "Relax, but
-    don't be too lazy", J. Symbolic Comput. 34, 2002).
+    is a monomial.  Each pair (q, r) is one update step, built once at set-up
+    with C(q, r) coeff x^p for the monomials of F at q.  Y[q] itself is kept
+    only for the q that a step reads as its rest q - r: the elements strictly
+    below another element of the down-closure of F's y-exponent vectors,
+    which are also the q that a derivative reads; each product of the rule,
+    times coeff x^p, goes straight into the value.  A step thus costs, for
+    each r != q, one product per term of Y[q - r] and per kept Y[q] or
+    monomial of F at q, and none for r = q, where Y[0] = 1; not a new
+    substitution: online multiplication in its plain quadratic form (van der
+    Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002).
     Exact arithmetic makes the result independent of the order of the terms.
 
     Each Y[q] and the value are term maps from exponents to coefficients, so
     a step builds no series.  A heap of (key, nums, den, exponent), pushed
     whenever an exponent enters the value, gives leading() the value's
     lowest term; terms lists phi's terms fed so far, in increasing order.
-    The derivatives dF/dy_j along phi are read off the kept products, as are
-    the mixed ones (derivative()); value() and derivative() build one
-    DulacSeries when asked.
+    The derivatives dF/dy_j along phi and the scaled mixed ones
+    (derivative()) are read off the kept products through the steps with
+    r = order, which carry their weighted monomials; value() and derivative()
+    build one DulacSeries when asked.
     """
 
     def __init__(self, F: ODESpec, phi: DulacSeries):
@@ -246,48 +211,44 @@ class Evaluation:
         self.F = F
         self.basis = basis
         self.terms = []  # phi's terms (exponent, coefficient) in the order fed
-        self._x = {p: basis.rational(p) for _, p, _ in F.terms}
         self._degrees = F.y_degree_bounds()
-        closure = F.y_closure()
-        zero = closure[0]
-        one = basis.zero()
-        # Y[q] is read only for a q below another element of the closure: as
-        # the rest of an update, or by derivative(order) with order != 0.  A q
-        # of the closure that is no monomial vector lies below one; a monomial
-        # vector is compared with the others on its nonzero entries only
-        at = {}  # the monomials of F grouped by y-vector: (coeff, x^p)
+        x = {p: basis.rational(p) for _, p, _ in F.terms}
+        at = {}  # the monomials of F grouped by y-vector: (coeff, x^p, p)
         for coeff, p, q in F.terms:
-            at.setdefault(q, []).append((coeff, self._x[p]))
-        self._Y = {q: {} for q in closure if q not in at or self._below_another(q)}
-        self._Y[zero] = {one: TPoly.ONE}
+            at.setdefault(q, []).append((coeff, x[p], p))
+        self._pairs = [(p, sum(q)) for _, p, q in F.terms]
         # highest total degree first, so that Y[q - r] still holds the old
         # value when Y[q] is updated; a step (r, q - r, C(q, r), folded)
-        # carries C(q, r) coeff and x^p for each monomial of F at q, whose
-        # products go straight into the value
+        # carries (C(q, r) coeff, x^p, p) for each monomial of F at q, whose
+        # products go straight into the value, and the steps with monomials
+        # give derivative(r) as the sum of C(q, r) coeff x^p Y[q - r].  Y[q]
+        # is kept exactly for the q that some step reads as its rest, the
+        # elements of the closure strictly below another; those steps belong
+        # to a larger q, so they are built before q's own
+        closure = F.y_closure()
+        self._Y = {}
         self._updates = []
+        self._derivatives = {}  # r -> [(q - r, folded)]
         for q in sorted(closure[1:], key=sum, reverse=True):
             at_q = at.get(q, ())
             steps = []
             for r in multi_indices(q):
                 if any(r):
                     weight = prod(map(comb, q, r))
-                    folded = [(coeff * weight, x_p) for coeff, x_p in at_q]
-                    steps.append((r, tuple(map(sub, q, r)), weight, folded))
+                    folded = [(coeff if weight == 1 else coeff * weight, x_p, p) for coeff, x_p, p in at_q]
+                    rest = tuple(map(sub, q, r))
+                    steps.append((r, rest, weight, folded))
+                    self._Y.setdefault(rest, {})
+                    if folded:
+                        self._derivatives.setdefault(r, []).append((rest, folded))
             self._updates.append((self._Y.get(q), steps))
+        self._Y[closure[0]] = {basis.zero(): TPoly.ONE}
         self._value = {}
         self._heap = []
-        for coeff, p, q in F.terms:
-            if not any(q):
-                self._add_value(self._x[p], TPoly.of(coeff))
+        for coeff, x_p, _ in at.get(closure[0], ()):
+            self._add_value(x_p, TPoly.of(coeff))
         for e, c in phi.terms:
             self.add(e, c)
-
-    def _below_another(self, q: tuple) -> bool:
-        """Whether q <= s entrywise for the y-vector s != q of some monomial
-        of F, compared on the nonzero entries of q; only the monomials with
-        the rarest of those entries are scanned."""
-        support = _support(q)
-        return any(s != q and all(s[j] >= e for j, e in support) for _, _, s in self.F._scan_for(support))
 
     def _add_value(self, e: Exponent, c: TPoly) -> None:
         if e not in self._value:
@@ -312,7 +273,7 @@ class Evaluation:
                     coeff = reduce(mul, (powers[j][k] for j, k in _support(r)))
                     monomials[r] = (lam * sum(r), coeff)
                 e_r, c_r = monomials[r]
-                to_value = [(e_r + x_p, c_r * c) for c, x_p in folded]
+                to_value = [(e_r + x_p, c_r * c) for c, x_p, _ in folded]
                 if target is not None and weight != 1:
                     c_r = c_r * weight
                 if not any(rest):
@@ -329,27 +290,27 @@ class Evaluation:
                         _accumulate(target, e + e_r, y * c_r)
         self.terms.append((lam, c))
 
-    def _cutoff(self, G: ODESpec, phi_cutoff, bound):
+    def _cutoff(self, pairs, degree, phi_cutoff, bound):
         """Cutoff of G(x, phi, ...) for G = F or a derivative of it, truncated
-        at bound, for a phi known only below phi_cutoff.
+        at bound, for a phi known only below phi_cutoff; pairs lists (p, |q|)
+        for G's monomials x^p y^q and degree is G's declared degree.
 
         A finite phi_cutoff caps it at the least of
-        phi_cutoff + (|q| - 1) val phi + p over G's monomials x^p y^q with
-        q != 0 (phi_cutoff itself when phi = 0), the cutoff that multiplying
-        out the truncated factors would claim; truncated data cap it at
-        (declared_degree + 1) * min(1, val phi).  val phi is the lower
-        endpoint of the leading real part, so the caps hold over an
-        approximate basis too.
+        phi_cutoff + (|q| - 1) val phi + p over the pairs with q != 0
+        (phi_cutoff itself when phi = 0), the cutoff that multiplying out the
+        truncated factors would claim; truncated data cap it at
+        (degree + 1) * min(1, val phi).  val phi is the lower endpoint of the
+        leading real part, so the caps hold over an approximate basis too.
         """
         low = self.terms[0][0].re_low if self.terms else INF
         cutoff = bound
         if phi_cutoff != INF:
-            for _, p, q in G.terms:
-                if any(q):
-                    claim = phi_cutoff + (sum(q) - 1) * low + p if self.terms else phi_cutoff
+            for p, size in pairs:
+                if size:
+                    claim = phi_cutoff + (size - 1) * low + p if self.terms else phi_cutoff
                     cutoff = min(cutoff, claim)
-        if G.declared_degree is not None:
-            cutoff = min(cutoff, (G.declared_degree + 1) * min(Fraction(1), low))
+        if degree is not None:
+            cutoff = min(cutoff, (degree + 1) * min(Fraction(1), low))
         return cutoff
 
     def leading(self, bound=INF, phi_cutoff=INF):
@@ -377,29 +338,35 @@ class Evaluation:
                         "is broken"
                     )
                 ties += (2 * i + 1, 2 * i + 2)
-        return (e, value[e]) if e.re_below(self._cutoff(self.F, phi_cutoff, bound)) else None
+        cutoff = self._cutoff(self._pairs, self.F.declared_degree, phi_cutoff, bound)
+        return (e, value[e]) if e.re_below(cutoff) else None
 
     def value(self, phi_cutoff=INF, bound=INF) -> DulacSeries:
         """The value for a phi known only below phi_cutoff, truncated at bound
         and at the caps of _cutoff."""
-        return DulacSeries(
-            self.basis, tuple(self._value.items()), self._cutoff(self.F, phi_cutoff, bound)
-        )
+        cutoff = self._cutoff(self._pairs, self.F.declared_degree, phi_cutoff, bound)
+        return DulacSeries(self.basis, tuple(self._value.items()), cutoff)
 
     def derivative(self, order: tuple, phi_cutoff=INF) -> DulacSeries:
         """The scaled derivative (1/order!) d^|order| F / dy^order along a phi
-        known only below phi_cutoff, read off the kept products as
-        sum C(q, order) coeff x^p Y[q - order] over the monomials of F, with
-        the cutoff _cutoff gives its monomials: the value of
-        F.partial_multi(order) along phi without a second evaluation.
-        For order = e_j it is dF/dy_j = sum q_j coeff x^p Y[q - e_j]; order
-        0 gives F itself, whose value is kept: value(phi_cutoff)."""
+        known only below phi_cutoff, for an order of n + 1 nonnegative ints:
+        the sum of C(q, order) coeff x^p Y[q - order] over the update steps
+        with r = order and their monomials of F at q, with the cutoff _cutoff
+        gives those monomials of the derivative.  For order = e_j it is
+        dF/dy_j = sum q_j coeff x^p Y[q - e_j]; order 0 gives F itself, whose
+        value is kept: value(phi_cutoff)."""
+        n = self.F.n
+        if len(order) != n + 1 or not all(type(o) is int and o >= 0 for o in order):
+            raise ValueError(f"derivative: order {order!r} is not n + 1 = {n + 1} nonnegative ints")
         if not any(order):
             return self.value(phi_cutoff)
-        G = self.F.partial_multi(order)
+        reads = self._derivatives.get(order, ())
         terms = tuple(
-            (e + self._x[p] if p else e, y * coeff)
-            for coeff, p, q in G.terms
-            for e, y in self._Y[q].items()
+            (e + x_p if p else e, y * coeff)
+            for rest, folded in reads
+            for coeff, x_p, p in folded
+            for e, y in self._Y[rest].items()
         )
-        return DulacSeries(self.basis, terms, self._cutoff(G, phi_cutoff, INF))
+        pairs = ((p, sum(rest)) for rest, folded in reads for _, _, p in folded)
+        degree = None if self.F.declared_degree is None else max(self.F.declared_degree - sum(order), 0)
+        return DulacSeries(self.basis, terms, self._cutoff(pairs, degree, phi_cutoff, INF))

@@ -25,13 +25,12 @@ over an approximate one.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import isfinite
 
 from .errors import BasisMismatch, CutoffIncrease, SchemaError, UndecidableComparison
 from .exponents import Exponent, ExponentBasis
-from .scalars import ExactScalar, Value, decimal_rational
+from .scalars import ExactScalar, Value, decimal_rational, parse_rational
 from .tpoly import TPoly
 
 INF = float("inf")
@@ -39,9 +38,6 @@ INF = float("inf")
 
 def _as_cutoff(c):
     return INF if isinstance(c, float) and c == INF else decimal_rational(c)
-
-
-_CUTOFF_TEXT = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 
 def cutoff_to_json(c):
@@ -66,10 +62,10 @@ def cutoff_from_json(value, what: str):
     SchemaError for anything else, a malformed "p/q" string included."""
     if value is None:
         return INF
-    if isinstance(value, str) and _CUTOFF_TEXT.fullmatch(value):
+    if isinstance(value, str):
         try:
-            return Fraction(value)
-        except ZeroDivisionError:
+            return parse_rational(value)
+        except ValueError:
             pass
     elif isinstance(value, (int, float)) and not isinstance(value, bool) and isfinite(value):
         return _as_cutoff(value)

@@ -141,6 +141,16 @@ def test_parse_exponent_reads_only_rational_strings(bad):
         b.parse_exponent([bad])
 
 
+@pytest.mark.parametrize("coords", [[1, 2, 3], [1], []], ids=["too_many", "too_few", "none"])
+@pytest.mark.parametrize("build", [Exponent, ExponentBasis.exponent], ids=["Exponent", "basis.exponent"])
+def test_exponent_refuses_a_wrong_number_of_coordinates(build, coords):
+    # a third coordinate over a 2-entry basis was kept and then ignored by
+    # the value, so Exponent(b, [1, 2, 3]) + b.exponent([1, 2]) gave (2, 4)
+    b = ExponentBasis(["1", "1+1i"])
+    with pytest.raises(ValueError, match=f"exponent: expected 2 coordinates, got {len(coords)}"):
+        build(b, coords)
+
+
 def test_mismatched_bases():
     with pytest.raises(BasisMismatch):
         exp_compare(ExponentBasis(["1"]).rational(1), ExponentBasis(["2"]).exponent([1]))

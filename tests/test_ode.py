@@ -1,4 +1,4 @@
-"""ODESpec: validation, partial derivatives, the evaluator against the unpruned oracle."""
+"""ODESpec validation, and the evaluator and its derivatives against the unpruned oracle."""
 
 import random
 import time
@@ -71,23 +71,31 @@ def test_from_json_rejects(data):
 
 
 def test_partial_power_rule():
-    # F = y_0^3 => dF/dy_0 = 3 y_0^2
-    ode = ODESpec(1, ((ExactScalar.of(1), 0, (3, 0)),))
-    d = ode.partial_multi((1, 0))
-    assert d.terms == ((ExactScalar.of(3), 0, (2, 0)),)
-    # second derivative scaled: (1/q!) d^2/dy_0^2 -> binomial weight C(3,2) = 3
-    d2 = ode.partial_multi((2, 0))
-    assert d2.terms == ((ExactScalar.of(3), 0, (1, 0)),)
-    with pytest.raises(ValueError):
-        ode.partial_multi((1,))
+    # F = y_0^3 => dF/dy_0 = 3 phi^2, and the scaled second derivative
+    # (1/2!) d^2/dy_0^2 takes the binomial weight C(3, 2) = 3: 3 phi
+    basis = basis_one()
+    phi = DulacSeries(basis, ((basis.rational(1), TPoly.ONE), (basis.rational(2), TPoly.of(-2))), INF)
+    ev = Evaluation(ODESpec(1, ((ExactScalar.of(1), 0, (3, 0)),)), phi)
+    assert ev.derivative((1, 0)) == phi * phi * TPoly.of(3)
+    assert ev.derivative((2, 0)) == phi * TPoly.of(3)
+    assert ev.derivative((3, 0)) == DulacSeries.monomial(basis.zero(), TPoly.ONE)
+    assert ev.derivative((4, 0)).is_zero()
+    assert ev.derivative((0, 1)).is_zero()
+
+
+@pytest.mark.parametrize("order", [(1,), (1, 0, 0), (0,), (1, -1), (-1, 0), (1.0, 0), (0, "1")])
+def test_derivative_refuses_an_order_that_is_not_n_plus_1_nonnegative_ints(order):
+    ev = Evaluation(ODESpec(1, ((ExactScalar.of(1), 0, (3, 0)),)), x_prefix(basis_one()))
+    with pytest.raises(ValueError, match="nonnegative ints"):
+        ev.derivative(order)
 
 
 def test_partial_drops_missing_variable():
-    ode = euler_ode()  # no y_1^2 term, so d/dy_1 has a single monomial
-    d = ode.partial_multi((0, 1))
-    assert len(d.terms) == 1
-    coeff, p, q = d.terms[0]
-    assert (p, q) == (1, (0, 0))
+    # F = x dy - y + x has no y_1^2 term, so d/dy_1 has the single monomial
+    # x and is x whatever phi is
+    basis = basis_one()
+    d = Evaluation(euler_ode(), x_prefix(basis)).derivative((0, 1))
+    assert d == DulacSeries.monomial(basis.rational(1), TPoly.ONE)
 
 
 def test_substitute_euler_at_x():
@@ -197,9 +205,9 @@ def test_evaluation_reads_match_oracle(basis, ode):
             assert ev.leading(bound, phi.cutoff) == full.truncate(min(full.cutoff, bound)).leading()
         for j in range(ode.n + 1):
             e_j = tuple(int(i == j) for i in range(ode.n + 1))
-            assert ev.derivative(e_j, phi.cutoff) == substitute_direct(ode.partial_multi(e_j), phi)
+            assert ev.derivative(e_j, phi.cutoff) == substitute_direct(ode, phi, e_j)
         for q in multi_indices(ode.y_degree_bounds()):
-            assert ev.derivative(q, phi.cutoff) == substitute_direct(ode.partial_multi(q), phi)
+            assert ev.derivative(q, phi.cutoff) == substitute_direct(ode, phi, q)
 
 
 def _ode(n: int, *monomials) -> ODESpec:
@@ -245,7 +253,7 @@ def _phis(draw, basis):
 @given(data=st.data())
 def test_evaluation_matches_direct_substitution(shape, basis, data):
     # value and every derivative(order) against the monomial-by-monomial
-    # oracle, which takes its own binomial weights and no partial_multi
+    # oracle, which takes its own binomial weights
     ode = _FOLDING_SHAPES[shape]
     phi = data.draw(_phis(basis))
     ev = Evaluation(ode, phi)

@@ -35,6 +35,7 @@ from .util import (
     DATA,
     basis_one,
     euler_ode,
+    factorial_oracle,
     log_resonant_oracle,
     random_poly,
     random_scalar,
@@ -355,9 +356,9 @@ _FRACTION_BUILDERS = ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "
 
 
 @pytest.mark.parametrize("name, cutoff, built", [
-    ("semigroup_2d.json", 7, 44),
-    ("nonlinear.json", 30, 30),
-    ("euler.json", 80, 21),
+    ("semigroup_2d.json", 7, 20),
+    ("nonlinear.json", 30, 12),
+    ("euler.json", 80, 9),
 ])
 def test_extend_fraction_counts(monkeypatch, name, cutoff, built):
     # the Fractions one extend builds, by a constructor call or an operator
@@ -366,7 +367,9 @@ def test_extend_fraction_counts(monkeypatch, name, cutoff, built):
     # stay on ints (343, 359 and 582 when they built Fractions), and an
     # exponent reaches the polynomial kernels as its int triple, with the
     # step bound formed once (105, 115 and 256 when each solved exponent
-    # built its value and each step its bound)
+    # built its value and each step its bound), and the derivatives read the
+    # update steps, whose weight of 1 takes the coefficient itself (44, 30
+    # and 21 when each derivative built its monomials again)
     data = json.loads((DATA / name).read_text())
     basis = ExponentBasis(data["basis"])
     F = ODESpec.from_json(data["ode"])
@@ -596,15 +599,18 @@ def _literal(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_DELTA_Y = ("1/1", 0, (0, 1))
+
+
 def _extend_family(entries, terms, prefix, cutoff) -> tuple:
-    """extend on delta y + (the given terms) = 0 from the prefix terms
-    (exponent coordinates, coefficient literals): the solution terms as
-    (coordinates, [(re, im) per coefficient]) and the achieved cutoff.  A
-    term with a zero coefficient is left out of the equation, as ODESpec
+    """extend on (the given terms) = 0 from the prefix terms (exponent
+    coordinates, coefficient literals): the solution terms as
+    (coordinates, [(re, im) per coefficient]) and the SolutionState.  A term
+    with a zero coefficient is left out of the equation, as ODESpec
     requires.  The solved steps are the solution's last terms: no step is
     taken at or past the cutoff."""
     basis = ExponentBasis(entries)
-    F = ODESpec.from_json({"n": 1, "terms": [{"coeff": "1/1", "x": 0, "y": [0, 1]}] + [
+    F = ODESpec.from_json({"n": 1, "terms": [
         {"coeff": coeff, "x": x, "y": list(y)} for coeff, x, y in terms if not coeff.startswith("0/")]})
     phi = DulacSeries.from_json({"terms": [
         {"exp": [_literal(Fraction(v)) for v in exp], "poly": poly} for exp, poly in prefix]}, basis)
@@ -615,7 +621,7 @@ def _extend_family(entries, terms, prefix, cutoff) -> tuple:
 
     got, steps = listed(state.solution.terms), listed(state.history)
     assert got[len(got) - len(steps):] == steps
-    return got, state.solution.cutoff
+    return got, state
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -624,15 +630,15 @@ def _extend_family(entries, terms, prefix, cutoff) -> tuple:
 def test_log_resonant_family_matches_its_recursion(a, b, cutoff):
     # delta y - y - a x - b y^2 = 0 with the resonant prefix a t x: each step
     # solves (k - 1 + d/dt) c_k = ... on a log polynomial of degree k
-    got, achieved = _extend_family(
+    got, state = _extend_family(
         ["1"],
-        [("-1/1", 0, (1, 0)), (_literal(-a), 1, (0, 0)), (_literal(-b), 0, (2, 0))],
+        [_DELTA_Y, ("-1/1", 0, (1, 0)), (_literal(-a), 1, (0, 0)), (_literal(-b), 0, (2, 0))],
         [((1,), ["0/1", _literal(a)])],
         cutoff,
     )
     want = [((Fraction(k),), c) for k, c in log_resonant_oracle(a, b, cutoff)]
     assert got == want
-    assert achieved == cutoff
+    assert state.solution.cutoff == cutoff
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -642,12 +648,35 @@ def test_log_resonant_family_matches_its_recursion(a, b, cutoff):
 def test_semigroup_2d_family_matches_its_recursion(a, b, c, cutoff):
     # delta y - (1+i) y - a x y - b y^2 = 0 with the prefix c x^(1+i) over
     # ["1", "1+1i"]: every step solves at a complex exponent
-    got, achieved = _extend_family(
+    got, state = _extend_family(
         ["1", "1+1i"],
-        [("-1/1-1/1i", 0, (1, 0)), (_literal(-a), 1, (1, 0)), (_literal(-b), 0, (2, 0))],
+        [_DELTA_Y, ("-1/1-1/1i", 0, (1, 0)), (_literal(-a), 1, (1, 0)), (_literal(-b), 0, (2, 0))],
         [((0, 1), [_literal(c)])],
         cutoff,
     )
     want = [((Fraction(p), Fraction(q)), poly) for (p, q), poly in semigroup_2d_oracle(a, b, c, cutoff)]
     assert got == want
-    assert achieved == cutoff
+    assert state.solution.cutoff == cutoff
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=_FAMILY_PARAM, b=_FAMILY_PARAM, cutoff=st.sampled_from([Fraction(k, 3) for k in range(2, 40)]),
+       with_prefix=st.booleans())
+@example(a=Fraction(1), b=Fraction(0), cutoff=Fraction(14), with_prefix=False)
+@example(a=Fraction(1), b=Fraction(1), cutoff=Fraction(14), with_prefix=False)
+@example(a=Fraction(-5, 999979), b=Fraction(7, 3), cutoff=Fraction(25, 2), with_prefix=True)
+def test_factorial_family_matches_its_recursion(a, b, cutoff, with_prefix):
+    # x delta y - y + a x + b y^2 = 0, from the empty prefix or from a x: L =
+    # -1 has no root, so every coefficient is a constant; a = 1 gives the
+    # factorial series (b = 0) and its nonlinear variant (b = 1)
+    got, state = _extend_family(
+        ["1"],
+        [("1/1", 1, (0, 1)), ("-1/1", 0, (1, 0)), (_literal(a), 1, (0, 0)), (_literal(b), 0, (2, 0))],
+        [((1,), [_literal(a)])] if with_prefix and a else [],
+        cutoff,
+    )
+    assert got == [((Fraction(k),), [(c, 0)]) for k, c in factorial_oracle(a, b, cutoff)]
+    assert state.solution.cutoff == cutoff
+    # dF/dy_0 = -1 + 2 b y and dF/dy_1 = x: A = (-1, 0), ell = 0, slope 1
+    lin = extract_linearization(state.F, state.solution)
+    assert (lin.A, lin.ell, lin.slope()) == ((ExactScalar.of(-1), ZERO), 0, 1)

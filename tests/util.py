@@ -578,6 +578,25 @@ def _solve_real_shift(mu: int, r: list) -> list:
     return c
 
 
+def factorial_oracle(a: Fraction, b: Fraction, cutoff) -> list:
+    """The terms (k, c_k), k < cutoff, of the solution of
+    x delta y - y + a x + b y^2 = 0 over the basis ["1"], from the empty
+    prefix or from a x.
+
+    With y = sum_{k >= 1} c_k x^k, x delta y = sum_k (k - 1) c_(k-1) x^k, so
+    the coefficient of x^k reads
+    (k - 1) c_(k-1) - c_k + a [k = 1] + b sum_{i + j = k} c_i c_j = 0:
+    c_1 = a and c_k = (k - 1) c_(k-1) + b sum_{i + j = k} c_i c_j.  a = 1
+    gives c_k = (k - 1)! for b = 0 and a faster factorial growth for b = 1.
+    Zero coefficients are left out, as a series leaves them out."""
+    c = {1: Fraction(a)}
+    k = 2
+    while k < cutoff:
+        c[k] = (k - 1) * c[k - 1] + b * sum(c[i] * c[k - i] for i in range(1, k))
+        k += 1
+    return [(k, v) for k, v in sorted(c.items()) if v and k < cutoff]
+
+
 def log_resonant_oracle(a: Fraction, b: Fraction, cutoff) -> list:
     """The terms (k, c_k), k < cutoff, of the solution of
     delta y - y - a x - b y^2 = 0 over the basis ["1"] with the prefix a t x.
