@@ -212,8 +212,9 @@ class Exponent(Value):
     def __new__(cls, basis: ExponentBasis, coords):
         """The exponent with the given rational coordinates, one per basis
         entry; a float is read at its repr (0.1 is 1/10), as
-        scalars.decimal_rational reads it."""
-        cs = [decimal_rational(c) for c in coords]
+        scalars.decimal_rational reads it.  An int coordinate is its own
+        numerator over 1, so it builds no Fraction."""
+        cs = [c if type(c) is int else decimal_rational(c) for c in coords]
         if len(cs) != basis.dim:
             raise ValueError(f"exponent: expected {basis.dim} coordinates, got {len(cs)}")
         den = lcm(*(c.denominator for c in cs))

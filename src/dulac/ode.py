@@ -24,13 +24,13 @@ from functools import reduce
 from heapq import heappop, heappush
 from itertools import compress, product
 from math import comb, prod
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .errors import NonpositiveValuation, SchemaError, UndecidableComparison
 from .exponents import Exponent
 from .scalars import ExactScalar, Value
 from .series import INF, DulacSeries
-from .tpoly import TPoly
+from .tpoly import TPoly, _scalar_parts
 
 # Evaluation builds one update step per pair 0 != r <= s for each s in the
 # down-closure of F's y-exponent vectors.  The pairs r <= s <= q summed over
@@ -155,6 +155,12 @@ def multi_indices(bounds: tuple):
         yield tuple(q)
 
 
+def _constant(coeff: ExactScalar, weight: int) -> TPoly:
+    """weight * coeff as a constant TPoly, formed from its int fields."""
+    d, a, b = _scalar_parts(coeff)
+    return TPoly.from_ints(d, (weight * a,), (weight * b,))
+
+
 def _accumulate(acc: dict, e: Exponent, c: TPoly) -> None:
     """acc[e] += c in a term map from exponents to coefficients; zeros are
     dropped."""
@@ -180,7 +186,8 @@ class Evaluation:
 
     with the old Y on the right, where delta^j m = ((lambda + d/dt)^j c) x^lambda
     is a monomial.  Each pair (q, r) is one update step, built once at set-up
-    with C(q, r) coeff x^p for the monomials of F at q.  Y[q] itself is kept
+    with C(q, r) coeff x^p for the monomials of F at q, the weighted
+    coefficient folded into a constant TPoly.  Y[q] itself is kept
     only for the q that a step reads as its rest q - r: the elements strictly
     below another element of the down-closure of F's y-exponent vectors,
     which are also the q that a derivative reads; each product of the rule,
@@ -192,7 +199,14 @@ class Evaluation:
     Exact arithmetic makes the result independent of the order of the terms.
 
     Each Y[q] and the value are term maps from exponents to coefficients, so
-    a step builds no series.  A heap of (key, nums, den, exponent), pushed
+    a step builds no series.  The evaluator keeps one Exponent per exponent
+    value it meets, in a table keyed by the int fields (den, nums): the sum
+    of two exponents is formed from their fields and looked up there, and a
+    new Exponent is built only for a value not met before (hash-consing,
+    Filliatre and Conchon, "Type-safe modular hash-consing", ML 2006).  So
+    the term maps and the heap hold those objects, a lookup matches by
+    identity, and each value's sort key is computed once.  The table lives
+    as long as the evaluator.  A heap of (key, nums, den, exponent), pushed
     whenever an exponent enters the value, gives leading() the value's
     lowest term; terms lists phi's terms fed so far, in increasing order.
     The derivatives dF/dy_j along phi and the scaled mixed ones
@@ -211,8 +225,9 @@ class Evaluation:
         self.F = F
         self.basis = basis
         self.terms = []  # phi's terms (exponent, coefficient) in the order fed
+        self._exponents = {}  # (den, nums) -> the one Exponent of that value
         self._degrees = F.y_degree_bounds()
-        x = {p: basis.rational(p) for _, p, _ in F.terms}
+        x = {p: self._find(basis.rational(p)) for _, p, _ in F.terms}
         at = {}  # the monomials of F grouped by y-vector: (coeff, x^p, p)
         for coeff, p, q in F.terms:
             at.setdefault(q, []).append((coeff, x[p], p))
@@ -235,20 +250,35 @@ class Evaluation:
             for r in multi_indices(q):
                 if any(r):
                     weight = prod(map(comb, q, r))
-                    folded = [(coeff if weight == 1 else coeff * weight, x_p, p) for coeff, x_p, p in at_q]
+                    folded = [(_constant(coeff, weight), x_p, p) for coeff, x_p, p in at_q]
                     rest = tuple(map(sub, q, r))
                     steps.append((r, rest, weight, folded))
                     self._Y.setdefault(rest, {})
                     if folded:
                         self._derivatives.setdefault(r, []).append((rest, folded))
             self._updates.append((self._Y.get(q), steps))
-        self._Y[closure[0]] = {basis.zero(): TPoly.ONE}
+        self._Y[closure[0]] = {self._find(basis.zero()): TPoly.ONE}
         self._value = {}
         self._heap = []
         for coeff, x_p, _ in at.get(closure[0], ()):
-            self._add_value(x_p, TPoly.of(coeff))
+            self._add_value(x_p, _constant(coeff, 1))
         for e, c in phi.terms:
             self.add(e, c)
+
+    def _find(self, e: Exponent) -> Exponent:
+        """The table's Exponent of e's value, e itself when it is new."""
+        return self._exponents.setdefault((e.den, e.nums), e)
+
+    def _sum(self, a: Exponent, b: Exponent) -> Exponent:
+        """The table's Exponent of the value a + b; with both denominators 1
+        the sum is formed from the numerators and nothing else is built."""
+        if a.den == 1 == b.den:
+            key = (1, tuple(map(add, a.nums, b.nums)))
+            e = self._exponents.get(key)
+            if e is None:
+                e = self._exponents[key] = Exponent._raw(self.basis, 1, key[1])
+            return e
+        return self._find(a + b)
 
     def _add_value(self, e: Exponent, c: TPoly) -> None:
         if e not in self._value:
@@ -259,6 +289,7 @@ class Evaluation:
         """Add the term c x^lam to phi and update every product and the value;
         lam must exceed every exponent added before."""
         lam.exact_parts()  # an approximate value is refused before any product
+        lam = self._find(lam)
         powers = []  # powers[j][k] = ((lam + d/dt)^j c)^k
         for j, top in enumerate(self._degrees):
             d = d.shift_apply(lam) if j else c
@@ -266,14 +297,15 @@ class Evaluation:
             while len(row) <= top:
                 row.append(row[-1] * d)
             powers.append(row)
+        value, heap, plus = self._value, self._heap, self._sum
         monomials = {}  # r -> prod_j (delta^j m)^{r_j}, as (exponent, coefficient)
         for target, steps in self._updates:
             for r, rest, weight, folded in steps:
                 if r not in monomials:
                     coeff = reduce(mul, (powers[j][k] for j, k in _support(r)))
-                    monomials[r] = (lam * sum(r), coeff)
+                    monomials[r] = (self._find(lam * sum(r)), coeff)
                 e_r, c_r = monomials[r]
-                to_value = [(e_r + x_p, c_r * c) for c, x_p, _ in folded]
+                to_value = [(plus(e_r, x_p), c_r * f) for f, x_p, _ in folded]
                 if target is not None and weight != 1:
                     c_r = c_r * weight
                 if not any(rest):
@@ -285,9 +317,20 @@ class Evaluation:
                     continue
                 for e, y in self._Y[rest].items():
                     for e_v, c_v in to_value:
-                        self._add_value(e + e_v, y * c_v)
+                        # value[s] += y c_v, with s pushed when it enters
+                        s, t = plus(e, e_v), y * c_v
+                        old = value.get(s)
+                        if old is None:
+                            value[s] = t
+                            heappush(heap, (s.key, s.nums, s.den, s))
+                        else:
+                            t = old + t
+                            if t:
+                                value[s] = t
+                            else:
+                                del value[s]
                     if target is not None:
-                        _accumulate(target, e + e_r, y * c_r)
+                        _accumulate(target, plus(e, e_r), y * c_r)
         self.terms.append((lam, c))
 
     def _cutoff(self, pairs, degree, phi_cutoff, bound):
@@ -301,10 +344,17 @@ class Evaluation:
         truncated factors would claim; truncated data cap it at
         (degree + 1) * min(1, val phi).  val phi is the lower endpoint of the
         leading real part, so the caps hold over an approximate basis too.
+        A phi with no known term and a finite phi_cutoff <= 0 may have a term
+        of nonpositive valuation, so it is refused, as such a known term is.
         """
         low = self.terms[0][0].re_low if self.terms else INF
         cutoff = bound
         if phi_cutoff != INF:
+            if not self.terms and phi_cutoff <= 0:
+                raise NonpositiveValuation(
+                    f"Evaluation: phi must have positive valuation; with no known "
+                    f"term and cutoff {phi_cutoff} it may not"
+                )
             for p, size in pairs:
                 if size:
                     claim = phi_cutoff + (size - 1) * low + p if self.terms else phi_cutoff
@@ -320,6 +370,7 @@ class Evaluation:
         Like a series, it raises UndecidableComparison when another term has
         the head's key but other coordinates: the basis is dependent.
         """
+        cutoff = self._cutoff(self._pairs, self.F.declared_degree, phi_cutoff, bound)
         heap, value = self._heap, self._value
         while heap and heap[0][-1] not in value:
             heappop(heap)
@@ -331,14 +382,13 @@ class Evaluation:
         while ties:
             i = ties.pop()
             if i < len(heap) and heap[i][0] == key:
-                if heap[i][-1] != e and heap[i][-1] in value:
+                if heap[i][-1] is not e and heap[i][-1] in value:
                     raise UndecidableComparison(
                         f"Evaluation: exponents {e} and {heap[i][-1]} differ but their "
                         "values are provably equal; the basis independence promise "
                         "is broken"
                     )
                 ties += (2 * i + 1, 2 * i + 2)
-        cutoff = self._cutoff(self._pairs, self.F.declared_degree, phi_cutoff, bound)
         return (e, value[e]) if e.re_below(cutoff) else None
 
     def value(self, phi_cutoff=INF, bound=INF) -> DulacSeries:
@@ -362,7 +412,7 @@ class Evaluation:
             return self.value(phi_cutoff)
         reads = self._derivatives.get(order, ())
         terms = tuple(
-            (e + x_p if p else e, y * coeff)
+            (self._sum(e, x_p) if p else e, y * coeff)
             for rest, folded in reads
             for coeff, x_p, p in folded
             for e, y in self._Y[rest].items()

@@ -181,7 +181,12 @@ class DulacSeries(Value):
             return DulacSeries(self.basis, tuple((e, c * other) for e, c in self.terms), self.cutoff)
         self._check(other)
         if self.is_zero() or other.is_zero():
-            return DulacSeries(self.basis, (), min(self.cutoff, other.cutoff))
+            # a zero factor may have a term at its cutoff, so its cutoff is
+            # its low value; the other factor's low value shifts it
+            low_f = self.terms[0][0].re_low if self.terms else self.cutoff
+            low_g = other.terms[0][0].re_low if other.terms else other.cutoff
+            cutoff = min(self.cutoff, other.cutoff, self.cutoff + low_g, other.cutoff + low_f)
+            return DulacSeries(self.basis, (), cutoff)
         cutoff = min(self.cutoff + other.terms[0][0].re_low, other.cutoff + self.terms[0][0].re_low)
         prods = tuple((e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms)
         return DulacSeries(self.basis, prods, cutoff)

@@ -127,6 +127,25 @@ def test_substitute_requires_positive_valuation():
         Evaluation(euler_ode(), neg)
 
 
+def test_evaluation_refuses_a_zero_phi_with_nonpositive_cutoff():
+    # F = y0^2 + y1 at phi = O(x^-1) would claim cutoff -1, but the
+    # extension x^-1 gives x^-2: with no known term, phi may have a term of
+    # nonpositive valuation below a cutoff <= 0, so it is refused as such a
+    # known term is
+    basis = basis_one()
+    ode = ODESpec(1, ((ExactScalar.of(1), 0, (2, 0)), (ExactScalar.of(1), 0, (0, 1))))
+    for cutoff in (Fraction(-1), Fraction(0)):
+        ev = Evaluation(ode, DulacSeries.zero(basis, cutoff))
+        with pytest.raises(NonpositiveValuation):
+            ev.value(cutoff)
+        with pytest.raises(NonpositiveValuation):
+            ev.leading(INF, cutoff)
+        with pytest.raises(NonpositiveValuation):
+            ev.derivative((1, 0), cutoff)
+    # every term of a phi = O(x) lies at or above 1, so its claim holds
+    assert Evaluation(ode, DulacSeries.zero(basis, 1)).value(Fraction(1)).cutoff == Fraction(1)
+
+
 def test_substitute_zero_phi_allowed():
     basis = basis_one()
     res = Evaluation(euler_ode(), DulacSeries.zero(basis)).value()
@@ -264,6 +283,26 @@ def test_evaluation_matches_direct_substitution(shape, basis, data):
     assert ev.derivative((0,) * (ode.n + 1), phi.cutoff) == value
 
 
+@pytest.mark.parametrize("entries", [["1"], ["1", "1.41421356237"]], ids=["exact", "approximate"])
+def test_evaluation_general_exponent_path_matches_oracle(entries):
+    # exponents with den != 1 take the exponent table's general path, a + b
+    # looked up by its fields, which must find the values of the den 1 path
+    # (1/2 + 3/2 is the 2 of 1 + 1); over an approximate basis the sort keys
+    # are cmp_to_key objects, not tuples
+    basis = ExponentBasis(entries)
+    pad = [0] * (len(entries) - 1)
+    terms = [(Fraction(1, 2), "1/1"), (Fraction(1), "-2/1"), (Fraction(3, 2), "1/3+1/1i"), (Fraction(2), "1/1")]
+    phi = DulacSeries(basis, tuple((basis.exponent([a] + pad), TPoly.of(c)) for a, c in terms), Fraction(9, 2))
+    assert isinstance(phi.terms[0][0].key, tuple) == basis.exact
+    for ode in (nonlinear_ode(), _FOLDING_SHAPES["cubic"], _MIXED):
+        ev = Evaluation(ode, phi)
+        full = substitute_direct(ode, phi)
+        assert ev.value(phi.cutoff) == full
+        assert ev.leading(INF, phi.cutoff) == full.leading()
+        for order in multi_indices(ode.y_degree_bounds()):
+            assert ev.derivative(order, phi.cutoff) == substitute_direct(ode, phi, order)
+
+
 def _linearization_or_error(ode, phi):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DerivativeYnZeroWarning)
@@ -326,6 +365,20 @@ def test_leading_finds_a_tie_below_cancelled_entries():
         ev.add(e, -TPoly.ONE)
     with pytest.raises(UndecidableComparison):
         ev.leading()
+
+
+@pytest.mark.parametrize("den", [1, 2])
+def test_leading_meets_a_cancelled_value_again_as_one_exponent(den):
+    # F = x y makes the value x phi: x^(1 + 1/den) enters, cancels and
+    # enters again, so two heap entries hold its value; the exponent table
+    # gives both the same Exponent, on the den 1 path and the general one
+    # alike, so they are no tie of two coordinate vectors
+    basis = basis_one()
+    ev = Evaluation(ODESpec(1, ((ExactScalar.of(1), 1, (1, 0)),)), DulacSeries.zero(basis))
+    e = basis.exponent([Fraction(1, den)])
+    for c in (TPoly.ONE, -TPoly.ONE, TPoly.of(3)):
+        ev.add(e, c)
+    assert ev.leading() == (e + basis.rational(1), TPoly.of(3))
 
 
 def test_declared_degree_caps_cutoff():

@@ -92,6 +92,20 @@ def test_mul_by_zero_keeps_min_cutoff():
     assert (f * z).cutoff == Fraction(2)
 
 
+def test_mul_by_zero_counts_its_cutoff_as_low_value():
+    # a zero factor is unknown from its cutoff on, so a negative low value
+    # lowers the claim: x^-5 O(x) is x^-4 for the extension x, and O(x^-1)^2
+    # is x^-2 for x^-1 x^-1
+    basis = basis_one()
+    f, g = _mono(basis, -5), DulacSeries.zero(basis, cutoff=1)
+    assert (f * g).is_zero()
+    assert (f * g).cutoff == (g * f).cutoff == Fraction(-4)
+    z = DulacSeries.zero(basis, cutoff=-1)
+    assert (z * z).cutoff == Fraction(-2)
+    # an exact zero keeps the product exact
+    assert (f * DulacSeries.zero(basis)).cutoff == INF
+
+
 def test_scalar_and_poly_multiplication():
     basis = basis_one()
     f = _mono(basis, 2, cutoff=7)

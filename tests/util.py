@@ -1,5 +1,6 @@
 """Shared builders for the test suite: canonical equations and seeded random data."""
 
+import json
 import os
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
@@ -9,13 +10,13 @@ import mpmath
 from mpmath.libmp import from_rational, mpf_sqrt, round_nearest
 
 import dulac
-from dulac.exponents import ExponentBasis
+from dulac.exponents import Exponent, ExponentBasis
 from dulac.gammafn import gamma_abs
 from dulac.numeric import abs_scalar, to_mpf
 from dulac.ode import ODESpec
 from dulac.scalars import ExactScalar
 from dulac.series import INF, DulacSeries
-from dulac.solver import ReducedEquation
+from dulac.solver import ReducedEquation, extend
 from dulac.tpoly import TPoly
 
 DATA = Path(__file__).parent / "data"
@@ -216,6 +217,43 @@ def reduced_residual(red: ReducedEquation, psi: DulacSeries) -> DulacSeries:
                 term = term * op(j)
         acc = acc + term
     return acc
+
+
+# the tests/data runs whose exact work per extend the op-count tests pin
+PINNED_RUNS = (("semigroup_2d.json", 7), ("nonlinear.json", 30), ("euler.json", 80))
+
+
+def extend_counts(name: str, cutoff) -> dict:
+    """The exact work of one extend of the tests/data problem name to
+    cutoff, as noise-free cost signals: "products" and "sums" of TPolys,
+    "exponents" built (Exponent._raw calls) and "compared", the
+    Python-level Exponent.__eq__ calls (a dict lookup that matches by
+    identity makes none).  Only the extend is counted, not the loading of
+    the problem, and the counted methods are restored afterwards."""
+    data = json.loads((DATA / name).read_text(encoding="utf-8"))
+    basis = ExponentBasis(data["basis"])
+    F = ODESpec.from_json(data["ode"])
+    prefix = DulacSeries.from_json({"terms": data["prefix"]}, basis)
+    counted = {(TPoly, "__mul__"): "products", (TPoly, "__add__"): "sums",
+               (Exponent, "_raw"): "exponents", (Exponent, "__eq__"): "compared"}
+    counts = dict.fromkeys(counted.values(), 0)
+    saved = {(cls, attr): cls.__dict__[attr] for cls, attr in counted}
+
+    def wrap(f, key):
+        def wrapper(*args):
+            counts[key] += 1
+            return f(*args)
+        return wrapper
+
+    try:
+        for (cls, attr), key in counted.items():
+            f = saved[cls, attr]
+            setattr(cls, attr, staticmethod(wrap(f.__func__, key)) if isinstance(f, staticmethod) else wrap(f, key))
+        extend(F, prefix, cutoff)
+    finally:
+        for (cls, attr), f in saved.items():
+            setattr(cls, attr, f)
+    return counts
 
 
 # -- ExactScalar-formula oracles for TPoly ----------------------------------
