@@ -24,16 +24,18 @@ from .errors import (
 from .exponents import Exponent
 from .scalars import Value
 from .semigroup import Generators
-from .series import INF, DulacSeries, _as_cutoff, cutoff_from_json, cutoff_to_json
+from .series import DulacSeries, _as_cutoff, cutoff_from_json, cutoff_to_json
 from .tpoly import TPoly
 
 
 def _canonical_terms(items: dict, gens: Generators, cutoff) -> tuple:
-    """The nonzero terms of {m: C_m} below the cutoff, by (Re<m,r>, m)."""
+    """The nonzero terms of {m: C_m} certified below the cutoff, by
+    (Re<m,r>, m); UndecidableComparison when an enclosure of Re<m,r>
+    contains the cutoff."""
     m_exponent = gens.m_exponent
     return tuple(
         (m, items[m]) for m in sorted(items, key=lambda m: (m_exponent(m).re_mid, m))
-        if not items[m].is_zero() and (cutoff == INF or m_exponent(m).re_mid < cutoff)
+        if not items[m].is_zero() and m_exponent(m).re_below(cutoff)
     )
 
 
@@ -94,8 +96,12 @@ class MSeries(Value):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def val_re(self):
-        return self.gens.m_exponent(self.terms[0][0]).re_mid if self.terms else INF
+    def low(self):
+        """A certified lower bound on Re<m,r> of every term, known or not:
+        the least re_low over the terms, or the cutoff when no term is known.
+        The terms are sorted by midpoint, which over an approximate basis
+        need not order the lower endpoints."""
+        return min((self.gens.m_exponent(m).re_low for m, _ in self.terms), default=self.cutoff)
 
     # -- ring operations -------------------------------------------------------
 
@@ -113,9 +119,7 @@ class MSeries(Value):
 
     def __mul__(self, other: "MSeries") -> "MSeries":
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return self._trusted((), min(self.cutoff, other.cutoff))
-        cutoff = min(self.cutoff + other.val_re(), other.cutoff + self.val_re())
+        cutoff = min(self.cutoff + other.low(), other.cutoff + self.low())
         items = {}  # sums of valid multi-indices are valid: no check
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
@@ -130,9 +134,12 @@ class MSeries(Value):
     def shift_m(self, l) -> "MSeries":
         """The product by X^l for a multi-index l of kappa nonnegative integers."""
         l = _multi_index(l, self.gens.kappa, "MSeries: shift index")
-        # adding <l,r> keeps each index valid, the order and the cutoff test
-        terms = tuple((tuple(map(add, m, l)), c) for m, c in self.terms)
-        return self._trusted(terms, self.cutoff + self.gens.m_exponent(l).re_mid)
+        # the cutoff moves by re_low of <l,r>; adding <l,r> keeps each index
+        # valid and the order, but over an approximate basis not the cut
+        m_exponent = self.gens.m_exponent
+        cutoff = self.cutoff + m_exponent(l).re_low
+        shifted = ((tuple(map(add, m, l)), c) for m, c in self.terms)
+        return self._trusted(tuple(t for t in shifted if m_exponent(t[0]).re_below(cutoff)), cutoff)
 
     def hat_delta(self) -> "MSeries":
         """Transported Euler derivation: C_m -> (<m,r> + d/dt) C_m."""

@@ -4,8 +4,9 @@ F is stored as a finite sum of monomials coeff * x^p * y_0^{q_0} ... y_n^{q_n},
 where y_j stands for the j-th Euler derivative delta^j y.  When declared_degree
 is set, the monomial data is a truncated Taylor expansion that is only trusted
 up to that total degree; substitution then caps the result cutoff at
-(declared_degree + 1) * min(1, val phi), the largest exponent range the
-truncated data can certify.
+(declared_degree + 1) * min(1, low), the largest exponent range the
+truncated data can certify, where the low value of phi is re_low of its
+leading exponent, or its cutoff when no term is known.
 
 Substitution has one code path, Evaluation: it keeps F(x, phi, ...) together
 with the products of the delta^j phi it needs, all as term maps, and updates
@@ -338,27 +339,28 @@ class Evaluation:
         at bound, for a phi known only below phi_cutoff; pairs lists (p, |q|)
         for G's monomials x^p y^q and degree is G's declared degree.
 
-        A finite phi_cutoff caps it at the least of
-        phi_cutoff + (|q| - 1) val phi + p over the pairs with q != 0
-        (phi_cutoff itself when phi = 0), the cutoff that multiplying out the
-        truncated factors would claim; truncated data cap it at
-        (degree + 1) * min(1, val phi).  val phi is the lower endpoint of the
-        leading real part, so the caps hold over an approximate basis too.
-        A phi with no known term and a finite phi_cutoff <= 0 may have a term
-        of nonpositive valuation, so it is refused, as such a known term is.
+        low, the low value of phi, bounds Re of every term phi may have: the
+        lower endpoint re_low of its leading exponent, or phi_cutoff when no
+        term is known, since a term may sit at the cutoff (the product rule
+        of series).  A finite phi_cutoff caps the cutoff at the least of
+        phi_cutoff + (|q| - 1) low + p over the pairs with q != 0, the cutoff
+        that multiplying out the truncated factors would claim; truncated
+        data cap it at (degree + 1) * min(1, low), the least Re an omitted
+        monomial of total degree above degree may give.  A nonpositive low,
+        such as that of a phi with no known term and a finite phi_cutoff
+        <= 0, is refused, as a known term of nonpositive valuation is.
         """
-        low = self.terms[0][0].re_low if self.terms else INF
+        low = self.terms[0][0].re_low if self.terms else phi_cutoff
+        if low <= 0:
+            raise NonpositiveValuation(
+                f"Evaluation: phi must have positive valuation; at cutoff "
+                f"{phi_cutoff} a term of phi may have real part {low} <= 0"
+            )
         cutoff = bound
         if phi_cutoff != INF:
-            if not self.terms and phi_cutoff <= 0:
-                raise NonpositiveValuation(
-                    f"Evaluation: phi must have positive valuation; with no known "
-                    f"term and cutoff {phi_cutoff} it may not"
-                )
             for p, size in pairs:
                 if size:
-                    claim = phi_cutoff + (size - 1) * low + p if self.terms else phi_cutoff
-                    cutoff = min(cutoff, claim)
+                    cutoff = min(cutoff, phi_cutoff + (size - 1) * low + p)
         if degree is not None:
             cutoff = min(cutoff, (degree + 1) * min(Fraction(1), low))
         return cutoff

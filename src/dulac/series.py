@@ -8,10 +8,12 @@ operations propagate cutoffs so that no claimed term is ever contaminated by
 unknown tail data:
 
 * sum: cutoff = min of the operand cutoffs;
-* product of nonzero f, g: cutoff = min(cutoff_f + val g, cutoff_g + val f),
-  and shift by x^e moves the cutoff by Re e; over an approximate basis each
-  val and Re e is the certified lower endpoint of its enclosure, so a cutoff
-  never over-claims;
+* product: cutoff = min(cutoff_f + low g, cutoff_g + low f), where the low
+  value of a factor (low()) bounds Re of every term it may have: the
+  certified lower endpoint re_low of its leading exponent, or its cutoff
+  when no term is known, since a term may sit at the cutoff.  Shift by x^e
+  moves the cutoff by re_low of e.  Lower endpoints keep a cutoff from
+  over-claiming over an approximate basis too;
 * the Euler derivation delta = x d/dx maps c(t) x^l to (l c + c') x^l and
   keeps the cutoff.
 
@@ -96,19 +98,21 @@ def _canonical(terms, cutoff):
 
     Distinct exponents with equal keys are provably equal values, which
     breaks the basis independence promise and raises UndecidableComparison.
+    Neighbours are told apart by their keys, and their coordinates are
+    compared only when the keys are equal.
     """
     items = sorted(terms, key=lambda t: t[0].key)
     out = []
     for e, c in items:
-        if out and out[-1][0] == e:
+        if not out or out[-1][0].key != e.key:
+            out.append((e, c))
+        elif out[-1][0] == e:
             out[-1] = (e, out[-1][1] + c)
-        elif out and out[-1][0].key == e.key:
+        else:
             raise UndecidableComparison(
                 f"DulacSeries: exponents {out[-1][0]} and {e} differ but their "
                 "values are provably equal; the basis independence promise is broken"
             )
-        else:
-            out.append((e, c))
     return tuple(
         (e, c) for e, c in out if not c.is_zero() and e.re_below(cutoff)
     )
@@ -160,6 +164,13 @@ class DulacSeries(Value):
             return INF
         return self.terms[0][0].re_mid
 
+    def low(self):
+        """A certified lower bound on Re of every term, known or not: re_low
+        of the least exponent, or the cutoff when no term is known.  The
+        order of the terms is certified, so the least exponent has the least
+        re_low."""
+        return self.terms[0][0].re_low if self.terms else self.cutoff
+
     def _check(self, other: "DulacSeries") -> None:
         if self.basis != other.basis:
             raise BasisMismatch("series arithmetic: operands use different bases")
@@ -180,14 +191,7 @@ class DulacSeries(Value):
         if isinstance(other, (TPoly, ExactScalar, int, Fraction)):
             return DulacSeries(self.basis, tuple((e, c * other) for e, c in self.terms), self.cutoff)
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            # a zero factor may have a term at its cutoff, so its cutoff is
-            # its low value; the other factor's low value shifts it
-            low_f = self.terms[0][0].re_low if self.terms else self.cutoff
-            low_g = other.terms[0][0].re_low if other.terms else other.cutoff
-            cutoff = min(self.cutoff, other.cutoff, self.cutoff + low_g, other.cutoff + low_f)
-            return DulacSeries(self.basis, (), cutoff)
-        cutoff = min(self.cutoff + other.terms[0][0].re_low, other.cutoff + self.terms[0][0].re_low)
+        cutoff = min(self.cutoff + other.low(), other.cutoff + self.low())
         prods = tuple((e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms)
         return DulacSeries(self.basis, prods, cutoff)
 

@@ -304,7 +304,6 @@ def reduce_equation(F: ODESpec, prefix: DulacSeries, m: int, s=None) -> ReducedE
     lam_m = phi.terms[-1][0]
     s_val = lin.slope() if s is None else s
     tau = lin.tau_exponent(s_val)
-    tau_re = tau.re_mid
 
     violations = []
     ltilde = []

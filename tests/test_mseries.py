@@ -18,6 +18,7 @@ from dulac.errors import (
     ExponentOutsideSemigroup,
     PreconditionViolated,
     SchemaError,
+    UndecidableComparison,
 )
 from dulac.exponents import ExponentBasis
 from dulac.mseries import MSeries, fit_degree_K, iota, iota_inv
@@ -100,7 +101,7 @@ def test_canonical_merge_sort_drop():
     )
     ms = _ms(g, terms, cutoff=2)
     assert ms.terms == (((1, 0), TPoly.ONE),)
-    assert ms.val_re() == Fraction(1, 2)
+    assert ms.low() == Fraction(1, 2)
 
 
 def test_norm_params_validation():
@@ -146,6 +147,52 @@ def test_mseries_mul_cutoff_rule():
     assert (a * b).cutoff == Fraction(5)  # min(5 + val b, 4 + val a) = min(7, 5)
 
 
+def test_mseries_mul_by_zero_counts_its_cutoff_as_low_value():
+    # every term a zero factor may have lies at or above its cutoff
+    g = _gens_one()
+    a = _ms(g, (((1,), TPoly.ONE),), cutoff=5)
+    z = _ms(g, (), cutoff=2)
+    assert (a * z).cutoff == (z * a).cutoff == Fraction(3)  # min(5 + 2, 2 + 1)
+    assert (z * z).cutoff == Fraction(4)
+
+
+def _gens_approx():
+    basis = ExponentBasis(["1", "1.41421356237"])
+    return validate_generators([basis.exponent([1, 0]), basis.exponent([0, 1])])
+
+
+def test_approximate_generators_move_and_cut_cutoffs_by_lower_endpoints():
+    # "1.41421356237" is sqrt 2 to within 1/(2 10^11), so X^(0,1) may lift
+    # a tail term at the cutoff by that much less than the midpoint
+    gens = _gens_approx()
+    root = gens.m_exponent((0, 1))
+    rad = Fraction(1, 2 * 10**11)
+    assert root.re_low == Fraction("1.41421356237") - rad
+    g = _ms(gens, (((1, 0), TPoly.ONE),), cutoff=3)
+    assert g.shift_m((0, 1)).cutoff == 3 + root.re_low
+    assert g.shift_m((0, 1)).terms == (((1, 1), TPoly.ONE),)
+    assert (g * _ms(gens, (((0, 1), TPoly.ONE),))).cutoff == 3 + root.re_low
+    # a term whose real part encloses the cutoff is neither kept nor dropped
+    with pytest.raises(UndecidableComparison):
+        _ms(gens, (((0, 1), TPoly.ONE),), cutoff=Fraction("1.41421356237"))
+    # X^(1,0) known below 1 + rad, shifted by X^(0,1): its Re encloses the
+    # new cutoff 1 + 1.41421356237, so the shift cannot keep or drop it
+    with pytest.raises(UndecidableComparison):
+        _ms(gens, (((1, 0), TPoly.ONE),), cutoff=1 + rad).shift_m((0, 1))
+
+
+def test_low_value_is_the_least_lower_endpoint_over_approximate_generators():
+    # over ["1", "1.3"], 7 r_2 = 9.1 +- 0.35 sorts after 9 r_1 = 9 by its
+    # midpoint but may be as low as 8.75, so a tail term of O(X^(1,0))
+    # times it may lie at 9.75, below 1 + 9
+    basis = ExponentBasis(["1", "1.3"])
+    gens = validate_generators([basis.exponent([1, 0]), basis.exponent([0, 1])])
+    g = _ms(gens, (((9, 0), TPoly.ONE), ((0, 7), TPoly.ONE)), cutoff=20)
+    assert [m for m, _ in g.terms] == [(9, 0), (0, 7)]
+    assert g.low() == Fraction(35, 4)
+    assert (g * _ms(gens, (), cutoff=1)).cutoff == Fraction(39, 4)
+
+
 def test_mseries_gens_mismatch():
     a = _ms(_gens_one(), (((1,), TPoly.ONE),))
     b = _ms(_gens_mixed(), (((1, 0), TPoly.ONE),))
@@ -176,7 +223,7 @@ def test_trusted_results_equal_canonical_construction(gens_of, seed, cutoff, lve
     g, h = _random_mseries(rng, gens).truncate(cutoff), _random_mseries(rng, gens)
     l, a = tuple(lvec[: gens.kappa]), rng.choice([TPoly.ZERO, random_poly(rng, 2)])
     shifted = tuple((tuple(x + y for x, y in zip(m, l)), c) for m, c in g.terms)
-    assert g.shift_m(l) == MSeries(gens, g.lambda_base, shifted, g.cutoff + gens.m_exponent(l).re_mid)
+    assert g.shift_m(l) == MSeries(gens, g.lambda_base, shifted, g.cutoff + gens.m_exponent(l).re_low)
     assert g.mul_poly(a) == MSeries(gens, g.lambda_base, tuple((m, c * a) for m, c in g.terms), g.cutoff)
     assert -g == MSeries(gens, g.lambda_base, tuple((m, -c) for m, c in g.terms), g.cutoff)
     out = tuple((m, c.shift_apply(gens.m_exponent(m).value())) for m, c in g.terms)
@@ -184,7 +231,7 @@ def test_trusted_results_equal_canonical_construction(gens_of, seed, cutoff, lve
     prods = tuple(
         (tuple(x + y for x, y in zip(m1, m2)), c1 * c2) for m1, c1 in g.terms for m2, c2 in h.terms
     )
-    cut = min(g.cutoff + h.val_re(), h.cutoff + g.val_re()) if g.terms and h.terms else min(g.cutoff, h.cutoff)
+    cut = min(g.cutoff + h.low(), h.cutoff + g.low())
     assert g * h == MSeries(gens, g.lambda_base, prods, cut)
 
 

@@ -146,6 +146,26 @@ def test_evaluation_refuses_a_zero_phi_with_nonpositive_cutoff():
     assert Evaluation(ode, DulacSeries.zero(basis, 1)).value(Fraction(1)).cutoff == Fraction(1)
 
 
+def test_zero_phi_counts_its_cutoff_as_low_value():
+    # every term phi = O(x) may have lies at or above 1, so y0^2 is known
+    # to be 0 below 2
+    basis = basis_one()
+    ode = ODESpec(1, ((ExactScalar.of(1), 0, (2, 0)),))
+    value = Evaluation(ode, DulacSeries.zero(basis, 1)).value(Fraction(1))
+    assert value.is_zero()
+    assert value.cutoff == Fraction(2)
+
+
+def test_declared_degree_cap_reads_a_zero_phi_at_its_cutoff():
+    # F = x known to degree 1 may omit y0^2, which gives x^(1/2) on the
+    # extension x^(1/4) of phi = O(x^(1/4)): the cap is 2 * 1/4, not 2
+    basis = basis_one()
+    ode = ODESpec(1, ((ExactScalar.of(1), 1, (0, 0)),), declared_degree=1)
+    value = Evaluation(ode, DulacSeries.zero(basis, Fraction(1, 4))).value(Fraction(1, 4))
+    assert value.is_zero()
+    assert value.cutoff == Fraction(1, 2)
+
+
 def test_substitute_zero_phi_allowed():
     basis = basis_one()
     res = Evaluation(euler_ode(), DulacSeries.zero(basis)).value()

@@ -85,11 +85,12 @@ def test_mul_drops_terms_beyond_cutoff():
 
 
 def test_mul_by_zero_keeps_min_cutoff():
+    # O(x^2) has no term below 2, and x's tail starts at 5: min(5 + 2, 2 + 1)
     basis = basis_one()
     f = _mono(basis, 1, cutoff=5)
     z = DulacSeries.zero(basis, cutoff=2)
     assert (f * z).is_zero()
-    assert (f * z).cutoff == Fraction(2)
+    assert (f * z).cutoff == Fraction(3)
 
 
 def test_mul_by_zero_counts_its_cutoff_as_low_value():
@@ -104,6 +105,16 @@ def test_mul_by_zero_counts_its_cutoff_as_low_value():
     assert (z * z).cutoff == Fraction(-2)
     # an exact zero keeps the product exact
     assert (f * DulacSeries.zero(basis)).cutoff == INF
+
+
+def test_mul_of_zero_factors_adds_their_cutoffs():
+    # every term O(x^2) may have lies at or above 2, its low value
+    basis = basis_one()
+    z = DulacSeries.zero(basis, cutoff=2)
+    assert z.low() == Fraction(2)
+    assert _mono(basis, 1, cutoff=5).low() == Fraction(1)
+    assert (z * z).is_zero()
+    assert (z * z).cutoff == Fraction(4)
 
 
 def test_scalar_and_poly_multiplication():

@@ -183,8 +183,13 @@ def substitute_direct(ode: ODESpec, phi: DulacSeries, order: tuple | None = None
                 acc = acc * deltas[j]
         total = total + acc
     if ode.declared_degree is not None:
+        # an omitted monomial of degree above the declared one is a product
+        # of at least degree + 1 factors x or delta^j phi, each of Re at
+        # least 1 or the lower endpoint of phi's leading exponent; with no
+        # known term, phi may have a term at its cutoff
+        low = phi.terms[0][0].re_low if phi.terms else phi.cutoff
         degree = max(ode.declared_degree - sum(order), 0)
-        cap = (degree + 1) * min(Fraction(1), phi.val())
+        cap = (degree + 1) * min(Fraction(1), low)
         total = total.truncate(min(total.cutoff, cap))
     return total
 
