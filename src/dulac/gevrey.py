@@ -12,6 +12,12 @@ classify() normalizes the observed norms, fits the smallest geometric
 envelope over the data, and reports a verdict.  The fit is descriptive: the
 envelope holds for the recorded k by construction, so the value of the
 report is in the fitted constants, not the boolean.
+
+The rows, the fit and the envelope run on raw mpmath.libmp values at
+FLOAT_PRECISION bits, rounding as mpf arithmetic inside
+mpmath.workprec(FLOAT_PRECISION) does, whatever the caller's mpmath context;
+mpfs are built only for the reported values.  Each power A^x is computed
+once, for the fit and the envelope both.
 """
 
 from __future__ import annotations
@@ -22,13 +28,14 @@ from collections import namedtuple
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import fone, from_rational, fzero, mpf_cmp, mpf_pow, round_nearest
 
 from .gammafn import gamma_abs
-from .numeric import FLOAT_PRECISION, poly_norm, to_mpf
+from .numeric import FLOAT_PRECISION, norm_powers, raw_div, raw_mul, raw_poly_norm
 from .scalars import ExactScalar
 from .series import INF, serialize_s
 
-_ONE = mpmath.mpf(1)
+_mpf = mpmath.mp.make_mpf
 CSV_COLUMNS = ["k", "re_lambda", "im_lambda", "deg_c", "norm_R", "gamma_abs", "rho", "envelope_Ck"]
 
 
@@ -38,19 +45,15 @@ RhoRow = namedtuple("RhoRow", "k re_lambda im_lambda deg_c norm_R gamma rho")
 
 def _rows(terms, s, R) -> list:
     """rho_k = ||c_k||_R / |Gamma(lambda_k / s)| for the k-th of terms, with
-    |Gamma| = 1 when s = +inf."""
+    |Gamma| = 1 when s = +inf, on raw values: mpfs are built only for the
+    fields of the rows."""
+    powers = norm_powers(R)
     rows = []
     for k, (lam, c) in enumerate(terms, start=1):
-        g = _ONE if s == INF else gamma_abs(ExactScalar(lam.re_mid / s, lam.im_mid / s))
-        nr = poly_norm(c, R)
-        with mpmath.workprec(FLOAT_PRECISION):
-            rows.append(RhoRow(k, lam.re_mid, lam.im_mid, c.degree, nr, g, nr / g))
+        g = fone if s == INF else gamma_abs(ExactScalar(lam.re_mid / s, lam.im_mid / s))._mpf_
+        nr = raw_poly_norm(c, powers)
+        rows.append(RhoRow(k, lam.re_mid, lam.im_mid, c.degree, _mpf(nr), _mpf(g), _mpf(raw_div(nr, g))))
     return rows
-
-
-def _abscissa(s, row: RhoRow):
-    """The x of the envelope C * A^x at a row: Re lambda_k when s = +inf, else k."""
-    return row.re_lambda if s == INF else row.k
 
 
 def normalized_coeffs(terms, s, R) -> list:
@@ -67,6 +70,30 @@ def normalized_coeffs(terms, s, R) -> list:
     return _rows(terms, s_q, R)
 
 
+def _raw_x(x) -> tuple:
+    """An int or Fraction abscissa rounded as to_mpf rounds it."""
+    return from_rational(x.numerator, x.denominator, FLOAT_PRECISION)
+
+
+def _fit(rhos, xs) -> tuple:
+    """fit_growth on raw values, with the power A^x at every entry, zero or
+    not: (C, A, k_C, k_A, powers)."""
+    vals = [(k, x, r) for k, (x, r) in enumerate(zip(xs, rhos), start=1) if r != fzero]
+    A, k_A = fone, None
+    for (k1, x1, r1), (_, x2, r2) in zip(vals, vals[1:]):
+        if x2 != x1:
+            ratio = mpf_pow(raw_div(r2, r1), raw_div(fone, _raw_x(x2 - x1)), FLOAT_PRECISION, round_nearest)
+            if mpf_cmp(ratio, A) > 0:
+                A, k_A = ratio, k1
+    powers = [mpf_pow(A, _raw_x(x), FLOAT_PRECISION, round_nearest) for x in xs]
+    C, k_C = fzero, None
+    for k, _, r in vals:
+        c = raw_div(r, powers[k - 1])
+        if mpf_cmp(c, C) > 0:
+            C, k_C = c, k
+    return C, A, k_C, k_A, powers
+
+
 def fit_growth(rhos, abscissae=None) -> tuple:
     """Smallest geometric envelope C * A^x over the observed sequence.
 
@@ -79,38 +106,22 @@ def fit_growth(rhos, abscissae=None) -> tuple:
     is no ratio above 1).
     """
     xs = range(1, len(rhos) + 1) if abscissae is None else abscissae
-    vals = [(k, x, r) for k, (x, r) in enumerate(zip(xs, rhos), start=1) if r != 0]
-    if not vals:
-        return mpmath.mpf(0), mpmath.mpf(1), None, None
-    with mpmath.workprec(FLOAT_PRECISION):
-        A = mpmath.mpf(1)
-        k_A = None
-        for (k1, x1, r1), (_, x2, r2) in zip(vals, vals[1:]):
-            if x2 == x1:
-                continue
-            ratio = (r2 / r1) ** (1 / to_mpf(x2 - x1))
-            if ratio > A:
-                A, k_A = ratio, k1
-        C = mpmath.mpf(0)
-        k_C = None
-        for k, x, r in vals:
-            c = r / A ** to_mpf(x)
-            if c > C:
-                C, k_C = c, k
-        return C, A, k_C, k_A
+    C, A, k_C, k_A, _ = _fit([mpmath.mpmathify(r)._mpf_ for r in rhos], xs)
+    return _mpf(C), _mpf(A), k_C, k_A
 
 
-class GevreyReport(namedtuple("GevreyReport", "s rows C_fit A_fit R_used verdict radius_estimate")):
+class GevreyReport(namedtuple("GevreyReport", "s rows C_fit A_fit R_used verdict radius_estimate envelope")):
     """The fit of classify: order s (a Fraction or +inf), the RhoRows, the
     envelope constants C_fit and A_fit (mpf), the Fraction R_used, the
-    verdict (GevreyBounded, ConvergentCandidate or Inconclusive) and
-    radius_estimate, 1/A_fit in the convergent case and None otherwise."""
+    verdict (GevreyBounded, ConvergentCandidate or Inconclusive),
+    radius_estimate, 1/A_fit in the convergent case and None otherwise, and
+    envelope, C_fit * A_fit^x at each row (mpf), from the powers of the fit."""
 
     __slots__ = ()
 
     def envelope_at(self, row: RhoRow):
-        with mpmath.workprec(FLOAT_PRECISION):
-            return self.C_fit * self.A_fit ** to_mpf(_abscissa(self.s, row))
+        """The envelope at one of the report's rows."""
+        return self.envelope[row.k - 1]
 
     def to_json(self) -> dict:
         return {
@@ -163,9 +174,11 @@ def classify(state, s, R) -> GevreyReport:
     else:
         s = Fraction(s)
         rows, verdict = normalized_coeffs(terms, s, R_q), "GevreyBounded"
-    C, A, _, _ = fit_growth([r.rho for r in rows], [_abscissa(s, r) for r in rows])
+    # the x of the envelope C * A^x at a row: Re lambda_k when s = +inf, else k
+    xs = [r.re_lambda if s == INF else r.k for r in rows]
+    C, A, _, _, powers = _fit([r.rho._mpf_ for r in rows], xs)
     if len(rows) < 3 and not state.residual.is_zero():
         verdict = "Inconclusive"
-    with mpmath.workprec(FLOAT_PRECISION):
-        radius = 1 / A if s == INF and rows else None
-    return GevreyReport(s, tuple(rows), C, A, R_q, verdict, radius)
+    radius = _mpf(raw_div(fone, A)) if s == INF and rows else None
+    envelope = tuple(_mpf(raw_mul(C, p)) for p in powers)
+    return GevreyReport(s, tuple(rows), _mpf(C), _mpf(A), R_q, verdict, radius, envelope)

@@ -124,16 +124,20 @@ def raw_poly_norm(p: TPoly, powers: list) -> tuple:
     return acc or fzero
 
 
-def poly_norm(p: TPoly, R) -> mpmath.mpf:
-    """Weighted coefficient norm: sum of |a_j| R^j over the coefficients.
-
-    R must exceed 1 so that the norm is monotone in the degree direction and
-    submultiplicative.  The sum is raw_poly_norm's.
-    """
+def norm_powers(R) -> list:
+    """The powers of R that raw_poly_norm weighs with, R read as
+    decimal_rational reads it.  R must exceed 1 so that the norm is monotone
+    in the degree direction and submultiplicative."""
     Rq = decimal_rational(R)
     if Rq <= 1:
-        raise ValueError(f"poly_norm: weight R must exceed 1, got {R}")
-    return mpmath.mp.make_mpf(raw_poly_norm(p, _norm_powers(Rq.numerator, Rq.denominator)))
+        raise ValueError(f"weight R must exceed 1, got {R}")
+    return _norm_powers(Rq.numerator, Rq.denominator)
+
+
+def poly_norm(p: TPoly, R) -> mpmath.mpf:
+    """Weighted coefficient norm: sum of |a_j| R^j over the coefficients,
+    raw_poly_norm's sum for the powers of R from norm_powers."""
+    return mpmath.mp.make_mpf(raw_poly_norm(p, norm_powers(R)))
 
 
 def roots_of_L(L: TPoly) -> list:

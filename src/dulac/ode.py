@@ -202,14 +202,16 @@ class Evaluation:
     Each Y[q] and the value are term maps from exponents to coefficients, so
     a step builds no series.  The evaluator keeps one Exponent per exponent
     value it meets, in a table keyed by the int fields (den, nums): the sum
-    of two exponents is formed from their fields and looked up there, and a
-    new Exponent is built only for a value not met before (hash-consing,
-    Filliatre and Conchon, "Type-safe modular hash-consing", ML 2006).  So
-    the term maps and the heap hold those objects, a lookup matches by
-    identity, and each value's sort key is computed once.  The table lives
-    as long as the evaluator.  A heap of (key, nums, den, exponent), pushed
-    whenever an exponent enters the value, gives leading() the value's
-    lowest term; terms lists phi's terms fed so far, in increasing order.
+    of two exponents, and the difference that gives a solver step its new
+    exponent (difference()), is formed from their fields and looked up
+    there, and a new Exponent is built only for a value not met before
+    (hash-consing, Filliatre and Conchon, "Type-safe modular hash-consing",
+    ML 2006).  So the term maps and the heap hold those objects, a lookup
+    matches by identity, and each value's sort key is computed once.  The
+    table lives as long as the evaluator.  A heap of (key, nums, den,
+    exponent), pushed whenever an exponent enters the value, gives leading()
+    the value's lowest term; terms lists phi's terms fed so far, in
+    increasing order.
     The derivatives dF/dy_j along phi and the scaled mixed ones
     (derivative()) are read off the kept products through the steps with
     r = order, which carry their weighted monomials; value() and derivative()
@@ -270,16 +272,21 @@ class Evaluation:
         """The table's Exponent of e's value, e itself when it is new."""
         return self._exponents.setdefault((e.den, e.nums), e)
 
-    def _sum(self, a: Exponent, b: Exponent) -> Exponent:
-        """The table's Exponent of the value a + b; with both denominators 1
-        the sum is formed from the numerators and nothing else is built."""
+    def _sum(self, a: Exponent, b: Exponent, op=add) -> Exponent:
+        """The table's Exponent of the value a + b, or a - b for op = sub;
+        with both denominators 1 it is formed from the numerators and nothing
+        else is built."""
         if a.den == 1 == b.den:
-            key = (1, tuple(map(add, a.nums, b.nums)))
+            key = (1, tuple(map(op, a.nums, b.nums)))
             e = self._exponents.get(key)
             if e is None:
                 e = self._exponents[key] = Exponent._raw(self.basis, 1, key[1])
             return e
-        return self._find(a + b)
+        return self._find(op(a, b))
+
+    def difference(self, a: Exponent, b: Exponent) -> Exponent:
+        """The table's Exponent of the value a - b, formed as _sum forms sums."""
+        return self._sum(a, b, sub)
 
     def _add_value(self, e: Exponent, c: TPoly) -> None:
         if e not in self._value:

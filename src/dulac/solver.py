@@ -223,7 +223,7 @@ def _extend(F, prefix, target, pinned) -> SolutionState:
         if head is None:
             break
         sigma, beta = head
-        lam_new = sigma - lin.nu
+        lam_new = evaluation.difference(sigma, lin.nu)
         if evaluation.terms:
             last = evaluation.terms[-1][0]
             if exp_compare(lam_new, last) <= 0:

@@ -2,7 +2,8 @@
 
 The implementation is independent of mpmath.gamma, so the oracle
 |Gamma(1+i)|^2 = pi / sinh(pi) is an external cross-check of the whole
-series-plus-shift evaluation path.
+series-plus-shift evaluation path.  The raw-value kernel is also checked bit
+for bit against the same series written with mpf/mpc objects.
 """
 
 import random
@@ -10,10 +11,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dulac import gammafn
 from dulac.errors import DomainError
 from dulac.gammafn import gamma_abs
 from dulac.scalars import ExactScalar
+
+from .util import gamma_abs_oracle, spouge_coeffs_oracle
 
 
 def test_closed_form_oracle():
@@ -76,3 +82,28 @@ def test_within_1e_12_of_mpmath_gamma():
         with mpmath.workprec(256):
             want = abs(mpmath.gamma(mpmath.mpc(mpmath.mpmathify(z.re), mpmath.mpmathify(z.im))))
             assert abs(got - want) / want < 1e-12, z
+
+
+def test_spouge_table_is_the_144_bit_coefficients():
+    assert list(gammafn._SPOUGE) == [c._mpf_ for c in spouge_coeffs_oracle()]
+
+
+# Re z from 1/300 (the shift loop runs up to 300 times) to 4000
+_parts = st.fractions(min_value=Fraction(1, 300), max_value=4000, max_denominator=300)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(re=_parts, im=st.one_of(st.just(Fraction(0)), st.fractions(-400, 400, max_denominator=300)))
+@example(re=Fraction(1), im=Fraction(0))
+@example(re=Fraction(1), im=Fraction(-5, 3))
+@example(re=Fraction(1, 3), im=Fraction(1, 3))
+@example(re=Fraction(999, 1000), im=Fraction(0))
+@example(re=Fraction(1, 300), im=Fraction(7, 2))
+def test_gamma_abs_equals_mpf_oracle_in_any_context(re, im):
+    """gamma_abs equals the mpf-object series bit for bit, real and complex
+    z, below, at and above Re z = 1, whatever the caller's precision."""
+    z = ExactScalar(re, im)
+    want = gamma_abs_oracle(z)._mpf_
+    for prec in (53, 300):
+        with mpmath.workprec(prec):
+            assert gamma_abs(z)._mpf_ == want

@@ -1,10 +1,13 @@
 """Growth order, normalized norm tables, envelope fitting, verdicts."""
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dulac.errors import SlopeUndetermined
 from dulac.gevrey import INF, GevreyReport, classify, fit_growth, normalized_coeffs
@@ -13,7 +16,9 @@ from dulac.series import DulacSeries
 from dulac.solver import LinearData, extend, extract_linearization
 from dulac.tpoly import TPoly
 
-from .util import basis_mixed, basis_one, convergent_ode, euler_ode
+from .util import (
+    basis_mixed, basis_one, convergent_ode, euler_ode, float_counts, gevrey_oracle, random_poly, random_series,
+)
 
 
 def _lin(basis, A, nu_sec_res):
@@ -208,3 +213,37 @@ def test_report_json_is_plain_data():
     assert payload["s"] == "1"
     assert payload["verdict"] == "GevreyBounded"
     assert len(payload["rows"]) == 5
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), s=st.sampled_from([INF, Fraction(1), Fraction(2, 3), Fraction(5, 2)]),
+       R=st.sampled_from([2, Fraction(7, 3)]))
+def test_classify_equals_mpf_oracle_in_any_context(seed, s, R):
+    """The rows, the fit and the envelope equal the mpf-object arithmetic of
+    the oracle bit for bit, whatever the caller's precision; over basis
+    ["1","1+1i"] the real parts are non-dyadic and some are tied."""
+    basis, rng = basis_mixed(), random.Random(seed)
+    solution = random_series(rng, basis, max_terms=6, cutoff=20)
+    if solution.is_zero():
+        solution = DulacSeries(basis, ((basis.rational(Fraction(1, 3)), random_poly(rng)),), 20)
+    state = SimpleNamespace(solution=solution, residual=DulacSeries.zero(basis))
+    rhos, C, A, envelope = gevrey_oracle(solution.terms, s, R)
+    want = [[v._mpf_ for v in rhos], C._mpf_, A._mpf_, [v._mpf_ for v in envelope]]
+    for prec in (53, 300):
+        with mpmath.workprec(prec):
+            rep = classify(state, s, R)
+        got = [[r.rho._mpf_ for r in rep.rows], rep.C_fit._mpf_, rep.A_fit._mpf_,
+               [rep.envelope_at(r)._mpf_ for r in rep.rows]]
+        assert got == want
+
+
+def test_verify_operation_counts():
+    # the float work of one verify from cold memos: one Gamma evaluation per
+    # row and, on raw values, no mpmath.workprec entry (116 when gamma_abs,
+    # the row builder, the fit and the envelope worked on mpf objects); each
+    # power A^k of the fit is computed once, so the envelope takes one
+    # raw_mul per row, and raw_div forms the 19 rho, the 19 C candidates
+    # and the 18 ratios with their 18 inverse gaps
+    counts = float_counts("verify", "nonlinear.json", "--cutoff", "20")
+    assert counts == {"gamma": 19, "roots": 19, "raw_add": 0, "raw_mul": 19, "raw_div": 74, "raw_pow": 0,
+                      "workprec": 0}

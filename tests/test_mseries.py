@@ -34,6 +34,7 @@ from .util import (
     basis_mixed,
     basis_one,
     euler_ode,
+    float_counts,
     h_norm_oracle,
     lemma5_oracle,
     lemma6_oracle,
@@ -826,21 +827,11 @@ def test_norm_trials_draw_as_the_randint_reference(monkeypatch, tmp_path, name):
         assert state == reference.getstate()
 
 
-def test_check_norms_operation_counts(monkeypatch, tmp_path):
-    # the root-kernel evaluations (memo misses) and raw mpf operations of one
-    # check-norms run from cold memos: noise-free cost signals, pinned so
-    # that extra float work shows up as a failure
-    for memo in (norms._table, norms._gammas, numeric._norm_powers, numeric._sqrt_rational):
-        memo.cache_clear()
-    ops = dict.fromkeys(("raw_add", "raw_mul", "raw_div", "raw_pow"), 0)
-    for name in ops:
-        def counted(x, y, name=name, f=getattr(numeric, name)):
-            ops[name] += 1
-            return f(x, y)
-
-        monkeypatch.setattr(numeric, name, counted)
-        monkeypatch.setattr(norms, name, counted)
-    argv = ["check-norms", str(DATA / "euler_gens.json"), "--seed", "7", "--output-dir", str(tmp_path)]
-    assert cli.main(argv) == 0
-    assert numeric._sqrt_rational.cache_info().misses == 609
-    assert ops == {"raw_add": 769, "raw_mul": 1266, "raw_div": 88, "raw_pow": 117}
+def test_check_norms_operation_counts():
+    # the Gamma evaluations, root-kernel evaluations (memo misses), raw mpf
+    # operations and mpmath.workprec entries of one check-norms run from
+    # cold memos: noise-free cost signals, pinned so that extra float work
+    # shows up as a failure (38 workprec entries when gamma_abs entered it)
+    counts = float_counts("check-norms", "euler_gens.json", "--seed", "7")
+    assert counts == {"gamma": 6, "roots": 609, "raw_add": 769, "raw_mul": 1266, "raw_div": 88, "raw_pow": 117,
+                      "workprec": 32}

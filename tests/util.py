@@ -1,7 +1,10 @@
 """Shared builders for the test suite: canonical equations and seeded random data."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from pathlib import Path
@@ -10,6 +13,7 @@ import mpmath
 from mpmath.libmp import from_rational, mpf_sqrt, round_nearest
 
 import dulac
+from dulac import cli, gammafn, gevrey, norms, numeric
 from dulac.exponents import Exponent, ExponentBasis
 from dulac.gammafn import gamma_abs
 from dulac.numeric import abs_scalar, to_mpf
@@ -261,6 +265,43 @@ def extend_counts(name: str, cutoff) -> dict:
     return counts
 
 
+# the CLI runs whose float work the op-count tests pin: (command, problem, flags)
+FLOAT_RUNS = (("verify", "nonlinear.json", "--cutoff", "20"), ("check-norms", "euler_gens.json", "--seed", "7"))
+_FLOAT_OPS = {"gamma": "gamma_abs", "raw_add": "raw_add", "raw_mul": "raw_mul", "raw_div": "raw_div",
+              "raw_pow": "raw_pow", "workprec": "workprec"}
+
+
+def float_counts(command: str, name: str, *flags: str) -> dict:
+    """The float work of one CLI run of command on the tests/data problem
+    name, from cold memos, as noise-free cost signals: "gamma", the
+    gamma_abs evaluations; "roots", the root-kernel evaluations
+    (_sqrt_rational memo misses); "raw_add", "raw_mul", "raw_div" and
+    "raw_pow", the raw mpf operations; and "workprec", the
+    mpmath.workprec entries.  The run writes to a temporary directory and
+    its stdout is dropped; the counted functions are restored afterwards."""
+    for memo in (norms._table, norms._gammas, numeric._norm_powers, numeric._sqrt_rational):
+        memo.cache_clear()
+    counts = dict.fromkeys(_FLOAT_OPS, 0)
+    saved = [(mod, attr, key, vars(mod)[attr]) for key, attr in _FLOAT_OPS.items()
+             for mod in (gammafn, gevrey, norms, numeric, mpmath) if attr in vars(mod)]
+
+    def wrap(f, key):
+        def wrapper(*args):
+            counts[key] += 1
+            return f(*args)
+        return wrapper
+
+    try:
+        for mod, attr, key, f in saved:
+            setattr(mod, attr, wrap(f, key))
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([command, str(DATA / name), *flags, "--output-dir", out]) == 0
+    finally:
+        for mod, attr, _, f in saved:
+            setattr(mod, attr, f)
+    return dict(counts, roots=numeric._sqrt_rational.cache_info().misses)
+
+
 # -- ExactScalar-formula oracles for TPoly ----------------------------------
 # Each works coefficient by coefficient on ExactScalars, with the formulas a
 # TPoly of ExactScalar coefficients would use, and builds its result through
@@ -336,6 +377,57 @@ def sqrt_rational_oracle(num: int, den: int) -> tuple:
     """sqrt(num / den) as a raw mpf value by mpmath's own two roundings: the
     quotient rounded down to 128 bits, then the root rounded to nearest."""
     return mpf_sqrt(from_rational(num, den, 128), 128, round_nearest)
+
+
+def spouge_coeffs_oracle() -> list:
+    """The Spouge series coefficients of dulac.gammafn (a = 15), computed by
+    mpf arithmetic at 144 bits."""
+    with mpmath.workprec(144):
+        cs = [mpmath.sqrt(2 * mpmath.pi)]
+        for k in range(1, 15):
+            ck = mpmath.mpf(-1) ** (k - 1) / mpmath.factorial(k - 1)
+            ck *= mpmath.power(15 - k, k - mpmath.mpf(1) / 2)
+            ck *= mpmath.exp(15 - k)
+            cs.append(ck)
+    return cs
+
+
+def gamma_abs_oracle(z: ExactScalar) -> mpmath.mpf:
+    """|Gamma(z)| for Re z > 0 by the Spouge series of dulac.gammafn, written
+    with mpf/mpc objects inside mpmath.workprec(144)."""
+    cs = spouge_coeffs_oracle()
+    with mpmath.workprec(144):
+        z = mpmath.mpc(mpmath.mpmathify(z.re), mpmath.mpmathify(z.im))
+        shift = mpmath.mpf(1)
+        while mpmath.re(z) < 1:
+            shift *= abs(z)
+            z = z + 1
+        w = z + 15 - 1
+        zm1 = z - 1
+        s = cs[0]
+        for k in range(1, 15):
+            s += cs[k] / (zm1 + k)
+        val = abs(mpmath.power(w, z - mpmath.mpf(1) / 2)) * mpmath.exp(-mpmath.re(w)) * abs(s)
+        return val / shift
+
+
+def gevrey_oracle(terms, s, R) -> tuple:
+    """The rho of each row of gevrey.classify, the fit (C, A) and the
+    envelope C * A^x at each row, in mpf arithmetic at 128 bits: each norm
+    from poly_norm_oracle, each |Gamma| from gamma_abs_oracle."""
+    with mpmath.workprec(128):
+        rhos, xs = [], []
+        for k, (lam, c) in enumerate(terms, start=1):
+            g = mpmath.mpf(1) if s == INF else gamma_abs_oracle(ExactScalar(lam.re_mid / s, lam.im_mid / s))
+            rhos.append(poly_norm_oracle(c, R) / g)
+            xs.append(lam.re_mid if s == INF else k)
+        vals = [(x, r) for x, r in zip(xs, rhos) if r != 0]
+        A = mpmath.mpf(1)
+        for (x1, r1), (x2, r2) in zip(vals, vals[1:]):
+            if x2 != x1:
+                A = max(A, (r2 / r1) ** (1 / to_mpf(x2 - x1)))
+        C = max([r / A ** to_mpf(x) for x, r in vals], default=mpmath.mpf(0))
+        return rhos, C, A, [C * A ** to_mpf(x) for x in xs]
 
 
 # -- Fraction Gauss-Jordan oracles for the semigroup layer --------------------
