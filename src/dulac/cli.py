@@ -460,20 +460,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dulac",
         description="Dulac series solver and growth-order analysis toolkit.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("problem", help="path to the JSON problem file")
-        cmd.add_argument("--cutoff", type=_number_flag, default=None,
-                         help="override the problem file's cutoff on Re lambda")
-        cmd.add_argument("--R", type=_number_flag, default=None,
-                         help="override the coefficient-norm weight R (> 1)")
-        cmd.add_argument("--seed", type=int, default=0,
-                         help="seed for the randomized harnesses")
-        cmd.add_argument("--output-dir", default=".",
-                         help="directory for JSON/CSV artifacts (default: .)")
-        cmd.add_argument("--format", choices=["json", "csv", "text"], default="text",
-                         help="stdout rendering (artifacts are always written)")
+    # every subcommand takes the same arguments, so one parser reads them all
+    parser.add_argument("command", choices=list(_COMMANDS), help="the subcommand to run")
+    parser.add_argument("problem", help="path to the JSON problem file")
+    parser.add_argument("--cutoff", type=_number_flag, default=None,
+                        help="override the problem file's cutoff on Re lambda")
+    parser.add_argument("--R", type=_number_flag, default=None,
+                        help="override the coefficient-norm weight R (> 1)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for the randomized harnesses")
+    parser.add_argument("--output-dir", default=".",
+                        help="directory for JSON/CSV artifacts (default: .)")
+    parser.add_argument("--format", choices=["json", "csv", "text"], default="text",
+                        help="stdout rendering (artifacts are always written)")
     return parser
 
 

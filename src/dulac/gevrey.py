@@ -16,8 +16,9 @@ report is in the fitted constants, not the boolean.
 The rows, the fit and the envelope run on raw mpmath.libmp values at
 FLOAT_PRECISION bits, rounding as mpf arithmetic inside
 mpmath.workprec(FLOAT_PRECISION) does, whatever the caller's mpmath context;
-mpfs are built only for the reported values.  Each power A^x is computed
-once, for the fit and the envelope both.
+an int or Fraction (an abscissa, or a rho given to fit_growth) enters through
+numeric.raw_rational, and mpfs are built only for the reported values.  Each
+power A^x is computed once, for the fit and the envelope both.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from collections import namedtuple
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import fone, from_rational, fzero, mpf_cmp, mpf_pow, round_nearest
+from mpmath.libmp import fone, from_float, fzero, mpf_cmp, mpf_pow, round_nearest
 
 from .gammafn import gamma_abs
-from .numeric import FLOAT_PRECISION, norm_powers, raw_div, raw_mul, raw_poly_norm
+from .numeric import FLOAT_PRECISION, norm_powers, raw_div, raw_mul, raw_poly_norm, raw_rational
 from .scalars import ExactScalar
 from .series import INF, serialize_s
 
@@ -70,22 +71,18 @@ def normalized_coeffs(terms, s, R) -> list:
     return _rows(terms, s_q, R)
 
 
-def _raw_x(x) -> tuple:
-    """An int or Fraction abscissa rounded as to_mpf rounds it."""
-    return from_rational(x.numerator, x.denominator, FLOAT_PRECISION)
-
-
 def _fit(rhos, xs) -> tuple:
     """fit_growth on raw values, with the power A^x at every entry, zero or
-    not: (C, A, k_C, k_A, powers)."""
+    not, each int or Fraction abscissa read by raw_rational: (C, A, k_C,
+    k_A, powers)."""
     vals = [(k, x, r) for k, (x, r) in enumerate(zip(xs, rhos), start=1) if r != fzero]
     A, k_A = fone, None
     for (k1, x1, r1), (_, x2, r2) in zip(vals, vals[1:]):
         if x2 != x1:
-            ratio = mpf_pow(raw_div(r2, r1), raw_div(fone, _raw_x(x2 - x1)), FLOAT_PRECISION, round_nearest)
+            ratio = mpf_pow(raw_div(r2, r1), raw_div(fone, raw_rational(x2 - x1)), FLOAT_PRECISION, round_nearest)
             if mpf_cmp(ratio, A) > 0:
                 A, k_A = ratio, k1
-    powers = [mpf_pow(A, _raw_x(x), FLOAT_PRECISION, round_nearest) for x in xs]
+    powers = [mpf_pow(A, raw_rational(x), FLOAT_PRECISION, round_nearest) for x in xs]
     C, k_C = fzero, None
     for k, _, r in vals:
         c = raw_div(r, powers[k - 1])
@@ -103,10 +100,14 @@ def fit_growth(rhos, abscissae=None) -> tuple:
     abscissa have no gap to grow over and give no ratio.  C_fit = max rho /
     A_fit^x.  Returns (C_fit, A_fit, k_C, k_A) with the positions achieving
     each maximum (1-based, k_A of the ratio's left endpoint; None when there
-    is no ratio above 1).
+    is no ratio above 1).  An mpf rho is read as is, a float exactly and an
+    int or Fraction by raw_rational, so the result does not depend on the
+    caller's mpmath precision.
     """
     xs = range(1, len(rhos) + 1) if abscissae is None else abscissae
-    C, A, k_C, k_A, _ = _fit([mpmath.mpmathify(r)._mpf_ for r in rhos], xs)
+    raw = [r._mpf_ if isinstance(r, mpmath.mpf) else from_float(r) if isinstance(r, float) else raw_rational(r)
+           for r in rhos]
+    C, A, k_C, k_A, _ = _fit(raw, xs)
     return _mpf(C), _mpf(A), k_C, k_A
 
 

@@ -6,8 +6,9 @@ The graded norms
 
 measure tails (dulac.mseries.MSeries) in the scale of spaces used to run the
 contraction argument.  The norms run on raw mpmath.libmp values at
-FLOAT_PRECISION bits, whatever the caller's mpmath context, and compute each
-per-m constant once (the weight only at a level j > 0).
+FLOAT_PRECISION bits, whatever the caller's mpmath context (each exact value
+read by numeric.raw_rational, each root from numeric._sqrt_rational), and
+compute each per-m constant once (the weight only at a level j > 0).
 check_lemma5/check_lemma6/majorant_bound evaluate both sides of the
 corresponding operator estimates on concrete data; they are finite-data
 consequences of the triangle inequality and norm submultiplicativity, so a
@@ -30,7 +31,7 @@ from .exponents import Exponent
 from .gammafn import gamma_abs
 from .mseries import MSeries, _canonical_terms, _multi_index
 from .numeric import (
-    FLOAT_PRECISION, _norm_powers, abs_scalar, by_value, raw_add, raw_div, raw_mul, raw_poly_norm, raw_pow, to_mpf,
+    _norm_powers, _sqrt_rational, by_value, raw_add, raw_div, raw_mul, raw_poly_norm, raw_pow, raw_rational,
 )
 from .scalars import ExactScalar, Value, decimal_rational
 from .semigroup import Generators
@@ -97,31 +98,34 @@ def _gammas(gens: Generators, s: Fraction) -> tuple:
     return gamma, cache(lambda a, b: raw_div(raw_mul(gamma(a), gamma(b)), gamma(tuple(map(add, a, b)))))
 
 
+def _weight(gens: Generators, lambda_base: Exponent, Kcal: tuple, m) -> tuple:
+    """|lambda_base + <m,r>| + Kcal |m| as a raw value, for a raw Kcal: the
+    root _sqrt_rational takes of the exact |lambda_base + <m,r>|^2, plus
+    raw_mul(Kcal, |m|)."""
+    e = gens.m_exponent(m)
+    re, im = lambda_base.re_mid + e.re_mid, lambda_base.im_mid + e.im_mid
+    sq = re * re + im * im
+    return raw_add(_sqrt_rational(sq.numerator, sq.denominator), raw_mul(Kcal, raw_rational(sum(m))))
+
+
 class _NormTable:
-    """The constants of one graded norm: gamma and ratio of _gammas, the
-    weight |lambda_base + <m,r>| + Kcal |m| to a power e, factor(m, j) =
+    """The constants of one graded norm, shared through _table by every norm
+    over these generators, base exponent and parameters (lambda_base is None
+    for a caller that reads no weight): gamma and ratio of _gammas, the
+    weight of m (_weight, computed once) to a power e, factor(m, j) =
     weight^j / gamma(m), the factor of ||C_m||_R in the level-j norm, and
     the powers of R that raw_poly_norm weighs ||C_m||_R with."""
 
     def __init__(self, gens: Generators, lambda_base: Exponent | None, p: NormParams):
-        @cache
-        def weight(m):
-            e = gens.m_exponent(m)
-            lam = ExactScalar(lambda_base.re_mid + e.re_mid, lambda_base.im_mid + e.im_mid)
-            with mpmath.workprec(FLOAT_PRECISION):
-                return (abs_scalar(lam) + to_mpf(p.Kcal) * sum(m))._mpf_
-
+        Kcal = raw_rational(p.Kcal)
+        weight = cache(lambda m: _weight(gens, lambda_base, Kcal, m))
         self.gamma, self.ratio = _gammas(gens, p.s)
         self.weight_pow = lambda m, e: raw_pow(weight(m), e) if e else fone
         self.factor = cache(lambda m, j: raw_div(self.weight_pow(m, j), self.gamma(m)))
         self.powers = _norm_powers(p.R.numerator, p.R.denominator)
 
 
-@lru_cache(maxsize=64)
-def _table(gens: Generators, lambda_base: Exponent | None, p: NormParams) -> _NormTable:
-    """The table shared by every norm over these generators, base exponent
-    and parameters; lambda_base is None for a caller that reads no weight."""
-    return _NormTable(gens, lambda_base, p)
+_table = lru_cache(maxsize=64)(_NormTable)
 
 
 def h_norm(g: MSeries, p: NormParams, level: int | None = None) -> mpmath.mpf:
@@ -212,7 +216,7 @@ def majorant_bound(coeffs: dict, rho, tail_norms, gens: Generators, p: NormParam
     """
     pms = [pm for pm, _ in coeffs if any(pm)]
     table = _table(gens, None, p)
-    rho, *tails = (to_mpf(decimal_rational(v))._mpf_ for v in (rho, *tail_norms))
+    rho, *tails = (raw_rational(decimal_rational(v)) for v in (rho, *tail_norms))
     C = max([fone, *(table.ratio(a, b) for i, a in enumerate(pms) for b in pms[i:])], key=by_value)
     acc = fzero
     for (pm, qm), a in sorted(coeffs.items()):

@@ -8,7 +8,9 @@ weighted coefficient norm, this layer places the roots of the characteristic
 polynomial for the splitting conditions (check_conditions); the exact layers
 never import it.
 
-Every root sqrt(num / den) of an exact rational comes from one int kernel,
+Every int or Fraction enters the layer through raw_rational, rounded down to
+FLOAT_PRECISION bits as mpmathify rounds a Fraction, and every root
+sqrt(num / den) of an exact rational comes from one int kernel,
 _sqrt_rational, with the two roundings of mpf_sqrt(from_rational(num, den,
 128), 128, round_nearest): the quotient truncated to 128 bits, then the root
 from math.isqrt, with a sticky bit when inexact, rounded to nearest.
@@ -56,10 +58,19 @@ def raw_pow(x: tuple, n: int) -> tuple:
 by_value = cmp_to_key(mpf_cmp)
 
 
+def raw_rational(x) -> tuple:
+    """An int or Fraction x as a raw value at FLOAT_PRECISION bits, rounded
+    down: from_rational at its default rounding, as mpmathify reads a
+    Fraction inside mpmath.workprec(FLOAT_PRECISION) (an int wider than
+    FLOAT_PRECISION bits, which mpmathify keeps exact, is rounded down too).
+    Rounding to nearest instead would change about half of the inexact reads.
+    Every exact value enters the float layer here."""
+    return from_rational(x.numerator, x.denominator, FLOAT_PRECISION)
+
+
 def to_mpf(x) -> mpmath.mpf:
-    """Convert int/Fraction/float/str to mpf, rounding once at FLOAT_PRECISION bits."""
-    with mpmath.workprec(FLOAT_PRECISION):
-        return mpmath.mpmathify(x)
+    """An int or Fraction as an mpf, read by raw_rational."""
+    return mpmath.mp.make_mpf(raw_rational(x))
 
 
 @lru_cache(maxsize=256)
@@ -90,26 +101,20 @@ def _sqrt_rational(num: int, den: int) -> tuple:
     return from_man_exp(root, -(exp + shift) // 2, FLOAT_PRECISION, round_nearest)
 
 
-def abs_scalar(s) -> mpmath.mpf:
-    """|a + bi| for an ExactScalar, computed as sqrt of the exact a^2 + b^2."""
-    sq = s.abs_squared()
-    return mpmath.mp.make_mpf(_sqrt_rational(sq.numerator, sq.denominator))
-
-
 @lru_cache(maxsize=16)
 def _norm_powers(num: int, den: int) -> list:
     """[R^0, R^1, ...] as raw mpf values for R = num / den in lowest terms:
-    R rounded as to_mpf rounds a Fraction, each further power the one before
-    times R, rounded with raw_mul.  raw_poly_norm extends the list to the
-    longest polynomial it weighs.  The key is ints, whose hash is computed in
+    R read by raw_rational, each further power the one before times R,
+    rounded with raw_mul.  raw_poly_norm extends the list to the longest
+    polynomial it weighs.  The key is ints, whose hash is computed in
     C, not the Fraction R, whose hash is not."""
-    return [fone, from_rational(num, den, FLOAT_PRECISION)]
+    return [fone, raw_rational(Fraction(num, den))]
 
 
 def raw_poly_norm(p: TPoly, powers: list) -> tuple:
     """sum |a_j| R^j as a raw value, for the powers of R from _norm_powers.
 
-    Each |a_j| is rounded as abs_scalar rounds it, from the exact
+    Each |a_j| is the root _sqrt_rational rounds from the exact
     (re_j^2 + im_j^2) / den^2, and the sum runs with raw_add and raw_mul,
     leaving out the exact steps |a_0| * 1 and 0 + the first term."""
     while len(powers) < len(p.re):

@@ -18,6 +18,7 @@ from dulac.tpoly import TPoly
 
 from .util import (
     basis_mixed, basis_one, convergent_ode, euler_ode, float_counts, gevrey_oracle, random_poly, random_series,
+    read_oracle,
 )
 
 
@@ -119,6 +120,20 @@ def test_fit_growth_abscissae_skip_ties():
     assert C == mpmath.mpf(1) / 8 and k_C == 1
     C2, A2, _, _ = fit_growth([1, 4], [Fraction(1, 2), Fraction(5, 2)])
     assert abs(A2 - 2) < 1e-30 and abs(C2 - 2 ** -0.5) < 1e-15
+
+
+def test_fit_growth_reads_its_inputs_whatever_the_precision():
+    """A Fraction rho or abscissa is read at 128 bits, not at the caller's
+    precision; an mpf as is and a float exactly.  The result at 128 bits is
+    the one mpf inputs read by mpmathify inside workprec(128) give."""
+    rhos = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(13, 17)]
+    mixed = [mpmath.mpf(2) / 3, 0.1, 3, Fraction(22, 7)]
+    want = [fit_growth([read_oracle(r) for r in rhos]), fit_growth(mixed, [Fraction(1, 3), 1, Fraction(7, 5), 2])]
+    for prec in (53, 128, 300):
+        with mpmath.workprec(prec):
+            got = [fit_growth(rhos), fit_growth(mixed, [Fraction(1, 3), 1, Fraction(7, 5), 2])]
+        assert [(C._mpf_, A._mpf_, k_C, k_A) for C, A, k_C, k_A in got] == \
+            [(C._mpf_, A._mpf_, k_C, k_A) for C, A, k_C, k_A in want]
 
 
 def test_classify_euler():

@@ -10,19 +10,21 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational, round_nearest
 
 from dulac.errors import ExactValueRequired
 from dulac.exponents import ExponentBasis
 from dulac.gevrey import GevreyReport, RhoRow, classify
 from dulac.mseries import MSeries
 from dulac.norms import Lemma5Report, Lemma6Report, NormParams, check_lemma5, check_lemma6
-from dulac.numeric import ConditionReport, _sqrt_rational, abs_scalar, check_conditions, poly_norm
+from dulac.numeric import ConditionReport, _sqrt_rational, check_conditions, poly_norm, raw_rational
 from dulac.scalars import ExactScalar
 from dulac.semigroup import validate_generators
 from dulac.series import INF, DulacSeries
 from dulac.solver import LinearData, ReducedEquation, SolutionState, extend, reduce_equation
 from dulac.tpoly import TPoly, _normal
 from .util import (
+    abs_oracle,
     basis_one,
     euler_ode,
     poly_deriv_oracle,
@@ -35,6 +37,7 @@ from .util import (
     poly_value_oracle,
     random_poly,
     random_scalar,
+    read_oracle,
     schoolbook_product,
     sqrt_rational_oracle,
 )
@@ -300,7 +303,7 @@ def test_kernels_refuse_an_approximate_exponent_as_value_does(coords, p, L):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_tpolys(), st.fractions(min_value=Fraction(11, 10), max_value=20, max_denominator=12))
-def test_norm_equals_abs_scalar_sum_exactly(p, R):
+def test_norm_equals_abs_oracle_sum_exactly(p, R):
     # the same coefficients with numerators and denominator past 300 bits
     wide = TPoly.from_ints(
         p.den * 3**200, [x << 310 for x in p.re], p.im and [y << 310 for y in p.im]
@@ -503,14 +506,33 @@ _ROOT_PAIRS = st.one_of(
 @example(((1 << 128) - 1, 1))
 @example((1 << 128, 3))
 def test_root_kernel_rounds_as_mpmath(pair):
-    # the int kernel under abs_scalar and poly_norm: bit for bit mpf_sqrt of
+    # the int kernel under poly_norm and the norm weights: bit for bit mpf_sqrt of
     # from_rational, both roundings included
     num, den = pair
     assert _sqrt_rational(num, den) == sqrt_rational_oracle(num, den)
 
 
-def test_poly_norm_of_a_constant_rounds_as_abs_scalar():
+def test_raw_rational_reads_as_mpmathify_not_to_nearest():
+    # every int or Fraction enters the float layer through raw_rational:
+    # rounded down to 128 bits, as mpmathify rounds a Fraction inside
+    # workprec(128); rounding to nearest would change about half the reads
+    rng = random.Random(29)
+    xs = [0, 1, -1, (1 << 128) - 1, -(1 << 127) - 1, Fraction(1, 3), Fraction(-2, 3), Fraction((1 << 200) + 1)]
+    for _ in range(1000):
+        sign = rng.choice((1, -1))
+        xs.append(sign * rng.getrandbits(rng.randint(1, 128)))  # an int, exact at 128 bits
+        xs.append(Fraction(sign * rng.getrandbits(rng.randint(1, 400))))  # integral, past 2^128 too
+        xs.append(Fraction(sign * rng.getrandbits(rng.randint(1, 400)), rng.getrandbits(rng.randint(1, 300)) or 1))
+    nearest_differs = 0
+    for x in xs:
+        got = raw_rational(x)
+        assert got == read_oracle(x)._mpf_
+        nearest_differs += got != from_rational(x.numerator, x.denominator, 128, round_nearest)
+    assert nearest_differs > len(xs) // 5
+
+
+def test_poly_norm_of_a_constant_rounds_as_abs_oracle():
     rng = random.Random(11)
     for _ in range(200):
         c = random_scalar(rng)
-        assert poly_norm(TPoly.of(c), 3)._mpf_ == abs_scalar(c)._mpf_
+        assert poly_norm(TPoly.of(c), 3)._mpf_ == abs_oracle(c)._mpf_

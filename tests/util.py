@@ -16,7 +16,6 @@ import dulac
 from dulac import cli, gammafn, gevrey, norms, numeric
 from dulac.exponents import Exponent, ExponentBasis
 from dulac.gammafn import gamma_abs
-from dulac.numeric import abs_scalar, to_mpf
 from dulac.ode import ODESpec
 from dulac.scalars import ExactScalar
 from dulac.series import INF, DulacSeries
@@ -359,16 +358,30 @@ def exponent_serialize_oracle(e) -> list:
     return [f"{c.numerator}/{c.denominator}" for c in e.coords]
 
 
+def read_oracle(x) -> mpmath.mpf:
+    """An int or Fraction as an mpf by mpmath's own reader: mpmathify inside
+    mpmath.workprec(128), which rounds a Fraction down to 128 bits."""
+    with mpmath.workprec(128):
+        return mpmath.mpmathify(x)
+
+
+def abs_oracle(c: ExactScalar) -> mpmath.mpf:
+    """|a + bi| as mpmath.sqrt of the exact a^2 + b^2 read by read_oracle,
+    inside mpmath.workprec(128)."""
+    with mpmath.workprec(128):
+        return mpmath.sqrt(read_oracle(c.abs_squared()))
+
+
 def poly_norm_oracle(p: TPoly, R):
     """Weighted norm sum |a_j| R^j at 128 bits, each |a_j| from
-    numeric.abs_scalar; a float R is read at its repr."""
+    abs_oracle; a float R is read at its repr."""
     Rq = Fraction(repr(R)) if isinstance(R, float) else Fraction(R)
     with mpmath.workprec(128):
-        Rm = to_mpf(Rq)
+        Rm = read_oracle(Rq)
         acc, power = mpmath.mpf(0), mpmath.mpf(1)
         for c in p.coeffs:
             if not c.is_zero():
-                acc += abs_scalar(c) * power
+                acc += abs_oracle(c) * power
             power *= Rm
         return acc
 
@@ -425,9 +438,9 @@ def gevrey_oracle(terms, s, R) -> tuple:
         A = mpmath.mpf(1)
         for (x1, r1), (x2, r2) in zip(vals, vals[1:]):
             if x2 != x1:
-                A = max(A, (r2 / r1) ** (1 / to_mpf(x2 - x1)))
-        C = max([r / A ** to_mpf(x) for x, r in vals], default=mpmath.mpf(0))
-        return rhos, C, A, [C * A ** to_mpf(x) for x in xs]
+                A = max(A, (r2 / r1) ** (1 / read_oracle(x2 - x1)))
+        C = max([r / A ** read_oracle(x) for x, r in vals], default=mpmath.mpf(0))
+        return rhos, C, A, [C * A ** read_oracle(x) for x in xs]
 
 
 # -- Fraction Gauss-Jordan oracles for the semigroup layer --------------------
@@ -542,7 +555,7 @@ def weight_oracle(gens, lambda_base, m, p):
     re, im = _m_parts_oracle(gens, m)
     lam = ExactScalar(lambda_base.re_mid + re, lambda_base.im_mid + im)
     with mpmath.workprec(128):
-        return abs_scalar(lam) + to_mpf(p.Kcal) * sum(m)
+        return abs_oracle(lam) + read_oracle(p.Kcal) * sum(m)
 
 
 def weight_pow_oracle(gens, lambda_base, m, e: int, p):
@@ -611,9 +624,9 @@ def majorant_oracle(coeffs: dict, rho, tail_norms, gens, p):
             na = poly_norm_oracle(a, p.R)
             if any(pm):
                 na = na / gamma_oracle(gens, pm, p)
-            term = na * to_mpf(rho) ** sum(pm) * C ** sum(qm)
+            term = na * read_oracle(rho) ** sum(pm) * C ** sum(qm)
             for ni, qi in zip(tail_norms, qm):
-                term *= to_mpf(ni) ** qi
+                term *= read_oracle(ni) ** qi
             acc += term
         return acc
 
