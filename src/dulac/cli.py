@@ -58,7 +58,7 @@ from .errors import (
 from .exponents import ExponentBasis
 from .ode import ODESpec
 from .scalars import decimal_rational
-from .series import INF, DulacSeries, serialize_s, terms_from_json
+from .series import DOUBLE_MAX, INF, DulacSeries, cutoff_to_json, serialize_s, terms_from_json
 
 # Codes 2-5 are the exit_code of the error raised (see dulac.errors).
 EXIT_OK = 0
@@ -245,8 +245,11 @@ def _cmd_solve(args) -> int:
 
     problem = _problem(args)
     state = extend(problem.ode, problem.prefix, problem.cutoff)
+    c = problem.cutoff
     text = [
-        f"solve: {len(state.solution.terms)} terms below cutoff {float(problem.cutoff)}",
+        # a cutoff past the double range as the exact string of solution.json
+        f"solve: {len(state.solution.terms)} terms below cutoff "
+        f"{float(c) if c == INF or abs(c) <= DOUBLE_MAX else cutoff_to_json(c)}",
         f"residual valuation: {'inf' if state.residual.is_zero() else float(state.residual.val())}",
     ]
     _emit(args, state.to_json(), "solution.json", _terms_csv(state.solution), "terms.csv", text)

@@ -34,7 +34,7 @@ from mpmath.libmp import fone, from_float, fzero, mpf_cmp, mpf_pow, round_neares
 from .gammafn import gamma_abs
 from .numeric import FLOAT_PRECISION, norm_powers, raw_div, raw_mul, raw_poly_norm, raw_rational
 from .scalars import ExactScalar
-from .series import INF, serialize_s
+from .series import DOUBLE_MAX, INF, serialize_s
 
 _mpf = mpmath.mp.make_mpf
 CSV_COLUMNS = ["k", "re_lambda", "im_lambda", "deg_c", "norm_R", "gamma_abs", "rho", "envelope_Ck"]
@@ -127,7 +127,8 @@ class GevreyReport(namedtuple("GevreyReport", "s rows C_fit A_fit R_used verdict
     def to_json(self) -> dict:
         return {
             "s": serialize_s(self.s),
-            "R": float(self.R_used),
+            # an R past the double range as inf, which the JSON writer refuses
+            "R": float(self.R_used) if self.R_used <= DOUBLE_MAX else INF,
             "C_fit": float(self.C_fit),
             "A_fit": float(self.A_fit),
             "verdict": self.verdict,

@@ -13,6 +13,7 @@ bound these series, and their estimate checks, are in dulac.norms.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from operator import add
 
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     ExponentOutsideSemigroup,
     SchemaError,
 )
-from .exponents import Exponent
+from .exponents import Exponent, re_compare
 from .scalars import Value
 from .semigroup import Generators
 from .series import DulacSeries, _as_cutoff, cutoff_from_json, cutoff_to_json
@@ -29,14 +30,18 @@ from .tpoly import TPoly
 
 
 def _canonical_terms(items: dict, gens: Generators, cutoff) -> tuple:
-    """The nonzero terms of {m: C_m} certified below the cutoff, by
-    (Re<m,r>, m); UndecidableComparison when an enclosure of Re<m,r>
-    contains the cutoff."""
+    """The nonzero terms of {m: C_m} certified below the cutoff, in the
+    certified order (Re<m,r>, m); UndecidableComparison when an enclosure of
+    Re<m,r> contains the cutoff, or, over an approximate basis, when that
+    of the difference of two terms' Re<m,r> contains zero without being
+    {0} (re_compare)."""
     m_exponent = gens.m_exponent
-    return tuple(
-        (m, items[m]) for m in sorted(items, key=lambda m: (m_exponent(m).re_mid, m))
-        if not items[m].is_zero() and m_exponent(m).re_below(cutoff)
-    )
+    kept = [m for m in items if not items[m].is_zero() and m_exponent(m).re_below(cutoff)]
+    if gens.basis.exact:
+        kept.sort(key=lambda m: (m_exponent(m).re_mid, m))
+    else:
+        kept.sort(key=cmp_to_key(lambda a, b: re_compare(m_exponent(a), m_exponent(b)) or (a > b) - (a < b)))
+    return tuple((m, items[m]) for m in kept)
 
 
 def _multi_index(m, kappa: int, what: str, error=ValueError) -> tuple:
@@ -98,10 +103,9 @@ class MSeries(Value):
 
     def low(self):
         """A certified lower bound on Re<m,r> of every term, known or not:
-        the least re_low over the terms, or the cutoff when no term is known.
-        The terms are sorted by midpoint, which over an approximate basis
-        need not order the lower endpoints."""
-        return min((self.gens.m_exponent(m).re_low for m, _ in self.terms), default=self.cutoff)
+        re_low of the first term, or the cutoff when no term is known.  re_low
+        rises along the certified order, since rad(b) - rad(a) <= rad(b - a)."""
+        return self.gens.m_exponent(self.terms[0][0]).re_low if self.terms else self.cutoff
 
     # -- ring operations -------------------------------------------------------
 

@@ -25,7 +25,8 @@ from math import isqrt
 
 import mpmath
 from mpmath.libmp import (
-    fone, from_man_exp, from_rational, fzero, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_pow_int, round_nearest,
+    fone, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_pow_int, mpf_sub,
+    round_nearest, to_float,
 )
 
 from .errors import IndeterminateRoot
@@ -66,11 +67,6 @@ def raw_rational(x) -> tuple:
     Rounding to nearest instead would change about half of the inexact reads.
     Every exact value enters the float layer here."""
     return from_rational(x.numerator, x.denominator, FLOAT_PRECISION)
-
-
-def to_mpf(x) -> mpmath.mpf:
-    """An int or Fraction as an mpf, read by raw_rational."""
-    return mpmath.mp.make_mpf(raw_rational(x))
 
 
 @lru_cache(maxsize=256)
@@ -148,16 +144,20 @@ def poly_norm(p: TPoly, R) -> mpmath.mpf:
 def roots_of_L(L: TPoly) -> list:
     """Roots of the characteristic polynomial as mpc values.
 
-    Degrees 1 and 2 use closed forms, higher degrees a numeric companion
-    solve at FLOAT_PRECISION.  The closed forms stay because they fix the
-    order of the roots, which analysis.json records: mpmath.polyroots
-    returns many degree-2 roots in the other order.
+    Each coefficient is read from L's int fields by from_rational at
+    FLOAT_PRECISION bits, rounded down as raw_rational rounds it.  Degrees 1
+    and 2 use closed forms, higher degrees a numeric companion solve at
+    FLOAT_PRECISION.  The closed forms stay because they fix the order of
+    the roots, which analysis.json records: mpmath.polyroots returns many
+    degree-2 roots in the other order.
     """
     d = L.degree
     if d < 1:
         return []
+    den, make_mpc = L.den, mpmath.mp.make_mpc
     with mpmath.workprec(FLOAT_PRECISION):
-        cs = [mpmath.mpc(to_mpf(c.re), to_mpf(c.im)) for c in L.coeffs]
+        cs = [make_mpc((from_rational(x, den, FLOAT_PRECISION), from_rational(y, den, FLOAT_PRECISION)))
+              for x, y in zip(L.re, L.im or (0,) * len(L.re))]
         if d == 1:
             return [-cs[0] / cs[1]]
         if d == 2:
@@ -194,55 +194,43 @@ def check_conditions(lin, prefix_exponents, s) -> ConditionReport:
     """Evaluate the splitting conditions of a solver.LinearData lin at the
     last prefix exponent, for the growth order s.
 
-    Raises IndeterminateRoot when a root of L sits within 1e-20 of the
-    boundary Re zeta = Re lambda_m: either more precision is required or the
+    The roots are placed once.  The least root margin Re lambda - Re zeta
+    over the roots is one subtraction, Re lambda - top for the largest real
+    part top of the roots, at FLOAT_PRECISION bits rounding to nearest:
+    rounding is monotone, so it has the bits of the least rounded margin.
+    Raises IndeterminateRoot when that margin at the last exponent lies
+    within ROOT_BAND of zero: either more precision is required or the
     configuration is genuinely resonant.
     """
     if not prefix_exponents:
         raise ValueError("check_conditions: prefix must contain at least one term")
     roots = roots_of_L(lin.L)
+    top = max((r.real._mpf_ for r in roots), key=by_value, default=None)
     tau = lin.tau_re(s)
     sec_res = [e.re_mid for e in lin.nu_sec if e is not None]
-
-    def roots_check(lam_re: Fraction):
-        if not roots:
-            return True, None
-        with mpmath.workprec(FLOAT_PRECISION):
-            lam_mpf = to_mpf(lam_re)
-            margins = [lam_mpf - mpmath.re(r) for r in roots]
-            m = min(margins)
-            if abs(m) < to_mpf(ROOT_BAND):
-                raise IndeterminateRoot(
-                    f"check_conditions: a root of L has real part within 1e-20 of "
-                    f"Re lambda_m = {lam_re}; raise precision or treat as resonant"
-                )
-            return bool(m > 0), float(m)
-
-    def gap_check(lam_re: Fraction):
-        if not sec_res:
-            return True, None
-        margin = lam_re - max(sec_res) - 2 * tau
-        return margin > 0, float(margin)
-
-    minimal_m = None
+    bound = max(sec_res) + 2 * tau if sec_res else None
+    band = raw_rational(ROOT_BAND)
+    minimal_m = margin = None
     for i, lam in enumerate(prefix_exponents, start=1):
-        try:
-            ok1, _ = roots_check(lam.re_mid)
-        except IndeterminateRoot:
-            ok1 = False
-        ok2, _ = gap_check(lam.re_mid)
-        if ok1 and ok2:
+        lam_re = lam.re_mid
+        if top is not None:
+            margin = mpf_sub(raw_rational(lam_re), top, FLOAT_PRECISION, round_nearest)
+        # roots_ok: every margin at least ROOT_BAND; a smaller one fails
+        roots_ok = margin is None or mpf_cmp(margin, band) >= 0
+        gap_ok = bound is None or lam_re > bound
+        if minimal_m is None and roots_ok and gap_ok:
             minimal_m = i
-            break
-
-    lam_last = prefix_exponents[-1]
-    roots_ok, root_margin = roots_check(lam_last.re_mid)
-    gap_ok, gap_margin = gap_check(lam_last.re_mid)
+    if margin is not None and mpf_cmp(mpf_abs(margin), band) < 0:
+        raise IndeterminateRoot(
+            f"check_conditions: a root of L has real part within 1e-20 of "
+            f"Re lambda_m = {lam_re}; raise precision or treat as resonant"
+        )
     return ConditionReport(
         roots_ok=roots_ok,
         gap_ok=gap_ok,
-        root_margin=root_margin,
-        gap_margin=gap_margin,
+        # written as float(mpf) writes an mpf: rounded to nearest
+        root_margin=None if margin is None else to_float(margin, rnd=round_nearest),
+        gap_margin=None if bound is None else float(lam_re - bound),
         minimal_m=minimal_m,
         roots=tuple(roots),
     )

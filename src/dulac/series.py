@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isfinite
+from sys import float_info
 
 from .errors import BasisMismatch, CutoffIncrease, SchemaError, UndecidableComparison
 from .exponents import Exponent, ExponentBasis
@@ -36,6 +37,8 @@ from .scalars import ExactScalar, Value, decimal_rational, parse_rational
 from .tpoly import TPoly
 
 INF = float("inf")
+# the largest double: a rational of larger magnitude has no float that reads back as it
+DOUBLE_MAX = float_info.max
 
 
 def _as_cutoff(c):
@@ -44,13 +47,15 @@ def _as_cutoff(c):
 
 def cutoff_to_json(c):
     """JSON form of a cutoff: null for +inf; a float when it is exactly c and
-    reads back as c (integers, halves, ...); else the exact string "p/q", so
-    that no round trip claims a larger cutoff than holds."""
+    reads back as c (integers, halves, ...); else, a cutoff past the double
+    range included, the exact string "p/q", so that no round trip claims a
+    larger cutoff than holds."""
     if c == INF:
         return None
-    f = float(c)
-    if Fraction(f) == c == Fraction(repr(f)):
-        return f
+    if abs(c) <= DOUBLE_MAX:
+        f = float(c)
+        if Fraction(f) == c == Fraction(repr(f)):
+            return f
     return f"{c.numerator}/{c.denominator}"
 
 

@@ -107,7 +107,7 @@ def _convolve(a, b) -> list:
 class TPoly(Value):
     """Polynomial in t with exact complex coefficients; immutable."""
 
-    __slots__ = ("den", "re", "im", "_coeffs")
+    __slots__ = ("den", "re", "im")
 
     def __init__(self, coeffs=()):
         """The polynomial sum coeffs[k] t^k for a sequence of ExactScalars."""
@@ -121,7 +121,6 @@ class TPoly(Value):
         _set(self, "den", d)
         _set(self, "re", re)
         _set(self, "im", im if any(im) else None)
-        _set(self, "_coeffs", coeffs)
 
     @staticmethod
     def _raw(den: int, re: tuple, im) -> "TPoly":
@@ -131,7 +130,6 @@ class TPoly(Value):
         _set(p, "den", den)
         _set(p, "re", re)
         _set(p, "im", im)
-        _set(p, "_coeffs", None)
         return p
 
     def __reduce__(self):
@@ -161,17 +159,9 @@ class TPoly(Value):
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as ExactScalars, lowest degree first; built once."""
-        cs = self._coeffs
-        if cs is None:
-            d = self.den
-            im = self.im or (0,) * len(self.re)
-            cs = tuple(
-                ExactScalar(Fraction(x, d), Fraction(y, d) if y else _ZERO_Q)
-                for x, y in zip(self.re, im)
-            )
-            object.__setattr__(self, "_coeffs", cs)
-        return cs
+        """The coefficients as ExactScalars, lowest degree first; built on
+        each read."""
+        return tuple(map(self.__getitem__, range(len(self.re))))
 
     @property
     def degree(self):
@@ -184,7 +174,11 @@ class TPoly(Value):
         return bool(self.re)
 
     def __getitem__(self, j: int) -> ExactScalar:
-        return self.coeffs[j] if 0 <= j < len(self.re) else ZERO
+        """Coefficient j as an ExactScalar; ZERO outside 0..degree."""
+        if not 0 <= j < len(self.re):
+            return ZERO
+        y = self.im[j] if self.im else 0
+        return ExactScalar(Fraction(self.re[j], self.den), Fraction(y, self.den) if y else _ZERO_Q)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TPoly):

@@ -62,6 +62,16 @@ def test_solve_log_prefix_cases(tmp_path, capsys):
         assert "residual valuation: inf" in capsys.readouterr().out
 
 
+def test_solve_cutoff_past_the_double_range(tmp_path, capsys):
+    # no double holds 10^400: solution.json and the report line give the
+    # exact "p/q" string
+    big = "1" + "0" * 400
+    code, out = run(tmp_path, "solve", str(DATA / "resonant_double.json"), "--cutoff", big)
+    assert code == 0
+    assert payload(out, "solution.json")["solution"]["cutoff"] == f"{big}/1"
+    assert capsys.readouterr().out.startswith(f"solve: 1 terms below cutoff {big}/1\n")
+
+
 def test_solve_resonance_exits_3(tmp_path, capsys):
     code, _ = run(tmp_path, "solve", str(DATA / "resonant.json"))
     assert code == 3
@@ -556,8 +566,10 @@ def _euler_with(tmp_path, name: str, **edits) -> Path:
         ]}}, [], "analysis.json"),
         # |Gamma(lambda_k / s)| past the double range at s = 10^-4
         ("verify", {"s_override": 1e-4}, ["--cutoff", "5"], "gevrey.json"),
+        # the weight R = 10^400 itself
+        ("verify", {}, ["--R", "1" + "0" * 400], "gevrey.json"),
     ],
-    ids=["analyze_huge_root", "verify_huge_gamma"],
+    ids=["analyze_huge_root", "verify_huge_gamma", "verify_huge_R"],
 )
 def test_non_finite_value_exits_2_and_writes_nothing(tmp_path, capsys, command, edits, argv, artifact):
     # JSON has no Infinity or NaN: such a value is out of the artifacts' range

@@ -183,15 +183,18 @@ def test_approximate_generators_move_and_cut_cutoffs_by_lower_endpoints():
 
 
 def test_low_value_is_the_least_lower_endpoint_over_approximate_generators():
-    # over ["1", "1.3"], 7 r_2 = 9.1 +- 0.35 sorts after 9 r_1 = 9 by its
-    # midpoint but may be as low as 8.75, so a tail term of O(X^(1,0))
-    # times it may lie at 9.75, below 1 + 9
+    # over ["1", "1.3"], 7 r_2 = 9.1 +- 0.35 is certified below 10 r_1 = 10,
+    # and the first term's lower endpoint 8.75 bounds every term, so a tail
+    # term of O(X^(1,0)) times it may lie at 9.75, below 1 + 10
     basis = ExponentBasis(["1", "1.3"])
     gens = validate_generators([basis.exponent([1, 0]), basis.exponent([0, 1])])
-    g = _ms(gens, (((9, 0), TPoly.ONE), ((0, 7), TPoly.ONE)), cutoff=20)
-    assert [m for m, _ in g.terms] == [(9, 0), (0, 7)]
+    g = _ms(gens, (((10, 0), TPoly.ONE), ((0, 7), TPoly.ONE)), cutoff=20)
+    assert [m for m, _ in g.terms] == [(0, 7), (10, 0)]
     assert g.low() == Fraction(35, 4)
     assert (g * _ms(gens, (), cutoff=1)).cutoff == Fraction(39, 4)
+    # 9 r_1 = 9 lies inside 9.1 +- 0.35: no certified order, so no series
+    with pytest.raises(UndecidableComparison, match=r"sign of re\(-9, 7\) undecidable"):
+        _ms(gens, (((9, 0), TPoly.ONE), ((0, 7), TPoly.ONE)), cutoff=20)
 
 
 def test_mseries_gens_mismatch():

@@ -24,6 +24,7 @@ from dulac.ode import Evaluation, ODESpec
 from dulac.scalars import ZERO, ExactScalar
 from dulac.series import INF, DulacSeries, terms_from_json
 from dulac.solver import (
+    LinearData,
     extend,
     extract_linearization,
     reduce_equation,
@@ -34,9 +35,11 @@ from dulac.tpoly import TPoly
 from .util import (
     DATA,
     basis_one,
+    check_conditions_oracle,
     euler_ode,
     extend_counts,
     factorial_oracle,
+    float_counts,
     log_resonant_oracle,
     random_poly,
     random_scalar,
@@ -489,7 +492,71 @@ def test_check_conditions_empty_prefix():
         check_conditions(lin, [], s=1)
 
 
+_GAUSS = st.builds(
+    lambda a, b, d: ExactScalar(Fraction(a, d), Fraction(b, d)),
+    st.integers(-12, 12), st.sampled_from([0, 0, 1, -3, 7]), st.integers(1, 6),
+)
+# offsets of a prefix exponent from the real part of a root of L: on the
+# line, inside or at the edge of the 1e-20 band, below the 128-bit
+# resolution of the read (no margin on either side), and well clear
+_OFFSETS = st.sampled_from([
+    Fraction(0), Fraction(1, 10**21), Fraction(-1, 10**21), Fraction(1, 10**20), Fraction(-1, 10**20),
+    Fraction(1, 10**45), Fraction(-1, 10**45), Fraction(1, 3), Fraction(-5, 7), Fraction(2),
+])
+
+
+def _condition_outcome(check, lin, prefix, s):
+    # every ConditionReport field, each float by repr and each root by its bits
+    try:
+        rep = check(lin, prefix, s)
+    except IndeterminateRoot as exc:
+        return "IndeterminateRoot", str(exc)
+    roots = [getattr(r, "_mpc_", None) or r._mpf_ for r in rep.roots]
+    return rep.roots_ok, rep.gap_ok, repr(rep.root_margin), repr(rep.gap_margin), rep.minimal_m, roots
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_check_conditions_matches_the_per_root_oracle(data):
+    # L of degree 1-3 over Q(i), built from Gaussian roots (so that a prefix
+    # exponent can sit exactly on a root's line) or drawn coefficient by
+    # coefficient, with the prefix then near two drawn points; the one-pass
+    # test and the per-root oracle agree on every report field and on
+    # IndeterminateRoot with its message
+    basis = basis_one()
+    degree = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        anchors = [data.draw(_GAUSS) for _ in range(degree)]
+        L = TPoly((data.draw(_GAUSS.filter(lambda c: not c.is_zero())),))
+        for rho in anchors:
+            L = L * TPoly((-rho, ExactScalar.of(1)))
+    else:
+        anchors = [data.draw(_GAUSS) for _ in range(2)]
+        L = TPoly((*[data.draw(_GAUSS) for _ in range(degree)], data.draw(_GAUSS.filter(lambda c: not c.is_zero()))))
+    n = data.draw(st.integers(1, 3))
+    ell = data.draw(st.integers(0, n))
+    nu_sec = tuple(data.draw(st.one_of(st.none(), _GAUSS.map(lambda c: basis.rational(c.re)))) for _ in range(n + 1))
+    lin = LinearData(basis.zero(), (), nu_sec, None, ell, L, n)
+    prefix = [
+        basis.rational(data.draw(st.sampled_from(anchors)).re + data.draw(_OFFSETS))
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    s = Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 4)))
+    assert _condition_outcome(check_conditions, lin, prefix, s) == _condition_outcome(
+        check_conditions_oracle, lin, prefix, s)
+
+
 # -- reduction -------------------------------------------------------------------
+
+
+def test_reduce_operation_counts():
+    # the float work of one reduce from cold memos: the splitting conditions
+    # place the roots of L once, in one mpmath.workprec entry (3 when each
+    # prefix exponent and the report re-scanned the roots inside a workprec
+    # of their own), and take no raw operation of the norm layer
+    counts = float_counts("reduce", "resonant_double.json")
+    assert counts == {"gamma": 0, "roots": 0, "raw_add": 0, "raw_mul": 0, "raw_div": 0, "raw_pow": 0,
+                      "workprec": 1}
 
 
 def test_reduce_equation_m1():

@@ -14,6 +14,7 @@ from mpmath.libmp import from_rational, mpf_sqrt, round_nearest
 
 import dulac
 from dulac import cli, gammafn, gevrey, norms, numeric
+from dulac.errors import IndeterminateRoot
 from dulac.exponents import Exponent, ExponentBasis
 from dulac.gammafn import gamma_abs
 from dulac.ode import ODESpec
@@ -265,7 +266,8 @@ def extend_counts(name: str, cutoff) -> dict:
 
 
 # the CLI runs whose float work the op-count tests pin: (command, problem, flags)
-FLOAT_RUNS = (("verify", "nonlinear.json", "--cutoff", "20"), ("check-norms", "euler_gens.json", "--seed", "7"))
+FLOAT_RUNS = (("verify", "nonlinear.json", "--cutoff", "20"), ("check-norms", "euler_gens.json", "--seed", "7"),
+              ("reduce", "resonant_double.json"))
 _FLOAT_OPS = {"gamma": "gamma_abs", "raw_add": "raw_add", "raw_mul": "raw_mul", "raw_div": "raw_div",
               "raw_pow": "raw_pow", "workprec": "workprec"}
 
@@ -441,6 +443,80 @@ def gevrey_oracle(terms, s, R) -> tuple:
                 A = max(A, (r2 / r1) ** (1 / read_oracle(x2 - x1)))
         C = max([r / A ** read_oracle(x) for x, r in vals], default=mpmath.mpf(0))
         return rhos, C, A, [C * A ** read_oracle(x) for x in xs]
+
+
+# The mpf-object splitting conditions that numeric ran before its one pass on
+# raw values: every root re-scanned for each prefix exponent.
+
+
+def roots_of_L_oracle(L: TPoly) -> list:
+    """numeric.roots_of_L on mpc objects, each coefficient read by
+    read_oracle from its ExactScalar."""
+    d = L.degree
+    if d < 1:
+        return []
+    with mpmath.workprec(128):
+        cs = [mpmath.mpc(read_oracle(c.re), read_oracle(c.im)) for c in L.coeffs]
+        if d == 1:
+            return [-cs[0] / cs[1]]
+        if d == 2:
+            a, b, c = cs[2], cs[1], cs[0]
+            disc = mpmath.sqrt(b * b - 4 * a * c)
+            return [(-b + disc) / (2 * a), (-b - disc) / (2 * a)]
+        return list(mpmath.polyroots(list(reversed(cs)), maxsteps=200, extraprec=64))
+
+
+def check_conditions_oracle(lin, prefix_exponents, s) -> numeric.ConditionReport:
+    """numeric.check_conditions with a minimum over the roots for each
+    prefix exponent, in mpf arithmetic inside mpmath.workprec(128)."""
+    if not prefix_exponents:
+        raise ValueError("check_conditions: prefix must contain at least one term")
+    roots = roots_of_L_oracle(lin.L)
+    tau = lin.tau_re(s)
+    sec_res = [e.re_mid for e in lin.nu_sec if e is not None]
+
+    def roots_check(lam_re: Fraction):
+        if not roots:
+            return True, None
+        with mpmath.workprec(128):
+            lam_mpf = read_oracle(lam_re)
+            margins = [lam_mpf - mpmath.re(r) for r in roots]
+            m = min(margins)
+            if abs(m) < read_oracle(Fraction(1, 10**20)):
+                raise IndeterminateRoot(
+                    f"check_conditions: a root of L has real part within 1e-20 of "
+                    f"Re lambda_m = {lam_re}; raise precision or treat as resonant"
+                )
+            return bool(m > 0), float(m)
+
+    def gap_check(lam_re: Fraction):
+        if not sec_res:
+            return True, None
+        margin = lam_re - max(sec_res) - 2 * tau
+        return margin > 0, float(margin)
+
+    minimal_m = None
+    for i, lam in enumerate(prefix_exponents, start=1):
+        try:
+            ok1, _ = roots_check(lam.re_mid)
+        except IndeterminateRoot:
+            ok1 = False
+        ok2, _ = gap_check(lam.re_mid)
+        if ok1 and ok2:
+            minimal_m = i
+            break
+
+    lam_last = prefix_exponents[-1]
+    roots_ok, root_margin = roots_check(lam_last.re_mid)
+    gap_ok, gap_margin = gap_check(lam_last.re_mid)
+    return numeric.ConditionReport(
+        roots_ok=roots_ok,
+        gap_ok=gap_ok,
+        root_margin=root_margin,
+        gap_margin=gap_margin,
+        minimal_m=minimal_m,
+        roots=tuple(roots),
+    )
 
 
 # -- Fraction Gauss-Jordan oracles for the semigroup layer --------------------
