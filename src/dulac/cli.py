@@ -221,19 +221,13 @@ def _emit(args, payload: dict, json_name: str, csv_text: str | None, csv_name: s
             print(line)
 
 
-def _terms_csv(series: DulacSeries) -> str:
+def _csv_text(header, rows) -> str:
+    """The header and then one line per row, with CRLF line ends: the one
+    writer of terms.csv and gevrey.csv."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\r\n")
-    w.writerow(["k", "exp", "re_lambda", "im_lambda", "deg_c", "poly"])
-    for k, (e, c) in enumerate(series.terms, start=1):
-        w.writerow([
-            k,
-            ";".join(e.serialize()),
-            str(e.re_mid),
-            str(e.im_mid),
-            c.degree,
-            ";".join(c.serialize()),
-        ])
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue()
 
 
@@ -252,7 +246,12 @@ def _cmd_solve(args) -> int:
         f"{float(c) if c == INF or abs(c) <= DOUBLE_MAX else cutoff_to_json(c)}",
         f"residual valuation: {'inf' if state.residual.is_zero() else float(state.residual.val())}",
     ]
-    _emit(args, state.to_json(), "solution.json", _terms_csv(state.solution), "terms.csv", text)
+    terms = (
+        (k, ";".join(e.serialize()), str(e.re_mid), str(e.im_mid), c.degree, ";".join(c.serialize()))
+        for k, (e, c) in enumerate(state.solution.terms, start=1)
+    )
+    csv_text = _csv_text(["k", "exp", "re_lambda", "im_lambda", "deg_c", "poly"], terms)
+    _emit(args, state.to_json(), "solution.json", csv_text, "terms.csv", text)
     return EXIT_OK
 
 
@@ -287,7 +286,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .gevrey import GevreyReport, classify
+    from .gevrey import CSV_COLUMNS, classify
     from .solver import extend
 
     problem = _problem(args)
@@ -305,7 +304,9 @@ def _cmd_verify(args) -> int:
     if report.radius_estimate is not None:
         text.append(f"radius_estimate: {report.radius_estimate}")
     payload = report.to_json()
-    _emit(args, payload, "gevrey.json", GevreyReport.rows_csv(payload["rows"]), "gevrey.csv", text)
+    # gevrey.csv is written from the rows of gevrey.json, so each row is built once
+    csv_text = _csv_text(CSV_COLUMNS, ([row[c] for c in CSV_COLUMNS] for row in payload["rows"]))
+    _emit(args, payload, "gevrey.json", csv_text, "gevrey.csv", text)
     return EXIT_OK
 
 

@@ -23,8 +23,6 @@ power A^x is computed once, for the fit and the envelope both.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import namedtuple
 from fractions import Fraction
 
@@ -147,17 +145,6 @@ class GevreyReport(namedtuple("GevreyReport", "s rows C_fit A_fit R_used verdict
                 for r in self.rows
             ],
         }
-
-    @staticmethod
-    def rows_csv(rows) -> str:
-        """The rows of a to_json payload, one CSV line each: the CSV is
-        written from the JSON rows, so each row is built once."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\r\n")
-        w.writerow(CSV_COLUMNS)
-        for row in rows:
-            w.writerow([row[c] for c in CSV_COLUMNS])
-        return buf.getvalue()
 
 
 def classify(state, s, R) -> GevreyReport:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import isqrt
+from math import inf, isqrt
 
 import mpmath
 from mpmath.libmp import (
@@ -190,6 +190,15 @@ class ConditionReport(namedtuple(
         }
 
 
+def _to_double(q: Fraction) -> float:
+    """float(q), or inf of q's sign past the double range, as to_float
+    writes an mpf there."""
+    try:
+        return float(q)
+    except OverflowError:
+        return inf if q > 0 else -inf
+
+
 def check_conditions(lin, prefix_exponents, s) -> ConditionReport:
     """Evaluate the splitting conditions of a solver.LinearData lin at the
     last prefix exponent, for the growth order s.
@@ -200,7 +209,8 @@ def check_conditions(lin, prefix_exponents, s) -> ConditionReport:
     rounding is monotone, so it has the bits of the least rounded margin.
     Raises IndeterminateRoot when that margin at the last exponent lies
     within ROOT_BAND of zero: either more precision is required or the
-    configuration is genuinely resonant.
+    configuration is genuinely resonant.  Both margins of the report are
+    doubles, inf with its sign past the double range.
     """
     if not prefix_exponents:
         raise ValueError("check_conditions: prefix must contain at least one term")
@@ -230,7 +240,7 @@ def check_conditions(lin, prefix_exponents, s) -> ConditionReport:
         gap_ok=gap_ok,
         # written as float(mpf) writes an mpf: rounded to nearest
         root_margin=None if margin is None else to_float(margin, rnd=round_nearest),
-        gap_margin=None if bound is None else float(lam_re - bound),
+        gap_margin=None if bound is None else _to_double(lam_re - bound),
         minimal_m=minimal_m,
         roots=tuple(roots),
     )

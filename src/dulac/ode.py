@@ -215,7 +215,9 @@ class Evaluation:
     The derivatives dF/dy_j along phi and the scaled mixed ones
     (derivative()) are read off the kept products through the steps with
     r = order, which carry their weighted monomials; value() and derivative()
-    build one DulacSeries when asked.
+    build one DulacSeries when asked.  The evaluator keeps phi's cutoff:
+    phi is known only below it, and every read claims its cutoff from it by
+    the product rule of series (_cutoff).
     """
 
     def __init__(self, F: ODESpec, phi: DulacSeries):
@@ -228,6 +230,7 @@ class Evaluation:
         self.F = F
         self.basis = basis
         self.terms = []  # phi's terms (exponent, coefficient) in the order fed
+        self.cutoff = phi.cutoff  # phi is known only below it
         self._exponents = {}  # (den, nums) -> the one Exponent of that value
         self._degrees = F.y_degree_bounds()
         x = {p: self._find(basis.rational(p)) for _, p, _ in F.terms}
@@ -341,45 +344,47 @@ class Evaluation:
                         _accumulate(target, plus(e, e_r), y * c_r)
         self.terms.append((lam, c))
 
-    def _cutoff(self, pairs, degree, phi_cutoff, bound):
+    def _cutoff(self, pairs, degree, bound):
         """Cutoff of G(x, phi, ...) for G = F or a derivative of it, truncated
-        at bound, for a phi known only below phi_cutoff; pairs lists (p, |q|)
-        for G's monomials x^p y^q and degree is G's declared degree.
+        at bound, for the phi of the set-up, known only below its cutoff
+        (self.cutoff); pairs lists (p, |q|) for G's monomials x^p y^q and
+        degree is G's declared degree.  add() leaves that cutoff as it is:
+        a term fed at or above it does not make phi known there.
 
         low, the low value of phi, bounds Re of every term phi may have: the
-        lower endpoint re_low of its leading exponent, or phi_cutoff when no
+        lower endpoint re_low of its leading exponent, or phi's cutoff when no
         term is known, since a term may sit at the cutoff (the product rule
-        of series).  A finite phi_cutoff caps the cutoff at the least of
-        phi_cutoff + (|q| - 1) low + p over the pairs with q != 0, the cutoff
-        that multiplying out the truncated factors would claim; truncated
-        data cap it at (degree + 1) * min(1, low), the least Re an omitted
-        monomial of total degree above degree may give.  A nonpositive low,
-        such as that of a phi with no known term and a finite phi_cutoff
-        <= 0, is refused, as a known term of nonpositive valuation is.
+        of series).  A finite cutoff c of phi caps the cutoff at the least of
+        c + (|q| - 1) low + p over the pairs with q != 0, the cutoff that
+        multiplying out the truncated factors would claim; truncated data cap
+        it at (degree + 1) * min(1, low), the least Re an omitted monomial of
+        total degree above degree may give.  A nonpositive low, such as that
+        of a phi with no known term and a finite cutoff <= 0, is refused, as
+        a known term of nonpositive valuation is.
         """
-        low = self.terms[0][0].re_low if self.terms else phi_cutoff
+        low = self.terms[0][0].re_low if self.terms else self.cutoff
         if low <= 0:
             raise NonpositiveValuation(
                 f"Evaluation: phi must have positive valuation; at cutoff "
-                f"{phi_cutoff} a term of phi may have real part {low} <= 0"
+                f"{self.cutoff} a term of phi may have real part {low} <= 0"
             )
         cutoff = bound
-        if phi_cutoff != INF:
+        if self.cutoff != INF:
             for p, size in pairs:
                 if size:
-                    cutoff = min(cutoff, phi_cutoff + (size - 1) * low + p)
+                    cutoff = min(cutoff, self.cutoff + (size - 1) * low + p)
         if degree is not None:
             cutoff = min(cutoff, (degree + 1) * min(Fraction(1), low))
         return cutoff
 
-    def leading(self, bound=INF, phi_cutoff=INF):
-        """The lowest term (exponent, coefficient) of value(phi_cutoff, bound),
+    def leading(self, bound=INF):
+        """The lowest term (exponent, coefficient) of value(bound),
         or None when that value is zero; no series is built.
 
         Like a series, it raises UndecidableComparison when another term has
         the head's key but other coordinates: the basis is dependent.
         """
-        cutoff = self._cutoff(self._pairs, self.F.declared_degree, phi_cutoff, bound)
+        cutoff = self._cutoff(self._pairs, self.F.declared_degree, bound)
         heap, value = self._heap, self._value
         while heap and heap[0][-1] not in value:
             heappop(heap)
@@ -400,25 +405,23 @@ class Evaluation:
                 ties += (2 * i + 1, 2 * i + 2)
         return (e, value[e]) if e.re_below(cutoff) else None
 
-    def value(self, phi_cutoff=INF, bound=INF) -> DulacSeries:
-        """The value for a phi known only below phi_cutoff, truncated at bound
-        and at the caps of _cutoff."""
-        cutoff = self._cutoff(self._pairs, self.F.declared_degree, phi_cutoff, bound)
+    def value(self, bound=INF) -> DulacSeries:
+        """The value, truncated at bound and at the caps of _cutoff."""
+        cutoff = self._cutoff(self._pairs, self.F.declared_degree, bound)
         return DulacSeries(self.basis, tuple(self._value.items()), cutoff)
 
-    def derivative(self, order: tuple, phi_cutoff=INF) -> DulacSeries:
-        """The scaled derivative (1/order!) d^|order| F / dy^order along a phi
-        known only below phi_cutoff, for an order of n + 1 nonnegative ints:
-        the sum of C(q, order) coeff x^p Y[q - order] over the update steps
-        with r = order and their monomials of F at q, with the cutoff _cutoff
-        gives those monomials of the derivative.  For order = e_j it is
-        dF/dy_j = sum q_j coeff x^p Y[q - e_j]; order 0 gives F itself, whose
-        value is kept: value(phi_cutoff)."""
+    def derivative(self, order: tuple) -> DulacSeries:
+        """The scaled derivative (1/order!) d^|order| F / dy^order along phi,
+        for an order of n + 1 nonnegative ints: the sum of C(q, order) coeff
+        x^p Y[q - order] over the update steps with r = order and their
+        monomials of F at q, with the cutoff _cutoff gives those monomials of
+        the derivative.  For order = e_j it is dF/dy_j = sum q_j coeff x^p
+        Y[q - e_j]; order 0 gives F itself, whose value is kept: value()."""
         n = self.F.n
         if len(order) != n + 1 or not all(type(o) is int and o >= 0 for o in order):
             raise ValueError(f"derivative: order {order!r} is not n + 1 = {n + 1} nonnegative ints")
         if not any(order):
-            return self.value(phi_cutoff)
+            return self.value()
         reads = self._derivatives.get(order, ())
         terms = tuple(
             (self._sum(e, x_p) if p else e, y * coeff)
@@ -428,4 +431,4 @@ class Evaluation:
         )
         pairs = ((p, sum(rest)) for rest, folded in reads for _, _, p in folded)
         degree = None if self.F.declared_degree is None else max(self.F.declared_degree - sum(order), 0)
-        return DulacSeries(self.basis, terms, self._cutoff(pairs, degree, phi_cutoff, INF))
+        return DulacSeries(self.basis, terms, self._cutoff(pairs, degree, INF))

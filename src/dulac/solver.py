@@ -102,18 +102,16 @@ class LinearData(namedtuple("LinearData", "nu A nu_sec B ell L n")):
 def extract_linearization(F: ODESpec, phi: DulacSeries | Evaluation) -> LinearData:
     """Decompose the derivatives of F along phi into leading and secondary data.
 
-    phi is a DulacSeries or an Evaluation of F holding the exact terms fed so
-    far; either way the derivatives are read off an Evaluation's products.
+    phi is a DulacSeries or an Evaluation of F holding the terms fed so far;
+    either way the derivatives are read off an Evaluation's products, with
+    the cutoff that the evaluator reads from the phi it was built from.
     phi may be zero (seeding an empty prefix): only the monomials of each
     derivative that are free of y survive in that case.
     """
-    if isinstance(phi, Evaluation):
-        evaluation, phi_cutoff = phi, INF
-    else:
-        evaluation, phi_cutoff = Evaluation(F, phi), phi.cutoff
+    evaluation = phi if isinstance(phi, Evaluation) else Evaluation(F, phi)
     zero = (0,) * (F.n + 1)
     units = [zero[:j] + (1,) + zero[j + 1:] for j in range(F.n + 1)]
-    G = [evaluation.derivative(e_j, phi_cutoff) for e_j in units]
+    G = [evaluation.derivative(e_j) for e_j in units]
     nonzero = [g for g in G if g.terms]
     if not nonzero:
         raise AllDerivativesVanish(
@@ -195,9 +193,16 @@ class SolutionState(namedtuple("SolutionState", "F solution residual lin history
 def extend(F: ODESpec, prefix: DulacSeries, target_cutoff) -> SolutionState:
     """Extend a prefix to all exponents with real part below target_cutoff.
 
-    The prefix is interpreted as exact leading data (terms are trusted as the
-    actual first terms of a formal solution).  Starting from an empty prefix
-    is allowed: the first residual term seeds lambda_1 unless it is resonant.
+    The prefix's terms are trusted as the actual first terms of a formal
+    solution, known only below the prefix's cutoff: exact leading data is a
+    prefix with cutoff inf, which is what the CLI builds.  A finite cutoff
+    bounds every claim.  The evaluator reads it from the prefix, so each
+    term of dF/dy_j, of real part at least p + (|q| - 1) low for its
+    monomial x^p y^q, puts Re nu at or above mu, the least such value; the
+    residual's cutoff is at most prefix.cutoff + mu, and the solution's
+    cutoff residual.cutoff - Re nu at most prefix.cutoff.  Starting from an
+    empty prefix is allowed: the first residual term seeds lambda_1 unless
+    it is resonant.
     Each step takes the lowest residual term beta(t) x^sigma below
     target_cutoff + Re nu, forms lambda_new = sigma - nu, requires it to
     strictly increase, and solves L(lambda_new + d/dt) c = -beta.  The

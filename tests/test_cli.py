@@ -568,8 +568,10 @@ def _euler_with(tmp_path, name: str, **edits) -> Path:
         ("verify", {"s_override": 1e-4}, ["--cutoff", "5"], "gevrey.json"),
         # the weight R = 10^400 itself
         ("verify", {}, ["--R", "1" + "0" * 400], "gevrey.json"),
+        # a prefix exponent of 10^400: the gap margin Re lambda_m - 3 itself
+        ("analyze", {"prefix": [{"exp": ["1" + "0" * 400 + "/1"], "poly": ["1/1"]}]}, [], "analysis.json"),
     ],
-    ids=["analyze_huge_root", "verify_huge_gamma", "verify_huge_R"],
+    ids=["analyze_huge_root", "verify_huge_gamma", "verify_huge_R", "analyze_huge_gap"],
 )
 def test_non_finite_value_exits_2_and_writes_nothing(tmp_path, capsys, command, edits, argv, artifact):
     # JSON has no Infinity or NaN: such a value is out of the artifacts' range

@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dulac import cli
 from dulac.errors import SlopeUndetermined
-from dulac.gevrey import INF, GevreyReport, classify, fit_growth, normalized_coeffs
+from dulac.gevrey import INF, classify, fit_growth, normalized_coeffs
 from dulac.scalars import ZERO, ExactScalar
 from dulac.series import DulacSeries
 from dulac.solver import LinearData, extend, extract_linearization
 from dulac.tpoly import TPoly
 
 from .util import (
-    basis_mixed, basis_one, convergent_ode, euler_ode, float_counts, gevrey_oracle, random_poly, random_series,
+    DATA, basis_mixed, basis_one, convergent_ode, euler_ode, float_counts, gevrey_oracle, random_poly, random_series,
     read_oracle,
 )
 
@@ -207,10 +208,10 @@ def test_envelope_dominates_rows():
             assert row.rho <= rep.envelope_at(row) * (1 + 1e-20)
 
 
-def test_csv_shape():
-    basis = basis_one()
-    state = extend(euler_ode(), DulacSeries.zero(basis), 6)
-    text = GevreyReport.rows_csv(classify(state, 1, 2).to_json()["rows"])
+def test_csv_shape(tmp_path):
+    # the verify artifact of the same solution: euler.json starts at x, s = 1, R = 2
+    assert cli.main(["verify", str(DATA / "euler.json"), "--cutoff", "6", "--output-dir", str(tmp_path)]) == 0
+    text = (tmp_path / "gevrey.csv").read_bytes().decode("utf-8")
     lines = text.split("\r\n")
     assert lines[0] == "k,re_lambda,im_lambda,deg_c,norm_R,gamma_abs,rho,envelope_Ck"
     assert lines[-1] == ""  # trailing CRLF

@@ -137,13 +137,13 @@ def test_evaluation_refuses_a_zero_phi_with_nonpositive_cutoff():
     for cutoff in (Fraction(-1), Fraction(0)):
         ev = Evaluation(ode, DulacSeries.zero(basis, cutoff))
         with pytest.raises(NonpositiveValuation):
-            ev.value(cutoff)
+            ev.value()
         with pytest.raises(NonpositiveValuation):
-            ev.leading(INF, cutoff)
+            ev.leading()
         with pytest.raises(NonpositiveValuation):
-            ev.derivative((1, 0), cutoff)
+            ev.derivative((1, 0))
     # every term of a phi = O(x) lies at or above 1, so its claim holds
-    assert Evaluation(ode, DulacSeries.zero(basis, 1)).value(Fraction(1)).cutoff == Fraction(1)
+    assert Evaluation(ode, DulacSeries.zero(basis, 1)).value().cutoff == Fraction(1)
 
 
 def test_zero_phi_counts_its_cutoff_as_low_value():
@@ -151,7 +151,7 @@ def test_zero_phi_counts_its_cutoff_as_low_value():
     # to be 0 below 2
     basis = basis_one()
     ode = ODESpec(1, ((ExactScalar.of(1), 0, (2, 0)),))
-    value = Evaluation(ode, DulacSeries.zero(basis, 1)).value(Fraction(1))
+    value = Evaluation(ode, DulacSeries.zero(basis, 1)).value()
     assert value.is_zero()
     assert value.cutoff == Fraction(2)
 
@@ -161,7 +161,7 @@ def test_declared_degree_cap_reads_a_zero_phi_at_its_cutoff():
     # extension x^(1/4) of phi = O(x^(1/4)): the cap is 2 * 1/4, not 2
     basis = basis_one()
     ode = ODESpec(1, ((ExactScalar.of(1), 1, (0, 0)),), declared_degree=1)
-    value = Evaluation(ode, DulacSeries.zero(basis, Fraction(1, 4))).value(Fraction(1, 4))
+    value = Evaluation(ode, DulacSeries.zero(basis, Fraction(1, 4))).value()
     assert value.is_zero()
     assert value.cutoff == Fraction(1, 2)
 
@@ -181,7 +181,7 @@ def test_substitute_paths_agree_random():
         phi = random_series(rng, basis, max_terms=3)
         if phi.terms and phi.terms[0][0].re_sign() <= 0:
             continue
-        assert Evaluation(ode, phi).value(phi.cutoff) == substitute_direct(ode, phi)
+        assert Evaluation(ode, phi).value() == substitute_direct(ode, phi)
 
 
 # x dy + y^2 dy + x = 0 has no monomial y_j alone, so only the bound can
@@ -227,7 +227,7 @@ def test_substitute_bound_equals_truncated_oracle(basis, ode):
         phi = random_series(rng, basis, max_terms=4, cutoff=cutoff)
         full = substitute_direct(ode, phi)
         for bound in (Fraction(rng.randint(0, 16), rng.randint(1, 3)), phi.val(), INF):
-            assert Evaluation(ode, phi).value(phi.cutoff, bound) == full.truncate(min(full.cutoff, bound))
+            assert Evaluation(ode, phi).value(bound) == full.truncate(min(full.cutoff, bound))
 
 
 @_ORACLE_CASES
@@ -241,12 +241,12 @@ def test_evaluation_reads_match_oracle(basis, ode):
         ev = Evaluation(ode, phi)
         full = substitute_direct(ode, phi)
         for bound in (Fraction(rng.randint(0, 16), rng.randint(1, 3)), phi.val(), INF):
-            assert ev.leading(bound, phi.cutoff) == full.truncate(min(full.cutoff, bound)).leading()
+            assert ev.leading(bound) == full.truncate(min(full.cutoff, bound)).leading()
         for j in range(ode.n + 1):
             e_j = tuple(int(i == j) for i in range(ode.n + 1))
-            assert ev.derivative(e_j, phi.cutoff) == substitute_direct(ode, phi, e_j)
+            assert ev.derivative(e_j) == substitute_direct(ode, phi, e_j)
         for q in multi_indices(ode.y_degree_bounds()):
-            assert ev.derivative(q, phi.cutoff) == substitute_direct(ode, phi, q)
+            assert ev.derivative(q) == substitute_direct(ode, phi, q)
 
 
 def _ode(n: int, *monomials) -> ODESpec:
@@ -254,6 +254,25 @@ def _ode(n: int, *monomials) -> ODESpec:
     return ODESpec.from_json({"n": n, "terms": [
         {"coeff": c, "x": p, "y": list(q)} for c, p, q in monomials
     ]})
+
+
+def test_evaluation_reads_the_cutoff_of_phi():
+    # phi = -x + O(x^(3/2)) for F = delta y - 2 y - x: -x + C x^2 solves F = 0
+    # for every C, so F(phi) is known only below 3/2; dF/dy0 = -2 whatever
+    # phi's tail, and with y0^2 added, dF/dy0 = -2 + 2 phi is known where phi is
+    basis = basis_one()
+    x = basis.rational(1)
+    phi = DulacSeries.monomial(x, TPoly.of(-1), Fraction(3, 2))
+    probe = (("1/1", 0, (0, 1)), ("-2/1", 0, (1, 0)), ("-1/1", 1, (0, 0)))
+    ev = Evaluation(_ode(1, *probe), phi)
+    assert ev.value() == DulacSeries.zero(basis, Fraction(3, 2))
+    assert ev.leading() is None
+    assert ev.derivative((1, 0)) == DulacSeries.monomial(basis.zero(), TPoly.of(-2))
+    ev = Evaluation(_ode(1, *probe, ("1/1", 0, (2, 0))), phi)
+    assert ev.value() == DulacSeries.zero(basis, Fraction(3, 2))
+    assert ev.derivative((1, 0)) == DulacSeries(
+        basis, ((basis.zero(), TPoly.of(-2)), (x, TPoly.of(-2))), Fraction(3, 2)
+    )
 
 
 # shapes whose maximal q feed the value straight from the update products
@@ -296,11 +315,11 @@ def test_evaluation_matches_direct_substitution(shape, basis, data):
     ode = _FOLDING_SHAPES[shape]
     phi = data.draw(_phis(basis))
     ev = Evaluation(ode, phi)
-    value = ev.value(phi.cutoff)
+    value = ev.value()
     assert value == substitute_direct(ode, phi)
     for order in multi_indices(ode.y_degree_bounds()):
-        assert ev.derivative(order, phi.cutoff) == substitute_direct(ode, phi, order)
-    assert ev.derivative((0,) * (ode.n + 1), phi.cutoff) == value
+        assert ev.derivative(order) == substitute_direct(ode, phi, order)
+    assert ev.derivative((0,) * (ode.n + 1)) == value
 
 
 @pytest.mark.parametrize("entries", [["1"], ["1", "1.41421356237"]], ids=["exact", "approximate"])
@@ -317,10 +336,10 @@ def test_evaluation_general_exponent_path_matches_oracle(entries):
     for ode in (nonlinear_ode(), _FOLDING_SHAPES["cubic"], _MIXED):
         ev = Evaluation(ode, phi)
         full = substitute_direct(ode, phi)
-        assert ev.value(phi.cutoff) == full
-        assert ev.leading(INF, phi.cutoff) == full.leading()
+        assert ev.value() == full
+        assert ev.leading() == full.leading()
         for order in multi_indices(ode.y_degree_bounds()):
-            assert ev.derivative(order, phi.cutoff) == substitute_direct(ode, phi, order)
+            assert ev.derivative(order) == substitute_direct(ode, phi, order)
 
 
 def _linearization_or_error(ode, phi):

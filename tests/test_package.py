@@ -10,7 +10,7 @@ import pytest
 
 import dulac
 
-from .util import child_env
+from .util import child_env, code_lines, line_counts
 
 # Every public name of the package with the submodule that defines it.
 PUBLIC = {
@@ -138,3 +138,33 @@ def test_submodule_import_still_works():
 
     assert cli.main is importlib.import_module("dulac.cli").main
     assert errors.SchemaError is dulac.SchemaError
+
+
+_SOURCE = '''"""A module docstring,
+on two lines."""
+
+# a comment
+import os  # a trailing comment does not hide the code
+
+
+def f():
+    """One line."""
+    # an indented comment
+    s = """a string that is not a docstring"""
+    return s
+
+
+class C:
+    """A class docstring."""
+
+    x = 1
+'''
+
+
+def test_code_lines_skip_blank_comment_and_docstring_lines(tmp_path):
+    # the rule CI reports src/dulac's size by: import, def, s =, return, class, x =
+    assert code_lines(_SOURCE) == 6
+    (tmp_path / "b.py").write_text(_SOURCE, encoding="utf-8")
+    (tmp_path / "a.py").write_text("x = 1\n\n", encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("x = 1\n", encoding="utf-8")
+    assert line_counts(tmp_path) == [("a.py", 2, 1), ("b.py", 18, 6)]

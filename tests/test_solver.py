@@ -264,6 +264,26 @@ def test_extend_double_resonance_with_t2_prefix():
     assert state.solution.cutoff == Fraction(30)
 
 
+# F = delta y - 2 y - x: its solutions are -x + C x^2, the resonance at 2 free
+_FREE_RESONANCE = ODESpec.from_json({"n": 1, "terms": [
+    {"coeff": "1/1", "x": 0, "y": [0, 1]},
+    {"coeff": "-2/1", "x": 0, "y": [1, 0]},
+    {"coeff": "-1/1", "x": 1, "y": [0, 0]},
+]})
+
+
+def test_extend_claims_no_more_than_its_prefix_is_known():
+    # -x + x^2 and -x + 7 x^2 both extend -x + O(x^(3/2)), so the solution -x
+    # is claimed below 3/2 only; the prefix -x known exactly leaves no x^2
+    basis = basis_one()
+    x = basis.rational(1)
+    state = extend(_FREE_RESONANCE, DulacSeries.monomial(x, TPoly.of(-1), Fraction(3, 2)), 5)
+    assert state.solution == DulacSeries.monomial(x, TPoly.of(-1), Fraction(3, 2))
+    assert state.residual == DulacSeries.zero(basis, Fraction(3, 2))
+    exact = extend(_FREE_RESONANCE, DulacSeries.monomial(x, TPoly.of(-1)), 5)
+    assert exact.solution == DulacSeries.monomial(x, TPoly.of(-1), 5)
+
+
 def test_extend_nonpositive_first_exponent():
     basis = basis_one()
     # F = x*dy - x*y + x: residual x at sigma = nu = 1 gives lambda_1 = 0
@@ -643,12 +663,12 @@ def test_reduce_equation_walks_the_down_closure_not_the_box(monkeypatch):
     calls = []
     derivative = Evaluation.derivative
 
-    def counted(self, order, phi_cutoff=INF):
+    def counted(self, order):
         calls.append(order)
         # the linearization reads the 8 first derivatives, reduce the closure
         if len(calls) > len(units) + len(closure):
             raise AssertionError(f"derivative call {len(calls)}, at order {order}")
-        return derivative(self, order, phi_cutoff)
+        return derivative(self, order)
 
     monkeypatch.setattr(Evaluation, "derivative", counted)
     red = reduce_equation(F, x_prefix(basis_one()), 1)

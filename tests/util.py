@@ -1,5 +1,6 @@
 """Shared builders for the test suite: canonical equations and seeded random data."""
 
+import ast
 import contextlib
 import io
 import json
@@ -226,6 +227,30 @@ def reduced_residual(red: ReducedEquation, psi: DulacSeries) -> DulacSeries:
                 term = term * op(j)
         acc = acc + term
     return acc
+
+
+def code_lines(text: str) -> int:
+    """The code lines of a Python source: every line that is not blank,
+    comment-only or part of a docstring (the first statement of a module,
+    class or function, when it is a string)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        body = getattr(node, "body", None)
+        first = body[0] if isinstance(body, list) and body else None
+        if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for i, line in enumerate(text.splitlines(), 1)
+               if line.strip() and not line.strip().startswith("#") and i not in docstrings)
+
+
+def line_counts(root) -> list:
+    """(module file name, lines, code lines) for each .py file of the
+    directory root, by name: the source size CI reports for src/dulac."""
+    rows = []
+    for path in sorted(Path(root).glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        rows.append((path.name, len(text.splitlines()), code_lines(text)))
+    return rows
 
 
 # the tests/data runs whose exact work per extend the op-count tests pin
