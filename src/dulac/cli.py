@@ -29,21 +29,24 @@ Set-up: each command imports the layers it runs, then loads the problem
 set-up, not as the command's work.
 
 Determinism: identical inputs and seed produce byte-identical artifacts.
-JSON artifacts are strict JSON (no Infinity or NaN), UTF-8, sorted keys,
-two-space indent, trailing newline: a value outside the double range exits 2
-and no artifact is written.  CSV artifacts are RFC 4180 with CRLF line ends.
+JSON artifacts are strict JSON (no Infinity or NaN), ASCII, sorted keys,
+two-space indent, trailing newline: the text of json.dumps with those
+settings, from one writer (_json_text) that writes it in one pass.  A value
+outside the double range exits 2 and no artifact is written.  CSV artifacts
+are RFC 4180 with CRLF line ends and the csv module's minimal quoting, from
+one writer (_csv_text); a job loads neither csv nor io.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import io
 import json
 import sys
 import warnings
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _escape
 from math import isfinite
 from pathlib import Path
 
@@ -198,12 +201,63 @@ def _write_text(directory: Path, name: str, content: str) -> Path:
 
 
 def _json_text(payload: dict, name: str) -> str:
-    try:
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        raise DomainError(
-            f"{name}: a value lies outside the double range, and JSON has no infinite or NaN number"
-        ) from None
+    """The JSON artifact text: the text of json.dumps(payload, sort_keys=True,
+    indent=2, allow_nan=False) plus a newline, written in one pass into one
+    list of pieces (json.dumps takes its pure-Python encoder to indent).
+    Strings go through json's C escaper, ints and floats through their
+    reprs; a non-finite float raises DomainError, and any value that is not
+    a dict with str keys, a list, a tuple, a str, an int, a float, a bool or
+    None raises TypeError."""
+    parts = []
+    out = parts.append
+
+    def write(value, newline):
+        if isinstance(value, str):
+            out(_escape(value))
+        elif value is None:
+            out("null")
+        elif value is True:
+            out("true")
+        elif value is False:
+            out("false")
+        elif isinstance(value, int):
+            out(int.__repr__(value))
+        elif isinstance(value, float):
+            if not isfinite(value):
+                raise DomainError(
+                    f"{name}: a value lies outside the double range, and JSON has no infinite or NaN number"
+                )
+            out(float.__repr__(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                out("[]")
+                return
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in value:
+                out(sep)
+                sep = "," + inner
+                write(item, inner)
+            out(newline + "]")
+        elif isinstance(value, dict):
+            if not value:
+                out("{}")
+                return
+            inner = newline + "  "
+            sep = "{" + inner
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError(f"{name}: keys must be str, not {type(key).__name__}")
+                out(sep + _escape(key) + ": ")
+                sep = "," + inner
+                write(value[key], inner)
+            out(newline + "}")
+        else:
+            raise TypeError(f"{name}: Object of type {type(value).__name__} is not JSON serializable")
+
+    write(payload, "\n")
+    out("\n")
+    return "".join(parts)
 
 
 def _emit(args, payload: dict, json_name: str, csv_text: str | None, csv_name: str | None, text_lines) -> None:
@@ -221,14 +275,20 @@ def _emit(args, payload: dict, json_name: str, csv_text: str | None, csv_name: s
             print(line)
 
 
+def _csv_field(value) -> str:
+    text = "" if value is None else str(value)
+    if '"' in text or "," in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_text(header, rows) -> str:
     """The header and then one line per row, with CRLF line ends: the one
-    writer of terms.csv and gevrey.csv."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\r\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+    writer of terms.csv and gevrey.csv.  The csv module's minimal quoting:
+    None is an empty field, any other value its str, and a field holding a
+    comma, a quote, CR or LF is quoted, with each quote doubled.  Rows have
+    at least two fields (csv also quotes a lone empty field)."""
+    return "".join(",".join(map(_csv_field, row)) + "\r\n" for row in chain((header,), rows))
 
 
 # -- commands ------------------------------------------------------------------
@@ -246,12 +306,14 @@ def _cmd_solve(args) -> int:
         f"{float(c) if c == INF or abs(c) <= DOUBLE_MAX else cutoff_to_json(c)}",
         f"residual valuation: {'inf' if state.residual.is_zero() else float(state.residual.val())}",
     ]
+    payload = state.to_json()
+    # terms.csv is written from the literals of solution.json, so each term is serialized once
     terms = (
-        (k, ";".join(e.serialize()), str(e.re_mid), str(e.im_mid), c.degree, ";".join(c.serialize()))
-        for k, (e, c) in enumerate(state.solution.terms, start=1)
+        (k, ";".join(t["exp"]), str(e.re_mid), str(e.im_mid), c.degree, ";".join(t["poly"]))
+        for k, (t, (e, c)) in enumerate(zip(payload["solution"]["terms"], state.solution.terms), start=1)
     )
     csv_text = _csv_text(["k", "exp", "re_lambda", "im_lambda", "deg_c", "poly"], terms)
-    _emit(args, state.to_json(), "solution.json", csv_text, "terms.csv", text)
+    _emit(args, payload, "solution.json", csv_text, "terms.csv", text)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from .errors import (
 from .exponents import Exponent, re_compare
 from .scalars import Value
 from .semigroup import Generators
-from .series import DulacSeries, _as_cutoff, cutoff_from_json, cutoff_to_json
+from .series import DulacSeries, _as_cutoff, cutoff_from_json, cutoff_plus, cutoff_to_json
 from .tpoly import TPoly
 
 
@@ -123,7 +123,7 @@ class MSeries(Value):
 
     def __mul__(self, other: "MSeries") -> "MSeries":
         self._check(other)
-        cutoff = min(self.cutoff + other.low(), other.cutoff + self.low())
+        cutoff = min(cutoff_plus(self.cutoff, other.low()), cutoff_plus(other.cutoff, self.low()))
         items = {}  # sums of valid multi-indices are valid: no check
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
@@ -141,7 +141,7 @@ class MSeries(Value):
         # the cutoff moves by re_low of <l,r>; adding <l,r> keeps each index
         # valid and the order, but over an approximate basis not the cut
         m_exponent = self.gens.m_exponent
-        cutoff = self.cutoff + m_exponent(l).re_low
+        cutoff = cutoff_plus(self.cutoff, m_exponent(l).re_low)
         shifted = ((tuple(map(add, m, l)), c) for m, c in self.terms)
         return self._trusted(tuple(t for t in shifted if m_exponent(t[0]).re_below(cutoff)), cutoff)
 

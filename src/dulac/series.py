@@ -45,6 +45,13 @@ def _as_cutoff(c):
     return INF if isinstance(c, float) and c == INF else decimal_rational(c)
 
 
+def cutoff_plus(c, x):
+    """c + x for cutoffs and low values, an inf one staying inf however
+    large the other is (a Fraction added to a float is converted to one,
+    which overflows past the double range)."""
+    return INF if c == INF or x == INF else c + x
+
+
 def cutoff_to_json(c):
     """JSON form of a cutoff: null for +inf; a float when it is exactly c and
     reads back as c (integers, halves, ...); else, a cutoff past the double
@@ -196,7 +203,7 @@ class DulacSeries(Value):
         if isinstance(other, (TPoly, ExactScalar, int, Fraction)):
             return DulacSeries(self.basis, tuple((e, c * other) for e, c in self.terms), self.cutoff)
         self._check(other)
-        cutoff = min(self.cutoff + other.low(), other.cutoff + self.low())
+        cutoff = min(cutoff_plus(self.cutoff, other.low()), cutoff_plus(other.cutoff, self.low()))
         prods = tuple((e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms)
         return DulacSeries(self.basis, prods, cutoff)
 
@@ -209,7 +216,7 @@ class DulacSeries(Value):
     def shift(self, exponent: Exponent) -> "DulacSeries":
         """Multiply by x^exponent: shifts every term and the cutoff."""
         return DulacSeries(
-            self.basis, tuple((e + exponent, c) for e, c in self.terms), self.cutoff + exponent.re_low
+            self.basis, tuple((e + exponent, c) for e, c in self.terms), cutoff_plus(self.cutoff, exponent.re_low)
         )
 
     def truncate(self, new_cutoff) -> "DulacSeries":

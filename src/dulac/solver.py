@@ -179,14 +179,21 @@ class SolutionState(namedtuple("SolutionState", "F solution residual lin history
     __slots__ = ()
 
     def to_json(self) -> dict:
+        """The solution, residual, linearization and history documents.  Each
+        solved term is serialized once: its literal lists in the solution
+        serve its history entry too.  A solved term the solution's cutoff left
+        out is serialized for the history alone."""
+        solution = self.solution.to_json()
+        literals = {(e.den, e.nums): t for (e, _), t in zip(self.solution.terms, solution["terms"])}
+        history = []
+        for e, c, b in self.history:
+            t = literals.get((e.den, e.nums)) or {"exp": e.serialize(), "poly": c.serialize()}
+            history.append({"lambda": t["exp"], "c": t["poly"], "b": b.serialize()})
         return {
-            "solution": self.solution.to_json(),
+            "solution": solution,
             "residual": self.residual.to_json(),
             "linearization": self.lin.to_json(),
-            "history": [
-                {"lambda": e.serialize(), "c": c.serialize(), "b": b.serialize()}
-                for e, c, b in self.history
-            ],
+            "history": history,
         }
 
 

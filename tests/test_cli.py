@@ -3,15 +3,20 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dulac import cli, errors, norms, semigroup
+from dulac.exponents import Exponent
 from dulac.gevrey import GevreyReport
 from dulac.norms import Lemma6Report
+from dulac.tpoly import TPoly
 
-from .util import DATA, child_env
+from .util import DATA, child_env, csv_text_oracle, json_text_oracle
 
 
 def run(tmp_path, *argv, outdir="out"):
@@ -70,6 +75,34 @@ def test_solve_cutoff_past_the_double_range(tmp_path, capsys):
     assert code == 0
     assert payload(out, "solution.json")["solution"]["cutoff"] == f"{big}/1"
     assert capsys.readouterr().out.startswith(f"solve: 1 terms below cutoff {big}/1\n")
+
+
+def test_solve_serializes_each_term_once(tmp_path, monkeypatch):
+    # a solved term's literals serve solution.json, its history entry and
+    # terms.csv alike: one serialize call per term of each series written,
+    # per exponent and polynomial of the linearization, and per history b
+    counts = {Exponent: 0, TPoly: 0}
+
+    def counted(cls):
+        serialize = cls.serialize
+
+        def wrapper(self):
+            counts[cls] += 1
+            return serialize(self)
+        return wrapper
+
+    for cls in counts:
+        monkeypatch.setattr(cls, "serialize", counted(cls))
+    code, out = run(tmp_path, "solve", str(DATA / "semigroup_2d.json"), "--cutoff", "7")
+    assert code == 0
+    data = payload(out, "solution.json")
+    lin = data["linearization"]
+    terms = len(data["solution"]["terms"]) + len(data["residual"]["terms"])
+    assert counts[Exponent] == terms + 1 + sum(e is not None for e in lin["nu_secondary"]) == 21 + 52 + 2
+    assert counts[TPoly] == terms + 1 + sum(b is not None for b in lin["B"]) + len(data["history"]) == 21 + 52 + 2 + 20
+    assert [[h["lambda"], h["c"]] for h in data["history"]] == [
+        [t["exp"], t["poly"]] for t in data["solution"]["terms"][-len(data["history"]):]
+    ]
 
 
 def test_solve_resonance_exits_3(tmp_path, capsys):
@@ -362,6 +395,17 @@ def test_reduce_with_prefix_uses_prefix_length(tmp_path, capsys):
     assert "violations:" in capsys.readouterr().out
 
 
+def test_reduce_with_a_prefix_exponent_past_the_double_range(tmp_path):
+    # the shifts by lambda_m = 10^400 keep the inf cutoffs inf; the gap
+    # condition fails and is listed, not raised
+    path = _euler_with(tmp_path, "huge.json", prefix=[{"exp": ["1" + "0" * 400 + "/1"], "poly": ["1/1"]}])
+    code, out = run(tmp_path, "reduce", str(path))
+    assert code == 0
+    data = payload(out, "reduced.json")
+    assert data["lambda_m"] == ["1" + "0" * 400 + "/1"]
+    assert any("gap condition" in v for v in data["violations"])
+
+
 def test_reduce_without_prefix_picks_minimal_m(tmp_path):
     code, out = run(tmp_path, "reduce", str(DATA / "convergent.json"))
     assert code == 0
@@ -585,3 +629,63 @@ def test_non_finite_value_exits_2_and_writes_nothing(tmp_path, capsys, command, 
     )
     assert captured.out == ""
     assert not out.exists()
+
+
+# -- the artifact writers against the standard library ----------------------
+
+# non-ASCII, control and quote-bearing characters, and the CSV specials
+_TEXT = st.text(st.sampled_from(list('ab Z09,;"\\\r\n\t\x00\x1f\x7f\u00e9\u20ac\U0001d11e/-+.')) | st.characters(), max_size=8)
+_NUMBER = (
+    st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 5e-324, 1e300, -1e300, 1.5, 1e16, 1e-7])
+)
+_SCALAR = st.none() | st.booleans() | _NUMBER | _TEXT
+_JSON = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON)
+@example({"a": [], "b": {}, "c": (), "d": [True, 1, False, 0, None], "\u00e9\"\n": [-0.0, 5e-324, 1e300, 10**400]})
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value, "x.json") == json_text_oracle(value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_json_writer_refuses_non_finite_numbers(bad):
+    with pytest.raises(errors.DomainError, match="^x.json: a value lies outside the double range"):
+        cli._json_text({"rows": [{"v": bad}]}, "x.json")
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {("a",): 1}, {"v": Fraction(1, 3)}, [{1, 2}], {"v": b"ab"}])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value, "x.json")
+
+
+# the csv module before Python 3.11 refuses a NUL in a field, so the oracle
+# draws none; no CSV artifact field can hold one
+_CSV_TEXT = st.text(
+    st.sampled_from(list('ab Z09,;"\\\r\n\t\x1f\x7f\u00e9\u20ac\U0001d11e/-+.')) | st.characters(exclude_characters="\x00"),
+    max_size=8,
+)
+_FIELD = st.none() | _CSV_TEXT | st.integers() | st.floats(allow_nan=False) | st.booleans()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.lists(_CSV_TEXT, min_size=n, max_size=n),
+    st.lists(st.lists(_FIELD, min_size=n, max_size=n), max_size=4),
+)))
+@example((["k", "poly"], [[1, 'a,b'], ['say "hi"', "x\r\ny"], [None, ""], ["\r", "\n"]]))
+def test_csv_writer_matches_csv_module(table):
+    header, rows = table
+    assert cli._csv_text(header, rows) == csv_text_oracle(header, rows)
+

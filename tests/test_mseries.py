@@ -157,6 +157,17 @@ def test_mseries_mul_by_zero_counts_its_cutoff_as_low_value():
     assert (z * z).cutoff == Fraction(4)
 
 
+def test_infinite_cutoff_stays_infinite_past_the_double_range():
+    # a generator of 10^400: inf + its re_low would overflow a float
+    huge = Fraction(10**400)
+    g = validate_generators([basis_one().rational(huge)])
+    a = _ms(g, (((1,), TPoly.ONE),))
+    assert a.shift_m((1,)).cutoff == INF
+    b = _ms(g, (((1,), TPoly.ONE),), cutoff=3 * huge)
+    assert (a * b).cutoff == (b * a).cutoff == 4 * huge  # min(inf + huge, 3 huge + huge)
+    assert (a * b).terms == (((2,), TPoly.ONE),)
+
+
 def _gens_approx():
     basis = ExponentBasis(["1", "1.41421356237"])
     return validate_generators([basis.exponent([1, 0]), basis.exponent([0, 1])])

@@ -87,7 +87,7 @@ def test_subcommand_loads_only_its_layers(command, tmp_path):
     # a job imports its layers after parsing argv and before loading the
     # problem, so the imports count as set-up and none is left for the work;
     # what they made is then in the oldest gc generation, not in the young
-    # ones the work's first collections traverse
+    # ones the work's first collections traverse; no job loads csv
     code = (
         "import gc, json, sys, dulac.cli as cli\n"
         "def loaded():\n"
@@ -102,7 +102,7 @@ def test_subcommand_loads_only_its_layers(command, tmp_path):
         "at_load = marks['at_load']\n"
         "print(json.dumps({'code': code, 'later': sorted(loaded() - at_load),\n"
         "    'layers': sorted(m[6:] for m in at_load if m.startswith('dulac.')),\n"
-        "    'mpmath': 'mpmath' in at_load, 'young': marks['young']}))\n"
+        "    'mpmath': 'mpmath' in at_load, 'young': marks['young'], 'csv': 'csv' in sys.modules}))\n"
     )
     problem = Path(__file__).parent / "data" / "euler_gens.json"
     env = child_env()
@@ -117,6 +117,7 @@ def test_subcommand_loads_only_its_layers(command, tmp_path):
     assert report["mpmath"] is mpmath
     assert report["later"] == []
     assert report["young"] < 100  # thousands when the imports' objects stay young
+    assert report["csv"] is False  # the CSV artifacts have their own writer
 
 
 def test_public_names_resolve_to_submodule_objects():

@@ -138,6 +138,19 @@ def test_shift_moves_cutoff():
     assert h.cutoff == INF
 
 
+def test_infinite_cutoff_stays_infinite_past_the_double_range():
+    # inf + a Fraction past the double range converts the Fraction to a
+    # float, which overflows: the sum of an inf cutoff stays inf instead
+    basis = basis_one()
+    huge = Fraction(10**400)
+    f = _mono(basis, 1).shift(basis.rational(huge))
+    assert f.cutoff == INF
+    assert f.val() == huge + 1
+    g = _mono(basis, 1, cutoff=huge)
+    assert (f * g).cutoff == (g * f).cutoff == 2 * huge + 1  # min(inf, huge + (huge + 1))
+    assert (f * g).terms == ((basis.rational(huge + 2), TPoly.ONE),)
+
+
 def test_approximate_basis_cutoffs_use_certified_lower_endpoint():
     # "0.5" is 0.5 +- 1/20: f = x^(1,0) known below 2 may hide x^(2,0), so
     # f * x^(0,1) may hide x^(2,1), whose real part can be as low as 49/20;

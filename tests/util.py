@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import csv
 import io
 import json
 import os
@@ -251,6 +252,22 @@ def line_counts(root) -> list:
         text = path.read_text(encoding="utf-8")
         rows.append((path.name, len(text.splitlines()), code_lines(text)))
     return rows
+
+
+def json_text_oracle(payload) -> str:
+    """The JSON artifact format by the standard library: what cli._json_text
+    writes, byte for byte."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def csv_text_oracle(header, rows) -> str:
+    """The CSV artifact format by the csv module: what cli._csv_text writes,
+    byte for byte."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\r\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 # the tests/data runs whose exact work per extend the op-count tests pin
