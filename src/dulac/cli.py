@@ -71,12 +71,19 @@ _PROBLEM_KEYS = {"ode", "basis", "prefix", "generators", "cutoff", "R", "s_overr
 
 
 def _rational(value, what: str) -> Fraction:
-    """Exact rational from a JSON number; decimal floats read at face value."""
+    """Exact rational from a JSON number or a flag value, named by what in
+    an error; decimal floats read at face value."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"problem file: {what} must be a number, got {value!r}")
+        raise SchemaError(f"{what} must be a number, got {value!r}")
     if isinstance(value, float) and not isfinite(value):
-        raise SchemaError(f"problem file: {what} must be finite, got {value!r}")
+        raise SchemaError(f"{what} must be finite, got {value!r}")
     return decimal_rational(value)
+
+
+def _setting(flag, data: dict, key: str) -> tuple:
+    """(value, what) of a setting: the flag's value, named as the flag, when
+    the flag is given; otherwise the problem file's."""
+    return (flag, f"--{key}") if flag is not None else (data.get(key), f"problem file: {key}")
 
 
 class Problem:
@@ -106,15 +113,15 @@ class Problem:
 
         if "cutoff" not in data and args.cutoff is None:
             raise SchemaError("problem file: missing required key 'cutoff' (and no --cutoff flag)")
-        cutoff = args.cutoff if args.cutoff is not None else data["cutoff"]
-        self.cutoff = _rational(cutoff, "cutoff")
+        cutoff, what = _setting(args.cutoff, data, "cutoff")
+        self.cutoff = _rational(cutoff, what)
         if self.cutoff <= 0:
-            raise SchemaError(f"problem file: cutoff must be positive, got {cutoff!r}")
+            raise SchemaError(f"{what} must be positive, got {cutoff!r}")
 
-        R = args.R if args.R is not None else data.get("R")
-        self.R = None if R is None else _rational(R, "R")
+        R, what = _setting(args.R, data, "R")
+        self.R = None if R is None else _rational(R, what)
         if self.R is not None and self.R <= 1:
-            raise SchemaError(f"problem file: R must exceed 1, got {R!r}")
+            raise SchemaError(f"{what} must exceed 1, got {R!r}")
 
         s = data.get("s_override")
         if s is None:
@@ -122,7 +129,7 @@ class Problem:
         elif s == "inf":
             self.s_override = INF
         else:
-            self.s_override = _rational(s, "s_override")
+            self.s_override = _rational(s, "problem file: s_override")
             if self.s_override <= 0:
                 raise SchemaError(f"problem file: s_override must be positive, got {s!r}")
 

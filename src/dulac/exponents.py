@@ -28,12 +28,12 @@ broken by imaginary part, ascending.  The imaginary tie-break is a library
 convention chosen to make the order total; any fixed tie rule would do.
 
 Every exponent carries one sort key, computed once: over an exact basis the
-tuple (floor(Re), Re, floor(Im), Im), so no enclosure is ever built and the
-int floors decide a comparison before any exact Fraction does (an integral
-part enters as an int, so an integral exponent's key is four ints, with no
-Fraction built); otherwise cmp_to_key(exp_compare), which certifies each
-comparison from the interval enclosures or raises UndecidableComparison
-when an enclosure contains zero.
+tuple (floor(Re), Re, floor(Im), Im), set at construction, so no enclosure
+is ever built and the int floors decide a comparison before any exact
+Fraction does (an integral part enters as an int, so an integral exponent's
+key is four ints, with no Fraction built); otherwise, on first read,
+cmp_to_key(exp_compare), which certifies each comparison from the interval
+enclosures or raises UndecidableComparison when an enclosure contains zero.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import BasisMismatch, ExactValueRequired, UndecidableComparison
-from .scalars import ExactScalar, Value, _rational_literal, decimal_rational, parse_rational
+from .scalars import ExactScalar, Value, _rational_literal, decimal_rational, parse_rational, slot_setters
 
 # one entry part: rational "a" / "a/b" or decimal "a.b"
 _EPART = r"[+-]?\d+(?:\.\d+|/\d+)?"
@@ -69,12 +69,8 @@ class BasisEntry(Value):
     __slots__ = _fields = ("literal", "re", "im", "re_floor", "im_floor")
 
     def __init__(self, literal: str, re: Fraction, im: Fraction, re_floor: Fraction, im_floor: Fraction):
-        _set = object.__setattr__
-        _set(self, "literal", literal)
-        _set(self, "re", re)
-        _set(self, "im", im)
-        _set(self, "re_floor", re_floor)
-        _set(self, "im_floor", im_floor)
+        for set_slot, value in zip(_ENTRY_SETTERS, (literal, re, im, re_floor, im_floor)):
+            set_slot(self, value)
 
     @property
     def exact(self) -> bool:
@@ -118,18 +114,14 @@ class ExponentBasis(Value):
                     f"ExponentBasis: entries {seen[key]!r} and {e.literal!r} have equal value"
                 )
             seen[key] = e.literal
-        _set = object.__setattr__
-        _set(self, "entries", parsed)
-        _set(self, "_hash", hash(parsed))
-        _set(self, "exact", all(e.exact for e in parsed))
-        _set(self, "_one_index", next(
-            (i for i, e in enumerate(parsed) if e.exact and e.re == 1 and e.im == 0), None
-        ))
+        one = next((i for i, e in enumerate(parsed) if e.exact and e.re == 1 and e.im == 0), None)
         # Re and Im of the entries (midpoints) as ints over one denominator
         w = lcm(*(q.denominator for e in parsed for q in (e.re, e.im)))
-        _set(self, "_weight_den", w)
-        _set(self, "_re_weights", tuple(e.re.numerator * (w // e.re.denominator) for e in parsed))
-        _set(self, "_im_weights", tuple(e.im.numerator * (w // e.im.denominator) for e in parsed))
+        re_w = tuple(e.re.numerator * (w // e.re.denominator) for e in parsed)
+        im_w = tuple(e.im.numerator * (w // e.im.denominator) for e in parsed)
+        values = (parsed, hash(parsed), all(e.exact for e in parsed), one, w, re_w, im_w)
+        for set_slot, value in zip(_BASIS_SETTERS, values):
+            set_slot(self, value)
 
     @property
     def dim(self) -> int:
@@ -185,6 +177,15 @@ def _parse_coordinate(value) -> Fraction:
     )
 
 
+def _parts(basis: ExponentBasis, den: int, nums: tuple) -> tuple:
+    """The enclosure midpoint of the exponent nums / den over basis as the
+    int triple (d, a, b) in lowest terms: Re = a / d and Im = b / d."""
+    d = den * basis._weight_den
+    x, y = sum(map(mul, nums, basis._re_weights)), sum(map(mul, nums, basis._im_weights))
+    g = gcd(d, x, y)
+    return d // g, x // g, y // g
+
+
 def _normal(basis: ExponentBasis, den: int, nums) -> "Exponent":
     """The Exponent with coordinates nums[i] / den for an int den > 0 and a
     sequence of ints, with the content divided out."""
@@ -200,11 +201,13 @@ class Exponent(Value):
 
     Coordinate i is nums[i] / den for an int den > 0 and ints nums with
     gcd(den, *nums) = 1, so equal exponents have equal fields; the hash is
-    computed once.  Built on first read and kept: coords (the Fractions, for
-    the API edge), parts (the enclosure midpoint as the int triple (d, a, b)
-    in lowest terms, Re = a / d and Im = b / d, exact over an exact basis),
-    re_mid and im_mid (the same midpoints as Fractions), re_low (a certified
-    lower bound on Re) and key (the sort key of the module docstring).
+    computed once.  parts is the enclosure midpoint as the int triple
+    (d, a, b) in lowest terms, Re = a / d and Im = b / d, exact over an
+    exact basis, and key is the sort key of the module docstring: over an
+    exact basis both are set at construction, otherwise each is built on
+    first read and kept.  Built on first read and kept over every basis:
+    coords (the Fractions, for the API edge), re_mid and im_mid (the
+    midpoints as Fractions) and re_low (a certified lower bound on Re).
     """
 
     __slots__ = ("basis", "den", "nums", "_hash", "coords", "parts", "re_mid", "im_mid", "re_low", "key")
@@ -222,23 +225,27 @@ class Exponent(Value):
 
     @staticmethod
     def _raw(basis: ExponentBasis, den: int, nums: tuple) -> "Exponent":
-        """An Exponent from fields already in content-free form."""
+        """An Exponent from fields already in content-free form; over an
+        exact basis its parts and key are set here."""
         e = object.__new__(Exponent)
-        _set = object.__setattr__
-        _set(e, "basis", basis)
-        _set(e, "den", den)
-        _set(e, "nums", nums)
-        _set(e, "_hash", hash((den, nums)))
+        _set_basis(e, basis)
+        _set_den(e, den)
+        _set_nums(e, nums)
+        _set_hash(e, hash((den, nums)))
+        if basis.exact:
+            d, x, y = parts = _parts(basis, den, nums)
+            _set_parts(e, parts)
+            # int floors first: they decide most comparisons in C; an
+            # integral Re or Im enters as the int, so that a tie of two
+            # integral parts is decided in C too
+            _set_key(e, (x // d, x // d if x % d == 0 else Fraction(x, d),
+                         y // d, y // d if y % d == 0 else Fraction(y, d)))
         return e
 
     def __getattr__(self, name):
         # called only for an empty slot: compute the lazy value and keep it
         if name == "parts":
-            b = self.basis
-            d = self.den * b._weight_den
-            x, y = sum(map(mul, self.nums, b._re_weights)), sum(map(mul, self.nums, b._im_weights))
-            g = gcd(d, x, y)
-            value = (d // g, x // g, y // g)
+            value = _parts(self.basis, self.den, self.nums)
         elif name == "re_mid" or name == "im_mid":
             d, x, y = self.parts
             value = Fraction(x if name == "re_mid" else y, d)
@@ -247,18 +254,11 @@ class Exponent(Value):
         elif name == "re_low":
             value = self.re_mid if self.basis.exact else self.re_mid - self.radius("re")
         elif name == "key":
-            if self.basis.exact:
-                # int floors first: they decide most comparisons in C; an
-                # integral Re or Im enters as the int, so that a tie of two
-                # integral parts is decided in C too
-                d, x, y = self.parts
-                value = (x // d, x // d if x % d == 0 else self.re_mid,
-                         y // d, y // d if y % d == 0 else self.im_mid)
-            else:
-                value = cmp_to_key(exp_compare)(self)
+            # an approximate basis: an exact one set the key at construction
+            value = cmp_to_key(exp_compare)(self)
         else:
             raise AttributeError(f"'Exponent' object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
+        _SETTERS[name](self, value)
         return value
 
     def __reduce__(self):
@@ -379,6 +379,14 @@ class Exponent(Value):
     def serialize(self) -> list[str]:
         """The coordinates as "p/q" literals, formatted from the ints."""
         return [_rational_literal(a, self.den) for a in self.nums]
+
+
+_ENTRY_SETTERS = slot_setters(BasisEntry)
+_BASIS_SETTERS = slot_setters(ExponentBasis)
+_set_basis, _set_den, _set_nums, _set_hash, _set_parts, _set_key = slot_setters(
+    Exponent, "basis", "den", "nums", "_hash", "parts", "key")
+# by slot name, for the lazy fields Exponent.__getattr__ keeps
+_SETTERS = dict(zip(Exponent.__slots__, slot_setters(Exponent)))
 
 
 def exp_compare(a: Exponent, b: Exponent) -> int:

@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
 )
 from .exponents import Exponent, re_compare
-from .scalars import Value
+from .scalars import Value, slot_setters
 from .semigroup import Generators
 from .series import DulacSeries, _as_cutoff, cutoff_from_json, cutoff_plus, cutoff_to_json
 from .tpoly import TPoly
@@ -70,22 +70,20 @@ class MSeries(Value):
             if not any(m):
                 raise ValueError("MSeries: the zero multi-index is not a semigroup member")
             items[m] = items[m] + c if m in items else c
-        _set = object.__setattr__
-        _set(self, "gens", gens)
-        _set(self, "lambda_base", lambda_base)
-        _set(self, "terms", _canonical_terms(items, gens, cutoff))
-        _set(self, "cutoff", cutoff)
+        _set_gens(self, gens)
+        _set_lambda_base(self, lambda_base)
+        _set_terms(self, _canonical_terms(items, gens, cutoff))
+        _set_cutoff(self, cutoff)
 
     @staticmethod
     def _trusted_over(gens: Generators, lambda_base: Exponent, terms: tuple, cutoff) -> "MSeries":
         """The series over gens and lambda_base with canonical terms (valid,
         nonzero, sorted, below the cutoff) and cutoff; nothing is checked."""
         out = object.__new__(MSeries)
-        _set = object.__setattr__
-        _set(out, "gens", gens)
-        _set(out, "lambda_base", lambda_base)
-        _set(out, "terms", terms)
-        _set(out, "cutoff", cutoff)
+        _set_gens(out, gens)
+        _set_lambda_base(out, lambda_base)
+        _set_terms(out, terms)
+        _set_cutoff(out, cutoff)
         return out
 
     def _trusted(self, terms: tuple, cutoff) -> "MSeries":
@@ -195,6 +193,9 @@ class MSeries(Value):
             except (ValueError, TypeError) as exc:
                 raise SchemaError(f"mseries: terms[{i}].poly ({exc})") from exc
         return MSeries(gens, lambda_base, tuple(terms), cutoff)
+
+
+_set_gens, _set_lambda_base, _set_terms, _set_cutoff = slot_setters(MSeries)
 
 
 # -- transport between the two pictures ---------------------------------------

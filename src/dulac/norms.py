@@ -33,7 +33,7 @@ from .mseries import MSeries, _canonical_terms, _multi_index
 from .numeric import (
     _norm_powers, _sqrt_rational, by_value, raw_add, raw_div, raw_mul, raw_poly_norm, raw_pow, raw_rational,
 )
-from .scalars import ExactScalar, Value, decimal_rational
+from .scalars import ExactScalar, Value, decimal_rational, slot_setters
 from .semigroup import Generators
 from .series import INF
 from .tpoly import TPoly
@@ -63,12 +63,8 @@ class NormParams(Value):
             raise ValueError(f"NormParams: Kcal must be nonnegative, got {Kcal}")
         if j < 0:
             raise ValueError(f"NormParams: level j must be nonnegative, got {j}")
-        _set = object.__setattr__
-        _set(self, "R", R)
-        _set(self, "s", s)
-        _set(self, "Kcal", Kcal)
-        _set(self, "j", j)
-        _set(self, "_hash", hash((R, s, Kcal, j)))
+        for set_slot, value in zip(_PARAMS_SETTERS, (R, s, Kcal, j, hash((R, s, Kcal, j)))):
+            set_slot(self, value)
 
     def __hash__(self) -> int:
         return self._hash
@@ -80,6 +76,9 @@ class NormParams(Value):
     def slope_gate(self, j: int) -> Fraction:
         """(j - level) s, the least Re<l,r> of check_lemma5's shift at j."""
         return Fraction(j - self.j) * self.s
+
+
+_PARAMS_SETTERS = slot_setters(NormParams)
 
 
 # -- graded norms and estimate checks ------------------------------------------

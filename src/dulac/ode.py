@@ -29,7 +29,7 @@ from operator import add, mul, sub
 
 from .errors import NonpositiveValuation, SchemaError, UndecidableComparison
 from .exponents import Exponent
-from .scalars import ExactScalar, Value
+from .scalars import ExactScalar, Value, slot_setters
 from .series import INF, DulacSeries
 from .tpoly import TPoly, _scalar_parts
 
@@ -82,10 +82,9 @@ class ODESpec(Value):
                 f"ODESpec: the y-exponents of the monomials call for up to {steps} "
                 f"update steps of the substitution, above the limit {MAX_UPDATE_STEPS}"
             )
-        _set = object.__setattr__
-        _set(self, "n", n)
-        _set(self, "terms", terms)
-        _set(self, "declared_degree", declared_degree)
+        _set_n(self, n)
+        _set_terms(self, terms)
+        _set_declared_degree(self, declared_degree)
 
     # -- serialization ---------------------------------------------------------
 
@@ -129,6 +128,9 @@ class ODESpec(Value):
         """The down-closure of the y-exponent vectors, every r <= q for the q
         of some monomial, in lexicographic order: the zero vector first."""
         return sorted({r for _, _, q in self.terms for r in multi_indices(q)})
+
+
+_set_n, _set_terms, _set_declared_degree = slot_setters(ODESpec)
 
 
 def _json_int(value, field: str) -> int:

@@ -58,10 +58,11 @@ def _as_fraction(x: RationalLike) -> Fraction:
 class Value:
     """Base of the immutable value classes.
 
-    A subclass keeps its data in __slots__, sets them in __init__ through
-    object.__setattr__, and names its constructor fields in _fields.  From
-    those the base derives the repr Name(field=value, ...), equality with a
-    value of the same class, the hash of the field tuple, and a pickle that
+    A subclass keeps its data in __slots__, sets them in its constructor
+    through the slot setters that slot_setters binds once per class, at
+    module level, and names its constructor fields in _fields.  From those
+    the base derives the repr Name(field=value, ...), equality with a value
+    of the same class, the hash of the field tuple, and a pickle that
     rebuilds the value through the class.  Setting or deleting an attribute
     raises AttributeError.  A subclass that writes out __eq__ writes out
     __hash__ too: Python sets __hash__ to None in a class that defines
@@ -95,6 +96,14 @@ class Value:
         return f"{type(self).__name__}({listed})"
 
 
+def slot_setters(cls, *names: str) -> tuple:
+    """The bound __set__ of each named slot of cls, every slot in __slots__
+    order when none is named: setter(obj, value) stores value in the slot
+    in C, past the refusing __setattr__ of Value, with no attribute lookup
+    by name."""
+    return tuple(cls.__dict__[name].__set__ for name in names or cls.__slots__)
+
+
 class ExactScalar(Value):
     """A complex number a + b*i with exact rational a, b.
 
@@ -107,9 +116,8 @@ class ExactScalar(Value):
     def __init__(self, re: RationalLike, im: RationalLike):
         if not isinstance(re, Fraction) or not isinstance(im, Fraction):
             re, im = _as_fraction(re), _as_fraction(im)
-        _set = object.__setattr__
-        _set(self, "re", re)
-        _set(self, "im", im)
+        _set_re(self, re)
+        _set_im(self, im)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not ExactScalar:
@@ -199,6 +207,8 @@ class ExactScalar(Value):
     def __repr__(self) -> str:
         return f"ExactScalar({self})"
 
+
+_set_re, _set_im = slot_setters(ExactScalar)
 
 ZERO = ExactScalar.of(0)
 ONE = ExactScalar.of(1)

@@ -16,7 +16,7 @@ from math import lcm
 
 from .errors import BasisMismatch, DependentGenerators, NonpositiveRealPart, UndecidableComparison
 from .exponents import Exponent, ExponentBasis
-from .scalars import Value
+from .scalars import Value, slot_setters
 
 
 # -- integer linear algebra (small dense systems) --------------------------
@@ -89,12 +89,8 @@ class Generators(Value):
     _fields = ("basis", "r")
 
     def __init__(self, basis: ExponentBasis, r: tuple):
-        _set = object.__setattr__
-        _set(self, "basis", basis)
-        _set(self, "r", r)
-        _set(self, "_hash", hash((basis, r)))
-        _set(self, "_m_exponents", {})
-        _set(self, "_decomposed", {})
+        for set_slot, value in zip(_GENERATORS_SETTERS, (basis, r, hash((basis, r)), {}, {})):
+            set_slot(self, value)
 
     def __hash__(self) -> int:
         return self._hash
@@ -126,6 +122,9 @@ class Generators(Value):
 
     def serialize(self) -> list:
         return [g.serialize() for g in self.r]
+
+
+_GENERATORS_SETTERS = slot_setters(Generators)
 
 
 def validate_generators(rs) -> Generators:

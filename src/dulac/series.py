@@ -33,7 +33,7 @@ from sys import float_info
 
 from .errors import BasisMismatch, CutoffIncrease, SchemaError, UndecidableComparison
 from .exponents import Exponent, ExponentBasis
-from .scalars import ExactScalar, Value, decimal_rational, parse_rational
+from .scalars import ExactScalar, Value, decimal_rational, parse_rational, slot_setters
 from .tpoly import TPoly
 
 INF = float("inf")
@@ -138,10 +138,9 @@ class DulacSeries(Value):
 
     def __init__(self, basis: ExponentBasis, terms: tuple, cutoff):
         cutoff = _as_cutoff(cutoff)
-        _set = object.__setattr__
-        _set(self, "basis", basis)
-        _set(self, "terms", _canonical(terms, cutoff))
-        _set(self, "cutoff", cutoff)
+        _set_basis(self, basis)
+        _set_terms(self, _canonical(terms, cutoff))
+        _set_cutoff(self, cutoff)
 
     # -- constructors ---------------------------------------------------
 
@@ -253,3 +252,6 @@ class DulacSeries(Value):
             return f"0 (cutoff {self.cutoff})"
         parts = [f"[{c}]*x^{e}" for e, c in self.terms]
         return " + ".join(parts) + f"  (cutoff {self.cutoff})"
+
+
+_set_basis, _set_terms, _set_cutoff = slot_setters(DulacSeries)

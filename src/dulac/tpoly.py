@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .scalars import _ZERO_Q, ExactScalar, Value, ZERO, _rational_literal
+from .scalars import _ZERO_Q, ExactScalar, Value, ZERO, _rational_literal, slot_setters
 
 NEG_INF = float("-inf")
 
@@ -117,19 +117,17 @@ class TPoly(Value):
         d = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
         re = tuple(c.re.numerator * (d // c.re.denominator) for c in coeffs)
         im = tuple(c.im.numerator * (d // c.im.denominator) for c in coeffs)
-        _set = object.__setattr__
-        _set(self, "den", d)
-        _set(self, "re", re)
-        _set(self, "im", im if any(im) else None)
+        _set_den(self, d)
+        _set_re(self, re)
+        _set_im(self, im if any(im) else None)
 
     @staticmethod
     def _raw(den: int, re: tuple, im) -> "TPoly":
         """A TPoly from fields already in content-free form."""
         p = object.__new__(TPoly)
-        _set = object.__setattr__
-        _set(p, "den", den)
-        _set(p, "re", re)
-        _set(p, "im", im)
+        _set_den(p, den)
+        _set_re(p, re)
+        _set_im(p, im)
         return p
 
     def __reduce__(self):
@@ -411,6 +409,8 @@ class TPoly(Value):
             parts.append(f"({c})" + ("" if j == 0 else f"*t^{j}" if j > 1 else "*t"))
         return " + ".join(parts)
 
+
+_set_den, _set_re, _set_im = slot_setters(TPoly)
 
 TPoly.ZERO = TPoly(())
 TPoly.ONE = TPoly((ExactScalar.of(1),))

@@ -160,6 +160,41 @@ def test_bad_R_flag_exits_5(tmp_path):
     assert run(tmp_path, "verify", str(DATA / "euler.json"), "--R", "1")[0] == 5
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--cutoff", "-1", "must be positive, got -1"),
+    ("--cutoff", "0", "must be positive, got 0"),
+    ("--cutoff", "inf", "must be finite, got inf"),
+    ("--cutoff", "nan", "must be finite, got nan"),
+    ("--R", "1", "must exceed 1, got 1"),
+    ("--R", "-2", "must exceed 1, got -2"),
+    ("--R", "nan", "must be finite, got nan"),
+    ("--R", "inf", "must be finite, got inf"),
+])
+def test_bad_flag_value_names_the_flag(tmp_path, capsys, flag, value, message):
+    # a bad value from a flag is blamed on the flag, not on the problem file
+    code, out = run(tmp_path, "verify", str(DATA / "euler.json"), flag, value)
+    assert code == 5
+    assert capsys.readouterr().err == f"error: {flag} {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("cutoff", -1, "must be positive, got -1"),
+    ("cutoff", 0.0, "must be positive, got 0.0"),
+    ("R", 1, "must exceed 1, got 1"),
+    ("R", "2", "must be a number, got '2'"),
+    ("s_override", -1, "must be positive, got -1"),
+])
+def test_bad_problem_value_names_the_file(tmp_path, capsys, key, value, message):
+    # the same checks on a problem file value name the file and the key
+    data = json.loads((DATA / "euler.json").read_text(encoding="utf-8"))
+    data[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(tmp_path, "verify", str(path))[0] == 5
+    assert capsys.readouterr().err == f"error: problem file: {key} {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -18,7 +18,15 @@ from dulac.scalars import ExactScalar
 from dulac.series import DulacSeries
 from dulac.tpoly import TPoly
 
-from .util import child_env, enclosure_sign, exponent_serialize_oracle, interval, literal_floor
+from .util import (
+    child_env,
+    enclosure_sign,
+    exponent_key_oracle,
+    exponent_parts_oracle,
+    exponent_serialize_oracle,
+    interval,
+    literal_floor,
+)
 
 
 def test_entry_parse():
@@ -420,6 +428,71 @@ def test_exact_keys_and_signs_match_fraction_oracle(entries, data):
             want = ((re, im) > pf) - ((re, im) < pf)
             assert (e.key > f.key) - (e.key < f.key) == want == exp_compare(e, f)
             assert (e.key == f.key) == (e == f)
+
+
+def _slot(e: Exponent, name: str):
+    """The slot name of e as stored, with no lazy build: AttributeError when
+    the slot is empty."""
+    return Exponent.__dict__[name].__get__(e)
+
+
+def _built(b: ExponentBasis, data) -> list:
+    """Exponents drawn over b, built through every path: the constructor,
+    _raw, the linear operations, the rational embedding, pickle and deepcopy."""
+    coords = st.lists(st.one_of(_Q, _NEAR_INTEGERS), min_size=b.dim, max_size=b.dim)
+    x, y, k = data.draw(coords), data.draw(coords), data.draw(_SCALARS)
+    e, f = Exponent(b, x), b.exponent(y)
+    out = [e, f, Exponent._raw(b, e.den, e.nums), b.zero(), e + f, e - f, -e, e * k, k * f,
+           pickle.loads(pickle.dumps(e)), copy.deepcopy(f)]
+    return out + [b.rational(k)] if b._one_index is not None else out
+
+
+@pytest.mark.parametrize("entries", _LAYOUT_BASES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exact_parts_and_key_are_set_at_construction(entries, data):
+    # oracle: the formulas that built parts and key on first read; over an
+    # exact basis, Gaussian-rational entries and non-integral coordinates
+    # among the draws, every path sets both before any read
+    b = ExponentBasis(entries)
+    for e in _built(b, data):
+        parts, key = _slot(e, "parts"), _slot(e, "key")
+        assert parts == exponent_parts_oracle(e) and key == exponent_key_oracle(e)
+        d, re, im = parts
+        assert (Fraction(re, d), Fraction(im, d)) == _oracle_parts(b, e.coords)
+        for name in ("parts", "key"):
+            with pytest.raises(AttributeError):
+                setattr(e, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(e, name)
+        assert _slot(e, "parts") is parts and _slot(e, "key") is key
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_approximate_parts_and_key_are_built_on_first_read(data):
+    # over an approximate basis parts and key stay empty until read, and the
+    # key still orders by the certified signs of the difference's enclosures
+    b = ExponentBasis(["1", "1.41421356237"])
+    exps = _built(b, data)
+    for e in exps:
+        for name in ("parts", "key"):
+            with pytest.raises(AttributeError):
+                _slot(e, name)
+    for e in exps:
+        parts, key = e.parts, e.key
+        assert parts == exponent_parts_oracle(e)
+        assert _slot(e, "parts") is parts and _slot(e, "key") is key
+        for name in ("parts", "key"):
+            with pytest.raises(AttributeError):
+                setattr(e, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(e, name)
+    for a in exps:
+        for c in exps:
+            d = a - c
+            want = _interval_sign(*interval(d, "re")) or _interval_sign(*interval(d, "im"))
+            assert (a.key > c.key) - (a.key < c.key) == want == exp_compare(a, c)
 
 
 @pytest.mark.parametrize("entries", [["1/2", "2/3+1/5i"], ["1", "1.41421356237"]])

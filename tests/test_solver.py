@@ -381,6 +381,21 @@ def test_extend_exponent_counts(name, cutoff, built, compared):
     assert (counts["exponents"], counts["compared"]) == (built, compared)
 
 
+@pytest.mark.parametrize("name, cutoff, tpolys, lazy", [
+    ("semigroup_2d.json", 7, 650, 3),
+    ("nonlinear.json", 30, 1110, 3),
+    ("euler.json", 80, 478, 3),
+])
+def test_extend_object_counts(name, cutoff, tpolys, lazy):
+    # the TPolys one extend builds and its Exponent.__getattr__ entries, each
+    # a failed slot read: over an exact basis an exponent gets its parts and
+    # key at construction, so the lazy reads left are re_low of phi's
+    # leading exponent and its re_mid, and the re_mid of nu (153, 125 and
+    # 167 entries when parts and key were built on first read)
+    counts = extend_counts(name, cutoff)
+    assert (counts["tpolys"], counts["lazy"]) == (tpolys, lazy)
+
+
 # every Fraction method that builds a Fraction
 _FRACTION_BUILDERS = ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                       "__truediv__", "__rtruediv__", "__mod__", "__rmod__", "__pow__", "__rpow__",

@@ -379,6 +379,7 @@ def _value_objects() -> list:
         (ExactScalar(Fraction(1, 2), Fraction(-3)), None),
         (approx, None),
         (approx.exponent([Fraction(1, 2), 0, 3]), None),
+        (ExponentBasis(["1", "1+1i"]).exponent([Fraction(1, 2), 3]), None),  # parts and key set
         (approx.entries[2], ("literal", "re", "im", "re_floor", "im_floor")),
         (state.solution, ("basis", "terms", "cutoff")),
         (state.F, ("n", "terms", "declared_degree")),

@@ -9,6 +9,7 @@ import os
 import tempfile
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
+from operator import mul
 from pathlib import Path
 
 import mpmath
@@ -277,16 +278,19 @@ PINNED_RUNS = (("semigroup_2d.json", 7), ("nonlinear.json", 30), ("euler.json", 
 def extend_counts(name: str, cutoff) -> dict:
     """The exact work of one extend of the tests/data problem name to
     cutoff, as noise-free cost signals: "products" and "sums" of TPolys,
-    "exponents" built (Exponent._raw calls) and "compared", the
-    Python-level Exponent.__eq__ calls (a dict lookup that matches by
-    identity makes none).  Only the extend is counted, not the loading of
-    the problem, and the counted methods are restored afterwards."""
+    "tpolys" built (TPoly._raw calls), "exponents" built (Exponent._raw
+    calls), "compared", the Python-level Exponent.__eq__ calls (a dict
+    lookup that matches by identity makes none), and "lazy", the
+    Exponent.__getattr__ entries (each a failed slot read before a lazy
+    field is built).  Only the extend is counted, not the loading of the
+    problem, and the counted methods are restored afterwards."""
     data = json.loads((DATA / name).read_text(encoding="utf-8"))
     basis = ExponentBasis(data["basis"])
     F = ODESpec.from_json(data["ode"])
     prefix = DulacSeries.from_json({"terms": data["prefix"]}, basis)
-    counted = {(TPoly, "__mul__"): "products", (TPoly, "__add__"): "sums",
-               (Exponent, "_raw"): "exponents", (Exponent, "__eq__"): "compared"}
+    counted = {(TPoly, "__mul__"): "products", (TPoly, "__add__"): "sums", (TPoly, "_raw"): "tpolys",
+               (Exponent, "_raw"): "exponents", (Exponent, "__eq__"): "compared",
+               (Exponent, "__getattr__"): "lazy"}
     counts = dict.fromkeys(counted.values(), 0)
     saved = {(cls, attr): cls.__dict__[attr] for cls, attr in counted}
 
@@ -400,6 +404,25 @@ def poly_serialize_oracle(p: TPoly) -> list:
 def exponent_serialize_oracle(e) -> list:
     """Exponent.serialize from the Fraction coordinates."""
     return [f"{c.numerator}/{c.denominator}" for c in e.coords]
+
+
+def exponent_parts_oracle(e) -> tuple:
+    """The parts (d, a, b) of e, by the formula that built them on first
+    read before an exact basis set them at construction."""
+    b = e.basis
+    d = e.den * b._weight_den
+    x, y = sum(map(mul, e.nums, b._re_weights)), sum(map(mul, e.nums, b._im_weights))
+    g = gcd(d, x, y)
+    return (d // g, x // g, y // g)
+
+
+def exponent_key_oracle(e) -> tuple:
+    """The exact-basis sort key of e, by the formula that built it on first
+    read: int floors, and each part as an int when integral, else as the
+    Fraction re_mid or im_mid."""
+    d, x, y = exponent_parts_oracle(e)
+    return (x // d, x // d if x % d == 0 else Fraction(x, d),
+            y // d, y // d if y % d == 0 else Fraction(y, d))
 
 
 def read_oracle(x) -> mpmath.mpf:
