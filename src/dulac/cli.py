@@ -60,8 +60,8 @@ from .errors import (
 )
 from .exponents import ExponentBasis
 from .ode import ODESpec
-from .scalars import decimal_rational
-from .series import DOUBLE_MAX, INF, DulacSeries, cutoff_to_json, serialize_s, terms_from_json
+from .scalars import decimal_rational, to_double
+from .series import INF, DulacSeries, serialize_s, terms_from_json
 
 # Codes 2-5 are the exit_code of the error raised (see dulac.errors).
 EXIT_OK = 0
@@ -298,6 +298,13 @@ def _csv_text(header, rows) -> str:
     return "".join(",".join(map(_csv_field, row)) + "\r\n" for row in chain((header,), rows))
 
 
+def _number(q) -> str:
+    """An int or Fraction q on a text report line: its double, or past the
+    double range the exact "p/q" that solution.json writes there."""
+    f = to_double(q)
+    return str(f) if isfinite(f) else f"{q.numerator}/{q.denominator}"
+
+
 # -- commands ------------------------------------------------------------------
 
 
@@ -306,12 +313,9 @@ def _cmd_solve(args) -> int:
 
     problem = _problem(args)
     state = extend(problem.ode, problem.prefix, problem.cutoff)
-    c = problem.cutoff
     text = [
-        # a cutoff past the double range as the exact string of solution.json
-        f"solve: {len(state.solution.terms)} terms below cutoff "
-        f"{float(c) if c == INF or abs(c) <= DOUBLE_MAX else cutoff_to_json(c)}",
-        f"residual valuation: {'inf' if state.residual.is_zero() else float(state.residual.val())}",
+        f"solve: {len(state.solution.terms)} terms below cutoff {_number(problem.cutoff)}",
+        f"residual valuation: {'inf' if state.residual.is_zero() else _number(state.residual.val())}",
     ]
     payload = state.to_json()
     # terms.csv is written from the literals of solution.json, so each term is serialized once
@@ -340,7 +344,7 @@ def _cmd_analyze(args) -> int:
         "conditions": conditions,
     }
     text = [
-        f"nu: {';'.join(lin.nu.serialize())} (Re = {float(lin.nu.re_mid)})",
+        f"nu: {';'.join(lin.nu.serialize())} (Re = {_number(lin.nu.re_mid)})",
         f"A: [{', '.join(str(a) for a in lin.A)}]",
         f"ell: {lin.ell}",
         f"s: {serialize_s(s)}",
@@ -397,7 +401,7 @@ def _cmd_reduce(args) -> int:
     text = [
         f"m: {m}",
         f"lambda_m: {';'.join(red.lambda_m.serialize())}",
-        f"tau (Re): {float(red.tau.re_mid)}",
+        f"tau (Re): {_number(red.tau.re_mid)}",
         f"nonlinear terms: {len(red.N)}",
         f"violations: {'; '.join(red.violations) if red.violations else 'none'}",
     ]

@@ -27,13 +27,12 @@ Ordering convention: exponents are compared by real part first and ties are
 broken by imaginary part, ascending.  The imaginary tie-break is a library
 convention chosen to make the order total; any fixed tie rule would do.
 
-Every exponent carries one sort key, computed once: over an exact basis the
-tuple (floor(Re), Re, floor(Im), Im), set at construction, so no enclosure
-is ever built and the int floors decide a comparison before any exact
-Fraction does (an integral part enters as an int, so an integral exponent's
-key is four ints, with no Fraction built); otherwise, on first read,
-cmp_to_key(exp_compare), which certifies each comparison from the interval
-enclosures or raises UndecidableComparison when an enclosure contains zero.
+Every exponent carries one sort key, set at construction: over an exact
+basis its value (Re, Im), so no enclosure is ever built (an integral part
+enters as an int, so an integral exponent's key is two ints, compared in C
+with no Fraction built); otherwise cmp_to_key(exp_compare) of the exponent,
+which certifies each comparison from the interval enclosures or raises
+UndecidableComparison when an enclosure contains zero.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import BasisMismatch, ExactValueRequired, UndecidableComparison
-from .scalars import ExactScalar, Value, _rational_literal, decimal_rational, parse_rational, slot_setters
+from .scalars import ExactScalar, Value, _rational_literal, decimal_rational, parse_rational, slot_setters, to_double
 
 # one entry part: rational "a" / "a/b" or decimal "a.b"
 _EPART = r"[+-]?\d+(?:\.\d+|/\d+)?"
@@ -177,15 +176,6 @@ def _parse_coordinate(value) -> Fraction:
     )
 
 
-def _parts(basis: ExponentBasis, den: int, nums: tuple) -> tuple:
-    """The enclosure midpoint of the exponent nums / den over basis as the
-    int triple (d, a, b) in lowest terms: Re = a / d and Im = b / d."""
-    d = den * basis._weight_den
-    x, y = sum(map(mul, nums, basis._re_weights)), sum(map(mul, nums, basis._im_weights))
-    g = gcd(d, x, y)
-    return d // g, x // g, y // g
-
-
 def _normal(basis: ExponentBasis, den: int, nums) -> "Exponent":
     """The Exponent with coordinates nums[i] / den for an int den > 0 and a
     sequence of ints, with the content divided out."""
@@ -203,14 +193,13 @@ class Exponent(Value):
     gcd(den, *nums) = 1, so equal exponents have equal fields; the hash is
     computed once.  parts is the enclosure midpoint as the int triple
     (d, a, b) in lowest terms, Re = a / d and Im = b / d, exact over an
-    exact basis, and key is the sort key of the module docstring: over an
-    exact basis both are set at construction, otherwise each is built on
-    first read and kept.  Built on first read and kept over every basis:
-    coords (the Fractions, for the API edge), re_mid and im_mid (the
-    midpoints as Fractions) and re_low (a certified lower bound on Re).
+    exact basis, and key is the sort key of the module docstring; both are
+    set at construction.  Built on first read and kept: re_mid and im_mid
+    (the midpoints as Fractions) and re_low (a certified lower bound on Re).
+    coords, the Fractions for the API edge, are formed on each read.
     """
 
-    __slots__ = ("basis", "den", "nums", "_hash", "coords", "parts", "re_mid", "im_mid", "re_low", "key")
+    __slots__ = ("basis", "den", "nums", "_hash", "parts", "key", "re_mid", "im_mid", "re_low")
 
     def __new__(cls, basis: ExponentBasis, coords):
         """The exponent with the given rational coordinates, one per basis
@@ -225,41 +214,42 @@ class Exponent(Value):
 
     @staticmethod
     def _raw(basis: ExponentBasis, den: int, nums: tuple) -> "Exponent":
-        """An Exponent from fields already in content-free form; over an
-        exact basis its parts and key are set here."""
+        """An Exponent from fields already in content-free form, with its
+        parts and key."""
         e = object.__new__(Exponent)
         _set_basis(e, basis)
         _set_den(e, den)
         _set_nums(e, nums)
         _set_hash(e, hash((den, nums)))
+        # the midpoint (d, x, y) in lowest terms: Re = x / d and Im = y / d
+        d = den * basis._weight_den
+        x, y = sum(map(mul, nums, basis._re_weights)), sum(map(mul, nums, basis._im_weights))
+        g = gcd(d, x, y)
+        d, x, y = parts = d // g, x // g, y // g
+        _set_parts(e, parts)
         if basis.exact:
-            d, x, y = parts = _parts(basis, den, nums)
-            _set_parts(e, parts)
-            # int floors first: they decide most comparisons in C; an
-            # integral Re or Im enters as the int, so that a tie of two
-            # integral parts is decided in C too
-            _set_key(e, (x // d, x // d if x % d == 0 else Fraction(x, d),
-                         y // d, y // d if y % d == 0 else Fraction(y, d)))
+            # an integral Re or Im enters as the int, so that a tie of two
+            # integral parts is decided in C
+            _set_key(e, (x // d if x % d == 0 else Fraction(x, d), y // d if y % d == 0 else Fraction(y, d)))
+        else:
+            _set_key(e, _certified_key(e))
         return e
 
     def __getattr__(self, name):
         # called only for an empty slot: compute the lazy value and keep it
-        if name == "parts":
-            value = _parts(self.basis, self.den, self.nums)
-        elif name == "re_mid" or name == "im_mid":
+        if name == "re_mid" or name == "im_mid":
             d, x, y = self.parts
             value = Fraction(x if name == "re_mid" else y, d)
-        elif name == "coords":
-            value = tuple(Fraction(a, self.den) for a in self.nums)
         elif name == "re_low":
             value = self.re_mid if self.basis.exact else self.re_mid - self.radius("re")
-        elif name == "key":
-            # an approximate basis: an exact one set the key at construction
-            value = cmp_to_key(exp_compare)(self)
         else:
             raise AttributeError(f"'Exponent' object has no attribute {name!r}")
         _SETTERS[name](self, value)
         return value
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     def __reduce__(self):
         return Exponent._raw, (self.basis, self.den, self.nums)
@@ -356,7 +346,7 @@ class Exponent(Value):
             return 0
         what = f"{part}{self}" + (f" - {shift}" if shift else "")
         raise UndecidableComparison(
-            f"sign of {what} undecidable: enclosure radius {float(rad):.3e}, "
+            f"sign of {what} undecidable: enclosure radius {to_double(rad):.3e}, "
             "set by the decimal precision of the basis literals, contains zero"
         )
 
@@ -415,6 +405,10 @@ def exp_compare(a: Exponent, b: Exponent) -> int:
         f"exp_compare: coordinates {a} and {b} differ but the "
         "values are provably equal; the basis independence promise is broken"
     )
+
+
+# the sort key over an approximate basis
+_certified_key = cmp_to_key(exp_compare)
 
 
 def re_compare(a: Exponent, b: Exponent) -> int:

@@ -31,8 +31,8 @@ from mpmath.libmp import fone, from_float, fzero, mpf_cmp, mpf_pow, round_neares
 
 from .gammafn import gamma_abs
 from .numeric import FLOAT_PRECISION, norm_powers, raw_div, raw_mul, raw_poly_norm, raw_rational
-from .scalars import ExactScalar
-from .series import DOUBLE_MAX, INF, serialize_s
+from .scalars import ExactScalar, to_double
+from .series import INF, serialize_s
 
 _mpf = mpmath.mp.make_mpf
 CSV_COLUMNS = ["k", "re_lambda", "im_lambda", "deg_c", "norm_R", "gamma_abs", "rho", "envelope_Ck"]
@@ -125,8 +125,7 @@ class GevreyReport(namedtuple("GevreyReport", "s rows C_fit A_fit R_used verdict
     def to_json(self) -> dict:
         return {
             "s": serialize_s(self.s),
-            # an R past the double range as inf, which the JSON writer refuses
-            "R": float(self.R_used) if self.R_used <= DOUBLE_MAX else INF,
+            "R": to_double(self.R_used),
             "C_fit": float(self.C_fit),
             "A_fit": float(self.A_fit),
             "verdict": self.verdict,
@@ -134,8 +133,8 @@ class GevreyReport(namedtuple("GevreyReport", "s rows C_fit A_fit R_used verdict
             "rows": [
                 {
                     "k": r.k,
-                    "re_lambda": float(r.re_lambda),
-                    "im_lambda": float(r.im_lambda),
+                    "re_lambda": to_double(r.re_lambda),
+                    "im_lambda": to_double(r.im_lambda),
                     "deg_c": r.deg_c,
                     "norm_R": float(r.norm_R),
                     "gamma_abs": float(r.gamma),

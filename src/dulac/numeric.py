@@ -13,7 +13,9 @@ FLOAT_PRECISION bits as mpmathify rounds a Fraction, and every root
 sqrt(num / den) of an exact rational comes from one int kernel,
 _sqrt_rational, with the two roundings of mpf_sqrt(from_rational(num, den,
 128), 128, round_nearest): the quotient truncated to 128 bits, then the root
-from math.isqrt, with a sticky bit when inexact, rounded to nearest.
+from math.isqrt, with a sticky bit when inexact, rounded to nearest.  An
+exact value reported as a double, the gap margin, is converted by
+scalars.to_double, which decides the double range for every layer.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import inf, isqrt
+from math import isqrt
 
 import mpmath
 from mpmath.libmp import (
@@ -30,7 +32,7 @@ from mpmath.libmp import (
 )
 
 from .errors import IndeterminateRoot
-from .scalars import decimal_rational
+from .scalars import decimal_rational, to_double
 from .tpoly import TPoly
 
 FLOAT_PRECISION = 128
@@ -190,15 +192,6 @@ class ConditionReport(namedtuple(
         }
 
 
-def _to_double(q: Fraction) -> float:
-    """float(q), or inf of q's sign past the double range, as to_float
-    writes an mpf there."""
-    try:
-        return float(q)
-    except OverflowError:
-        return inf if q > 0 else -inf
-
-
 def check_conditions(lin, prefix_exponents, s) -> ConditionReport:
     """Evaluate the splitting conditions of a solver.LinearData lin at the
     last prefix exponent, for the growth order s.
@@ -240,7 +233,7 @@ def check_conditions(lin, prefix_exponents, s) -> ConditionReport:
         gap_ok=gap_ok,
         # written as float(mpf) writes an mpf: rounded to nearest
         root_margin=None if margin is None else to_float(margin, rnd=round_nearest),
-        gap_margin=None if bound is None else _to_double(lam_re - bound),
+        gap_margin=None if bound is None else to_double(lam_re - bound),
         minimal_m=minimal_m,
         roots=tuple(roots),
     )

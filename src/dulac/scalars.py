@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Union
 
 RationalLike = Union[int, Fraction, str]
@@ -36,6 +36,16 @@ def decimal_rational(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
+
+
+def to_double(q) -> float:
+    """The double of an int or Fraction q: float(q), or inf with q's sign
+    past the double range, where float(q) overflows.  Every exact value that
+    becomes a double for a report or an artifact goes through here."""
+    try:
+        return float(q)
+    except OverflowError:
+        return inf if q > 0 else -inf
 
 
 def _rational_literal(num: int, den: int) -> str:

@@ -222,27 +222,16 @@ def suggest_generators(F, prefix, basis: ExponentBasis) -> dict:
     the candidate lattice points with integer coefficients of either sign,
     which need not cover every future exponent gap.
     """
-    cand: list = []
-    seen = set()
-
-    def push(e: Exponent):
-        if e.is_zero() or e in seen:
-            return
-        seen.add(e)
-        cand.append(e)
-
+    xs = []
     if F is not None:
-        for _, p, _ in F.terms:
-            if p > 0:
-                try:
-                    push(basis.rational(p))
-                except BasisMismatch:  # no entry 1 in the basis
-                    pass
-    if prefix is not None and prefix.terms:
-        exps = [e for e, _ in prefix.terms]
-        push(exps[0])
-        for a, b in zip(exps, exps[1:]):
-            push(b - a)
+        try:
+            xs = [basis.rational(p) for _, p, _ in F.terms if p > 0]
+        except BasisMismatch:  # no entry 1 in the basis
+            pass
+    exps = [e for e, _ in prefix.terms] if prefix is not None else []
+    steps = [b - a for a, b in zip(exps, exps[1:])]
+    # the nonzero candidates, each once, in order of first appearance
+    cand = list(dict.fromkeys(e for e in [*xs, *exps[:1], *steps] if not e.is_zero()))
 
     note = "heuristic: lattice basis of observed exponent steps, not a certificate"
     if not cand:

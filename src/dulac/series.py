@@ -29,16 +29,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isfinite
-from sys import float_info
 
 from .errors import BasisMismatch, CutoffIncrease, SchemaError, UndecidableComparison
 from .exponents import Exponent, ExponentBasis
-from .scalars import ExactScalar, Value, decimal_rational, parse_rational, slot_setters
+from .scalars import ExactScalar, Value, decimal_rational, parse_rational, slot_setters, to_double
 from .tpoly import TPoly
 
 INF = float("inf")
-# the largest double: a rational of larger magnitude has no float that reads back as it
-DOUBLE_MAX = float_info.max
 
 
 def _as_cutoff(c):
@@ -59,10 +56,9 @@ def cutoff_to_json(c):
     larger cutoff than holds."""
     if c == INF:
         return None
-    if abs(c) <= DOUBLE_MAX:
-        f = float(c)
-        if Fraction(f) == c == Fraction(repr(f)):
-            return f
+    f = to_double(c)
+    if isfinite(f) and Fraction(f) == c == Fraction(repr(f)):
+        return f
     return f"{c.numerator}/{c.denominator}"
 
 

@@ -268,7 +268,8 @@ def _extend(F, prefix, target, pinned) -> SolutionState:
                 )
             return _extend(F, prefix, target, pinned=lin_final)
     residual = evaluation.value()
-    achieved = min(target, residual.cutoff - nu_re)
+    # an inf residual cutoff leaves the target, with no float met by a Fraction
+    achieved = target if residual.cutoff is INF else min(target, residual.cutoff - nu_re)
     solution = DulacSeries(prefix.basis, tuple(evaluation.terms), achieved)
     return SolutionState(F=F, solution=solution, residual=residual, lin=lin_final, history=tuple(history))
 

@@ -13,7 +13,11 @@ and in-process medians: the CPU time (time.process_time) of one extend of
 each pinned run, the wall time per call of TPoly._raw and Exponent._raw on
 the fields of the last term the first pinned run solves, and the wall time
 of the artifact writing of the pinned runs (SolutionState.to_json and
-cli._json_text).  Times are seconds on the host that ran it, so compare
+cli._json_text); and a large-N sweep, the number N of solved terms and the
+median CPU time of SWEEP_RUNS in-process extends of the benchmark's
+log-resonant and semigroup-2d problems (benchmarks/workloads.py, imported
+read-only) at seed SWEEP_SEED over SWEEP_CUTOFFS.  Times are seconds on the
+host that ran it, so compare
 ratios between files written on different hosts, not the seconds
 themselves.
 """
@@ -51,6 +55,10 @@ SPAWNS = 9
 IN_PROCESS = 31
 # calls per timed batch of a constructor
 BATCH = 20000
+# the large-N sweep: benchmark workload -> cutoffs, at one seed
+SWEEP_CUTOFFS = {"log-resonant": (32, 48, 64), "semigroup-2d": (12, 14)}
+SWEEP_SEED = 5
+SWEEP_RUNS = 3
 
 
 def _median_s(run, times: int, clock=perf_counter) -> float:
@@ -129,6 +137,26 @@ def _in_process_s(states: dict) -> dict:
     }
 
 
+def _sweep() -> dict:
+    """{workload: {cutoff: {"N", "extend_cpu_s"}}} of the large-N sweep."""
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(ROOT / "benchmarks"))
+    out = {}
+    for name, cutoffs in SWEEP_CUTOFFS.items():
+        (data,) = (json.loads(text) for text in workloads.build(name, SWEEP_SEED, ROOT).problems.values())
+        basis = ExponentBasis(data["basis"])
+        F, prefix = ODESpec.from_json(data["ode"]), DulacSeries.from_json({"terms": data["prefix"]}, basis)
+        out[name] = {cutoff: {"N": len(extend(F, prefix, cutoff).solution.terms),
+                              "extend_cpu_s": _median_s(lambda: extend(F, prefix, cutoff), SWEEP_RUNS, process_time)}
+                     for cutoff in cutoffs}
+    return out
+
+
 def record() -> dict:
     rows = line_counts(ROOT / "src" / "dulac")
     with tempfile.TemporaryDirectory() as out:
@@ -148,6 +176,7 @@ def record() -> dict:
         "spawn_to_exit_s": {run: wall for run, (wall, _) in spawn.items()},
         "spawn_child_cpu_s": {run: cpu for run, (_, cpu) in spawn.items()},
         "in_process_s": _in_process_s(states),
+        "large_n_sweep": _sweep(),
     }
 
 

@@ -649,8 +649,14 @@ def _euler_with(tmp_path, name: str, **edits) -> Path:
         ("verify", {}, ["--R", "1" + "0" * 400], "gevrey.json"),
         # a prefix exponent of 10^400: the gap margin Re lambda_m - 3 itself
         ("analyze", {"prefix": [{"exp": ["1" + "0" * 400 + "/1"], "poly": ["1/1"]}]}, [], "analysis.json"),
+        # delta y - 10^400 y = 0 solved by its prefix x^(10^400): Re lambda_1
+        ("verify", {"ode": {"n": 1, "terms": [
+            {"coeff": "1/1", "x": 0, "y": [0, 1]},
+            {"coeff": "-1" + "0" * 400 + "/1", "x": 0, "y": [1, 0]},
+        ]}, "prefix": [{"exp": ["1" + "0" * 400 + "/1"], "poly": ["1/1"]}]}, ["--cutoff", "1" + "0" * 401],
+         "gevrey.json"),
     ],
-    ids=["analyze_huge_root", "verify_huge_gamma", "verify_huge_R", "analyze_huge_gap"],
+    ids=["analyze_huge_root", "verify_huge_gamma", "verify_huge_R", "analyze_huge_gap", "verify_huge_lambda"],
 )
 def test_non_finite_value_exits_2_and_writes_nothing(tmp_path, capsys, command, edits, argv, artifact):
     # JSON has no Infinity or NaN: such a value is out of the artifacts' range
@@ -664,6 +670,78 @@ def test_non_finite_value_exits_2_and_writes_nothing(tmp_path, capsys, command, 
     )
     assert captured.out == ""
     assert not out.exists()
+
+
+# -- exact values past the double range ------------------------------------
+
+_BIG = 10**400
+
+
+def _probe(tmp_path, terms, prefix=None, basis=("1",)) -> Path:
+    # the equation sum coeff x^p y^q0 (delta y)^q1 = 0 over (coeff, p, q)
+    data = {"basis": list(basis), "cutoff": 5,
+            "ode": {"n": 1, "terms": [{"coeff": c, "x": p, "y": q} for c, p, q in terms]}}
+    if prefix is not None:
+        data["prefix"] = [{"exp": exp, "poly": ["1/1"]} for exp in prefix]
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "reduce", "analyze"])
+def test_leading_exponent_past_the_double_range(tmp_path, capsys, command):
+    # x^B delta y - 2 x^B y + x^(B+1) = 0, B = 10^400: nu = B and y = x
+    # solves it, so the residual vanishes and its cutoff is inf
+    path = _probe(tmp_path, [("1/1", _BIG, [0, 1]), ("-2/1", _BIG, [1, 0]), ("1/1", _BIG + 1, [0, 0])])
+    code, out = run(tmp_path, command, str(path))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    if command == "solve":
+        assert payload(out, "solution.json")["solution"] == {
+            "cutoff": 5.0, "terms": [{"exp": ["1/1"], "poly": ["1/1"]}]}
+    if command == "analyze":
+        assert f"nu: {_BIG}/1 (Re = {_BIG}/1)\n" in captured.out
+
+
+def test_residual_valuation_past_the_double_range(tmp_path, capsys):
+    # delta y - 2 y + x^B = 0: the residual's only term lies past the cutoff
+    path = _probe(tmp_path, [("1/1", 0, [0, 1]), ("-2/1", 0, [1, 0]), ("1/1", _BIG, [0, 0])])
+    code, out = run(tmp_path, "solve", str(path))
+    assert code == 0
+    assert capsys.readouterr().out == f"solve: 0 terms below cutoff 5.0\nresidual valuation: {_BIG}/1\n"
+    assert payload(out, "solution.json")["residual"]["terms"] == [{"exp": [f"{_BIG}/1"], "poly": ["1/1"]}]
+
+
+@pytest.mark.parametrize("command, code, line", [
+    ("solve", 0, f"residual valuation: {_BIG + 1}/1"),
+    ("reduce", 0, f"tau (Re): {_BIG}/1"),
+    ("analyze", 2, None),
+    ("verify", 2, None),
+], ids=["solve", "reduce", "analyze", "verify"])
+def test_secondary_exponent_past_the_double_range(tmp_path, capsys, command, code, line):
+    # x^B delta y - y + x = 0 with prefix x: s = tau = B, and the residual
+    # is x^(B+1); analysis.json's gap margin 1 - 3B and gevrey.json's
+    # |Gamma(1 / B)| lie past the double range
+    path = _probe(tmp_path, [("1/1", _BIG, [0, 1]), ("-1/1", 0, [1, 0]), ("1/1", 1, [0, 0])], prefix=[["1/1"]])
+    assert run(tmp_path, command, str(path))[0] == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+        assert f"\n{line}\n" in captured.out
+    else:
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_undecidable_sign_with_a_radius_past_the_double_range(tmp_path, capsys):
+    # over [1, 1.41421356237] the prefix exponent -141421356237 10^389 +
+    # 10^400 sqrt(2) has midpoint 0 and a radius of 5 10^388
+    path = _probe(tmp_path, [("1/1", 0, [0, 1]), ("-2/1", 0, [1, 0]), ("1/1", 1, [0, 0])],
+                  prefix=[[f"-{141421356237 * 10**389}/1", f"{_BIG}/1"]], basis=("1", "1.41421356237"))
+    for command in ("solve", "analyze"):
+        assert run(tmp_path, command, str(path))[0] == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: sign of re(") and err.count("\n") == 1
+        assert "undecidable: enclosure radius inf, set by the decimal precision" in err
 
 
 # -- the artifact writers against the standard library ----------------------

@@ -194,7 +194,7 @@ def _interval_sign(lo, hi) -> int:
 
 
 _COORDS = st.fractions(min_value=-12, max_value=12, max_denominator=6)
-# integers, and fractions just beside them, so that the key's floors straddle
+# integers, and fractions just beside them, so that int and Fraction parts meet in keys
 _NEAR_INTEGERS = st.builds(
     lambda n, off: n + off,
     st.integers(-4, 4),
@@ -225,8 +225,8 @@ def test_key_order_matches_certified_interval_signs(entries, data):
     assert all(exp_compare(x, y) <= 0 for x, y in zip(ordered, ordered[1:]))
 
 
-def test_floor_first_key_takes_huge_coordinates():
-    # the floors come from ints, so no float conversion can overflow
+def test_exact_key_takes_huge_coordinates():
+    # the key holds exact values, so no float conversion can overflow
     b = ExponentBasis(["1", "1+1i"])
     big = b.exponent([Fraction(-(10**400) - 1, 3), Fraction(10**400, 7)])
     bigger = b.exponent([Fraction(-(10**400), 3), Fraction(10**400, 7)])
@@ -416,7 +416,7 @@ def test_exact_keys_and_signs_match_fraction_oracle(entries, data):
     for e in exps:
         re, im = _oracle_parts(b, e.coords)
         if e.den * b._weight_den == 1:
-            assert e.key == (re, re, im, im) and all(type(v) is int for v in e.key)
+            assert e.key == (re, im) and all(type(v) is int for v in e.key)
         assert (e.re_sign(), e.im_sign()) == (_sign(re), _sign(im))
         assert e._sign("re", Fraction(bound)) == _sign(re - bound)
         assert e._sign("im", Fraction(bound)) == _sign(im - bound)
@@ -447,52 +447,37 @@ def _built(b: ExponentBasis, data) -> list:
     return out + [b.rational(k)] if b._one_index is not None else out
 
 
-@pytest.mark.parametrize("entries", _LAYOUT_BASES)
+@pytest.mark.parametrize("entries", [*_LAYOUT_BASES, ["1", "1.41421356237"]])
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_exact_parts_and_key_are_set_at_construction(entries, data):
-    # oracle: the formulas that built parts and key on first read; over an
-    # exact basis, Gaussian-rational entries and non-integral coordinates
-    # among the draws, every path sets both before any read
+    # every path sets parts and key before any read, over exact bases with
+    # Gaussian-rational entries and non-integral coordinates among the
+    # draws, and over an approximate one.  Oracles: the int formula of the
+    # parts, the Fraction value (Re, Im) for an exact key, and the certified
+    # signs of the difference's enclosures for the order of approximate keys
     b = ExponentBasis(entries)
-    for e in _built(b, data):
-        parts, key = _slot(e, "parts"), _slot(e, "key")
-        assert parts == exponent_parts_oracle(e) and key == exponent_key_oracle(e)
-        d, re, im = parts
-        assert (Fraction(re, d), Fraction(im, d)) == _oracle_parts(b, e.coords)
-        for name in ("parts", "key"):
-            with pytest.raises(AttributeError):
-                setattr(e, name, 0)
-            with pytest.raises(AttributeError):
-                delattr(e, name)
-        assert _slot(e, "parts") is parts and _slot(e, "key") is key
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_approximate_parts_and_key_are_built_on_first_read(data):
-    # over an approximate basis parts and key stay empty until read, and the
-    # key still orders by the certified signs of the difference's enclosures
-    b = ExponentBasis(["1", "1.41421356237"])
     exps = _built(b, data)
     for e in exps:
-        for name in ("parts", "key"):
-            with pytest.raises(AttributeError):
-                _slot(e, name)
-    for e in exps:
-        parts, key = e.parts, e.key
+        parts, key = _slot(e, "parts"), _slot(e, "key")
         assert parts == exponent_parts_oracle(e)
-        assert _slot(e, "parts") is parts and _slot(e, "key") is key
+        d, re, im = parts
+        assert (Fraction(re, d), Fraction(im, d)) == _oracle_parts(b, e.coords)
+        if b.exact:
+            want = exponent_key_oracle(e)
+            assert key == want and list(map(type, key)) == list(map(type, want))
         for name in ("parts", "key"):
             with pytest.raises(AttributeError):
                 setattr(e, name, 0)
             with pytest.raises(AttributeError):
                 delattr(e, name)
-    for a in exps:
-        for c in exps:
-            d = a - c
-            want = _interval_sign(*interval(d, "re")) or _interval_sign(*interval(d, "im"))
-            assert (a.key > c.key) - (a.key < c.key) == want == exp_compare(a, c)
+        assert _slot(e, "parts") is parts and _slot(e, "key") is key
+    if not b.exact:
+        for a in exps:
+            for c in exps:
+                d = a - c
+                want = _interval_sign(*interval(d, "re")) or _interval_sign(*interval(d, "im"))
+                assert (a.key > c.key) - (a.key < c.key) == want == exp_compare(a, c)
 
 
 @pytest.mark.parametrize("entries", [["1/2", "2/3+1/5i"], ["1", "1.41421356237"]])

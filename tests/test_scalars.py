@@ -1,13 +1,15 @@
 """Exact complex rational arithmetic."""
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dulac.scalars import I, ONE, ZERO, ExactScalar, decimal_rational, parse_rational
+from dulac.scalars import I, ONE, ZERO, ExactScalar, decimal_rational, parse_rational, to_double
 
 
 def test_parse_forms():
@@ -144,3 +146,21 @@ def test_decimal_rational_reads_a_float_at_its_repr():
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError):
             decimal_rational(bad)
+
+
+_TOP = 2**1024 - 2**970  # the least rational float() overflows at, rounding to nearest
+
+
+@pytest.mark.parametrize("q, double", [
+    (0, 0.0), (-3, -3.0), (Fraction(1, 3), 1 / 3), (Fraction(-5, 2), -2.5),
+    (Fraction(sys.float_info.max), sys.float_info.max),
+    # past the largest double, float() rounds down to it until the overflow
+    (_TOP - 1, sys.float_info.max), (Fraction(1 - _TOP), -sys.float_info.max),
+    (_TOP, math.inf), (Fraction(-_TOP), -math.inf),
+    (10**400, math.inf), (Fraction(-(10**400), 3), -math.inf),
+    (Fraction(1, 10**400), 0.0),
+], ids=["0", "-3", "1/3", "-5/2", "max", "below_top", "-below_top", "top", "-top", "huge", "-huge", "tiny"])
+def test_to_double_is_float_or_inf_of_the_sign(q, double):
+    # the one gate from exact values to doubles
+    assert to_double(q) == double
+    assert math.copysign(1, to_double(q)) == math.copysign(1, double)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from dulac.errors import ExactValueRequired, UndecidableComparison
 from dulac.exponents import ExponentBasis
-from dulac.mseries import MSeries
+from dulac.mseries import MSeries, iota, iota_inv
 from dulac.ode import Evaluation, ODESpec
 from dulac.scalars import ExactScalar
 from dulac.semigroup import validate_generators
@@ -222,23 +222,38 @@ def _mseries(draw, gens):
     return draw(_known_and_tails(pool, lambda m: _bounds(gens.m_exponent(m))))
 
 
-def _mextensions(gens, drawn):
-    """As _extensions, over semigroup coordinates."""
+def _mextensions(drawn, build):
+    """As _extensions, over semigroup coordinates: build(terms, cutoff)
+    makes a series of the drawn (m, coefficient) terms."""
     cutoff, known, *tails = drawn
-    base = gens.basis.zero()
-
-    def build(terms, c):
-        return MSeries(gens, base, tuple((m, _poly(p)) for m, p in terms), c)
-
     return build(known, cutoff), [build(known + tail, INF) for tail in tails]
 
 
 def _mseries_claims(data, gens) -> None:
-    g, gs = _mextensions(gens, data.draw(_mseries(gens)))
-    h, hs = _mextensions(gens, data.draw(_mseries(gens)))
+    # the base exponent lies on the entry 1, so base_delta is exact over the
+    # approximate basis too wherever the terms are
+    basis = gens.basis
+    base = basis.rational(data.draw(_halves(-4, 4)))
+
+    def mseries(terms, cutoff):
+        return MSeries(gens, base, tuple((m, _poly(p)) for m, p in terms), cutoff)
+
+    def series(terms, cutoff):
+        # the same terms in the exponent picture, C_m x^<m,r>
+        return DulacSeries(basis, tuple((gens.m_exponent(m), _poly(p)) for m, p in terms), cutoff)
+
+    drawn = data.draw(_mseries(gens))
+    g, gs = _mextensions(drawn, mseries)
+    h, hs = _mextensions(data.draw(_mseries(gens)), mseries)
     l = data.draw(st.tuples(*[st.integers(0, 2)] * gens.kappa))
-    _agrees_or_undecidable(lambda gh: gh[0] * gh[1], (g, h), list(zip(gs, hs)), gens.basis)
-    _agrees_or_undecidable(lambda x: x.shift_m(l), g, gs, gens.basis)
+    a = _poly(data.draw(_COEFF))
+    cut = min(g.cutoff, data.draw(_halves(0, 16)))
+    _agrees_or_undecidable(lambda gh: gh[0] * gh[1], (g, h), list(zip(gs, hs)), basis)
+    for op in (lambda x: x.shift_m(l), lambda x: x.mul_poly(a), lambda x: x.truncate(cut),
+               MSeries.hat_delta, MSeries.base_delta, iota_inv):
+        _agrees_or_undecidable(op, g, gs, basis)
+    f, fs = _mextensions(drawn, series)
+    _agrees_or_undecidable(lambda x: iota(x, gens, base), f, fs, basis)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

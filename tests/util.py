@@ -407,8 +407,7 @@ def exponent_serialize_oracle(e) -> list:
 
 
 def exponent_parts_oracle(e) -> tuple:
-    """The parts (d, a, b) of e, by the formula that built them on first
-    read before an exact basis set them at construction."""
+    """The parts (d, a, b) of e, by the int formula over the basis weights."""
     b = e.basis
     d = e.den * b._weight_den
     x, y = sum(map(mul, e.nums, b._re_weights)), sum(map(mul, e.nums, b._im_weights))
@@ -417,12 +416,12 @@ def exponent_parts_oracle(e) -> tuple:
 
 
 def exponent_key_oracle(e) -> tuple:
-    """The exact-basis sort key of e, by the formula that built it on first
-    read: int floors, and each part as an int when integral, else as the
-    Fraction re_mid or im_mid."""
-    d, x, y = exponent_parts_oracle(e)
-    return (x // d, x // d if x % d == 0 else Fraction(x, d),
-            y // d, y // d if y % d == 0 else Fraction(y, d))
+    """The exact-basis sort key of e, its value (Re, Im) summed in Fractions
+    from the coordinates and the entries, each part as an int when
+    integral."""
+    parts = (sum((c * b.re for c, b in zip(e.coords, e.basis.entries)), Fraction(0)),
+             sum((c * b.im for c, b in zip(e.coords, e.basis.entries)), Fraction(0)))
+    return tuple(q.numerator if q.denominator == 1 else q for q in parts)
 
 
 def read_oracle(x) -> mpmath.mpf:
