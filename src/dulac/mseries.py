@@ -25,7 +25,7 @@ from .errors import (
 from .exponents import Exponent, re_compare
 from .scalars import Value, slot_setters
 from .semigroup import Generators
-from .series import DulacSeries, _as_cutoff, cutoff_from_json, cutoff_plus, cutoff_to_json
+from .series import INF, DulacSeries, _as_cutoff, cutoff_from_json, cutoff_plus, cutoff_to_json
 from .tpoly import TPoly
 
 
@@ -36,9 +36,12 @@ def _canonical_terms(items: dict, gens: Generators, cutoff) -> tuple:
     of the difference of two terms' Re<m,r> contains zero without being
     {0} (re_compare)."""
     m_exponent = gens.m_exponent
-    kept = [m for m in items if not items[m].is_zero() and m_exponent(m).re_below(cutoff)]
+    kept = [m for m in items if not items[m].is_zero()]
+    if cutoff != INF:
+        kept = [m for m in kept if m_exponent(m).re_below(cutoff)]
     if gens.basis.exact:
-        kept.sort(key=lambda m: (m_exponent(m).re_mid, m))
+        # key[0] is the exact Re<m,r>, an int where it is integral
+        kept.sort(key=lambda m: (m_exponent(m).key[0], m))
     else:
         kept.sort(key=cmp_to_key(lambda a, b: re_compare(m_exponent(a), m_exponent(b)) or (a > b) - (a < b)))
     return tuple((m, items[m]) for m in kept)

@@ -13,7 +13,10 @@ check_lemma5/check_lemma6/majorant_bound evaluate both sides of the
 corresponding operator estimates on concrete data; they are finite-data
 consequences of the triangle inequality and norm submultiplicativity, so a
 failed check indicates an implementation bug rather than bad input.
-norm_trials runs them on seeded random data (the check-norms command).
+norm_trials runs them on seeded random data (the check-norms command); the
+random tails and polynomials draw each index from rng.getrandbits by the
+rule of random.Random's _randbelow (_below), so a run draws what
+rng.choice and rng.randint would and leaves rng in the same state.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .numeric import (
 from .scalars import ExactScalar, Value, decimal_rational, slot_setters
 from .semigroup import Generators
 from .series import INF
-from .tpoly import TPoly
+from .tpoly import TPoly, _normal
 
 _mpf = mpmath.mp.make_mpf
 # 1 + the slack absorbing directed rounding in 128-bit float sums; far below
@@ -61,8 +64,7 @@ class NormParams(Value):
             raise ValueError(f"NormParams: s must be positive and finite, got {s}")
         if Kcal < 0:
             raise ValueError(f"NormParams: Kcal must be nonnegative, got {Kcal}")
-        if j < 0:
-            raise ValueError(f"NormParams: level j must be nonnegative, got {j}")
+        j = _level(j, "NormParams: level j")
         for set_slot, value in zip(_PARAMS_SETTERS, (R, s, Kcal, j, hash((R, s, Kcal, j)))):
             set_slot(self, value)
 
@@ -73,12 +75,24 @@ class NormParams(Value):
         """Kcal |m|, the largest degree of C_m in the level spaces."""
         return self.Kcal * sum(m)
 
+    def max_degree(self, m) -> int:
+        """floor(Kcal |m|), the largest int degree within degree_cap(m), in
+        int arithmetic."""
+        return self.Kcal.numerator * sum(m) // self.Kcal.denominator
+
     def slope_gate(self, j: int) -> Fraction:
         """(j - level) s, the least Re<l,r> of check_lemma5's shift at j."""
-        return Fraction(j - self.j) * self.s
+        return (j - self.j) * self.s
 
 
 _PARAMS_SETTERS = slot_setters(NormParams)
+
+
+def _level(j, what: str) -> int:
+    """j, a nonnegative int (not a bool); ValueError otherwise."""
+    if isinstance(j, bool) or not isinstance(j, int) or j < 0:
+        raise ValueError(f"{what} must be a nonnegative int, got {j!r}")
+    return j
 
 
 # -- graded norms and estimate checks ------------------------------------------
@@ -119,7 +133,7 @@ class _NormTable:
         Kcal = raw_rational(p.Kcal)
         weight = cache(lambda m: _weight(gens, lambda_base, Kcal, m))
         self.gamma, self.ratio = _gammas(gens, p.s)
-        self.weight_pow = lambda m, e: raw_pow(weight(m), e) if e else fone
+        self.weight_pow = cache(lambda m, e: raw_pow(weight(m), e) if e else fone)
         self.factor = cache(lambda m, j: raw_div(self.weight_pow(m, j), self.gamma(m)))
         self.powers = _norm_powers(p.R.numerator, p.R.denominator)
 
@@ -128,8 +142,8 @@ _table = lru_cache(maxsize=64)(_NormTable)
 
 
 def h_norm(g: MSeries, p: NormParams, level: int | None = None) -> mpmath.mpf:
-    """Graded norm at the given level (defaults to p.j)."""
-    return _mpf(_raw_h_norm(g, p, p.j if level is None else level))
+    """Graded norm at the given level (defaults to p.j), a nonnegative int."""
+    return _mpf(_raw_h_norm(g, p, p.j if level is None else _level(level, "h_norm: level")))
 
 
 def _raw_h_norm(g: MSeries, p: NormParams, j: int) -> tuple:
@@ -173,19 +187,19 @@ def check_lemma5(a: TPoly, l, j: int, g: MSeries, p: NormParams) -> Lemma5Report
       * deg C_m <= Kcal * |m| for the stored terms of g (level membership).
     """
     l = _multi_index(l, g.gens.kappa, "check_lemma5: shift index", PreconditionViolated)
-    cap, re_l, gate = p.degree_cap(l), g.gens.m_exponent(l).re_mid, p.slope_gate(j)
-    if a.degree > cap:
-        raise PreconditionViolated(f"check_lemma5: deg a = {a.degree} exceeds Kcal |l| = {cap}")
+    re_l, gate = g.gens.m_exponent(l).re_mid, p.slope_gate(j)
+    if a.degree > p.max_degree(l):
+        raise PreconditionViolated(f"check_lemma5: deg a = {a.degree} exceeds Kcal |l| = {p.degree_cap(l)}")
     if re_l < gate:
         raise PreconditionViolated(
             f"check_lemma5: Re<l,r> = {re_l} is below (j - level) s = {gate}; "
             "the operator does not map this level pair continuously"
         )
     for m, c in g.terms:
-        if c.degree > (cap_m := p.degree_cap(m)):
+        if c.degree > p.max_degree(m):
             raise PreconditionViolated(
                 f"check_lemma5: term at m = {m} has deg C_m = {c.degree} > Kcal |m| = "
-                f"{cap_m}; g does not lie in the declared level space"
+                f"{p.degree_cap(m)}; g does not lie in the declared level space"
             )
     h = g
     for _ in range(j):
@@ -233,10 +247,21 @@ def majorant_bound(coeffs: dict, rho, tail_norms, gens: Generators, p: NormParam
 # -- randomized trials of the estimates -----------------------------------------
 
 
-# the draws of _random_poly and _random_mseries, as tuples for rng.choice:
-# choice(range(a, b + 1)) draws what randint(a, b) draws, with less overhead
-_RE, _IM, _SIXTHS = tuple(range(-4, 5)), tuple(range(-2, 3)), (6, 3, 2)
-_TERMS, _ENTRIES = (1, 2, 3, 4), (0, 1, 2, 3)
+_SIXTHS = (6, 3, 2)
+
+
+def _below(bits, n: int) -> int:
+    """A draw from [0, n) for an int n > 0, by the rule of random.Random's
+    _randbelow (CPython 3.10 to 3.13): k = n.bit_length() bits from bits
+    (rng.getrandbits), drawn again while they make n or more.  So
+    rng.choice(seq) draws seq[_below(bits, len(seq))], rng.randint(a, b)
+    draws a + _below(bits, b - a + 1) and rng.randrange(n) draws
+    _below(bits, n), each leaving rng in the same state."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 def _random_poly(rng, max_deg: int) -> TPoly:
@@ -244,26 +269,26 @@ def _random_poly(rng, max_deg: int) -> TPoly:
     [1, 3], drawn in that order; a zero leading coefficient becomes 1.  Every
     denominator divides 6, so the numerators are built over 6 (6 // b is
     drawn for b)."""
-    choice = rng.choice
+    bits = rng.getrandbits
     re, im = [], []
-    for _ in range(rng.randint(0, max_deg) + 1):
-        re.append(choice(_RE) * choice(_SIXTHS))
-        im.append(choice(_IM) * choice(_SIXTHS))
+    for _ in range(_below(bits, max_deg + 1) + 1):
+        re.append((_below(bits, 9) - 4) * _SIXTHS[_below(bits, 3)])
+        im.append((_below(bits, 5) - 2) * _SIXTHS[_below(bits, 3)])
     if not re[-1] and not im[-1]:
         re[-1] = 6
-    return TPoly.from_ints(6, re, im)
+    return _normal(6, re, im)
 
 
 def _random_mseries(rng, gens: Generators, lambda_base: Exponent, max_deg_for=lambda m: 2) -> MSeries:
     """1 to 4 terms at multi-indices with entries in [0, 3] (a zero index
     becomes a random unit vector), each with a _random_poly coefficient;
     the indices are valid by construction, so the series is built trusted."""
-    kappa, choice = gens.kappa, rng.choice
+    kappa, bits = gens.kappa, rng.getrandbits
     items = {}
-    for _ in range(choice(_TERMS)):
-        m = tuple([choice(_ENTRIES) for _ in range(kappa)])
+    for _ in range(_below(bits, 4) + 1):
+        m = tuple([_below(bits, 4) for _ in range(kappa)])
         if not any(m):
-            one = rng.randrange(kappa)
+            one = _below(bits, kappa)
             m = tuple(int(i == one) for i in range(kappa))
         c = _random_poly(rng, max_deg_for(m))
         items[m] = items[m] + c if m in items else c
@@ -304,8 +329,8 @@ def norm_trials(rng, gens: Generators, R, s, Kcal) -> dict:
             l = tuple(rng.randint(0, 2) for _ in range(kappa))
             if any(l) and gens.m_exponent(l).re_mid >= p.slope_gate(j):
                 break
-        a = _random_poly(rng, min(2, int(p.degree_cap(l))))
-        g = _random_mseries(rng, gens, base, max_deg_for=lambda m: min(2, int(p.degree_cap(m))))
+        a = _random_poly(rng, min(2, p.max_degree(l)))
+        g = _random_mseries(rng, gens, base, max_deg_for=lambda m: min(2, p.max_degree(m)))
         fails["lemma5"] += not check_lemma5(a, l, j, g, p).passed
 
     for _ in range(_TRIALS["lemma5_rejects"]):

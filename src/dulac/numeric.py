@@ -3,17 +3,19 @@
 All numeric (non-exact) evaluation in the library runs at FLOAT_PRECISION
 bits of mantissa.  Values returned by these helpers are mpmath mpf/mpc
 objects, which are immutable and keep the precision they were created with;
-the raw_* arithmetic takes and returns raw mpmath.libmp values.  Besides the
-weighted coefficient norm, this layer places the roots of the characteristic
-polynomial for the splitting conditions (check_conditions); the exact layers
-never import it.
+the raw_* arithmetic takes and returns raw mpmath.libmp values, and one
+kernel, _round, rounds the exact results of raw_add, raw_mul and the root
+kernel to nearest at FLOAT_PRECISION bits, ties to even, as mpmath's
+normalization rounds them.  Besides the weighted coefficient norm, this
+layer places the roots of the characteristic polynomial for the splitting
+conditions (check_conditions); the exact layers never import it.
 
 Every int or Fraction enters the layer through raw_rational, rounded down to
 FLOAT_PRECISION bits as mpmathify rounds a Fraction, and every root
 sqrt(num / den) of an exact rational comes from one int kernel,
 _sqrt_rational, with the two roundings of mpf_sqrt(from_rational(num, den,
 128), 128, round_nearest): the quotient truncated to 128 bits, then the root
-from math.isqrt, with a sticky bit when inexact, rounded to nearest.  An
+from math.isqrt, with a sticky bit when inexact, rounded by _round.  An
 exact value reported as a double, the gap margin, is converted by
 scalars.to_double, which decides the double range for every layer.
 """
@@ -27,7 +29,7 @@ from math import isqrt
 
 import mpmath
 from mpmath.libmp import (
-    fone, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_pow_int, mpf_sub,
+    fone, from_rational, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_pow_int, mpf_sub,
     round_nearest, to_float,
 )
 
@@ -38,15 +40,48 @@ from .tpoly import TPoly
 FLOAT_PRECISION = 128
 ROOT_BAND = Fraction(1, 10**20)
 
+
+def _round(sign: int, man: int, exp: int) -> tuple:
+    """The raw value (-1)^sign man 2^exp, for an int man > 0, rounded to
+    nearest at FLOAT_PRECISION bits, ties to even, with its trailing zero
+    bits stripped: bit for bit what mpmath's normalize makes of it."""
+    n = man.bit_length() - FLOAT_PRECISION
+    if n > 0:
+        t = man >> (n - 1)
+        man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
+        exp += n
+    if not man & 1:
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        exp += zeros
+    return sign, man, exp, man.bit_length()
+
+
 # Arithmetic on raw mpmath.libmp values at FLOAT_PRECISION bits, rounding to
 # nearest as mpf arithmetic inside mpmath.workprec(FLOAT_PRECISION) does,
 # whatever the caller's mpmath context; by_value is the max/sort key of raw
 # values.  Plain positional calls, cheaper than keyword functools.partials.
+# raw_add and raw_mul form the exact sum or product of two nonzero values and
+# round it once with _round; a zero, a special value, a sum of opposite signs
+# or one across an exponent gap over 100 binades (which mpf_add perturbs
+# rather than adds) goes to mpmath.
 def raw_add(x: tuple, y: tuple) -> tuple:
+    sign, xman, xexp, _ = x
+    ysign, yman, yexp, _ = y
+    if xman and yman and sign == ysign:
+        gap = xexp - yexp
+        if 0 <= gap <= 100:
+            return _round(sign, (xman << gap) + yman, yexp)
+        if -100 <= gap < 0:
+            return _round(sign, (yman << -gap) + xman, xexp)
     return mpf_add(x, y, FLOAT_PRECISION, round_nearest)
 
 
 def raw_mul(x: tuple, y: tuple) -> tuple:
+    xsign, xman, xexp, _ = x
+    ysign, yman, yexp, _ = y
+    if xman and yman:
+        return _round(xsign ^ ysign, xman * yman, xexp + yexp)
     return mpf_mul(x, y, FLOAT_PRECISION, round_nearest)
 
 
@@ -75,28 +110,26 @@ def raw_rational(x) -> tuple:
 def _sqrt_rational(num: int, den: int) -> tuple:
     """sqrt(num / den) for ints num >= 0, den > 0 as a raw mpf value, bit for
     bit mpf_sqrt(from_rational(num, den, 128), 128, round_nearest).  The
-    memo is keyed on the int pair, hashed in C; norms meet the same pair often.
-    num = 0 runs through to a zero root, which from_man_exp returns as fzero."""
+    memo is keyed on the int pair, hashed in C; norms meet the same pair often."""
+    if not num:
+        return fzero
     # num / den truncated to man * 2^-exp with a 128-bit man, as
     # from_rational's default rounding (round down) leaves it
     exp = FLOAT_PRECISION + den.bit_length() - num.bit_length()
     man = (num << exp) // den if exp >= 0 else (num >> -exp) // den
-    if man.bit_length() > FLOAT_PRECISION:
+    if man >> FLOAT_PRECISION:
         man >>= 1
         exp -= 1
-    # mpf_sqrt: an even exponent, at least 2 prec + 4 bits under the root, and
-    # a sticky bit when the root is inexact, then one rounding to nearest
-    if exp & 1:
-        man <<= 1
-        exp += 1
-    shift = 2 * FLOAT_PRECISION + 4 - man.bit_length()
-    shift += shift & 1
+    # mpf_sqrt: the 128-bit man shifted to 2 prec + 4 bits (one more at an
+    # odd exp, so that the exponent under the root is even), and a sticky
+    # bit when the root is inexact, then one rounding to nearest
+    shift = FLOAT_PRECISION + 4 + (exp & 1)
     man <<= shift
     root = isqrt(man)
     if root * root != man:
         root = 2 * root + 1
         shift += 2
-    return from_man_exp(root, -(exp + shift) // 2, FLOAT_PRECISION, round_nearest)
+    return _round(0, root, -(exp + shift) // 2)
 
 
 @lru_cache(maxsize=16)

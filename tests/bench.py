@@ -10,19 +10,23 @@ noise-free and equal between runs; each subcommand's spawn-to-exit median
 on tests/data problems, next to the median CPU time of the spawned process
 (the RUSAGE_CHILDREN delta of each spawn), which a busy host moves less;
 and in-process medians: the CPU time (time.process_time) of one extend of
-each pinned run, the wall time per call of TPoly._raw and Exponent._raw on
-the fields of the last term the first pinned run solves, and the wall time
-of the artifact writing of the pinned runs (SolutionState.to_json and
-cli._json_text); and a large-N sweep, the number N of solved terms and the
-median CPU time of SWEEP_RUNS in-process extends of the benchmark's
-log-resonant and semigroup-2d problems (benchmarks/workloads.py, imported
-read-only) at seed SWEEP_SEED over SWEEP_CUTOFFS.  Times are seconds on the
-host that ran it, so compare
-ratios between files written on different hosts, not the seconds
+each pinned run, and of the norm_trials call of the FLOAT_RUNS check-norms
+run from cold float memos (tests.util.FLOAT_MEMOS) and a freshly loaded
+problem; the wall time per call of TPoly._raw and Exponent._raw on the
+fields of the last term the first pinned run solves, and of gamma_abs at
+one real and one complex point; and the wall time of the artifact writing
+of the pinned runs (SolutionState.to_json and cli._json_text); and a
+large-N sweep, the number N of solved terms and the median CPU time of
+SWEEP_RUNS in-process extends of the benchmark's log-resonant and
+semigroup-2d problems (benchmarks/workloads.py, imported read-only) at seed
+SWEEP_SEED over SWEEP_CUTOFFS.  Times are seconds on the host that ran it,
+so compare ratios between files written on different hosts, not the seconds
 themselves.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import platform
 import resource
@@ -31,17 +35,20 @@ import subprocess
 import sys
 import tempfile
 import timeit
+from fractions import Fraction
 from pathlib import Path
 from time import perf_counter, process_time
 
-from dulac import cli
+from dulac import cli, norms
 from dulac.exponents import Exponent, ExponentBasis
+from dulac.gammafn import gamma_abs
 from dulac.ode import ODESpec
+from dulac.scalars import ExactScalar
 from dulac.series import DulacSeries
 from dulac.solver import extend
 from dulac.tpoly import TPoly
 
-from .util import DATA, FLOAT_RUNS, PINNED_RUNS, child_env, extend_counts, float_counts, line_counts
+from .util import DATA, FLOAT_MEMOS, FLOAT_RUNS, PINNED_RUNS, child_env, extend_counts, float_counts, line_counts
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,8 +60,15 @@ SPAWN_RUNS = (
 )
 SPAWNS = 9
 IN_PROCESS = 31
-# calls per timed batch of a constructor
+# check-norms runs whose norm_trials call is timed: one takes about 12 ms,
+# and more of them steady the median against a shared host's swings
+NORM_TRIALS_RUNS = 101
+# calls per timed batch of a constructor, and of gamma_abs
 BATCH = 20000
+GAMMA_BATCH = 200
+# the points gamma_abs is timed at: a real one and a complex one
+GAMMA_POINTS = {"real": ExactScalar(Fraction(7, 2), Fraction(0)),
+                "complex": ExactScalar(Fraction(1, 2), Fraction(3, 2))}
 # the large-N sweep: benchmark workload -> cutoffs, at one seed
 SWEEP_CUTOFFS = {"log-resonant": (32, 48, 64), "semigroup-2d": (12, 14)}
 SWEEP_SEED = 5
@@ -108,14 +122,40 @@ def _pinned_states() -> dict:
     return out
 
 
-def _per_call_s(stmt: str, **names) -> float:
-    """Median seconds per call of stmt over IN_PROCESS batches of BATCH."""
-    return statistics.median(timeit.repeat(stmt, globals=names, number=BATCH, repeat=IN_PROCESS)) / BATCH
+def _per_call_s(stmt: str, batch: int = BATCH, **names) -> float:
+    """Median seconds per call of stmt over IN_PROCESS batches of batch calls."""
+    return statistics.median(timeit.repeat(stmt, globals=names, number=batch, repeat=IN_PROCESS)) / batch
+
+
+def _norm_trials_cpu_s() -> float:
+    """Median CPU time of the norm_trials call of the FLOAT_RUNS check-norms
+    run over NORM_TRIALS_RUNS runs, each from cold float memos and a freshly
+    loaded problem; the rest of the CLI run is not timed."""
+    (command, name, *flags), = (run for run in FLOAT_RUNS if run[0] == "check-norms")
+    real, samples = norms.norm_trials, []
+
+    def timed(*args):
+        began = process_time()
+        counts = real(*args)
+        samples.append(process_time() - began)
+        return counts
+
+    norms.norm_trials = timed
+    try:
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            for _ in range(NORM_TRIALS_RUNS):
+                for memo in FLOAT_MEMOS:
+                    memo.cache_clear()
+                cli.main([command, str(DATA / name), *flags, "--output-dir", out])
+    finally:
+        norms.norm_trials = real
+    return statistics.median(samples)
 
 
 def _in_process_s(states: dict) -> dict:
-    """Medians of one extend's CPU time, of the constructors per call, and
-    of SolutionState.to_json and cli._json_text on its solve payload."""
+    """Medians of one extend's CPU time and of norm_trials', of the
+    constructors and gamma_abs per call, and of SolutionState.to_json and
+    cli._json_text on its solve payload."""
     first = next(iter(states.values()))[1]
     e, c = first.solution.terms[-1]
     writing = {}
@@ -128,10 +168,13 @@ def _in_process_s(states: dict) -> dict:
     return {
         "extend_cpu_s": {run: _median_s(lambda: extend(*args), IN_PROCESS, process_time)
                          for run, (args, _) in states.items()},
+        "norm_trials_cpu_s": _norm_trials_cpu_s(),
         "call_s": {
             "TPoly._raw": _per_call_s("raw(den, re, im)", raw=TPoly._raw, den=c.den, re=c.re, im=c.im),
             "Exponent._raw": _per_call_s("raw(basis, den, nums)", raw=Exponent._raw, basis=e.basis,
                                          den=e.den, nums=e.nums),
+            **{f"gamma_abs {kind}": _per_call_s("gamma_abs(z)", GAMMA_BATCH, gamma_abs=gamma_abs, z=z)
+               for kind, z in GAMMA_POINTS.items()},
         },
         "writing_s": writing,
     }

@@ -117,6 +117,21 @@ def test_norm_params_validation():
         NormParams(R=2, s=1, Kcal=0, j=-1)
 
 
+@pytest.mark.parametrize("bad", [-1, 1.5, True, False, Fraction(1), "1", None])
+def test_norm_levels_are_nonnegative_ints(bad):
+    # a level that is not a nonnegative int is refused, never truncated or
+    # read as 0 or 1: h_norm at level -1 summed weight^-1 terms, and level
+    # 1.5 gave the level-1 value
+    g = _ms(_gens_one(), (((1,), TPoly.ONE), ((2,), TPoly.T)))
+    p = NormParams(**P0)
+    with pytest.raises(ValueError, match="nonnegative int"):
+        NormParams(**P0, j=bad)
+    if bad is not None:
+        with pytest.raises(ValueError, match="nonnegative int"):
+            h_norm(g, p, level=bad)
+    assert h_norm(g, p, level=2) == h_norm(g, NormParams(**P0, j=2))
+
+
 def test_norm_params_read_floats_as_poly_norm_does():
     p = NormParams(R=2.1, s=0.1, Kcal=0.5)
     assert (p.R, p.s, p.Kcal) == (Fraction(21, 10), Fraction(1, 10), Fraction(1, 2))
@@ -598,6 +613,19 @@ def test_lemma5_gate_rejects():
         check_lemma5(TPoly.ONE, (1,), 0, bad, p)
 
 
+def test_lemma5_degree_caps_at_a_fractional_kcal():
+    # Kcal |m| = 3/2 admits degree 1 and refuses degree 2, and the message
+    # names the exact cap
+    g = _gens_one()
+    p = NormParams(R=2, s=1, Kcal=Fraction(3, 2), j=0)
+    ms = _ms(g, (((1,), TPoly.T),))
+    assert check_lemma5(TPoly.T, (1,), 0, ms, p).passed
+    with pytest.raises(PreconditionViolated, match=r"deg a = 2 exceeds Kcal \|l\| = 3/2"):
+        check_lemma5(TPoly.of(0, 0, 1), (1,), 0, ms, p)
+    with pytest.raises(PreconditionViolated, match=r"deg C_m = 2 > Kcal \|m\| = 3/2"):
+        check_lemma5(TPoly.ONE, (1,), 0, _ms(g, (((1,), TPoly.of(0, 0, 1)),)), p)
+
+
 def test_lemma5_euler_image():
     basis = basis_one()
     state = extend(euler_ode(), DulacSeries.zero(basis), 5)
@@ -841,6 +869,19 @@ def test_norm_trials_draw_as_the_randint_reference(monkeypatch, tmp_path, name):
         assert state == reference.getstate()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9])
+def test_below_draws_as_randrange(n):
+    # the draw rule of the trials: _below(rng.getrandbits, n) returns what
+    # rng.randrange(n) returns and leaves rng in the same state, rejected
+    # draws included (n = 4 draws 3 bits); 1 to 3 are the widths of
+    # randint(0, max_deg)
+    for seed in range(200):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert norms._below(rng.getrandbits, n) == reference.randrange(n)
+            assert rng.getstate() == reference.getstate()
+
+
 def test_check_norms_operation_counts():
     # the Gamma evaluations, root-kernel evaluations (memo misses), raw mpf
     # operations and mpmath.workprec entries of one check-norms run from
@@ -848,7 +889,8 @@ def test_check_norms_operation_counts():
     # shows up as a failure (38 workprec entries when gamma_abs entered it,
     # 32 when the table weights, rho and the tail norms were read through
     # mpf objects); each of the six table weights is one raw_add and one
-    # raw_mul
+    # raw_mul; each weight power is computed once per table (117 raw_pow
+    # when check_lemma5 raised the weight to its power for every term)
     counts = float_counts("check-norms", "euler_gens.json", "--seed", "7")
-    assert counts == {"gamma": 6, "roots": 609, "raw_add": 775, "raw_mul": 1272, "raw_div": 88, "raw_pow": 117,
+    assert counts == {"gamma": 6, "roots": 609, "raw_add": 775, "raw_mul": 1272, "raw_div": 88, "raw_pow": 96,
                       "workprec": 0}

@@ -10,14 +10,14 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import fone, from_man_exp, from_rational, fzero, mpf_add, mpf_mul, round_nearest
 
 from dulac.errors import ExactValueRequired
 from dulac.exponents import ExponentBasis
 from dulac.gevrey import GevreyReport, RhoRow, classify
 from dulac.mseries import MSeries
 from dulac.norms import Lemma5Report, Lemma6Report, NormParams, check_lemma5, check_lemma6
-from dulac.numeric import ConditionReport, _sqrt_rational, check_conditions, poly_norm, raw_rational
+from dulac.numeric import ConditionReport, _sqrt_rational, check_conditions, poly_norm, raw_add, raw_mul, raw_rational
 from dulac.scalars import ExactScalar
 from dulac.semigroup import validate_generators
 from dulac.series import INF, DulacSeries
@@ -506,11 +506,56 @@ _ROOT_PAIRS = st.one_of(
 @example((1, 2))
 @example(((1 << 128) - 1, 1))
 @example((1 << 128, 3))
+@example(((1 << 256) - (1 << 128), 1))  # a root just below 2^128 - 1/2: 128 one-bits
 def test_root_kernel_rounds_as_mpmath(pair):
     # the int kernel under poly_norm and the norm weights: bit for bit mpf_sqrt of
     # from_rational, both roundings included
     num, den = pair
     assert _sqrt_rational(num, den) == sqrt_rational_oracle(num, den)
+
+
+# raw values as the float layer meets them: zero, or a sign, an odd
+# mantissa of 1 to 260 bits (128-bit values and short exact ones among them)
+# and an exponent
+_RAW = st.one_of(
+    st.just(fzero),
+    st.tuples(st.integers(0, 1), st.integers(1, 260).flatmap(_ints_of_bits), st.integers(-400, 400)).map(
+        lambda t: from_man_exp(-t[1] if t[0] else t[1], t[2])),
+)
+_ONES = (1 << 128) - 1  # 128 one-bits
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_RAW, _RAW)
+@example(from_man_exp(_ONES, 0), from_man_exp(1, 1))  # a tie, rounded down to even
+@example(from_man_exp(_ONES, 0), from_man_exp(1, 2))  # a tie, rounded up to even
+@example(from_man_exp(_ONES, 1), fone)  # 128 one-bits round up to 2^129
+@example(from_man_exp(_ONES, 100), fone)  # a gap of 100 binades: added here
+@example(from_man_exp(_ONES, 101), fone)  # a gap of 101: mpf_add perturbs
+@example(from_man_exp(1, 101), fone)  # a gap of 101 that mpf_add adds exactly
+@example(from_man_exp(-3, 0), fone)  # opposite signs
+@example(fone, from_man_exp(-_ONES, -130))  # opposite signs, the negative one smaller
+@example(fzero, from_man_exp(_ONES, 0))  # zero
+@example(fzero, fzero)
+def test_raw_add_rounds_as_mpf_add(x, y):
+    # the one-rounding kernel of raw_add: bit for bit mpf_add at 128 bits
+    # rounding to nearest, either way round
+    assert raw_add(x, y) == mpf_add(x, y, 128, round_nearest)
+    assert raw_add(y, x) == mpf_add(y, x, 128, round_nearest)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_RAW, _RAW)
+@example(from_man_exp(_ONES, 0), from_man_exp((1 << 128) + 1, 0))  # 256 one-bits round up to 2^256
+@example(from_man_exp(_ONES, 0), from_man_exp(3, 0))  # 130 bits: no tie, rounded up
+@example(from_man_exp((1 << 128) + 1, 0), from_man_exp(1, 5))  # a tie, rounded down to even
+@example(from_man_exp((1 << 128) + 3, 0), fone)  # a tie, rounded up to even
+@example(from_man_exp(-3, -7), from_man_exp(5, 9))  # opposite signs
+@example(fzero, from_man_exp(_ONES, 0))  # zero
+def test_raw_mul_rounds_as_mpf_mul(x, y):
+    # the one-rounding kernel of raw_mul: bit for bit mpf_mul at 128 bits
+    # rounding to nearest
+    assert raw_mul(x, y) == mpf_mul(x, y, 128, round_nearest)
 
 
 def test_raw_rational_reads_as_mpmathify_not_to_nearest():

@@ -314,6 +314,8 @@ def extend_counts(name: str, cutoff) -> dict:
 # the CLI runs whose float work the op-count tests pin: (command, problem, flags)
 FLOAT_RUNS = (("verify", "nonlinear.json", "--cutoff", "20"), ("check-norms", "euler_gens.json", "--seed", "7"),
               ("reduce", "resonant_double.json"))
+# the memos of the float layer, cleared before a run counted or timed from cold
+FLOAT_MEMOS = (norms._table, norms._gammas, numeric._norm_powers, numeric._sqrt_rational)
 _FLOAT_OPS = {"gamma": "gamma_abs", "raw_add": "raw_add", "raw_mul": "raw_mul", "raw_div": "raw_div",
               "raw_pow": "raw_pow", "workprec": "workprec"}
 
@@ -326,7 +328,7 @@ def float_counts(command: str, name: str, *flags: str) -> dict:
     "raw_pow", the raw mpf operations; and "workprec", the
     mpmath.workprec entries.  The run writes to a temporary directory and
     its stdout is dropped; the counted functions are restored afterwards."""
-    for memo in (norms._table, norms._gammas, numeric._norm_powers, numeric._sqrt_rational):
+    for memo in FLOAT_MEMOS:
         memo.cache_clear()
     counts = dict.fromkeys(_FLOAT_OPS, 0)
     saved = [(mod, attr, key, vars(mod)[attr]) for key, attr in _FLOAT_OPS.items()
